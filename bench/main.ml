@@ -322,89 +322,6 @@ let pp_audit_bench b =
     b.plain_wall_s b.certified_wall_s b.audit_overhead b.verified_per_s
 
 (* ------------------------------------------------------------------ *)
-(* Simulator throughput benchmark                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* The figure-4 co-run grid simulated under both kernels, bypassing the
-   run cache (Tcsim.Machine.run directly), so the numbers measure the
-   simulation loops themselves. Simulated cycles are identical for both
-   kernels by construction — the differential suite enforces it — so
-   cycles/second is the honest throughput unit. *)
-type sim_bench = {
-  sim_cycles : int;  (* simulated cycles per kernel pass *)
-  stepped_wall_s : float;
-  event_wall_s : float;
-  stepped_cps : float;  (* simulated cycles per wall second *)
-  event_cps : float;
-  sim_event_speedup : float;
-}
-
-let sim_workloads () =
-  List.concat_map
-    (fun scenario ->
-       let variant = Workload.Control_loop.variant_of_scenario scenario in
-       let app = Workload.Control_loop.app variant in
-       List.map
-         (fun level -> (app, Workload.Load_gen.make ~variant ~level ()))
-         Workload.Load_gen.all_levels)
-    [ Platform.Scenario.scenario1; Platform.Scenario.scenario2 ]
-
-let sim_bench () =
-  let workloads = sim_workloads () in
-  let pass kernel =
-    (* the paper's measurement protocol per cell: both programs in
-       isolation, then the co-run *)
-    let t0 = Unix.gettimeofday () in
-    let cycles =
-      List.fold_left
-        (fun acc (app, con) ->
-           let run ?contenders analysis =
-             (Tcsim.Machine.run ~kernel ~analysis ?contenders ())
-               .Tcsim.Machine.cycles
-           in
-           acc
-           + run { Tcsim.Machine.program = app; core = 0 }
-           + run { Tcsim.Machine.program = con; core = 1 }
-           + run
-               { Tcsim.Machine.program = app; core = 0 }
-               ~contenders:[ { Tcsim.Machine.program = con; core = 1 } ])
-        0 workloads
-    in
-    (cycles, Unix.gettimeofday () -. t0)
-  in
-  let stepped_cycles, stepped_wall_s = pass `Stepped in
-  let event_cycles, event_wall_s = pass `Event in
-  assert (stepped_cycles = event_cycles);
-  let cps wall = float_of_int stepped_cycles /. Float.max wall 1e-9 in
-  {
-    sim_cycles = stepped_cycles;
-    stepped_wall_s;
-    event_wall_s;
-    stepped_cps = cps stepped_wall_s;
-    event_cps = cps event_wall_s;
-    sim_event_speedup = stepped_wall_s /. Float.max event_wall_s 1e-9;
-  }
-
-let json_of_sim_bench b =
-  Obs.Json.Obj
-    [
-      ("name", Obs.Json.Str "sim-throughput");
-      ("sim_cycles", Obs.Json.Int b.sim_cycles);
-      ("stepped_wall_s", Obs.Json.Float b.stepped_wall_s);
-      ("event_wall_s", Obs.Json.Float b.event_wall_s);
-      ("stepped_cycles_per_s", Obs.Json.Float b.stepped_cps);
-      ("event_cycles_per_s", Obs.Json.Float b.event_cps);
-      ("sim_event_speedup", Obs.Json.Float b.sim_event_speedup);
-    ]
-
-let pp_sim_bench b =
-  Format.printf
-    "simulated %d cycles per kernel:@.  stepped %.3fs (%.1f Mcycles/s)@.  \
-     event   %.3fs (%.1f Mcycles/s)@.  event-kernel speedup %.1fx@."
-    b.sim_cycles b.stepped_wall_s (b.stepped_cps /. 1e6) b.event_wall_s
-    (b.event_cps /. 1e6) b.sim_event_speedup
-
-(* ------------------------------------------------------------------ *)
 (* Observability overhead benchmark                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -712,90 +629,9 @@ let pp_bnb_bench b =
     b.bnb_nodes b.bnb_reps b.bnb_seq_wall_s b.bnb_par_wall_s
     b.bnb_parallel_speedup b.bnb_jobs b.bnb_results_equal
 
-(* ------------------------------------------------------------------ *)
-(* Simulation family benchmark                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The figure-4 measurement cells (both isolations + the co-run) run
-   solo vs as one [Tcsim.Machine.run_family], bypassing the run cache —
-   what sharing one decoded per-core script across the members of a
-   cell buys. The members' results are bit-identical either way (the
-   differential property pins it), so the ratio is pure frontend
-   savings and cancels machine speed out. *)
-type family_bench = {
-  fam_reps : int;
-  fam_cells : int;
-  fam_solo_wall_s : float;
-  fam_family_wall_s : float;
-  sim_family_speedup : float;
-  fam_results_equal : bool;
-}
-
-let family_bench () =
-  let reps = 3 in
-  let cells =
-    List.map
-      (fun (app, con) ->
-         let analysis = { Tcsim.Machine.program = app; core = 0 } in
-         let contender = { Tcsim.Machine.program = con; core = 1 } in
-         [
-           Tcsim.Machine.spec ~analysis ();
-           Tcsim.Machine.spec ~analysis:contender ();
-           Tcsim.Machine.spec ~restart_contenders:false ~analysis
-             ~contenders:[ contender ] ();
-         ])
-      (sim_workloads ())
-  in
-  let best pass =
-    let best_t = ref infinity and res = ref None in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      let r = List.map pass cells in
-      best_t := Float.min !best_t (Unix.gettimeofday () -. t0);
-      res := Some r
-    done;
-    (Option.get !res, !best_t)
-  in
-  let solo_of s =
-    Tcsim.Machine.run
-      ~restart_contenders:s.Tcsim.Machine.sp_restart_contenders
-      ?priorities:s.Tcsim.Machine.sp_priorities
-      ~trace:s.Tcsim.Machine.sp_trace ~analysis:s.Tcsim.Machine.sp_analysis
-      ~contenders:s.Tcsim.Machine.sp_contenders ()
-  in
-  let solo, fam_solo_wall_s = best (List.map solo_of) in
-  let fam, fam_family_wall_s = best Tcsim.Machine.run_family in
-  {
-    fam_reps = reps;
-    fam_cells = List.length cells;
-    fam_solo_wall_s;
-    fam_family_wall_s;
-    sim_family_speedup = fam_solo_wall_s /. Float.max fam_family_wall_s 1e-9;
-    fam_results_equal = solo = fam;
-  }
-
-let json_of_family_bench b =
-  Obs.Json.Obj
-    [
-      ("name", Obs.Json.Str "sim-family");
-      ("reps", Obs.Json.Int b.fam_reps);
-      ("cells", Obs.Json.Int b.fam_cells);
-      ("solo_wall_s", Obs.Json.Float b.fam_solo_wall_s);
-      ("family_wall_s", Obs.Json.Float b.fam_family_wall_s);
-      ("sim_family_speedup", Obs.Json.Float b.sim_family_speedup);
-      ("results_equal", Obs.Json.Bool b.fam_results_equal);
-    ]
-
-let pp_family_bench b =
-  Format.printf
-    "%d cells x3 members, best of %d: solo %.3fs, family %.3fs (%.2fx); \
-     results identical: %b@."
-    b.fam_cells b.fam_reps b.fam_solo_wall_s b.fam_family_wall_s
-    b.sim_family_speedup b.fam_results_equal
-
 let results_file = "BENCH_results.json"
 
-(* The serve, audit, bnb and family benchmarks also run as their own
+(* The serve, audit and bnb benchmarks also run as their own
    modes; merge such an entry into the results file by its name,
    without clobbering the regenerated stages. *)
 let merge_result entry =
@@ -851,31 +687,10 @@ let run_perf_check () =
     exit 1
   end
   else Format.printf "OK: within the 2x budget@.";
-  (* Simulator smoke: the event kernel must stay within 2x of its
-     baseline advantage over the stepped oracle. The two kernels run the
-     same workload in the same process, so the ratio cancels machine
-     speed out — unlike absolute wall time, it is comparable across CI
-     runners. *)
-  section "Simulator perf smoke (event vs stepped kernel)";
-  let s = sim_bench () in
-  pp_sim_bench s;
-  let baseline_speedup =
-    match Obs.Json.member "sim_event_speedup" baseline with
-    | Some (Obs.Json.Float f) -> f
-    | Some (Obs.Json.Int i) -> float_of_int i
-    | _ -> failwith "perf_baseline.json: missing sim_event_speedup"
-  in
-  Format.printf "event-kernel speedup: baseline %.1fx, current %.1fx@."
-    baseline_speedup s.sim_event_speedup;
-  if s.sim_event_speedup < baseline_speedup /. 2. then begin
-    Format.printf "FAIL: event-kernel throughput regressed more than 2x@.";
-    exit 1
-  end
-  else Format.printf "OK: within the 2x budget@.";
   (* Observability smoke: tracing a full analysis cell must stay within
      the budgeted overhead ratio. Both passes run the same workload in
      the same process (best-of-N), so machine speed cancels out of the
-     ratio like it does for the kernel speedup above. *)
+     ratio. *)
   section "Observability overhead smoke (traced vs plain analysis cell)";
   let o = obs_bench () in
   pp_obs_bench o;
@@ -974,31 +789,7 @@ let run_perf_check () =
     exit 1
   end
   else Format.printf "OK: within the 2x budget@.";
-  merge_result (json_of_bnb_bench pb);
-  (* Simulation family smoke: a same-process ratio (solo vs family on
-     identical members), so machine speed cancels out like the kernel
-     speedup; it fails below half baseline. *)
-  section "Simulation family smoke (shared scripts vs solo runs)";
-  let fb = family_bench () in
-  pp_family_bench fb;
-  if not fb.fam_results_equal then begin
-    Format.printf "FAIL: family members disagree with solo runs@.";
-    exit 1
-  end;
-  let baseline_family_speedup =
-    match Obs.Json.member "sim_family_speedup" baseline with
-    | Some (Obs.Json.Float f) -> f
-    | Some (Obs.Json.Int i) -> float_of_int i
-    | _ -> failwith "perf_baseline.json: missing sim_family_speedup"
-  in
-  Format.printf "sim family speedup: baseline %.2fx, current %.2fx@."
-    baseline_family_speedup fb.sim_family_speedup;
-  if fb.sim_family_speedup < baseline_family_speedup /. 2. then begin
-    Format.printf "FAIL: family batching speedup collapsed more than 2x@.";
-    exit 1
-  end
-  else Format.printf "OK: within the 2x budget@.";
-  merge_result (json_of_family_bench fb)
+  merge_result (json_of_bnb_bench pb)
 
 (* ------------------------------------------------------------------ *)
 (* Serve replay: sustained queries/sec through a live daemon            *)
@@ -1155,18 +946,16 @@ let regenerate () =
          (name, t, deltas))
       stages
   in
-  (* the solver micro-benchmark, simulator-throughput and audit-overhead
-     stages ride along silently so the JSON always carries
-     pivots-per-node, the kernel speedup and the certified-solve rate;
-     their human-readable summaries belong to the [solver], [sim],
-     [audit] and [perf-check] modes *)
+  (* the solver micro-benchmark and audit-overhead stages ride along
+     silently so the JSON always carries pivots-per-node and the
+     certified-solve rate; their human-readable summaries belong to the
+     [solver], [audit] and [perf-check] modes *)
   let solver = json_of_solver_bench (solver_bench ()) in
-  let sim = json_of_sim_bench (sim_bench ()) in
   let audit = json_of_audit_bench (audit_bench ()) in
   let oc = open_out results_file in
   output_string oc
     (Obs.Json.to_string
-       (Obs.Json.List (List.map json_of_stage records @ [ solver; sim; audit ])));
+       (Obs.Json.List (List.map json_of_stage records @ [ solver; audit ])));
   output_char oc '\n';
   close_out oc;
   Format.printf "@.per-stage results written to %s@." results_file
@@ -1322,9 +1111,6 @@ let () =
    | "solver" ->
      section "Solver micro-benchmark";
      pp_solver_bench (solver_bench ())
-   | "sim" ->
-     section "Simulator throughput (stepped vs event kernel)";
-     pp_sim_bench (sim_bench ())
    | "perf-check" -> run_perf_check ()
    | "serve" ->
      section "Serve replay (sustained queries/sec through the daemon)";
@@ -1351,18 +1137,13 @@ let () =
      let r = bnb_bench () in
      pp_bnb_bench r;
      merge_result (json_of_bnb_bench r)
-   | "family" ->
-     section "Simulation families (shared scripts vs solo runs)";
-     let r = family_bench () in
-     pp_family_bench r;
-     merge_result (json_of_family_bench r)
    | "all" ->
      regenerate ();
      run_timings ()
    | other ->
      Format.eprintf
-       "unknown mode %S (expected: tables | timings | solver | sim | audit | \
-        obs | dag | bnb | family | perf-check | serve | all)@."
+       "unknown mode %S (expected: tables | timings | solver | audit | obs | \
+        dag | bnb | perf-check | serve | all)@."
        other;
      exit 2);
   Format.printf "@.done.@."

@@ -90,9 +90,10 @@ let kernel_arg =
     & opt (some kernel_conv) None
     & info [ "kernel" ] ~docv:"KERNEL"
         ~doc:
-          "Simulator kernel: $(b,event) (skip-ahead scheduling, the default) \
-           or $(b,stepped) (the cycle-by-cycle oracle). Results are \
-           bit-identical for both; also settable via $(b,AURIX_KERNEL).")
+          "Simulator kernel: $(b,event) (wakes only at SRI issues and \
+           grants, the default) or $(b,stepped) (visits every cycle). \
+           Results are bit-identical for both; also settable via \
+           $(b,AURIX_KERNEL).")
 
 let apply_kernel = function
   | None -> ()

@@ -50,46 +50,55 @@ let locate c addr =
   let tag = line_addr lsr c.set_shift in
   (set_idx, tag)
 
-let access c ~addr ~write =
+let hit = -1
+let clean_miss = -2
+
+(* Loops rather than closures and options: the script compiler calls
+   this once per cacheable access and must not allocate. *)
+let access_code c ~addr ~write =
   c.clock <- c.clock + 1;
-  let set_idx, tag = locate c addr in
+  let line_addr = addr / c.geom.line_bytes in
+  let set_idx = line_addr land (c.nsets - 1) in
+  let tag = line_addr lsr c.set_shift in
   let set = c.sets.(set_idx) in
-  let found = ref None in
-  Array.iter
-    (fun l -> if l.valid && l.tag = tag && !found = None then found := Some l)
-    set;
-  match !found with
-  | Some l ->
+  let ways = Array.length set in
+  let w = ref 0 in
+  while !w < ways && not (set.(!w).valid && set.(!w).tag = tag) do incr w done;
+  if !w < ways then begin
+    let l = set.(!w) in
     l.stamp <- c.clock;
     if write then l.dirty <- true;
     c.hit_count <- c.hit_count + 1;
-    Hit
-  | None ->
+    hit
+  end
+  else begin
     c.miss_count <- c.miss_count + 1;
     (* choose victim: first invalid way, else least-recently used *)
-    let victim_line = ref set.(0) in
-    Array.iter
-      (fun l ->
-         let v = !victim_line in
-         if not l.valid then begin
-           if v.valid then victim_line := l
-         end
-         else if v.valid && l.stamp < v.stamp then victim_line := l)
-      set;
-    let v = !victim_line in
+    let v = ref 0 in
+    for i = 1 to ways - 1 do
+      let l = set.(i) and b = set.(!v) in
+      if not l.valid then begin if b.valid then v := i end
+      else if b.valid && l.stamp < b.stamp then v := i
+    done;
+    let v = set.(!v) in
     let victim =
-      if v.valid && v.dirty then begin
+      if v.valid && v.dirty then
         (* reconstruct the victim's line-aligned address *)
-        let line_addr = (v.tag * c.nsets) + set_idx in
-        Some (line_addr * c.geom.line_bytes)
-      end
-      else None
+        ((v.tag * c.nsets) + set_idx) * c.geom.line_bytes
+      else clean_miss
     in
     v.tag <- tag;
     v.valid <- true;
     v.dirty <- write;
     v.stamp <- c.clock;
-    Miss { victim }
+    victim
+  end
+
+let access c ~addr ~write =
+  match access_code c ~addr ~write with
+  | -1 -> Hit
+  | -2 -> Miss { victim = None }
+  | a -> Miss { victim = Some a }
 
 let probe c ~addr =
   let set_idx, tag = locate c addr in

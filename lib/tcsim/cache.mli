@@ -33,6 +33,13 @@ val access : t -> addr:int -> write:bool -> outcome
     (write-allocate) and the LRU way evicted. A write marks the line
     dirty. *)
 
+val access_code : t -> addr:int -> write:bool -> int
+(** {!access} without allocating: {!hit}, {!clean_miss}, or the dirty
+    victim's line-aligned address (non-negative). *)
+
+val hit : int
+val clean_miss : int
+
 val probe : t -> addr:int -> bool
 (** Non-destructive lookup: would [addr] hit? *)
 

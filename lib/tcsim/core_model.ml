@@ -13,474 +13,372 @@ let p16_config =
 
 let e16_config = { kind = E16; icache = Some Cache.tc16e_icache; dcache = None }
 
-(* --- Decoded instruction scripts ---------------------------------------
+(* --- Compiled scripts ----------------------------------------------------
    Everything a core does besides waiting is timing-independent: which
    instruction comes next, how its fetch and data access classify, and
    whether each cache access hits — all of it is a function of the
    (program, core config) pair alone, because the per-core caches see a
-   fixed access sequence whatever the SRI timing is. A [Script.entry]
-   records that classification per instruction; the timing-dependent
-   part (ticket issue cycles, stall accounting, phase waits) is applied
-   by the core when it consumes the entry. Scripts are the unit of reuse
-   for run families: one (program, config) stream, generated once,
-   replayed by every family member that runs that program. *)
+   fixed access sequence whatever the SRI timing is. A script compiles
+   that stream into segments, each a silent run followed by what ends
+   it: an SRI transaction, the end of a pass, or the instruction that
+   raises.
+
+   A segment is two words in fixed-size int chunks (never scanned by
+   the GC, never copied on growth):
+     w0 = gap lsl 5 lor miss lsl 3 lor tag
+     w1 = line lsl 2 lor target          (transactions only)
+   [gap] counts cycles from the segment's anchor — the completion cycle
+   of the previous transaction, the previous pass end, or -1 at the
+   start — to the cycle the segment's event happens. [miss] names the
+   counter the issue bumps. A pass without transactions ends in a
+   [silent_end]: caches only change on misses, so every later pass
+   repeats it exactly and the script is complete. *)
 module Script = struct
-  type fetch =
-    | Fdirect  (* pc in scratchpad: no fetch transaction *)
-    | Fhit
-    | Fmiss of { target : Target.t; pc : int }  (* counts PCACHE_MISS *)
-    | Funcached of { target : Target.t; pc : int }
-
-  type exec =
-    | Ecompute of int
-    | Elocal  (* scratchpad data access *)
-    | Ehit
-    | Emiss_clean of { target : Target.t; addr : int }
-    | Emiss_folded of { addr : int }  (* dirty LMU victim folded into the fill *)
-    | Emiss_wb of { vtarget : Target.t; vaddr : int; target : Target.t; addr : int }
-    | Euncached of { target : Target.t; addr : int }
-
-  type entry = Instr of { fetch : fetch; exec : exec } | End_of_pass
-
-  (* The generator owns private caches and a walker; calling it advances
-     them by one instruction. [End_of_pass] rewinds the walker (caches
-     stay warm — restart semantics), so the stream is infinite for
-     looping co-runners and each pass reflects the cache state its
-     predecessors left behind. *)
-  let generator config program =
-    let dcache = match config.kind with P16 -> config.dcache | E16 -> None in
-    let icache = Option.map Cache.create config.icache in
-    let dcache = Option.map Cache.create dcache in
-    let walker = Program.Walker.create program in
-    let fetch_of (instr : Program.instr) =
-      match Memory_map.classify instr.Program.pc with
-      | Memory_map.Pspr | Memory_map.Dspr -> Fdirect
-      | Memory_map.Sri (target, cacheable) ->
-        (match (cacheable, icache) with
-         | true, Some ic ->
-           (match Cache.access ic ~addr:instr.Program.pc ~write:false with
-            | Cache.Hit -> Fhit
-            (* I-cache lines are never dirty: victims drop silently. *)
-            | Cache.Miss _ -> Fmiss { target; pc = instr.Program.pc })
-         | (false, _ | true, None) -> Funcached { target; pc = instr.Program.pc })
-    in
-    let exec_of (instr : Program.instr) =
-      match instr.Program.kind with
-      | Program.Compute n -> Ecompute n
-      | Program.Load addr | Program.Store addr ->
-        let write =
-          match instr.Program.kind with Program.Store _ -> true | _ -> false
-        in
-        (match Memory_map.classify addr with
-         | Memory_map.Dspr | Memory_map.Pspr -> Elocal
-         | Memory_map.Sri (target, cacheable) ->
-           if
-             write
-             && (Target.equal target Target.Pf0 || Target.equal target Target.Pf1)
-           then
-             invalid_arg
-               (Printf.sprintf "Core_model: store to program flash at 0x%x" addr);
-           (match (cacheable, dcache) with
-            | true, Some dc ->
-              (match Cache.access dc ~addr ~write with
-               | Cache.Hit -> Ehit
-               | Cache.Miss { victim = None } -> Emiss_clean { target; addr }
-               | Cache.Miss { victim = Some vaddr } ->
-                 let vtarget =
-                   match Memory_map.classify vaddr with
-                   | Memory_map.Sri (vt, _) -> vt
-                   | Memory_map.Dspr | Memory_map.Pspr ->
-                     (* dirty lines only ever hold SRI-cacheable data *)
-                     assert false
-                 in
-                 if
-                   Target.equal vtarget Target.Lmu && Target.equal target Target.Lmu
-                 then Emiss_folded { addr }
-                 else Emiss_wb { vtarget; vaddr; target; addr })
-            | (false, _ | true, None) -> Euncached { target; addr }))
-    in
-    fun () ->
-      match Program.Walker.next walker with
-      | None ->
-        Program.Walker.reset walker;
-        End_of_pass
-      | Some instr -> Instr { fetch = fetch_of instr; exec = exec_of instr }
-
-  (* A shared script memoises the generator's stream so several cores
-     (across family members, or the same program on two cores) replay it
-     from private cursors. Extension is demand-driven and single-
-     threaded: family members run one after another, and within a run
-     the event loop interleaves cores on one domain.
-
-     The memo stores entries as flat int words in fixed-size chunks
-     rather than as boxed [entry] values: long-lived scripts would
-     otherwise promote every entry to the major heap (and re-copy them
-     on growth), which in practice made a scripted replay slower than
-     regenerating from scratch.  Chunks hold only immediates, so the GC
-     never scans them, and appending a chunk never copies old data.
-     Readers decode on demand into fresh short-lived variants.
-
-     Entries are variable-length and tightly packed — one tag word, then
-     only the payload words the tag calls for, with the 2-bit target
-     code packed into the address word and small [Ecompute] cycle
-     counts inlined into the tag word — so the common shapes cost one
-     or two words each. Readers are sequential cursors, so nothing
-     needs random access into the word stream.
-
-     Word layouts:
-       w0: bits 0-2 etag, bits 3-4 ftag, bits 5.. inline Ecompute
-           cycles (etag 7 escapes the count to its own word when it is
-           too large to inline); negative w0 marks End_of_pass.
-       fetch word (ftag 2/3):  pc lsl 2  lor target
-       exec words: etag 3/6:   addr lsl 2 lor target
-                   etag 4:     addr
-                   etag 5:     vaddr lsl 2 lor vtarget,
-                               addr lsl 2 lor target
-     Addresses and pcs are region-validated non-negative ints, so the
-     2-bit target packing never clips them. *)
-  let chunk_words = 8192
-  let max_inline_compute = max_int lsr 5
-
-  let tcode = function
-    | Target.Dfl -> 0
-    | Target.Pf0 -> 1
-    | Target.Pf1 -> 2
-    | Target.Lmu -> 3
-
-  let tdecode = function
-    | 0 -> Target.Dfl
-    | 1 -> Target.Pf0
-    | 2 -> Target.Pf1
-    | _ -> Target.Lmu
+  let tag_code = 0
+  let tag_data = 1
+  let tag_folded = 2 (* LMU fill carrying its dirty victim's write-back *)
+  let tag_pass_end = 3
+  let tag_silent_end = 4
+  let tag_fail = 5
+  let miss_pcache = 1
+  let miss_dclean = 2
+  let miss_ddirty = 3
+  let seg_bits = 10
 
   type t = {
     mutable chunks : int array array;
-    mutable len : int;  (* entries memoised *)
-    mutable wlen : int;  (* words used *)
-    gen : unit -> entry;
-    mutable failed : exn option;
+    mutable len : int;  (* segments compiled *)
+    mutable complete : bool;  (* a silent end or a failure was compiled *)
+    mutable failed : exn option;  (* what the failure segment raises *)
+    icache : Cache.t option;
+    dcache : Cache.t option;
+    walker : Program.Walker.t;
+    mutable acc : int;  (* cycles from the anchor to the next instruction *)
+    mutable pass_txns : int;
+    (* the current instruction's data side, once classified *)
+    mutable x_kind : int;  (* 0 silent, else the transaction's tag *)
+    mutable x_miss : int;  (* the miss counter; its cycles when silent *)
+    mutable x_target : int;
+    mutable x_addr : int;
+    mutable x_victim : int;  (* a dirty victim's address, or -1 *)
   }
 
-  let create config program =
+  let create (config : config) program =
+    let icache = Option.map Cache.create config.icache in
+    let dcache =
+      Option.map Cache.create
+        (match config.kind with P16 -> config.dcache | E16 -> None)
+    in
     {
       chunks = [||];
       len = 0;
-      wlen = 0;
-      gen = generator config program;
+      complete = false;
       failed = None;
+      icache;
+      dcache;
+      walker = Program.Walker.create program;
+      acc = 1;
+      pass_txns = 0;
+      x_kind = 0;
+      x_miss = 0;
+      x_target = 0;
+      x_addr = 0;
+      x_victim = -1;
     }
 
-  let push t v =
-    let ci = t.wlen / chunk_words in
+  let emit t w0 w1 =
+    let ci = t.len lsr seg_bits in
     if ci = Array.length t.chunks then
-      t.chunks <- Array.append t.chunks [| Array.make chunk_words 0 |];
-    t.chunks.(ci).(t.wlen mod chunk_words) <- v;
-    t.wlen <- t.wlen + 1
-
-  let word t i = t.chunks.(i / chunk_words).(i mod chunk_words)
-
-  let encode t e =
-    (match e with
-    | End_of_pass -> push t (-1)
-    | Instr { fetch; exec } ->
-        let ftag =
-          match fetch with
-          | Fdirect -> 0
-          | Fhit -> 1
-          | Fmiss _ -> 2
-          | Funcached _ -> 3
-        in
-        let etag, inline_n =
-          match exec with
-          | Ecompute n -> if n <= max_inline_compute then (0, n) else (7, 0)
-          | Elocal -> (1, 0)
-          | Ehit -> (2, 0)
-          | Emiss_clean _ -> (3, 0)
-          | Emiss_folded _ -> (4, 0)
-          | Emiss_wb _ -> (5, 0)
-          | Euncached _ -> (6, 0)
-        in
-        push t ((inline_n lsl 5) lor (ftag lsl 3) lor etag);
-        (match fetch with
-        | Fdirect | Fhit -> ()
-        | Fmiss { target; pc } | Funcached { target; pc } ->
-            push t ((pc lsl 2) lor tcode target));
-        (match exec with
-        | Ecompute n -> if n > max_inline_compute then push t n
-        | Elocal | Ehit -> ()
-        | Emiss_folded { addr } -> push t addr
-        | Emiss_clean { target; addr } | Euncached { target; addr } ->
-            push t ((addr lsl 2) lor tcode target)
-        | Emiss_wb { vtarget; vaddr; target; addr } ->
-            push t ((vaddr lsl 2) lor tcode vtarget);
-            push t ((addr lsl 2) lor tcode target)));
+      t.chunks <- Array.append t.chunks [| Array.make (2 lsl seg_bits) 0 |];
+    let o = (t.len land ((1 lsl seg_bits) - 1)) lsl 1 in
+    t.chunks.(ci).(o) <- w0;
+    t.chunks.(ci).(o + 1) <- w1;
     t.len <- t.len + 1
 
-  (* Single-word entries (payload-less fetch with local/hit exec or a
-     small inlined compute count) decode to shared constants, so
-     replaying them allocates nothing. Entries are immutable, making
-     the sharing unobservable. *)
-  let ecompute_consts = Array.init 256 (fun n -> Ecompute n)
+  (* A transaction issued [t.acc] cycles after the anchor; its completion
+     becomes the next anchor, and the core resumes one cycle later. *)
+  let txn t ~tag ~miss ~target ~addr =
+    emit t
+      ((t.acc lsl 5) lor (miss lsl 3) lor tag)
+      ((Memory_map.line_of addr lsl 2) lor target);
+    t.pass_txns <- t.pass_txns + 1;
+    t.acc <- 1
 
-  let consts =
-    Array.init (256 lsl 5) (fun w0 ->
-        if (w0 lsr 3) land 3 >= 2 then None
-        else
-          let fetch = if (w0 lsr 3) land 3 = 0 then Fdirect else Fhit in
-          match w0 land 7 with
-          | 0 -> Some (Instr { fetch; exec = Ecompute (w0 lsr 5) })
-          | 1 when w0 lsr 5 = 0 -> Some (Instr { fetch; exec = Elocal })
-          | 2 when w0 lsr 5 = 0 -> Some (Instr { fetch; exec = Ehit })
-          | _ -> None)
+  let target_of code = (code - 2) lsr 1
+  let lmu = 3
 
-  (* Decodes the entry at word position [!pos], advancing [pos] past it. *)
-  let decode t pos =
-    let rd () =
-      let v = word t !pos in
-      incr pos;
-      v
+  let region addr =
+    let c = Memory_map.region_code addr in
+    if c < 0 then Memory_map.unmapped addr else c
+
+  (* Classifies the data side of [i] into the [x_*] fields. *)
+  let classify_exec t (i : Program.instr) =
+    t.x_kind <- 0;
+    match i.Program.kind with
+    | Program.Compute n -> t.x_miss <- n
+    | Program.Load addr | Program.Store addr -> (
+      let write = match i.Program.kind with Program.Store _ -> true | _ -> false in
+      let c = region addr in
+      t.x_miss <- 1;
+      if c >= 2 then begin
+        let target = target_of c in
+        if write && (target = 1 || target = 2) then
+          invalid_arg
+            (Printf.sprintf "Core_model: store to program flash at 0x%x" addr);
+        t.x_kind <- tag_data;
+        t.x_miss <- 0;
+        t.x_target <- target;
+        t.x_addr <- addr;
+        t.x_victim <- -1;
+        match t.dcache with
+        | Some dc when c land 1 = 1 ->
+          let v = Cache.access_code dc ~addr ~write in
+          if v = Cache.hit then begin
+            t.x_kind <- 0;
+            t.x_miss <- 1
+          end
+          else if v = Cache.clean_miss then t.x_miss <- miss_dclean
+          else begin
+            (* dirty lines only ever hold SRI-cacheable data *)
+            t.x_miss <- miss_ddirty;
+            if target = lmu && target_of (region v) = lmu then
+              t.x_kind <- tag_folded
+            else t.x_victim <- v
+          end
+        | _ -> ()
+      end)
+
+  (* Compiles one instruction. Both sides classify before anything is
+     emitted: a raising instruction raises as a whole, when it would
+     begin. *)
+  let compile_instr t (i : Program.instr) =
+    let pc = i.Program.pc in
+    let c = region pc in
+    let fetch =
+      (* -1: no transaction; else target lsl 1 lor (1 on an I$ miss) *)
+      if c < 2 then -1
+      else
+        match t.icache with
+        | Some ic when c land 1 = 1 ->
+          if Cache.access_code ic ~addr:pc ~write:false = Cache.hit then -1
+          else (target_of c lsl 1) lor 1
+        | _ -> target_of c lsl 1
     in
-    let w0 = rd () in
-    if w0 < 0 then End_of_pass
-    else
-      match if w0 < Array.length consts then consts.(w0) else None with
-      | Some e -> e
-      | None ->
-          let fetch =
-            match (w0 lsr 3) land 3 with
-            | 0 -> Fdirect
-            | 1 -> Fhit
-            | ftag ->
-                let w = rd () in
-                let target = tdecode (w land 3) and pc = w lsr 2 in
-                if ftag = 2 then Fmiss { target; pc }
-                else Funcached { target; pc }
-          in
-          let exec =
-            match w0 land 7 with
-            | 0 ->
-                let n = w0 lsr 5 in
-                if n < 256 then ecompute_consts.(n) else Ecompute n
-            | 1 -> Elocal
-            | 2 -> Ehit
-            | 3 ->
-                let w = rd () in
-                Emiss_clean { target = tdecode (w land 3); addr = w lsr 2 }
-            | 4 -> Emiss_folded { addr = rd () }
-            | 5 ->
-                let w1 = rd () in
-                let w2 = rd () in
-                Emiss_wb
-                  {
-                    vtarget = tdecode (w1 land 3);
-                    vaddr = w1 lsr 2;
-                    target = tdecode (w2 land 3);
-                    addr = w2 lsr 2;
-                  }
-            | 6 ->
-                let w = rd () in
-                Euncached { target = tdecode (w land 3); addr = w lsr 2 }
-            | _ -> Ecompute (rd ())
-          in
-          Instr { fetch; exec }
+    classify_exec t i;
+    if fetch >= 0 then begin
+      if fetch lsr 1 = 0 then
+        invalid_arg
+          (Printf.sprintf "Sri.request: inadmissible (%s, %s)"
+             (Target.to_string Target.Dfl) (Op.to_string Op.Code));
+      txn t ~tag:tag_code
+        ~miss:(if fetch land 1 = 1 then miss_pcache else 0)
+        ~target:(fetch lsr 1) ~addr:pc;
+      (* the data side starts when the fetch completes *)
+      t.acc <- 0
+    end;
+    if t.x_kind = 0 then t.acc <- t.acc + t.x_miss
+    else if t.x_victim >= 0 then begin
+      (* write-back first, then the fill as soon as it completes *)
+      txn t ~tag:tag_data ~miss:miss_ddirty
+        ~target:(target_of (region t.x_victim)) ~addr:t.x_victim;
+      t.acc <- 0;
+      txn t ~tag:tag_data ~miss:0 ~target:t.x_target ~addr:t.x_addr
+    end
+    else txn t ~tag:t.x_kind ~miss:t.x_miss ~target:t.x_target ~addr:t.x_addr
 
-  let reader t =
-    let idx = ref 0 and wpos = ref 0 in
-    fun () ->
-      while t.len <= !idx do
-        (* A generator failure (e.g. an invalid program) must replay
-           identically for every cursor that reaches this index; the
-           generator's internal state is unusable after the raise. *)
-        (match t.failed with Some e -> raise e | None -> ());
-        match t.gen () with
-        | e -> encode t e
-        | exception exn ->
-            t.failed <- Some exn;
-            raise exn
-      done;
-      incr idx;
-      decode t wpos
+  let eop = { Program.pc = -1; kind = Program.Compute 1 }
+
+  (* Compiles up to the next segment. The walker rewinds at a pass end
+     while the caches stay warm: restart semantics. *)
+  let compile_next t =
+    let i = Program.Walker.next_or t.walker ~default:eop in
+    if i == eop then begin
+      Program.Walker.reset t.walker;
+      let silent = t.pass_txns = 0 in
+      emit t ((t.acc lsl 5) lor if silent then tag_silent_end else tag_pass_end) 0;
+      t.complete <- silent;
+      t.acc <- 1;
+      t.pass_txns <- 0
+    end
+    else
+      try compile_instr t i
+      with e ->
+        emit t ((t.acc lsl 5) lor tag_fail) 0;
+        t.failed <- Some e;
+        t.complete <- true
+
+  (* Readers never read past a silent end or a failure. *)
+  let w0 t i =
+    while t.len <= i && not t.complete do
+      compile_next t
+    done;
+    t.chunks.(i lsr seg_bits).((i land ((1 lsl seg_bits) - 1)) lsl 1)
+
+  let w1 t i = t.chunks.(i lsr seg_bits).(((i land ((1 lsl seg_bits) - 1)) lsl 1) + 1)
+  let gap w0 = w0 asr 5
+  let tag w0 = w0 land 7
+  let miss w0 = (w0 lsr 3) land 3
 end
 
-type phase =
-  | Start
-  | Busy of int (* remaining cycles after the current one *)
-  | Wait_fetch of Sri.ticket * Script.exec (* fetch resolved -> apply exec *)
-  | Wait_writeback of Sri.ticket * (Target.t * int * bool) (* pending fill *)
-  | Wait_data of Sri.ticket
-  | Done
+(* --- Cores ----------------------------------------------------------------
+   A core is a cursor into its script plus int registers. Its next event
+   is [anchor + gap] of the next segment: the cycle it issues a request
+   (or, for the analysis core, ends or fails). Between issuing and the
+   grant it waits; once [Sri.done_at] reports the grant, the completion
+   cycle becomes the anchor, and the transaction's stall is committed at
+   the core's next event or, if it completed by then, at the end of the
+   run. Restart passes
+   are walked lazily, at the next event or when the run ends, so no pass
+   end past the analysis task's finish is ever counted. *)
+
+type role = Analysis | Restarting | Once
 
 type t = {
-  core_id : int;
+  script : Script.t;
   sri : Sri.t;
-  next : unit -> Script.entry; (* live generator or shared-script cursor *)
-  mutable phase : phase;
+  core_id : int;
+  role : role;
+  mutable seg : int;  (* next segment *)
+  mutable anchor : int;
+  mutable next : int;
+  mutable waiting : bool;  (* issued, grant not yet seen *)
+  mutable stall_base : int;  (* issue cycle + hidden latency *)
+  mutable op : int;  (* of the latest transaction *)
+  mutable done_at : int;  (* its completion while the stall is uncommitted *)
+  mutable stop : int;  (* analysis finish, or a [Once] core's pass end; -1 *)
+  mutable restart_count : int;
   mutable ccnt : int;
   mutable pmem_stall : int;
   mutable dmem_stall : int;
   mutable pcache_miss : int;
   mutable dcache_miss_clean : int;
   mutable dcache_miss_dirty : int;
-  mutable finish_at : int;
-  mutable restart_count : int;
-  mutable synced : int; (* last cycle this core was stepped at; -1 initially *)
 }
 
-let create ?script config ~sri ~core_id program =
-  {
-    core_id;
-    sri;
-    next =
-      (match script with
-       | Some s -> Script.reader s
-       | None -> Script.generator config program);
-    phase = Start;
-    ccnt = 0;
-    pmem_stall = 0;
-    dmem_stall = 0;
-    pcache_miss = 0;
-    dcache_miss_clean = 0;
-    dcache_miss_dirty = 0;
-    finish_at = -1;
-    restart_count = 0;
-    synced = -1;
-  }
+(* Cycle of the first event at or after segment [seg], skipping the pass
+   ends a restarting core runs through silently. *)
+let rec peek t seg anchor =
+  let w0 = Script.w0 t.script seg in
+  let at = anchor + Script.gap w0 in
+  let tag = Script.tag w0 in
+  if tag = Script.tag_pass_end && t.role = Restarting then peek t (seg + 1) at
+  else if
+    (tag = Script.tag_pass_end || tag = Script.tag_silent_end) && t.role <> Analysis
+  then max_int
+  else at
 
-(* Observed wait -> stall cycles: hide the pipelining/prefetch overlap the
-   calibration constants encode (see module doc). *)
-let stall_of t ticket =
-  let lat = Sri.latency_table t.sri in
-  let hide =
-    Latency.lmin lat ticket.Sri.target ticket.Sri.op
-    - Latency.min_stall lat ticket.Sri.target ticket.Sri.op
+let create script ~sri ~core_id role =
+  let t =
+    {
+      script;
+      sri;
+      core_id;
+      role;
+      seg = 0;
+      anchor = -1;
+      next = max_int;
+      waiting = false;
+      stall_base = 0;
+      op = 0;
+      done_at = max_int;
+      stop = -1;
+      restart_count = 0;
+      ccnt = 0;
+      pmem_stall = 0;
+      dmem_stall = 0;
+      pcache_miss = 0;
+      dcache_miss_clean = 0;
+      dcache_miss_dirty = 0;
+    }
   in
-  max 0 (ticket.Sri.done_at - ticket.Sri.issued_at - hide)
-
-let issue t ~target ~op ~addr ~folded ~cycle =
-  Sri.request t.sri ~core:t.core_id ~target ~op ~addr
-    ~folded_dirty_writeback:folded ~cycle
-
-(* Execute phase of a scripted instruction whose fetch has resolved;
-   consumes the current cycle. *)
-let apply_exec t (e : Script.exec) ~cycle =
-  match e with
-  | Script.Ecompute n -> t.phase <- (if n <= 1 then Start else Busy (n - 1))
-  | Script.Elocal | Script.Ehit -> t.phase <- Start
-  | Script.Emiss_clean { target; addr } ->
-    t.dcache_miss_clean <- t.dcache_miss_clean + 1;
-    let tk = issue t ~target ~op:Op.Data ~addr ~folded:false ~cycle in
-    t.phase <- Wait_data tk
-  | Script.Euncached { target; addr } ->
-    let tk = issue t ~target ~op:Op.Data ~addr ~folded:false ~cycle in
-    t.phase <- Wait_data tk
-  | Script.Emiss_folded { addr } ->
-    (* folded write-back: single long LMU transaction *)
-    t.dcache_miss_dirty <- t.dcache_miss_dirty + 1;
-    let tk = issue t ~target:Target.Lmu ~op:Op.Data ~addr ~folded:true ~cycle in
-    t.phase <- Wait_data tk
-  | Script.Emiss_wb { vtarget; vaddr; target; addr } ->
-    t.dcache_miss_dirty <- t.dcache_miss_dirty + 1;
-    let wb = issue t ~target:vtarget ~op:Op.Data ~addr:vaddr ~folded:false ~cycle in
-    t.phase <- Wait_writeback (wb, (target, addr, false))
-
-(* Fetch + begin an instruction; consumes the current cycle on the fetch
-   hit path (as the first execute cycle). *)
-let begin_instruction t ~cycle =
-  match t.next () with
-  | Script.End_of_pass ->
-    t.phase <- Done;
-    t.finish_at <- cycle;
-    t.ccnt <- t.ccnt - 1 (* the cycle just counted was not used *)
-  | Script.Instr { fetch; exec } ->
-    (match fetch with
-     | Script.Fdirect | Script.Fhit -> apply_exec t exec ~cycle
-     | Script.Fmiss { target; pc } ->
-       t.pcache_miss <- t.pcache_miss + 1;
-       let tk = issue t ~target ~op:Op.Code ~addr:pc ~folded:false ~cycle in
-       t.phase <- Wait_fetch (tk, exec)
-     | Script.Funcached { target; pc } ->
-       let tk = issue t ~target ~op:Op.Code ~addr:pc ~folded:false ~cycle in
-       t.phase <- Wait_fetch (tk, exec))
-
-let step t ~cycle =
-  t.synced <- cycle;
-  match t.phase with
-  | Done -> ()
-  | _ ->
-    t.ccnt <- t.ccnt + 1;
-    (match t.phase with
-     | Done -> ()
-     | Start -> begin_instruction t ~cycle
-     | Busy n -> t.phase <- (if n <= 1 then Start else Busy (n - 1))
-     | Wait_fetch (tk, exec) ->
-       if tk.Sri.granted && tk.Sri.done_at <= cycle then begin
-         t.pmem_stall <- t.pmem_stall + stall_of t tk;
-         apply_exec t exec ~cycle
-       end
-     | Wait_writeback (tk, (target, addr, folded)) ->
-       if tk.Sri.granted && tk.Sri.done_at <= cycle then begin
-         t.dmem_stall <- t.dmem_stall + stall_of t tk;
-         let fill = issue t ~target ~op:Op.Data ~addr ~folded ~cycle in
-         t.phase <- Wait_data fill
-       end
-     | Wait_data tk ->
-       if tk.Sri.granted && tk.Sri.done_at <= cycle then begin
-         t.dmem_stall <- t.dmem_stall + stall_of t tk;
-         t.phase <- Start
-       end)
-
-let finished t = match t.phase with Done -> true | _ -> false
-
-(* --- Event-driven scheduling -------------------------------------------
-   Between two observable actions a core only increments CCNT: a [Busy n]
-   core spends n silent cycles, a waiting core idles until its ticket's
-   [done_at]. [wake] reports the next cycle at which stepping the core
-   does more than count; [advance] batches the skipped CCNT cycles and
-   performs the regular [step] at that cycle; [settle] accounts a
-   contender's tail cycles when the run ends between its wake-ups. *)
+  t.next <- peek t 0 (-1);
+  t
 
 let wake t =
-  match t.phase with
-  | Done -> max_int
-  | Start -> t.synced + 1
-  | Busy n -> t.synced + n + 1
-  | Wait_fetch (tk, _) | Wait_writeback (tk, _) | Wait_data tk ->
-    if tk.Sri.granted then max (t.synced + 1) tk.Sri.done_at else max_int
+  if t.waiting then begin
+    let d = Sri.done_at t.sri ~core:t.core_id in
+    if d < max_int then begin
+      t.waiting <- false;
+      t.done_at <- d;
+      t.anchor <- d;
+      t.next <- peek t t.seg d
+    end
+  end;
+  t.next
 
-let advance t ~cycle =
-  if cycle <= t.synced then invalid_arg "Core_model.advance: cycle not ahead";
-  (match t.phase with
-   | Done | Start -> ()
-   | Busy n ->
-     let skipped = cycle - t.synced - 1 in
-     if skipped > 0 then begin
-       t.ccnt <- t.ccnt + skipped;
-       t.phase <- (if skipped >= n then Start else Busy (n - skipped))
-     end
-   | Wait_fetch _ | Wait_writeback _ | Wait_data _ ->
-     t.ccnt <- t.ccnt + (cycle - t.synced - 1));
-  step t ~cycle
-
-let settle t ~cycle =
-  if cycle > t.synced then begin
-    (match t.phase with
-     | Done -> ()
-     | Start ->
-       (* a runnable core's wake is synced+1 <= cycle: the event loop
-          always advances it first, so it can never need settling *)
-       invalid_arg "Core_model.settle: core still runnable"
-     | Busy n ->
-       let d = cycle - t.synced in
-       t.ccnt <- t.ccnt + d;
-       t.phase <- (if d >= n then Start else Busy (n - d))
-     | Wait_fetch _ | Wait_writeback _ | Wait_data _ ->
-       t.ccnt <- t.ccnt + (cycle - t.synced));
-    t.synced <- cycle
+let commit_stall t =
+  if t.done_at < max_int then begin
+    let stall = max 0 (t.done_at - t.stall_base) in
+    if t.op = 0 then t.pmem_stall <- t.pmem_stall + stall
+    else t.dmem_stall <- t.dmem_stall + stall;
+    t.done_at <- max_int
   end
 
+let fire t ~cycle =
+  commit_stall t;
+  let w0 = ref (Script.w0 t.script t.seg) in
+  while Script.tag !w0 = Script.tag_pass_end && t.role = Restarting do
+    t.anchor <- t.anchor + Script.gap !w0;
+    t.seg <- t.seg + 1;
+    t.restart_count <- t.restart_count + 1;
+    w0 := Script.w0 t.script t.seg
+  done;
+  let w0 = !w0 in
+  let tag = Script.tag w0 in
+  if tag <= Script.tag_folded then begin
+    let w1 = Script.w1 t.script t.seg in
+    (match Script.miss w0 with
+     | 1 -> t.pcache_miss <- t.pcache_miss + 1
+     | 2 -> t.dcache_miss_clean <- t.dcache_miss_clean + 1
+     | 3 -> t.dcache_miss_dirty <- t.dcache_miss_dirty + 1
+     | _ -> ());
+    let target = w1 land 3 and op = if tag = Script.tag_code then 0 else 1 in
+    t.seg <- t.seg + 1;
+    t.waiting <- true;
+    t.next <- max_int;
+    t.stall_base <- cycle + Sri.hide t.sri ~target ~op;
+    t.op <- op;
+    Sri.request t.sri ~core:t.core_id ~target ~op ~line:(w1 lsr 2)
+      ~folded:(tag = Script.tag_folded) ~cycle
+  end
+  else if tag = Script.tag_fail then
+    raise (Option.get t.script.Script.failed)
+  else begin
+    (* the analysis program's end: its last cycle goes uncounted *)
+    t.stop <- cycle;
+    t.ccnt <- cycle;
+    t.next <- max_int
+  end
+
+let finished t = t.stop >= 0
+
 let finish_cycle t =
-  if t.finish_at < 0 then failwith "Core_model.finish_cycle: not finished";
-  t.finish_at
+  if t.role <> Analysis || t.stop < 0 then
+    failwith "Core_model.finish_cycle: not finished";
+  t.stop
+
+let settle t ~cycle =
+  ignore (wake t);
+  if t.done_at <= cycle then commit_stall t;
+  let walking = ref (not t.waiting) in
+  while !walking do
+    let w0 = Script.w0 t.script t.seg in
+    let tag = Script.tag w0 and e = t.anchor + Script.gap w0 in
+    walking := false;
+    if (tag = Script.tag_pass_end || tag = Script.tag_silent_end) && e <= cycle then
+      if t.role = Once then t.stop <- e
+      else if tag = Script.tag_silent_end then
+        (* every later pass repeats this one *)
+        t.restart_count <- t.restart_count + ((cycle - t.anchor) / Script.gap w0)
+      else begin
+        t.restart_count <- t.restart_count + 1;
+        t.anchor <- e;
+        t.seg <- t.seg + 1;
+        walking := true
+      end
+  done;
+  (* every cycle counts except those that ended a pass *)
+  t.ccnt <- (if t.stop >= 0 then t.stop else cycle + 1 - t.restart_count)
 
 let counters t =
   {
@@ -491,18 +389,6 @@ let counters t =
     dcache_miss_clean = t.dcache_miss_clean;
     dcache_miss_dirty = t.dcache_miss_dirty;
   }
-
-(* The program stream rewinds itself at every pass boundary (the
-   generator resets its walker when it emits [End_of_pass]; a shared
-   script's cursor simply reads on into the next pass), so restarting is
-   pure phase bookkeeping. *)
-let restart t =
-  (match t.phase with
-   | Done -> ()
-   | _ -> invalid_arg "Core_model.restart: program still running");
-  t.phase <- Start;
-  t.finish_at <- -1;
-  t.restart_count <- t.restart_count + 1
 
 let restarts t = t.restart_count
 let core_id t = t.core_id

@@ -1,7 +1,7 @@
 (** A simulated TriCore master: executes a {!Program}, drives caches and
     the SRI, and maintains the debug counters of {!Platform.Counters}.
 
-    Timing model (one [step] = one cycle):
+    Timing model (one cycle at a time, as the hardware runs):
     - an instruction whose fetch and data access stay core-local costs its
       execution cycles only ([Compute n] = n cycles, memory ops 1 cycle);
     - an instruction-cache miss or non-cacheable SRI fetch blocks the core
@@ -14,7 +14,12 @@
     [d - (lmin - cs)] stall cycles, where [lmin] and [cs] are the Table 2
     constants for its (target, op). In the best (streaming) case [d = lmin]
     and the contribution is exactly [cs] — the calibration floor the
-    MBTA access bounds (Eq. 4) rely on; queueing delay is exposed in full. *)
+    MBTA access bounds (Eq. 4) rely on; queueing delay is exposed in full.
+
+    The core only acts at SRI transactions: everything between two of
+    them is a timing-independent silent run whose length the compiled
+    {!Script} records, so a core wakes when it issues a request and when
+    its program ends (DESIGN.md §7). *)
 
 type kind = P16 | E16  (** TC1.6P (I$ + D$) or TC1.6E (I$ only, no D$) *)
 
@@ -27,64 +32,56 @@ type config = {
 val p16_config : config
 val e16_config : config
 
-(** Decoded instruction scripts: the timing-independent part of a core's
-    execution. Which instruction runs next, how its fetch and data
-    access classify, and whether each private-cache access hits depend
-    only on the (program, core config) pair — the caches see the same
-    access sequence whatever the SRI timing is — so that classification
-    can be computed once and replayed. A script memoises the stream
-    (lazily, across contender restart passes, with warm-cache
-    carry-over) so every member of a run family that executes the same
-    program on the same core configuration skips the cache simulation
-    and walker work after the first. Scripts are single-threaded: share
-    one only between runs executed sequentially on one domain. *)
+(** Compiled instruction scripts: the timing-independent part of a
+    core's execution. Which instruction runs next, how its fetch and data
+    access classify and whether each private-cache access hits depend
+    only on the (program, core config) pair, so a script compiles them,
+    lazily and across restart passes with warm caches, into segments
+    [silent run of k cycles → SRI transaction] (or pass end, or the
+    instruction that raises). Any number of cores read one script from
+    private cursors; scripts are single-threaded, so share one only
+    between runs executed sequentially on one domain. *)
 module Script : sig
   type t
 
   val create : config -> Program.t -> t
-  (** A fresh, empty script for this (config, program) pair; entries are
-      generated on demand as readers consume them. *)
+  (** A fresh script for this (config, program) pair; segments compile
+      on demand as readers reach them.
+      @raise Invalid_argument on an invalid cache geometry. *)
 end
+
+type role =
+  | Analysis  (** the run ends when its program does *)
+  | Restarting  (** a periodic co-runner: restarts when it finishes *)
+  | Once  (** a co-runner that stops when it finishes *)
 
 type t
 
-val create : ?script:Script.t -> config -> sri:Sri.t -> core_id:int -> Program.t -> t
-(** [script], when given, must have been built by {!Script.create} for an
-    equal [config] and a program with equal content; the core then
-    replays its entries (from a private cursor) instead of simulating
-    its own caches. Counters, stalls and SRI traffic are identical
-    either way. *)
-
-val step : t -> cycle:int -> unit
-val finished : t -> bool
+val create : Script.t -> sri:Sri.t -> core_id:int -> role -> t
 
 val wake : t -> int
-(** Next cycle at which stepping this core does more than increment CCNT:
-    the cycle after a [Busy] burst drains, a granted ticket's completion
-    cycle, or the next cycle for a core about to begin an instruction.
-    [max_int] when finished or blocked on a not-yet-granted ticket (the
-    grant is an SRI event; the wake becomes finite once it fires). *)
+(** Cycle of the core's next event — issuing its next SRI request, or
+    its program's end or failure for the analysis core — or [max_int]
+    while it waits for a grant or has nothing left to do. *)
 
-val advance : t -> cycle:int -> unit
-(** Jump the core to [cycle] (at most [wake t]): batches the CCNT of the
-    silently skipped cycles, then performs the regular [step] at [cycle].
-    Equivalent to stepping every cycle in between — skipped cycles are
-    exactly those where [step] only counts.
-    @raise Invalid_argument if [cycle] is not ahead of the last step. *)
+val fire : t -> cycle:int -> unit
+(** Performs the event due at [cycle = wake t].
+    @raise Invalid_argument when the program reaches an unmapped address,
+    a store to program flash or a data-flash fetch. *)
 
-val settle : t -> cycle:int -> unit
-(** Account the idle cycles up to and including [cycle] without waking the
-    core — used for contenders when the analysis task finishes strictly
-    between their events. No-op when already synced or finished. *)
+val finished : t -> bool
+(** The analysis core's program has ended. *)
 
 val finish_cycle : t -> int
-(** Cycle at which the program completed.
+(** Cycle at which the analysis program completed.
     @raise Failure if not yet finished. *)
 
+val settle : t -> cycle:int -> unit
+(** Accounts a co-runner up to and including [cycle], the cycle the
+    analysis task finished, after every event up to it has fired. *)
+
 val counters : t -> Platform.Counters.t
-val restart : t -> unit
-(** Rewind the program to its beginning, keeping caches warm and counters
-    accumulating — how a periodic co-runner keeps the load up. *)
+(** Final once the core has finished or been settled. *)
 
 val restarts : t -> int
 val core_id : t -> int

@@ -36,8 +36,8 @@ let kernel_of_string = function
 let kernel_to_string = function `Stepped -> "stepped" | `Event -> "event"
 
 (* Process-wide default, overridable per run. The event kernel is the
-   production default; AURIX_KERNEL=stepped re-pins the cycle-accurate
-   oracle for differential debugging without touching call sites. *)
+   production default; AURIX_KERNEL=stepped selects the per-cycle loop
+   without touching call sites. *)
 let default_kernel_ref =
   ref
     (match Option.bind (Sys.getenv_opt "AURIX_KERNEL") kernel_of_string with
@@ -58,15 +58,13 @@ let m_skipped = Obs.Metrics.counter "tcsim.skipped_cycles"
    requests populated): kept out of the deterministic snapshot. *)
 let m_family_reuse = Obs.Metrics.counter ~timing:true "sim.family_reuse"
 
-(* --- run families -------------------------------------------------------
-   A family groups runs that share programs — the same task measured in
-   isolation and under several contender mixes. Members execute
-   sequentially on the caller, sharing one table of decoded
-   {!Core_model.Script}s keyed by (program content, core config): the
-   first member to run a program pays for its cache simulation and
-   decode, every later member replays the memoised stream. Results are
-   exactly what solo runs would produce (scripts are timing-independent
-   by construction; the differential suite pins it). *)
+(* --- scripts ----------------------------------------------------------------
+   Every run reads compiled {!Core_model.Script}s from a table keyed by
+   (program content, core config); a solo run is a family of one. The
+   first core to run a program pays for its compilation, every later one
+   — in the same run or a later family member — reads the same
+   segments. Results are the same either way: scripts are
+   timing-independent by construction. *)
 
 type script_table =
   (Program.item list * Core_model.config, Core_model.Script.t) Hashtbl.t
@@ -84,70 +82,50 @@ let script_for (scripts : script_table) config program =
     Hashtbl.add scripts key s;
     s
 
-(* The seed implementation: every core and the crossbar stepped at every
-   cycle. Kept as the differential-testing oracle for the event kernel. *)
-let run_stepped ~max_cycles ~restart_contenders ~sri ~analysis_core
-    ~contender_cores =
-  let cycle = ref 0 in
-  while not (Core_model.finished analysis_core) do
-    if !cycle > max_cycles then raise (Cycle_limit_exceeded !cycle);
-    Sri.step sri ~cycle:!cycle;
-    Core_model.step analysis_core ~cycle:!cycle;
-    List.iter
-      (fun (_, c) ->
-         Core_model.step c ~cycle:!cycle;
-         if Core_model.finished c && restart_contenders then Core_model.restart c)
-      contender_cores;
-    incr cycle
-  done
+let imin (a : int) b = if a <= b then a else b
 
-(* Event-driven kernel: jump the clock to the earliest pending event —
-   a core wake-up or an SRI grant slot — instead of ticking every cycle.
-   Processing order within an event cycle mirrors the stepped loop
-   exactly (grants, then the analysis core, then contenders in list
-   order), so arbitration and counters are bit-identical; see DESIGN.md
-   "Simulator kernel" for the completeness argument. *)
-let run_event ~max_cycles ~restart_contenders ~sri ~analysis_core
-    ~contender_cores =
-  let events = ref 0 and skipped = ref 0 in
-  let last = ref (-1) in
+(* The kernel: wake at the earliest of the cores' next events (issues,
+   the analysis task's end) and the SRI's next queued grant, and replay
+   that cycle in the fixed order grants, analysis core, contenders in
+   list order — the order the hardware model resolves same-cycle
+   arbitration in. [`Stepped] visits every cycle instead; nothing
+   happens at the others. See DESIGN.md §7 for why this is exact. *)
+let run_kernel ~stepped ~max_cycles ~sri ~analysis ~contenders =
+  let events = ref 0 and last = ref (-1) in
   Fun.protect
     ~finally:(fun () ->
+        Sri.flush_metrics sri;
         Obs.Metrics.add m_events !events;
-        Obs.Metrics.add m_skipped !skipped)
+        Obs.Metrics.add m_skipped (!last + 1 - !events))
     (fun () ->
-       let finished = ref false in
-       while not !finished do
+       let n = Array.length contenders in
+       while not (Core_model.finished analysis) do
          let t =
-           List.fold_left
-             (fun acc (_, c) -> min acc (Core_model.wake c))
-             (min (Core_model.wake analysis_core) (Sri.next_grant_at sri))
-             contender_cores
+           if stepped then !last + 1
+           else begin
+             let t = ref (imin (Core_model.wake analysis) (Sri.next_grant_at sri)) in
+             for i = 0 to n - 1 do
+               t := imin !t (Core_model.wake contenders.(i))
+             done;
+             !t
+           end
          in
          if t = max_int then
            (* unreachable: a blocked analysis core always has a queued or
-              granted ticket, both of which schedule an event *)
-           failwith "Machine.run: event kernel has no pending event";
+              granted request, both of which schedule an event *)
+           failwith "Machine.run: no pending event";
          if t > max_cycles then raise (Cycle_limit_exceeded (max_cycles + 1));
          incr events;
-         skipped := !skipped + (t - !last - 1);
          last := t;
          Sri.step sri ~cycle:t;
-         if Core_model.wake analysis_core = t then
-           Core_model.advance analysis_core ~cycle:t;
-         List.iter
-           (fun (_, c) ->
-              if Core_model.wake c = t then begin
-                Core_model.advance c ~cycle:t;
-                if Core_model.finished c && restart_contenders then
-                  Core_model.restart c
-              end)
-           contender_cores;
-         if Core_model.finished analysis_core then begin
-           List.iter (fun (_, c) -> Core_model.settle c ~cycle:t) contender_cores;
-           finished := true
-         end
-       done)
+         if Core_model.wake analysis = t then Core_model.fire analysis ~cycle:t;
+         for i = 0 to n - 1 do
+           let c = contenders.(i) in
+           if Core_model.wake c = t then Core_model.fire c ~cycle:t
+         done
+       done;
+       let finish = Core_model.finish_cycle analysis in
+       Array.iter (fun c -> Core_model.settle c ~cycle:finish) contenders)
 
 let run ?(config = default_config) ?(max_cycles = default_max_cycles)
     ?(restart_contenders = true) ?priorities ?(trace = false) ?kernel ?scripts
@@ -162,7 +140,6 @@ let run ?(config = default_config) ?(max_cycles = default_max_cycles)
         ])
     (fun () ->
   let ncores = Array.length config.cores in
-  let all_tasks = analysis :: contenders in
   let seen = Hashtbl.create 4 in
   List.iter
     (fun t ->
@@ -171,25 +148,25 @@ let run ?(config = default_config) ?(max_cycles = default_max_cycles)
        if Hashtbl.mem seen t.core then
          invalid_arg (Printf.sprintf "Machine.run: core %d assigned twice" t.core);
        Hashtbl.add seen t.core ())
-    all_tasks;
+    (analysis :: contenders);
   let sri = Sri.create ~latency:config.latency ?priorities ~trace ~ncores () in
-  let make_core t =
-    let script =
-      Option.map (fun tbl -> script_for tbl config.cores.(t.core) t.program) scripts
-    in
-    Core_model.create ?script config.cores.(t.core) ~sri ~core_id:t.core t.program
+  let scripts = match scripts with Some s -> s | None -> script_table () in
+  let make_core role t =
+    Core_model.create
+      (script_for scripts config.cores.(t.core) t.program)
+      ~sri ~core_id:t.core role
   in
-  let analysis_core = make_core analysis in
-  let contender_cores = List.map (fun t -> (t.core, make_core t)) contenders in
-  (match
-     match kernel with Some k -> k | None -> default_kernel ()
-   with
-   | `Stepped ->
-     run_stepped ~max_cycles ~restart_contenders ~sri ~analysis_core
-       ~contender_cores
-   | `Event ->
-     run_event ~max_cycles ~restart_contenders ~sri ~analysis_core
-       ~contender_cores);
+  let analysis_core = make_core Core_model.Analysis analysis in
+  let contender_cores =
+    Array.of_list
+      (List.map
+         (make_core
+            (if restart_contenders then Core_model.Restarting else Core_model.Once))
+         contenders)
+  in
+  run_kernel
+    ~stepped:((match kernel with Some k -> k | None -> default_kernel ()) = `Stepped)
+    ~max_cycles ~sri ~analysis:analysis_core ~contenders:contender_cores;
   let result_of core =
     {
       counters = Core_model.counters core;
@@ -201,7 +178,9 @@ let run ?(config = default_config) ?(max_cycles = default_max_cycles)
     {
       cycles = Core_model.finish_cycle analysis_core;
       analysis = result_of analysis_core;
-      contenders = List.map (fun (id, c) -> (id, result_of c)) contender_cores;
+      contenders =
+        Array.to_list
+          (Array.map (fun c -> (Core_model.core_id c, result_of c)) contender_cores);
       trace = Sri.trace sri;
     }
   in

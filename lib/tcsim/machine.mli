@@ -34,12 +34,11 @@ type run_result = {
 exception Cycle_limit_exceeded of int
 
 type kernel = [ `Stepped | `Event ]
-(** [`Stepped] ticks every core and the crossbar once per simulated cycle
-    — the seed implementation, kept as the cycle-accurate oracle.
-    [`Event] jumps the clock straight to the next pending event (core
-    wake-up or SRI grant slot); it is observationally identical — same
-    cycles, counters, profiles, traces and restart counts — while doing
-    work proportional to SRI traffic instead of elapsed cycles. *)
+(** [`Event] wakes only at the cycles where something shared happens —
+    an SRI request issues, a queued request is granted, the analysis
+    task ends — and derives everything in between from the compiled
+    scripts ({!Core_model.Script}). [`Stepped] drives the same core
+    model through every cycle; both give identical results. *)
 
 val kernel_of_string : string -> kernel option
 (** Recognises ["stepped"] and ["event"]. *)
@@ -57,8 +56,8 @@ val default_max_cycles : int
 (** The default runaway guard, [200_000_000]. *)
 
 type script_table
-(** A memo of decoded {!Core_model.Script}s keyed by (program content,
-    core config), shared by the members of a run family. Stateful and
+(** A table of compiled {!Core_model.Script}s keyed by (program content,
+    core config), shared by the runs of a family. Stateful and
     single-threaded: use one table only for runs executed sequentially
     on one domain. *)
 
@@ -84,10 +83,10 @@ val run :
     {!default_max_cycles}) guards against runaway programs. [kernel]
     selects the simulation loop (default {!default_kernel}); results do
     not depend on the choice. [scripts] attaches the run to a family:
-    per-core instruction decode and private-cache simulation are
-    memoised in the table and replayed by later runs that share it —
-    results are identical with or without (the [sim.family_reuse]
-    counter records how many attachments were reuses).
+    cores read their compiled scripts from the table, compiling the
+    ones it lacks (default: a fresh table) — results are identical
+    either way (the [sim.family_reuse] counter records how many
+    attachments were reuses).
     @raise Cycle_limit_exceeded when the budget is exhausted.
     @raise Invalid_argument on core-index clashes or out-of-range cores. *)
 
@@ -106,10 +105,9 @@ val run_isolation :
     measured in isolation and under several contender mixes. Members
     execute sequentially in list order, sharing one {!script_table}:
     the first member to run a (program, core config) pair pays for its
-    decode and cache simulation, every later member replays the memoised
-    stream. Each member's {!run_result} is exactly what a solo {!run}
-    with the same arguments would produce (pinned by a differential
-    qcheck property). *)
+    compilation, every later member reads the compiled segments. Each
+    member's {!run_result} is exactly what a solo {!run} with the same
+    arguments would produce. *)
 
 type spec = {
   sp_restart_contenders : bool;

@@ -21,28 +21,35 @@ let line_of addr = addr land lnot (line_bytes - 1)
 
 let in_window addr base size = addr >= base && addr < base + size
 
+(* Region codes, allocation-free for the script compiler: -1 unmapped,
+   0 dspr, 1 pspr, otherwise [2 + 2 * target index + cacheable] with
+   targets indexed in [Target.all] order. *)
+let region_code addr =
+  if in_window addr dspr_base dspr_size then 0
+  else if in_window addr pspr_base pspr_size then 1
+  else if in_window addr pf0_cached_base pf_bank_size then 5
+  else if in_window addr pf1_cached_base pf_bank_size then 7
+  else if in_window addr pf0_uncached_base pf_bank_size then 4
+  else if in_window addr pf1_uncached_base pf_bank_size then 6
+  else if in_window addr lmu_cached_base lmu_size then 9
+  else if in_window addr lmu_uncached_base lmu_size then 8
+  else if in_window addr dfl_base dfl_size then 2
+  else -1
+
+let targets = Array.of_list Target.all
+
 let classify_opt addr =
-  if in_window addr dspr_base dspr_size then Some Dspr
-  else if in_window addr pspr_base pspr_size then Some Pspr
-  else if in_window addr pf0_cached_base pf_bank_size then
-    Some (Sri (Target.Pf0, true))
-  else if in_window addr pf1_cached_base pf_bank_size then
-    Some (Sri (Target.Pf1, true))
-  else if in_window addr pf0_uncached_base pf_bank_size then
-    Some (Sri (Target.Pf0, false))
-  else if in_window addr pf1_uncached_base pf_bank_size then
-    Some (Sri (Target.Pf1, false))
-  else if in_window addr lmu_cached_base lmu_size then
-    Some (Sri (Target.Lmu, true))
-  else if in_window addr lmu_uncached_base lmu_size then
-    Some (Sri (Target.Lmu, false))
-  else if in_window addr dfl_base dfl_size then Some (Sri (Target.Dfl, false))
-  else None
+  match region_code addr with
+  | -1 -> None
+  | 0 -> Some Dspr
+  | 1 -> Some Pspr
+  | c -> Some (Sri (targets.((c - 2) lsr 1), c land 1 = 1))
+
+let unmapped addr =
+  invalid_arg (Printf.sprintf "Memory_map.classify: 0x%x unmapped" addr)
 
 let classify addr =
-  match classify_opt addr with
-  | Some r -> r
-  | None -> invalid_arg (Printf.sprintf "Memory_map.classify: 0x%x unmapped" addr)
+  match classify_opt addr with Some r -> r | None -> unmapped addr
 
 let base_of target ~cacheable =
   match (target, cacheable) with

@@ -35,6 +35,15 @@ val classify : int -> region
 
 val classify_opt : int -> region option
 
+val region_code : int -> int
+(** {!classify_opt} as an int, for callers that must not allocate: [-1]
+    unmapped, [0] dspr, [1] pspr, otherwise [2 + 2 * i + c] for an SRI
+    window of the [i]-th target of {!Platform.Target.all} with
+    cacheability [c] (1 = cacheable). *)
+
+val unmapped : int -> 'a
+(** Raises {!classify}'s [Invalid_argument] for the address. *)
+
 val base_of : Platform.Target.t -> cacheable:bool -> int
 (** Base address of a target's window with the requested cacheability.
     @raise Invalid_argument for cacheable dfl (no cached view exists). *)

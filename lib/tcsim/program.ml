@@ -73,36 +73,58 @@ let code_footprint p =
 module Walker = struct
   type program = t
 
-  type frame = { body : citem array; mutable idx : int; mutable remaining : int }
-  (* [remaining] counts loop iterations left for this frame *)
+  (* [remaining] counts loop iterations left for this frame. Frames live
+     in a reused array (entries above [depth] are spare), so walking
+     allocates nothing once the deepest nesting has been seen. *)
+  type frame = {
+    mutable body : citem array;
+    mutable idx : int;
+    mutable remaining : int;
+  }
 
   type t = {
     prog : program;
-    mutable stack : frame list;
+    mutable frames : frame array;
+    mutable depth : int;
     mutable count : int;
   }
 
-  let fresh_stack prog = [ { body = prog.compiled; idx = 0; remaining = 1 } ]
-  let create prog = { prog; stack = fresh_stack prog; count = 0 }
+  let create prog =
+    {
+      prog;
+      frames = [| { body = prog.compiled; idx = 0; remaining = 1 } |];
+      depth = 1;
+      count = 0;
+    }
 
   let reset w =
-    w.stack <- fresh_stack w.prog;
+    let f = w.frames.(0) in
+    f.body <- w.prog.compiled;
+    f.idx <- 0;
+    f.remaining <- 1;
+    w.depth <- 1;
     w.count <- 0
 
-  let rec next w =
-    match w.stack with
-    | [] -> None
-    | frame :: rest ->
+  let push w body remaining =
+    let n = Array.length w.frames in
+    if w.depth = n then
+      w.frames <-
+        Array.append w.frames
+          (Array.init n (fun _ -> { body = [||]; idx = 0; remaining = 0 }));
+    let f = w.frames.(w.depth) in
+    f.body <- body;
+    f.idx <- 0;
+    f.remaining <- remaining;
+    w.depth <- w.depth + 1
+
+  let rec next_or w ~default =
+    if w.depth = 0 then default
+    else begin
+      let frame = w.frames.(w.depth - 1) in
       if frame.idx >= Array.length frame.body then begin
         frame.remaining <- frame.remaining - 1;
-        if frame.remaining > 0 then begin
-          frame.idx <- 0;
-          next w
-        end
-        else begin
-          w.stack <- rest;
-          next w
-        end
+        if frame.remaining > 0 then frame.idx <- 0 else w.depth <- w.depth - 1;
+        next_or w ~default
       end
       else begin
         let item = frame.body.(frame.idx) in
@@ -110,14 +132,18 @@ module Walker = struct
         match item with
         | CI i ->
           w.count <- w.count + 1;
-          Some i
+          i
         | CLoop (count, body) ->
-          if count = 0 || Array.length body = 0 then next w
-          else begin
-            w.stack <- { body; idx = 0; remaining = count } :: w.stack;
-            next w
-          end
+          if count > 0 && Array.length body > 0 then push w body count;
+          next_or w ~default
       end
+    end
+
+  let sentinel = { pc = -1; kind = Compute 1 }
+
+  let next w =
+    let i = next_or w ~default:sentinel in
+    if i == sentinel then None else Some i
 
   let executed w = w.count
 end

@@ -50,6 +50,10 @@ module Walker : sig
   val next : t -> instr option
   (** [None] once the program is exhausted. *)
 
+  val next_or : t -> default:instr -> instr
+  (** {!next} without the option: returns [default] (compare it
+      physically) once the program is exhausted. *)
+
   val reset : t -> unit
   val executed : t -> int
   (** Instructions returned since creation / last reset that returned

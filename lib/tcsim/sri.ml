@@ -1,104 +1,50 @@
 open Platform
 
-type ticket = {
-  mutable done_at : int;
-  mutable granted : bool;
-  issued_at : int;
-  target : Target.t;
-  op : Op.t;
-}
+let targets = Array.of_list Target.all
+let ntargets = Array.length targets
+let ops = [| Op.Code; Op.Data |]
 
-type pending = { p_core : int; p_line : int; p_folded : bool; p_ticket : ticket }
-
-(* Insertion-ordered pending queue. A growable ring buffer instead of a
-   list: [push] is amortised O(1) (the old [queue @ [p]] copied the whole
-   queue per request) and [remove] compacts leftwards so the surviving
-   elements keep their arrival order — the property the round-robin
-   arbiter's class scan relies on. Capacity is bounded in practice by the
-   master count (each master has at most one outstanding transaction). *)
-module Fifo = struct
-  type 'a t = { mutable buf : 'a option array; mutable head : int; mutable len : int }
-
-  let create () = { buf = Array.make 8 None; head = 0; len = 0 }
-  let is_empty q = q.len = 0
-
-  let push q x =
-    let cap = Array.length q.buf in
-    if q.len = cap then begin
-      let buf = Array.make (2 * cap) None in
-      for i = 0 to q.len - 1 do
-        buf.(i) <- q.buf.((q.head + i) mod cap)
-      done;
-      q.buf <- buf;
-      q.head <- 0
-    end;
-    q.buf.((q.head + q.len) mod Array.length q.buf) <- Some x;
-    q.len <- q.len + 1
-
-  (* Left-to-right = arrival order, like the list it replaces. *)
-  let fold f acc q =
-    let cap = Array.length q.buf in
-    let acc = ref acc in
-    for i = 0 to q.len - 1 do
-      match q.buf.((q.head + i) mod cap) with
-      | Some x -> acc := f !acc x
-      | None -> assert false
-    done;
-    !acc
-
-  (* Removes the element physically equal to [x]; later arrivals shift
-     left one slot, preserving relative order. *)
-  let remove q x =
-    let cap = Array.length q.buf in
-    let kept = ref 0 in
-    let found = ref false in
-    for i = 0 to q.len - 1 do
-      let slot = (q.head + i) mod cap in
-      match q.buf.(slot) with
-      | Some y when y == x ->
-        q.buf.(slot) <- None;
-        found := true
-      | Some y ->
-        q.buf.(slot) <- None;
-        q.buf.((q.head + !kept) mod cap) <- Some y;
-        incr kept
-      | None -> assert false
-    done;
-    if not !found then invalid_arg "Sri: removing a transaction that is not queued";
-    q.len <- !kept
-end
-
-type iface = {
-  target : Target.t;
-  mutable busy_until : int;
-  mutable last_line : int; (* line-aligned addr of the last served transaction *)
-  mutable has_line : bool;
-  mutable last_served_core : int;
-  queue : pending Fifo.t; (* insertion order *)
-}
-
-type t = {
-  latency : Latency.t;
-  ncores : int;
-  priorities : int array;
-  ifaces : iface array;
-  profiles : Access_profile.t array;
-  served_counts : int array;
-  tracing : bool;
-  mutable events : Trace.event list; (* newest first *)
-}
-
-let iface_index = function
+let tindex = function
   | Target.Dfl -> 0
   | Target.Pf0 -> 1
   | Target.Pf1 -> 2
   | Target.Lmu -> 3
 
-(* Per-target service/wait cycle totals, indexed like [ifaces] (both
-   arrays are built over [Target.all] in [iface_index] order). Values
-   are simulated cycles, so the totals are exactly reproducible and
-   jobs-invariant — the software analogue of the DSU's per-slave
-   occupancy counters. *)
+let lmu = tindex Target.Lmu
+let pair target op = (target * 2) + op
+
+type t = {
+  ncores : int;
+  priorities : int array;
+  (* per (target, op) pair *)
+  lmin : int array;
+  lmax : int array;
+  hide : int array;
+  lmu_dirty : int;
+  (* per interface *)
+  busy_until : int array;
+  last_line : int array; (* line of the last served transaction; -1 none *)
+  last_served : int array;
+  queued : int array; (* waiting requests *)
+  (* per master: the outstanding transaction *)
+  p_target : int array; (* -1 unless waiting for a grant *)
+  p_op : int array;
+  p_line : int array;
+  p_folded : bool array;
+  p_issued : int array;
+  p_done : int array;
+  served : int array; (* per master and pair *)
+  (* per-target metric totals, flushed by [flush_metrics] *)
+  busy : int array;
+  wait : int array;
+  grants : int array;
+  tracing : bool;
+  mutable events : Trace.event list; (* newest first *)
+}
+
+(* Per-target service/wait cycle totals. Values are simulated cycles, so
+   the totals are exactly reproducible and jobs-invariant — the software
+   analogue of the DSU's per-slave occupancy counters. *)
 let target_tag = function
   | Target.Dfl -> "dfl"
   | Target.Pf0 -> "pf0"
@@ -106,13 +52,10 @@ let target_tag = function
   | Target.Lmu -> "lmu"
 
 let m_busy, m_wait, m_grants =
-  let mk f = Array.of_list (List.map f Target.all) in
-  ( mk (fun t ->
-        Obs.Metrics.gauge (Printf.sprintf "sri.%s.busy_cycles" (target_tag t))),
-    mk (fun t ->
-        Obs.Metrics.gauge (Printf.sprintf "sri.%s.wait_cycles" (target_tag t))),
-    mk (fun t ->
-        Obs.Metrics.counter (Printf.sprintf "sri.%s.grants" (target_tag t))) )
+  let mk f = Array.map (fun t -> f (Printf.sprintf "sri.%s.%s" (target_tag t))) targets in
+  ( mk (fun n -> Obs.Metrics.gauge (n "busy_cycles")),
+    mk (fun n -> Obs.Metrics.gauge (n "wait_cycles")),
+    mk (fun n -> Obs.Metrics.counter (n "grants")) )
 
 let create ?(latency = Latency.default) ?priorities ?(trace = false) ~ncores () =
   let priorities =
@@ -123,138 +66,137 @@ let create ?(latency = Latency.default) ?priorities ?(trace = false) ~ncores () 
         invalid_arg "Sri.create: priority array length mismatch";
       Array.copy p
   in
+  let per_pair f =
+    Array.init (2 * ntargets) (fun i ->
+        let target = targets.(i / 2) and op = ops.(i mod 2) in
+        if Op.valid target op then f target op else 0)
+  in
+  let lmin = per_pair (Latency.lmin latency) in
   {
-    latency;
     ncores;
     priorities;
-    ifaces =
-      Array.of_list
-        (List.map
-           (fun target ->
-              {
-                target;
-                busy_until = 0;
-                last_line = 0;
-                has_line = false;
-                last_served_core = ncores - 1;
-                queue = Fifo.create ();
-              })
-           Target.all);
-    profiles = Array.make ncores Access_profile.zero;
-    served_counts = Array.make ncores 0;
+    lmin;
+    lmax = per_pair (Latency.lmax latency);
+    hide = per_pair (fun t o -> Latency.lmin latency t o - Latency.min_stall latency t o);
+    lmu_dirty = Latency.lmu_dirty_lmax latency;
+    busy_until = Array.make ntargets 0;
+    last_line = Array.make ntargets (-1);
+    last_served = Array.make ntargets (ncores - 1);
+    queued = Array.make ntargets 0;
+    p_target = Array.make ncores (-1);
+    p_op = Array.make ncores 0;
+    p_line = Array.make ncores 0;
+    p_folded = Array.make ncores false;
+    p_issued = Array.make ncores 0;
+    p_done = Array.make ncores max_int;
+    served = Array.make (ncores * 2 * ntargets) 0;
+    busy = Array.make ntargets 0;
+    wait = Array.make ntargets 0;
+    grants = Array.make ntargets 0;
     tracing = trace;
     events = [];
   }
+
+let hide t ~target ~op = t.hide.(pair target op)
+let done_at t ~core = t.p_done.(core)
 
 (* Streaming (line-buffer) hits only exist on the flash interfaces; the
    LMU SRAM has lmin = lmax anyway. The 256-bit buffer serves repeats of
    the current line and — thanks to next-line prefetch — the immediately
    following line of a sequential stream. *)
-let service_time t iface ~op ~line ~folded =
-  if folded && Target.equal iface.target Target.Lmu then
-    Latency.lmu_dirty_lmax t.latency
+let service_time t i core =
+  let line = t.p_line.(core) and k = pair i t.p_op.(core) in
+  if t.p_folded.(core) && i = lmu then t.lmu_dirty
   else if
-    Target.is_flash iface.target && iface.has_line
-    && (iface.last_line = line || iface.last_line + Memory_map.line_bytes = line)
-  then Latency.lmin t.latency iface.target op
-  else Latency.lmax t.latency iface.target op
+    i <> lmu (* the flash interfaces *)
+    && t.last_line.(i) >= 0
+    && (t.last_line.(i) = line || t.last_line.(i) + Memory_map.line_bytes = line)
+  then t.lmin.(k)
+  else t.lmax.(k)
 
-(* Arbitration: most urgent priority class first (lower value wins), then
-   round-robin within the class — smallest positive distance from the last
-   served master. *)
-let rr_pick t iface =
-  if Fifo.is_empty iface.queue then None
-  else begin
-    let best_class =
-      Fifo.fold (fun acc p -> min acc t.priorities.(p.p_core)) max_int iface.queue
-    in
-    let dist core =
-      let d = (core - iface.last_served_core + t.ncores) mod t.ncores in
-      if d = 0 then t.ncores else d
-    in
-    Fifo.fold
-      (fun acc p ->
-         if t.priorities.(p.p_core) <> best_class then acc
-         else
-           match acc with
-           | None -> Some p
-           | Some b -> if dist p.p_core < dist b.p_core then Some p else acc)
-      None iface.queue
-  end
-
-let grant t iface cycle p =
-  let svc = service_time t iface ~op:p.p_ticket.op ~line:p.p_line ~folded:p.p_folded in
-  p.p_ticket.granted <- true;
-  p.p_ticket.done_at <- cycle + svc;
-  iface.busy_until <- cycle + svc;
-  iface.last_line <- p.p_line;
-  iface.has_line <- true;
-  iface.last_served_core <- p.p_core;
-  Fifo.remove iface.queue p;
-  t.profiles.(p.p_core) <-
-    Access_profile.incr t.profiles.(p.p_core) iface.target p.p_ticket.op;
-  t.served_counts.(p.p_core) <- t.served_counts.(p.p_core) + 1;
-  let idx = iface_index iface.target in
-  Obs.Metrics.gauge_add m_busy.(idx) svc;
-  Obs.Metrics.gauge_add m_wait.(idx) (cycle - p.p_ticket.issued_at);
-  Obs.Metrics.incr m_grants.(idx);
+let grant t i cycle core =
+  let svc = service_time t i core in
+  let op = t.p_op.(core) and issued = t.p_issued.(core) in
+  t.p_done.(core) <- cycle + svc;
+  t.p_target.(core) <- -1;
+  t.queued.(i) <- t.queued.(i) - 1;
+  t.busy_until.(i) <- cycle + svc;
+  t.last_line.(i) <- t.p_line.(core);
+  t.last_served.(i) <- core;
+  let k = (core * 2 * ntargets) + pair i op in
+  t.served.(k) <- t.served.(k) + 1;
+  t.busy.(i) <- t.busy.(i) + svc;
+  t.wait.(i) <- t.wait.(i) + (cycle - issued);
+  t.grants.(i) <- t.grants.(i) + 1;
   if t.tracing then
     t.events <-
       {
-        Trace.issue_cycle = p.p_ticket.issued_at;
+        Trace.issue_cycle = issued;
         grant_cycle = cycle;
         complete_cycle = cycle + svc;
-        core = p.p_core;
-        target = iface.target;
-        op = p.p_ticket.op;
+        core;
+        target = targets.(i);
+        op = ops.(op);
         service = svc;
-        waited = cycle - p.p_ticket.issued_at;
+        waited = cycle - issued;
       }
       :: t.events
 
-let try_grant t iface ~cycle =
-  if iface.busy_until <= cycle then
-    match rr_pick t iface with None -> () | Some p -> grant t iface cycle p
+(* Arbitration: most urgent priority class first (lower value wins), then
+   round-robin within the class — smallest positive distance from the
+   last served master. Distances are distinct, so arrival order never
+   matters and the queue needs none. *)
+let try_grant t i ~cycle =
+  if t.queued.(i) > 0 && t.busy_until.(i) <= cycle then begin
+    let best = ref (-1) and core = ref t.last_served.(i) in
+    for _ = 1 to t.ncores do
+      core := if !core = t.ncores - 1 then 0 else !core + 1;
+      if
+        t.p_target.(!core) = i
+        && (!best < 0 || t.priorities.(!core) < t.priorities.(!best))
+      then best := !core
+    done;
+    grant t i cycle !best
+  end
 
-let request t ~core ~target ~op ~addr ~folded_dirty_writeback ~cycle =
-  if not (Op.valid target op) then
-    invalid_arg
-      (Printf.sprintf "Sri.request: inadmissible (%s, %s)"
-         (Target.to_string target) (Op.to_string op));
-  if core < 0 || core >= t.ncores then invalid_arg "Sri.request: bad core id";
-  let ticket = { done_at = max_int; granted = false; issued_at = cycle; target; op } in
-  let p =
-    {
-      p_core = core;
-      p_line = Memory_map.line_of addr;
-      p_folded = folded_dirty_writeback;
-      p_ticket = ticket;
-    }
-  in
-  let iface = t.ifaces.(iface_index target) in
-  Fifo.push iface.queue p;
-  try_grant t iface ~cycle;
-  ticket
+let request t ~core ~target ~op ~line ~folded ~cycle =
+  t.p_target.(core) <- target;
+  t.p_op.(core) <- op;
+  t.p_line.(core) <- line;
+  t.p_folded.(core) <- folded;
+  t.p_issued.(core) <- cycle;
+  t.p_done.(core) <- max_int;
+  t.queued.(target) <- t.queued.(target) + 1;
+  try_grant t target ~cycle
 
-let step t ~cycle = Array.iter (fun iface -> try_grant t iface ~cycle) t.ifaces
+let step t ~cycle =
+  for i = 0 to ntargets - 1 do
+    try_grant t i ~cycle
+  done
 
-(* Earliest future cycle at which any interface can issue a grant. An
-   interface with queued requests holds them exactly until [busy_until]
-   (a free interface grants immediately at request time, so it never
-   carries a queue across cycles); interfaces with empty queues have
-   nothing to schedule. *)
 let next_grant_at t =
-  Array.fold_left
-    (fun acc iface ->
-       if Fifo.is_empty iface.queue then acc else min acc iface.busy_until)
-    max_int t.ifaces
-let busy t target ~at = t.ifaces.(iface_index target).busy_until > at
-let profile t ~core = t.profiles.(core)
-let served t ~core = t.served_counts.(core)
+  let at = ref max_int in
+  for i = 0 to ntargets - 1 do
+    if t.queued.(i) > 0 && t.busy_until.(i) < !at then at := t.busy_until.(i)
+  done;
+  !at
 
-let reset_profiles t =
-  Array.fill t.profiles 0 t.ncores Access_profile.zero;
-  Array.fill t.served_counts 0 t.ncores 0
+let profile t ~core =
+  Access_profile.make
+    (List.map
+       (fun (target, op) ->
+          let o = if Op.equal op Op.Code then 0 else 1 in
+          ((target, op), t.served.((core * 2 * ntargets) + pair (tindex target) o)))
+       Op.valid_pairs)
 
-let latency_table t = t.latency
 let trace t = List.rev t.events
+
+let flush_metrics t =
+  for i = 0 to ntargets - 1 do
+    Obs.Metrics.gauge_add m_busy.(i) t.busy.(i);
+    Obs.Metrics.gauge_add m_wait.(i) t.wait.(i);
+    Obs.Metrics.add m_grants.(i) t.grants.(i);
+    t.busy.(i) <- 0;
+    t.wait.(i) <- 0;
+    t.grants.(i) <- 0
+  done

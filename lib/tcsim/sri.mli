@@ -14,17 +14,16 @@
     LMU dirty-miss latency when a cacheable LMU fill carries a folded
     dirty write-back. The constants come from the {!Platform.Latency}
     table, so the simulator and the analytical models share one timing
-    source. *)
+    source.
+
+    State is ints only. A master blocks until its transaction completes,
+    so it has at most one outstanding: an interface's queue is the set of
+    masters whose outstanding request targets it, and the request itself
+    (line, op, fold flag, issue cycle) lives in per-master slots.
+    Targets are indexed in {!Platform.Target.all} order, ops as
+    [0] = code, [1] = data. *)
 
 open Platform
-
-type ticket = private {
-  mutable done_at : int;  (** cycle at which the transaction completes *)
-  mutable granted : bool;
-  issued_at : int;
-  target : Target.t;
-  op : Op.t;
-}
 
 type t
 
@@ -41,43 +40,41 @@ val create :
     @raise Invalid_argument on a priority array length mismatch. *)
 
 val request :
-  t ->
-  core:int ->
-  target:Target.t ->
-  op:Op.t ->
-  addr:int ->
-  folded_dirty_writeback:bool ->
-  cycle:int ->
-  ticket
-(** Enqueues a transaction; it may be granted within the same cycle if the
-    target is idle. [folded_dirty_writeback] marks a cacheable LMU fill
-    whose victim write-back is folded into the same transaction (the
-    bracketed 21-cycle latency of Table 2).
-    @raise Invalid_argument on an inadmissible (target, op) pair. *)
+  t -> core:int -> target:int -> op:int -> line:int -> folded:bool -> cycle:int -> unit
+(** Enqueues [core]'s transaction on the [target]-th interface; it is
+    granted within the same cycle if the target is idle. [folded] marks
+    a cacheable LMU fill whose victim write-back is folded into the same
+    transaction (the bracketed 21-cycle latency of Table 2). The caller
+    guarantees an admissible (target, op) pair and that [core] has no
+    other transaction waiting for a grant. *)
+
+val done_at : t -> core:int -> int
+(** Completion cycle of [core]'s latest request once granted; [max_int]
+    while it waits. *)
+
+val hide : t -> target:int -> op:int -> int
+(** [lmin - cs] for the pair: the part of an observed transaction the
+    calibrated stall counters do not see. *)
 
 val step : t -> cycle:int -> unit
-(** Grants pending requests on every target that is idle at [cycle]. Call
-    once per simulated cycle, before stepping the cores — or, under the
-    event-driven kernel, once per event cycle (grants can only fire at
-    cycles reported by {!next_grant_at} or at request time). *)
+(** Grants pending requests on every target that is idle at [cycle].
+    Grants only fire at cycles reported by {!next_grant_at} or at
+    request time, so a kernel need only call this at those cycles. *)
 
 val next_grant_at : t -> int
 (** Earliest cycle at which a queued request can be granted — the minimum
-    [busy_until] over interfaces with a non-empty pending queue — or
-    [max_int] when nothing is queued. A free interface never carries a
-    queue between cycles (requests to an idle target are granted
-    immediately by {!request}), so stepping the crossbar only at these
-    cycles is observationally identical to stepping it every cycle. *)
-
-val busy : t -> Target.t -> at:int -> bool
+    [busy_until] over interfaces with a non-empty queue — or [max_int]
+    when nothing is queued. A free interface never carries a queue
+    between cycles (requests to an idle target are granted immediately
+    by {!request}). *)
 
 val profile : t -> core:int -> Access_profile.t
 (** Ground-truth per-target access counts served so far for a master. *)
 
-val served : t -> core:int -> int
-val reset_profiles : t -> unit
-val latency_table : t -> Latency.t
-
 val trace : t -> Trace.t
 (** Recorded transactions in completion order; empty when tracing is
     disabled. *)
+
+val flush_metrics : t -> unit
+(** Adds this crossbar's per-target busy/wait/grant totals to the
+    [sri.<target>.*] metrics and zeroes them. *)

@@ -647,9 +647,10 @@ let prop_simulation_deterministic =
 (* Random programs that actually exercise the SRI — loads and stores
    across every admissible target (cacheable and not), fetches from both
    flash banks and the scratchpad, nested loops — co-run against random
-   contender mixes under random priority maps. The stepped kernel is the
-   oracle: the event kernel must reproduce its [run_result] bit for bit
-   (cycles, all six counters, access profiles, traces, restart counts). *)
+   contender mixes under random priority maps. The oracle is the
+   cycle-stepped reference model in [Ref_sim]: both kernels must
+   reproduce its [run_result] bit for bit (cycles, all six counters,
+   access profiles, traces, restart counts). *)
 let gen_kernel_diff =
   let open QCheck.Gen in
   let data_addr =
@@ -734,37 +735,129 @@ let gen_kernel_diff =
        (analysis, contenders, priorities, restart))
     (pair (pair (task 0) contenders) (pair priorities bool))
 
+(* Outcome of a run under an explicit budget: a strict-priority map can
+   legitimately starve the analysis task, and then both models must
+   raise at the same cycle. *)
+let outcome f = match f () with r -> Ok r | exception Machine.Cycle_limit_exceeded c -> Error c
+
+let kernel_budget = 1_000_000
+
 let prop_kernels_agree =
   QCheck.Test.make ~name:"event kernel reproduces the stepped oracle bit-for-bit"
     ~count:120 (QCheck.make gen_kernel_diff)
     (fun (analysis, contenders, priorities, restart) ->
-       let go kernel =
-         Machine.run ~kernel ?priorities ~restart_contenders:restart ~trace:true
-           ~analysis ~contenders ()
+       let go kernel () =
+         Machine.run ~kernel ~max_cycles:kernel_budget ?priorities
+           ~restart_contenders:restart ~trace:true ~analysis ~contenders ()
        in
-       go `Stepped = go `Event)
+       let reference =
+         outcome (fun () ->
+             Ref_sim.run ~max_cycles:kernel_budget ?priorities
+               ~restart_contenders:restart ~trace:true ~analysis ~contenders ())
+       in
+       outcome (go `Event) = reference && outcome (go `Stepped) = reference)
 
 let prop_kernels_agree_on_cycle_limit =
-  QCheck.Test.make ~name:"kernels agree on the cycle-limit boundary" ~count:60
+  QCheck.Test.make ~name:"kernels agree on the cycle-limit boundary"
+    ~count:60
     (QCheck.pair (QCheck.make gen_kernel_diff) (QCheck.int_range 0 400))
     (fun ((analysis, contenders, priorities, restart), max_cycles) ->
-       let go kernel =
-         match
-           Machine.run ~kernel ~max_cycles ?priorities
-             ~restart_contenders:restart ~analysis ~contenders ()
-         with
-         | r -> Ok (r.Machine.cycles, r.Machine.analysis, r.Machine.contenders)
-         | exception Machine.Cycle_limit_exceeded c -> Error c
+       let summary f =
+         Result.map
+           (fun r -> (r.Machine.cycles, r.Machine.analysis, r.Machine.contenders))
+           (outcome f)
        in
-       go `Stepped = go `Event)
+       let kernel kernel () =
+         Machine.run ~kernel ~max_cycles ?priorities ~restart_contenders:restart
+           ~analysis ~contenders ()
+       in
+       let reference =
+         summary (fun () ->
+             Ref_sim.run ~max_cycles ?priorities ~restart_contenders:restart
+               ~analysis ~contenders ())
+       in
+       summary (kernel `Event) = reference && summary (kernel `Stepped) = reference)
+
+(* Two class-0 co-runners hammering the LMU keep it busy for ever: each
+   re-issues one cycle after its transaction completes, while the other
+   is already queued, so strict priority never lets the class-1 analysis
+   task through. *)
+let test_strict_priority_starvation () =
+  let max_cycles = 100_000 and priorities = [| 1; 0; 0 |] in
+  let analysis = { Machine.program = prog "victim" [ compute 3; load lmu_nc ]; core = 0 } in
+  let contenders =
+    List.map
+      (fun core ->
+         { Machine.program = prog "hammer" [ Program.loop 1000 [ load lmu_nc ] ]; core })
+      [ 1; 2 ]
+  in
+  let show f =
+    match outcome f with
+    | Ok _ -> "finished"
+    | Error c -> Printf.sprintf "limit at %d" c
+  in
+  let kernel kernel () =
+    Machine.run ~kernel ~max_cycles ~priorities ~analysis ~contenders ()
+  in
+  let expected = Printf.sprintf "limit at %d" (max_cycles + 1) in
+  Alcotest.(check string) "reference starves" expected
+    (show (fun () -> Ref_sim.run ~max_cycles ~priorities ~analysis ~contenders ()));
+  Alcotest.(check string) "event kernel starves" expected (show (kernel `Event));
+  Alcotest.(check string) "stepped kernel starves" expected (show (kernel `Stepped))
+
+(* Shapes the random generator reaches only by chance: empty and silent
+   passes (a restarting co-runner then ends a pass every few cycles for
+   ever), passes that fall silent once the caches are warm, and programs
+   that raise — early, late (after the analysis task has finished), or
+   by fetching from the data flash. *)
+let test_edge_cases_match_reference () =
+  let task core items = { Machine.program = prog (Printf.sprintf "c%d" core) items; core } in
+  let app = task 0 [ compute 2; load lmu_nc; Program.loop 40 [ load dfl; compute 3 ] ] in
+  let show f =
+    match f () with
+    | r -> Format.asprintf "%d %a" r.Machine.cycles Counters.pp r.Machine.analysis.Machine.counters
+           ^ String.concat ""
+               (List.map
+                  (fun (id, c) ->
+                     Format.asprintf " | %d: %a r=%d" id Counters.pp c.Machine.counters c.Machine.restarts)
+                  r.Machine.contenders)
+    | exception Machine.Cycle_limit_exceeded c -> Printf.sprintf "limit %d" c
+    | exception Invalid_argument m -> "invalid: " ^ m
+  in
+  let check name ?(analysis = app) contenders =
+    List.iter
+      (fun restart ->
+         let label = Printf.sprintf "%s (restart %b)" name restart in
+         let run kernel () =
+           Machine.run ~kernel ~max_cycles:20_000 ~restart_contenders:restart ~trace:true
+             ~analysis ~contenders ()
+         in
+         let reference () =
+           Ref_sim.run ~max_cycles:20_000 ~restart_contenders:restart ~trace:true ~analysis
+             ~contenders ()
+         in
+         Alcotest.(check string) (label ^ ", event") (show reference) (show (run `Event));
+         Alcotest.(check string) (label ^ ", stepped") (show reference) (show (run `Stepped));
+         match (reference (), run `Event ()) with
+         | r, e -> Alcotest.(check bool) (label ^ ", full result") true (r = e)
+         | exception (Machine.Cycle_limit_exceeded _ | Invalid_argument _) -> ())
+      [ true; false ]
+  in
+  check "empty co-runner" [ task 1 [ Program.loop 0 [ load lmu_nc ] ] ];
+  check "scratchpad co-runner" [ task 1 [ compute 3; load dspr ] ];
+  check "co-runner silent once warm" [ task 1 [ Program.loop 4 [ load lmu_c; compute 2 ] ] ];
+  check "empty analysis task" ~analysis:(task 0 []) [ task 1 [ load lmu_nc ] ];
+  check "late failure" [ task 1 [ Program.loop 5000 [ compute 9 ]; store pf0_c ] ];
+  check "early failure" [ task 1 [ load lmu_nc; store pf0_c ] ];
+  check "data-flash fetch" [ task 1 [ compute ~pc:dfl 1 ] ];
+  check "unmapped address" [ task 1 [ load lmu_nc; load 0x1234 ] ]
 
 (* --- run families ------------------------------------------------------------- *)
 
-(* A family groups runs that share programs; members must nevertheless
-   reproduce the solo [run_result] bit for bit — cycles, counters,
-   ground-truth profiles, restart counts and traces — even though they
-   read decoded per-core scripts from a shared memo instead of running
-   the live cache/walker frontend. *)
+(* A family groups runs that share compiled scripts; each member must
+   nevertheless reproduce the reference model's [run_result] bit for
+   bit — cycles, counters, ground-truth profiles, restart counts and
+   traces. *)
 let prop_family_matches_solo =
   QCheck.Test.make ~name:"family members reproduce solo runs bit for bit"
     ~count:60 (QCheck.make gen_kernel_diff)
@@ -785,65 +878,146 @@ let prop_family_matches_solo =
              | [] -> []
              | c :: _ -> [ member ~trace:false [ c ] ])
        in
-       let solos =
+       let budget = kernel_budget in
+       let reference =
          List.map
            (fun ((trace, contenders), _) ->
-              Machine.run ~restart_contenders:restart ?priorities ~trace
-                ~analysis ~contenders ())
+              outcome (fun () ->
+                  Ref_sim.run ~max_cycles:budget ~restart_contenders:restart
+                    ?priorities ~trace ~analysis ~contenders ()))
            members
        in
-       Machine.run_family (List.map snd members) = solos)
+       (* a family stops at its first raising member *)
+       let rec expected = function
+         | [] -> Ok []
+         | Error c :: _ -> Error c
+         | Ok r :: rest -> Result.map (List.cons r) (expected rest)
+       in
+       outcome (fun () -> Machine.run_family ~max_cycles:budget (List.map snd members))
+       = expected reference)
 
 let prop_family_cycle_limit_matches_solo =
   QCheck.Test.make ~name:"family agrees with solo on the cycle-limit boundary"
     ~count:40
     (QCheck.pair (QCheck.make gen_kernel_diff) (QCheck.int_range 0 400))
     (fun ((analysis, contenders, priorities, restart), max_cycles) ->
-       (* duplicate members: the second simulates entirely from the memo
-          the first filled in, including on the raising path *)
+       (* duplicate members: the second reads the scripts the first
+          compiled, including on the raising path *)
        let spec =
          Machine.spec ~restart_contenders:restart ?priorities ~analysis
            ~contenders ()
        in
-       let fam =
-         match Machine.run_family ~max_cycles [ spec; spec ] with
-         | rs -> Ok rs
-         | exception Machine.Cycle_limit_exceeded c -> Error c
-       in
+       let fam = outcome (fun () -> Machine.run_family ~max_cycles [ spec; spec ]) in
        let solo =
-         match
-           Machine.run ~max_cycles ~restart_contenders:restart ?priorities
-             ~analysis ~contenders ()
-         with
-         | r -> Ok [ r; r ]
-         | exception Machine.Cycle_limit_exceeded c -> Error c
+         outcome (fun () ->
+             Ref_sim.run ~max_cycles ~restart_contenders:restart ?priorities
+               ~analysis ~contenders ())
        in
-       fam = solo)
+       fam = Result.map (fun r -> [ r; r ]) solo)
+
+(* The metrics a run records in the deterministic snapshot — per-target
+   SRI totals and the run/cycle counters — match the reference, also
+   when the run raises (the kernel flushes its totals in a finaliser). *)
+let prop_metrics_match_reference =
+  QCheck.Test.make ~name:"deterministic metrics match the reference, raising or not"
+    ~count:60
+    (QCheck.pair (QCheck.make gen_kernel_diff) (QCheck.int_range 0 2000))
+    (fun ((analysis, contenders, priorities, restart), max_cycles) ->
+       let snap f =
+         Obs.Metrics.reset ();
+         ignore (outcome f);
+         List.filter
+           (fun (k, _) ->
+              String.starts_with ~prefix:"sri." k || k = "tcsim.cycles" || k = "tcsim.runs")
+           (Obs.Metrics.deterministic_snapshot ())
+       in
+       let kernel kernel () =
+         Machine.run ~kernel ~max_cycles ?priorities ~restart_contenders:restart
+           ~analysis ~contenders ()
+       in
+       let reference =
+         snap (fun () ->
+             Ref_sim.run ~max_cycles ?priorities ~restart_contenders:restart
+               ~analysis ~contenders ())
+       in
+       snap (kernel `Event) = reference && snap (kernel `Stepped) = reference)
+
+let figure4_cells () =
+  List.concat_map
+    (fun scenario ->
+       let variant = Workload.Control_loop.variant_of_scenario scenario in
+       let app = Workload.Control_loop.app variant in
+       List.map
+         (fun level -> (scenario, level, app, Workload.Load_gen.make ~variant ~level ()))
+         Workload.Load_gen.all_levels)
+    [ Scenario.scenario1; Scenario.scenario2 ]
 
 let test_kernels_agree_on_workloads () =
   (* the paper's real workload shapes: warm caches, folded write-backs,
      streaming fetches and restarting contenders *)
   List.iter
-    (fun scenario ->
-       let variant = Workload.Control_loop.variant_of_scenario scenario in
-       let app = Workload.Control_loop.app variant in
-       let con =
-         Workload.Load_gen.make ~variant ~level:Workload.Load_gen.High ()
-       in
-       let go kernel =
-         Machine.run ~kernel ~trace:true
-           ~analysis:{ Machine.program = app; core = 0 }
-           ~contenders:[ { Machine.program = con; core = 1 } ]
-           ()
-       in
-       let s = go `Stepped and e = go `Event in
-       Alcotest.(check int)
-         (scenario.Scenario.name ^ " cycles")
-         s.Machine.cycles e.Machine.cycles;
-       Alcotest.(check bool)
-         (scenario.Scenario.name ^ " full result identical")
-         true (s = e))
-    [ Scenario.scenario1; Scenario.scenario2 ]
+    (fun (scenario, level, app, con) ->
+       if level = Workload.Load_gen.High then begin
+         let analysis = { Machine.program = app; core = 0 }
+         and contenders = [ { Machine.program = con; core = 1 } ] in
+         let r = Ref_sim.run ~trace:true ~analysis ~contenders () in
+         let e = Machine.run ~kernel:`Event ~trace:true ~analysis ~contenders () in
+         Alcotest.(check int) (scenario.Scenario.name ^ " cycles") r.Machine.cycles e.Machine.cycles;
+         Alcotest.(check bool) (scenario.Scenario.name ^ " full result identical") true (r = e)
+       end)
+    (figure4_cells ())
+
+(* --- what an event is ------------------------------------------------------ *)
+
+let events_of f =
+  let m = Obs.Metrics.counter "tcsim.events" in
+  let before = Obs.Metrics.value m in
+  let r = f () in
+  (r, Obs.Metrics.value m - before)
+
+let test_silent_program_costs_one_event () =
+  (* 100k scratchpad-only instructions never touch the SRI: the kernel
+     wakes once, when the program ends *)
+  let body = [ compute 1; load dspr; store (dspr + 4); compute 2 ] in
+  let p = prog "silent" [ Program.loop 25_000 body ] in
+  let r, events = events_of (fun () -> Machine.run_isolation ~kernel:`Event p) in
+  Alcotest.(check int) "cycles" 125_000 r.Machine.cycles;
+  Alcotest.(check int) "one event" 1 events
+
+let test_events_are_issues_and_grants () =
+  (* on every Figure 4 cell — both isolation runs and the co-run — the
+     kernel wakes exactly at the cycles where a request issues or a
+     queued request is granted, plus the analysis task's end *)
+  List.iter
+    (fun (scenario, level, app, con) ->
+       List.iter
+         (fun (what, analysis, contenders) ->
+            let pending = ref [] in
+            let reference =
+              Ref_sim.run ~restart_contenders:false ~trace:true ~pending ~analysis ~contenders ()
+            in
+            let r, events =
+              events_of (fun () ->
+                  Machine.run ~kernel:`Event ~restart_contenders:false ~trace:true ~analysis
+                    ~contenders ())
+            in
+            let cycles =
+              List.sort_uniq compare
+                ((r.Machine.cycles :: !pending)
+                 @ List.concat_map
+                     (fun e -> [ e.Trace.issue_cycle; e.Trace.grant_cycle ])
+                     reference.Machine.trace)
+            in
+            Alcotest.(check int)
+              (Printf.sprintf "%s/%s %s" scenario.Scenario.name
+                 (Workload.Load_gen.level_to_string level) what)
+              (List.length cycles) events)
+         [
+           ("app", { Machine.program = app; core = 0 }, []);
+           ("contender", { Machine.program = con; core = 1 }, []);
+           ("co-run", { Machine.program = app; core = 0 }, [ { Machine.program = con; core = 1 } ]);
+         ])
+    (figure4_cells ())
 
 let () =
   Alcotest.run "tcsim"
@@ -899,6 +1073,10 @@ let () =
           Alcotest.test_case "cycle limit" `Quick test_cycle_limit;
           Alcotest.test_case "kernels agree on real workloads" `Quick
             test_kernels_agree_on_workloads;
+          Alcotest.test_case "strict priority starves the analysis task" `Quick
+            test_strict_priority_starvation;
+          Alcotest.test_case "edge cases match the reference" `Quick
+            test_edge_cases_match_reference;
         ] );
       ( "priorities-traces",
         [
@@ -909,6 +1087,13 @@ let () =
           Alcotest.test_case "trace csv" `Quick test_trace_csv;
           Alcotest.test_case "waits bounded by co-runner service" `Quick
             test_trace_waits_bounded_by_corunner_service;
+        ] );
+      ( "events",
+        [
+          Alcotest.test_case "silent program costs one event" `Quick
+            test_silent_program_costs_one_event;
+          Alcotest.test_case "events are issues, grants and the end" `Quick
+            test_events_are_issues_and_grants;
         ] );
       ( "ground-truth",
         [
@@ -941,5 +1126,6 @@ let () =
             prop_kernels_agree_on_cycle_limit;
             prop_family_matches_solo;
             prop_family_cycle_limit_matches_solo;
+            prop_metrics_match_reference;
           ] );
     ]
