@@ -54,20 +54,17 @@ let readings_nodes ?config dag ~tag ~scenario ~load =
           ();
         (app, contender))
   in
-  (* both isolation sims as one run family: no script sharing between
-     the two distinct programs, but members already measured by an
-     earlier cell (the app repeats across load levels) replay from the
-     run cache inside the family *)
+  (* both isolation sims in one node; an isolation an earlier cell
+     already measured (the app repeats across load levels) replays from
+     the run cache *)
   let sims =
     node ~label:(lbl "sims") dag ~deps:[ dep prep ] (fun () ->
         let app, contender = get prep in
-        match
-          Mbta.Measurement.isolation_family ?config
-            [ (app, 0); (contender, 1) ]
-        with
-        | [ oa; ob ] ->
-          (oa.Mbta.Measurement.counters, ob.Mbta.Measurement.counters)
-        | _ -> assert false)
+        let iso core p =
+          (Mbta.Measurement.isolation ?config ~core p).Mbta.Measurement.counters
+        in
+        let a = iso 0 app in
+        (a, iso 1 contender))
   in
   node ~label:(lbl "lint") dag ~deps:[ dep sims ]
     (fun () ->

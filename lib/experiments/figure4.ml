@@ -124,26 +124,24 @@ let add_row_nodes ?config dag ~scenario ~load =
           ();
         (app, contender))
   in
-  (* the cell's three simulations — two isolations + the observed co-run
-     — dispatch as one run family: decoded program scripts are shared
-     between the members, and each stays individually content-addressed
-     in the run cache *)
+  (* the cell's three simulations — two isolations, then the observed
+     co-run — run back to back in one node, so the co-run reads both
+     programs' scripts from the script memo as the isolations left them *)
   let sims =
     node ~label:(lbl "sims") dag ~deps:[ dep prep ] (fun () ->
         let app, contender = get prep in
-        Mbta.Measurement.cell_family ?config ~analysis:(app, 0)
-          ~contenders:[ (contender, 1) ] ())
+        let iso_a = Mbta.Measurement.isolation ?config ~core:0 app in
+        let iso_b = Mbta.Measurement.isolation ?config ~core:1 contender in
+        let corun =
+          Mbta.Measurement.corun ?config ~analysis:(app, 0)
+            ~contenders:[ (contender, 1) ] ()
+        in
+        (iso_a, iso_b, corun))
   in
   let bounds =
     node ~label:(lbl "bounds") dag ~deps:[ dep sims ]
       (fun () ->
-        let cell = get sims in
-        let iso_a = cell.Mbta.Measurement.iso_analysis in
-        let iso_b =
-          match cell.Mbta.Measurement.iso_contenders with
-          | [ o ] -> o
-          | _ -> assert false
-        in
+        let iso_a, iso_b, _ = get sims in
         let a = iso_a.Mbta.Measurement.counters in
         let b = iso_b.Mbta.Measurement.counters in
         Analysis.Preflight.guard
@@ -182,16 +180,13 @@ let add_row_nodes ?config dag ~scenario ~load =
     ~deps:[ dep bounds; dep sims ]
     (fun () ->
       let ftc_r, ilp_r, ideal_delta = get bounds in
-      let cell = get sims in
-      let isolation_cycles =
-        cell.Mbta.Measurement.iso_analysis.Mbta.Measurement.cycles
-      in
+      let iso_a, _, corun = get sims in
+      let isolation_cycles = iso_a.Mbta.Measurement.cycles in
       {
         scenario = scenario.Scenario.name;
         load;
         isolation_cycles;
-        observed_cycles =
-          cell.Mbta.Measurement.corun.Mbta.Measurement.cycles;
+        observed_cycles = corun.Mbta.Measurement.cycles;
         ftc =
           Mbta.Wcet.make ~isolation_cycles
             ~contention_cycles:ftc_r.Contention.Ftc.delta;

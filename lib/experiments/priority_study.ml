@@ -17,11 +17,12 @@ let run ?(scenario = Scenario.scenario1) ?jobs () =
   let app = Workload.Control_loop.app variant in
   let c1 = Workload.Load_gen.make ~variant ~level:Workload.Load_gen.Medium ~region_slot:1 () in
   let c2 = Workload.Load_gen.make ~variant ~level:Workload.Load_gen.Low ~region_slot:2 () in
-  (* both arbitration co-runs differ only in the priority map: as a run
-     family they share every decoded program script *)
+  (* both arbitration co-runs differ only in the priority map: run back
+     to back, the second reads every script the first compiled from the
+     script memo *)
   let coruns () =
-    let spec priorities =
-      Tcsim.Machine.spec ~restart_contenders:false ~priorities ~trace:true
+    let corun priorities =
+      Runtime.Run_cache.run ~restart_contenders:false ~priorities ~trace:true
         ~analysis:{ Tcsim.Machine.program = app; core = 0 }
         ~contenders:
           [
@@ -30,9 +31,8 @@ let run ?(scenario = Scenario.scenario1) ?jobs () =
           ]
         ()
     in
-    match Runtime.Run_cache.run_family [ spec [| 0; 0; 0 |]; spec [| 0; 1; 1 |] ] with
-    | [ same; prio ] -> (same, prio)
-    | _ -> assert false
+    let same = corun [| 0; 0; 0 |] in
+    (same, corun [| 0; 1; 1 |])
   in
   (* three isolation runs and two arbitration co-runs as dag nodes: the
      multi-ILP bound starts as soon as the three isolation sims finish,

@@ -47,64 +47,6 @@ let high_water_mark = function
          })
       first rest
 
-(* --- batched families --------------------------------------------------
-   One experiment cell's measurements — isolations plus co-runs — share
-   programs, so they dispatch as a {!Runtime.Run_cache.run_family}:
-   members that simulate share decoded per-core scripts, members already
-   cached replay for free, and every member remains individually
-   content-addressed (a later solo request for the same measurement is a
-   hit). *)
-
-let isolation_family ?config tasks =
-  Obs.Tracer.with_span "measure.isolation_family"
-    ~attrs:(fun () -> [ ("members", string_of_int (List.length tasks)) ])
-    (fun () ->
-       List.map of_result
-         (Runtime.Run_cache.run_family ?config
-            (List.map
-               (fun (program, core) ->
-                  Tcsim.Machine.spec
-                    ~analysis:{ Tcsim.Machine.program; core }
-                    ())
-               tasks)))
-
-type cell = {
-  iso_analysis : observation;
-  iso_contenders : observation list;
-  corun : observation;
-}
-
-let cell_family ?config ~analysis ~contenders ?(restart_contenders = false) () =
-  let program, _ = analysis in
-  let task (p, c) = { Tcsim.Machine.program = p; core = c } in
-  Obs.Tracer.with_span "measure.cell_family"
-    ~attrs:(fun () ->
-        [
-          ("program", Tcsim.Program.name program);
-          ("contenders", string_of_int (List.length contenders));
-        ])
-    (fun () ->
-       let specs =
-         Tcsim.Machine.spec ~analysis:(task analysis) ()
-         :: List.map (fun c -> Tcsim.Machine.spec ~analysis:(task c) ()) contenders
-         @ [
-           Tcsim.Machine.spec ~restart_contenders ~analysis:(task analysis)
-             ~contenders:(List.map task contenders) ();
-         ]
-       in
-       match
-         List.map of_result (Runtime.Run_cache.run_family ?config specs)
-       with
-       | iso_analysis :: rest ->
-         let rec split acc = function
-           | [ corun ] -> (List.rev acc, corun)
-           | o :: rest -> split (o :: acc) rest
-           | [] -> assert false
-         in
-         let iso_contenders, corun = split [] rest in
-         { iso_analysis; iso_contenders; corun }
-       | [] -> assert false)
-
 let corun ?config ~analysis ~contenders ?(restart_contenders = false) () =
   let program, core = analysis in
   Obs.Tracer.with_span "measure.corun"

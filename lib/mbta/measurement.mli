@@ -19,7 +19,7 @@ type observation = {
 val of_result : Tcsim.Machine.run_result -> observation
 (** The analysis-core view of a raw run result — what the DSU-style
     protocol reads out. For callers (the serve engine) that dispatch
-    runs through {!Runtime.Run_cache} families themselves. *)
+    runs through {!Runtime.Run_cache} themselves. *)
 
 val isolation :
   ?config:Tcsim.Machine.config -> ?core:int -> Tcsim.Program.t -> observation
@@ -37,39 +37,6 @@ val corun :
     reality. By default contenders do {e not} restart: each contender's
     isolation readings then soundly cover everything it did during the
     run. *)
-
-(** {1 Batched measurement families}
-
-    The measurements of one experiment cell share programs; dispatching
-    them as a {!Runtime.Run_cache.run_family} lets the members that do
-    simulate share decoded per-core scripts while every member stays
-    individually content-addressed in the run cache. Observations are
-    identical to what the solo entry points above produce. *)
-
-val isolation_family :
-  ?config:Tcsim.Machine.config ->
-  (Tcsim.Program.t * int) list ->
-  observation list
-(** One isolation observation per (program, core), in order, measured as
-    a family. *)
-
-type cell = {
-  iso_analysis : observation;
-  iso_contenders : observation list;  (** in the input contender order *)
-  corun : observation;
-}
-
-val cell_family :
-  ?config:Tcsim.Machine.config ->
-  analysis:Tcsim.Program.t * int ->
-  contenders:(Tcsim.Program.t * int) list ->
-  ?restart_contenders:bool ->
-  unit ->
-  cell
-(** The full measurement set of a Figure-4-style cell — the analysis
-    task in isolation, each contender in isolation, and the observed
-    co-run — as one family. [restart_contenders] applies to the co-run
-    member only and defaults to [false], like {!corun}. *)
 
 val isolation_sweep :
   ?config:Tcsim.Machine.config -> ?core:int -> Tcsim.Program.t list -> observation list

@@ -444,57 +444,6 @@ let run ?(config = Machine.default_config)
         Machine.run ~config ~max_cycles ~restart_contenders ?priorities ~trace
           ~kernel ~analysis ~contenders ())
 
-(* A cached run family: members are processed one at a time — acquire,
-   simulate-or-replay, settle, then move on — so each member is still
-   content-addressed and single-flighted individually (a family never
-   holds two reservations at once, which could deadlock against another
-   family reserving in the opposite order; and a duplicate spec later in
-   the same family simply hits the entry its twin just settled). The
-   members that do simulate share one script table, and members found in
-   the cache are replays the family did not have to simulate — both
-   kinds of saved work count into [sim.family_reuse]. *)
-let m_family_reuse = Obs.Metrics.counter ~timing:true "sim.family_reuse"
-
-let family_member ~config ~max_cycles ~kernel ~scripts (s : Machine.spec) =
-  let k =
-    fingerprint ~config ~max_cycles
-      ~restart_contenders:s.Machine.sp_restart_contenders
-      ~priorities:s.Machine.sp_priorities ~trace:s.Machine.sp_trace ~kernel
-      ~analysis:s.Machine.sp_analysis ~contenders:s.Machine.sp_contenders
-  in
-  match acquire k with
-  | `Hit (o, waited) ->
-    Obs.Metrics.incr m_family_reuse;
-    hit k o ~waited
-  | `Reserved ->
-    miss k ~sim:(fun () ->
-        Machine.run ~config ~max_cycles
-          ~restart_contenders:s.Machine.sp_restart_contenders
-          ?priorities:s.Machine.sp_priorities ~trace:s.Machine.sp_trace
-          ~kernel ~scripts ~analysis:s.Machine.sp_analysis
-          ~contenders:s.Machine.sp_contenders ())
-
-let family_args ~kernel =
-  let kernel =
-    match kernel with Some k -> k | None -> Machine.default_kernel ()
-  in
-  (kernel, Machine.script_table ())
-
-let run_family ?(config = Machine.default_config)
-    ?(max_cycles = Machine.default_max_cycles) ?kernel specs =
-  let kernel, scripts = family_args ~kernel in
-  List.map (family_member ~config ~max_cycles ~kernel ~scripts) specs
-
-let run_family_outcomes ?(config = Machine.default_config)
-    ?(max_cycles = Machine.default_max_cycles) ?kernel specs =
-  let kernel, scripts = family_args ~kernel in
-  List.map
-    (fun s ->
-       match family_member ~config ~max_cycles ~kernel ~scripts s with
-       | r -> Ok r
-       | exception e -> Error e)
-    specs
-
 let run_isolation ?config ?max_cycles ?kernel ?(core = 0) program =
   run ?config ?max_cycles ?kernel ~analysis:{ Machine.program; core } ()
 
@@ -515,5 +464,6 @@ let clear () =
   Hashtbl.reset table;
   Condition.broadcast settled;
   Mutex.unlock lock;
+  Machine.clear_scripts ();
   Obs.Metrics.set m_entries 0;
   reset_stats ()

@@ -46,34 +46,6 @@ val run_isolation :
   Tcsim.Machine.run_result
 (** Same contract as {!Tcsim.Machine.run_isolation}. *)
 
-val run_family :
-  ?config:Tcsim.Machine.config ->
-  ?max_cycles:int ->
-  ?kernel:Tcsim.Machine.kernel ->
-  Tcsim.Machine.spec list ->
-  Tcsim.Machine.run_result list
-(** Cached {!Tcsim.Machine.run_family}: members are processed one at a
-    time — acquire, simulate or replay, settle — so each member is still
-    content-addressed and single-flighted individually under exactly the
-    key a solo {!run} with the same arguments would use (a family and a
-    solo request for the same member share one entry, in either order).
-    Members that simulate share one script table; members found in the
-    cache are replayed without simulating. Both reuse kinds count into
-    the timing-tier [sim.family_reuse] counter. Exceptions propagate as
-    in {!Tcsim.Machine.run_family}. *)
-
-val run_family_outcomes :
-  ?config:Tcsim.Machine.config ->
-  ?max_cycles:int ->
-  ?kernel:Tcsim.Machine.kernel ->
-  Tcsim.Machine.spec list ->
-  (Tcsim.Machine.run_result, exn) result list
-(** {!run_family}, but a member's exception is captured as its [Error]
-    instead of aborting the family — every member executes, and the
-    caller decides when (and whether) each failure surfaces. The serve
-    engine uses this to run a request's isolations and observed co-run
-    as one family while keeping its reject precedence. *)
-
 val fingerprint :
   config:Tcsim.Machine.config ->
   max_cycles:int ->
@@ -98,7 +70,9 @@ val size : unit -> int
 (** Settled entries currently cached. *)
 
 val clear : unit -> unit
-(** Drop all entries and reset stats — for cold-cache benchmarking. *)
+(** Drop all entries, reset stats and drop the simulator's retained
+    scripts ({!Tcsim.Machine.clear_scripts}) — for cold-cache
+    benchmarking. *)
 
 (** {1 Stable serialization and the persistent tier}
 

@@ -275,57 +275,38 @@ let compute t (q : P.analyze) : P.analyze_result =
         (Analysis.Preflight.check_run ~latency ~scenario
            ~tasks ()));
   (* All the request's simulations — every task alone on its core, plus
-     (when observed) the co-run — dispatch as one run family on a pool
-     worker: the app's decoded script is shared between its isolation
-     and the co-run, and each member stays individually content-
-     addressed in the run cache. Member failures are captured, not
-     raised, so reject precedence is unchanged: isolation cycle limits
-     first, then counter lint, then bounds; the co-run's outcome is
-     deferred to its own stage below. *)
+     (when observed) the co-run — run in order in one pool task, so the
+     co-run reads the scripts the isolations compiled from the script
+     memo, and each stays individually content-addressed in the run
+     cache. Failures are captured per simulation, not raised, so reject
+     precedence is unchanged: isolation cycle limits first, then counter
+     lint, then bounds; the co-run's outcome is deferred to its own
+     stage below. *)
   let iso_outcomes, corun_outcome =
     stage "serve.stage.isolation" h_stage_isolation (fun () ->
-        let iso_specs =
-          List.map
-            (fun { Analysis.Program_lint.core; program; _ } ->
-               Tcsim.Machine.spec
-                 ~analysis:{ Tcsim.Machine.program; core }
-                 ())
-            tasks
+        let sim f = match f () with r -> Ok r | exception e -> Error e in
+        let sims () =
+          let iso =
+            List.map
+              (fun { Analysis.Program_lint.core; program; _ } ->
+                 sim (fun () ->
+                     Runtime.Run_cache.run ~analysis:{ Tcsim.Machine.program; core } ()))
+              tasks
+          in
+          let corun () =
+            Runtime.Run_cache.run ~restart_contenders:false
+              ~analysis:{ Tcsim.Machine.program = app; core = 0 }
+              ~contenders:
+                (List.map
+                   (fun (core, program) -> { Tcsim.Machine.program; core })
+                   contenders)
+              ()
+          in
+          (iso, if q.observed then Some (sim corun) else None)
         in
-        let corun_specs =
-          if not q.observed then []
-          else
-            [
-              Tcsim.Machine.spec ~restart_contenders:false
-                ~analysis:{ Tcsim.Machine.program = app; core = 0 }
-                ~contenders:
-                  (List.map
-                     (fun (core, program) -> { Tcsim.Machine.program; core })
-                     contenders)
-                ();
-            ]
-        in
-        let outcomes =
-          match
-            Runtime.Pool.run_all_in ~label:"serve.family" t.pool
-              [
-                (fun () ->
-                   Runtime.Run_cache.run_family_outcomes
-                     (iso_specs @ corun_specs));
-              ]
-          with
-          | [ outcomes ] -> outcomes
-          | _ -> assert false
-        in
-        let rec split_last acc = function
-          | [ last ] -> (List.rev acc, last)
-          | o :: rest -> split_last (o :: acc) rest
-          | [] -> assert false
-        in
-        if q.observed then
-          let iso, corun = split_last [] outcomes in
-          (iso, Some corun)
-        else (outcomes, None))
+        match Runtime.Pool.run_all_in ~label:"serve.sims" t.pool [ sims ] with
+        | [ outcomes ] -> outcomes
+        | _ -> assert false)
   in
   let iso_app, iso_contenders =
     let observations =
@@ -410,7 +391,7 @@ let compute t (q : P.analyze) : P.analyze_result =
             contender_counters;
         List.map (fun m -> (m, bound m)) q.models)
   in
-  (* the co-run already simulated with the family above; its deferred
+  (* the co-run already simulated with the isolations above; its deferred
      outcome surfaces here, at the stage where it used to run, so reject
      precedence and response shape are unchanged *)
   let observed_cycles =

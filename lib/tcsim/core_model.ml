@@ -215,6 +215,7 @@ module Script = struct
     t.chunks.(i lsr seg_bits).((i land ((1 lsl seg_bits) - 1)) lsl 1)
 
   let w1 t i = t.chunks.(i lsr seg_bits).(((i land ((1 lsl seg_bits) - 1)) lsl 1) + 1)
+  let footprint t = max 1 (Array.length t.chunks) lsl seg_bits
   let gap w0 = w0 asr 5
   let tag w0 = w0 land 7
   let miss w0 = (w0 lsr 3) land 3

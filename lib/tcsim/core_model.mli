@@ -39,8 +39,9 @@ val e16_config : config
     lazily and across restart passes with warm caches, into segments
     [silent run of k cycles → SRI transaction] (or pass end, or the
     instruction that raises). Any number of cores read one script from
-    private cursors; scripts are single-threaded, so share one only
-    between runs executed sequentially on one domain. *)
+    private cursors, but a script is single-threaded: reading it
+    compiles it, so only one domain or systhread may hold it at a time.
+    {!Machine.run} lends scripts out of a memo on exactly these terms. *)
 module Script : sig
   type t
 
@@ -48,6 +49,10 @@ module Script : sig
   (** A fresh script for this (config, program) pair; segments compile
       on demand as readers reach them.
       @raise Invalid_argument on an invalid cache geometry. *)
+
+  val footprint : t -> int
+  (** Segment slots the script holds: its compiled segments rounded up
+      to whole chunks, and at least one chunk. *)
 end
 
 type role =

@@ -53,34 +53,84 @@ let m_cycles = Obs.Metrics.counter "tcsim.cycles"
 let m_events = Obs.Metrics.counter "tcsim.events"
 let m_skipped = Obs.Metrics.counter "tcsim.skipped_cycles"
 
-(* Timing-tier (the run cache's family path also counts its replays
-   here, and how often scripts get re-attached depends on what earlier
-   requests populated): kept out of the deterministic snapshot. *)
-let m_family_reuse = Obs.Metrics.counter ~timing:true "sim.family_reuse"
+(* --- the script memo --------------------------------------------------------
+   Every run checks the compiled {!Core_model.Script}s it needs out of
+   one process-wide memo keyed by (program content, core config), and
+   returns them when it ends, however it ends. Check-out is exclusive: a
+   script is single-threaded, so a concurrent run that wants one already
+   out compiles its own. The lock covers table operations only; scripts
+   compile while the run reads them, outside it. Results never depend on
+   what the memo holds — scripts are timing-independent by construction
+   — but hits do depend on scheduling, so the counters are timing-tier.
 
-(* --- scripts ----------------------------------------------------------------
-   Every run reads compiled {!Core_model.Script}s from a table keyed by
-   (program content, core config); a solo run is a family of one. The
-   first core to run a program pays for its compilation, every later one
-   — in the same run or a later family member — reads the same
-   segments. Results are the same either way: scripts are
-   timing-independent by construction. *)
+   Retained scripts are charged their {!Core_model.Script.footprint},
+   capped at [script_memo_cap] segment slots in total; the least recently
+   returned script goes first, and a script larger than the cap is not
+   kept. *)
 
-type script_table =
-  (Program.item list * Core_model.config, Core_model.Script.t) Hashtbl.t
+let m_memo_hits = Obs.Metrics.counter ~timing:true "tcsim.script_memo.hits"
+let m_memo_misses = Obs.Metrics.counter ~timing:true "tcsim.script_memo.misses"
+let m_memo_segments = Obs.Metrics.gauge ~timing:true "tcsim.script_memo.segments"
 
-let script_table () : script_table = Hashtbl.create 8
+let script_memo_cap = 1 lsl 19
 
-let script_for (scripts : script_table) config program =
-  let key = (Program.items program, config) in
-  match Hashtbl.find_opt scripts key with
+type memo_entry = { script : Core_model.Script.t; size : int; returned : int }
+
+(* the table and both refs are guarded by [memo_lock] *)
+let memo : (Program.item list * Core_model.config, memo_entry) Hashtbl.t =
+  Hashtbl.create 64
+let memo_lock = Mutex.create ()
+let memo_segments = ref 0
+let memo_clock = ref 0
+
+let memo_drop key e =
+  Hashtbl.remove memo key;
+  memo_segments := !memo_segments - e.size
+
+let check_out ((_, config) as key) program =
+  let held =
+    Mutex.protect memo_lock (fun () ->
+        match Hashtbl.find_opt memo key with
+        | Some e ->
+          memo_drop key e;
+          Some e.script
+        | None -> None)
+  in
+  match held with
   | Some s ->
-    Obs.Metrics.incr m_family_reuse;
+    Obs.Metrics.incr m_memo_hits;
     s
   | None ->
-    let s = Core_model.Script.create config program in
-    Hashtbl.add scripts key s;
-    s
+    Obs.Metrics.incr m_memo_misses;
+    Core_model.Script.create config program
+
+let give_back key script =
+  let size = Core_model.Script.footprint script in
+  if size <= script_memo_cap then
+    Mutex.protect memo_lock (fun () ->
+        (* a concurrent run's copy of the same script: the later wins *)
+        Option.iter (memo_drop key) (Hashtbl.find_opt memo key);
+        while !memo_segments + size > script_memo_cap do
+          let oldest =
+            Hashtbl.fold
+              (fun k e acc ->
+                 match acc with
+                 | Some (_, o) when o.returned <= e.returned -> acc
+                 | _ -> Some (k, e))
+              memo None
+          in
+          Option.iter (fun (k, e) -> memo_drop k e) oldest
+        done;
+        incr memo_clock;
+        Hashtbl.replace memo key { script; size; returned = !memo_clock };
+        memo_segments := !memo_segments + size;
+        Obs.Metrics.set m_memo_segments !memo_segments)
+
+let clear_scripts () =
+  Mutex.protect memo_lock (fun () ->
+      Hashtbl.reset memo;
+      memo_segments := 0;
+      Obs.Metrics.set m_memo_segments 0)
 
 let imin (a : int) b = if a <= b then a else b
 
@@ -128,7 +178,7 @@ let run_kernel ~stepped ~max_cycles ~sri ~analysis ~contenders =
        Array.iter (fun c -> Core_model.settle c ~cycle:finish) contenders)
 
 let run ?(config = default_config) ?(max_cycles = default_max_cycles)
-    ?(restart_contenders = true) ?priorities ?(trace = false) ?kernel ?scripts
+    ?(restart_contenders = true) ?priorities ?(trace = false) ?kernel
     ~analysis ?(contenders = []) () =
   Obs.Metrics.incr m_runs;
   let finish_cycle = ref 0 in
@@ -150,10 +200,22 @@ let run ?(config = default_config) ?(max_cycles = default_max_cycles)
        Hashtbl.add seen t.core ())
     (analysis :: contenders);
   let sri = Sri.create ~latency:config.latency ?priorities ~trace ~ncores () in
-  let scripts = match scripts with Some s -> s | None -> script_table () in
+  (* the run's scripts, one per (program, core config): cores running
+     the same program on the same config share one *)
+  let held = Hashtbl.create 4 in
+  let script_for core_config program =
+    let key = (Program.items program, core_config) in
+    match Hashtbl.find_opt held key with
+    | Some s -> s
+    | None ->
+      let s = check_out key program in
+      Hashtbl.add held key s;
+      s
+  in
+  Fun.protect ~finally:(fun () -> Hashtbl.iter give_back held) @@ fun () ->
   let make_core role t =
     Core_model.create
-      (script_for scripts config.cores.(t.core) t.program)
+      (script_for config.cores.(t.core) t.program)
       ~sri ~core_id:t.core role
   in
   let analysis_core = make_core Core_model.Analysis analysis in
@@ -190,30 +252,3 @@ let run ?(config = default_config) ?(max_cycles = default_max_cycles)
 
 let run_isolation ?config ?max_cycles ?kernel ?(core = 0) program =
   run ?config ?max_cycles ?kernel ~analysis:{ program; core } ()
-
-type spec = {
-  sp_restart_contenders : bool;
-  sp_priorities : int array option;
-  sp_trace : bool;
-  sp_analysis : task;
-  sp_contenders : task list;
-}
-
-let spec ?(restart_contenders = true) ?priorities ?(trace = false) ~analysis
-    ?(contenders = []) () =
-  {
-    sp_restart_contenders = restart_contenders;
-    sp_priorities = priorities;
-    sp_trace = trace;
-    sp_analysis = analysis;
-    sp_contenders = contenders;
-  }
-
-let run_family ?config ?max_cycles ?kernel specs =
-  let scripts = script_table () in
-  List.map
-    (fun s ->
-       run ?config ?max_cycles ~restart_contenders:s.sp_restart_contenders
-         ?priorities:s.sp_priorities ~trace:s.sp_trace ?kernel ~scripts
-         ~analysis:s.sp_analysis ~contenders:s.sp_contenders ())
-    specs

@@ -55,14 +55,6 @@ val set_default_kernel : kernel -> unit
 val default_max_cycles : int
 (** The default runaway guard, [200_000_000]. *)
 
-type script_table
-(** A table of compiled {!Core_model.Script}s keyed by (program content,
-    core config), shared by the runs of a family. Stateful and
-    single-threaded: use one table only for runs executed sequentially
-    on one domain. *)
-
-val script_table : unit -> script_table
-
 val run :
   ?config:config ->
   ?max_cycles:int ->
@@ -70,7 +62,6 @@ val run :
   ?priorities:int array ->
   ?trace:bool ->
   ?kernel:kernel ->
-  ?scripts:script_table ->
   analysis:task ->
   ?contenders:task list ->
   unit ->
@@ -82,11 +73,8 @@ val run :
     records every SRI transaction. [max_cycles] (default
     {!default_max_cycles}) guards against runaway programs. [kernel]
     selects the simulation loop (default {!default_kernel}); results do
-    not depend on the choice. [scripts] attaches the run to a family:
-    cores read their compiled scripts from the table, compiling the
-    ones it lacks (default: a fresh table) — results are identical
-    either way (the [sim.family_reuse] counter records how many
-    attachments were reuses).
+    not depend on the choice. Cores read their compiled scripts from
+    the script memo below.
     @raise Cycle_limit_exceeded when the budget is exhausted.
     @raise Invalid_argument on core-index clashes or out-of-range cores. *)
 
@@ -99,45 +87,25 @@ val run_isolation :
   run_result
 (** The task alone on the platform ([core] defaults to 0). *)
 
-(** {1 Run families}
+(** {1 The script memo}
 
-    A family groups runs that share programs — typically one task
-    measured in isolation and under several contender mixes. Members
-    execute sequentially in list order, sharing one {!script_table}:
-    the first member to run a (program, core config) pair pays for its
-    compilation, every later member reads the compiled segments. Each
-    member's {!run_result} is exactly what a solo {!run} with the same
-    arguments would produce. *)
+    Every {!run} checks the compiled {!Core_model.Script}s it needs out
+    of one process-wide memo keyed by (program content, core config) and
+    returns them when it ends, also when it raises. Cores of one run
+    that execute the same program on the same config share one script. A
+    script is lent to one run at a time; a concurrent run that needs one
+    already lent out compiles its own. Results never depend on what the
+    memo holds: scripts are timing-independent. The timing-tier counters
+    [tcsim.script_memo.hits] / [.misses] count check-outs, and the gauge
+    [tcsim.script_memo.segments] holds the segment slots retained. *)
 
-type spec = {
-  sp_restart_contenders : bool;
-  sp_priorities : int array option;
-  sp_trace : bool;
-  sp_analysis : task;
-  sp_contenders : task list;
-}
-(** One family member: the per-run arguments of {!run} that may vary
-    within a family. [config], [max_cycles] and [kernel] are
-    family-wide. *)
+val script_memo_cap : int
+(** [2^19]: the most segment slots ({!Core_model.Script.footprint}) the
+    memo retains in total. Returning a script evicts the least recently
+    returned ones until it fits; a script larger than the cap is not
+    kept. *)
 
-val spec :
-  ?restart_contenders:bool ->
-  ?priorities:int array ->
-  ?trace:bool ->
-  analysis:task ->
-  ?contenders:task list ->
-  unit ->
-  spec
-(** Builds a {!spec}; defaults match {!run}
-    ([restart_contenders = true], no priorities, [trace = false]). *)
-
-val run_family :
-  ?config:config ->
-  ?max_cycles:int ->
-  ?kernel:kernel ->
-  spec list ->
-  run_result list
-(** Runs every member in order, sharing scripts; results in member
-    order. An exception from a member ({!Cycle_limit_exceeded},
-    validation errors) propagates immediately — as with sequential solo
-    runs, later members do not execute. *)
+val clear_scripts : unit -> unit
+(** Drops every retained script; scripts lent out are returned as
+    usual. [Runtime.Run_cache.clear] calls it, so cold caches stay
+    cold. *)

@@ -113,14 +113,13 @@ let test_table6_signatures () =
     (s1b.Counters.pcache_miss > s1a.Counters.pcache_miss)
 
 let test_ablation_contender_info () =
-  (* A1 repeats the application program across load levels: its isolation
-     measurements dispatch as run families, so the batching must actually
-     engage (script attach or cached-member replay) during the sweep *)
-  let family_reuse = Obs.Metrics.counter ~timing:true "sim.family_reuse" in
-  let reuse0 = Obs.Metrics.value family_reuse in
+  (* A1 repeats the application program across load levels, and every
+     repeat is a run the run cache already holds: the sweep must replay
+     them rather than simulate *)
+  let hits0 = (Runtime.Run_cache.stats ()).Runtime.Run_cache.hits in
   let rows = Experiments.Ablations.a1_contender_info () in
-  Alcotest.(check bool) "sim.family_reuse > 0 on A1" true
-    (Obs.Metrics.value family_reuse - reuse0 > 0);
+  Alcotest.(check bool) "run_cache hits > 0 on A1" true
+    ((Runtime.Run_cache.stats ()).Runtime.Run_cache.hits - hits0 > 0);
   List.iter
     (fun r ->
        Alcotest.(check bool) "info never hurts" true
@@ -186,6 +185,17 @@ let test_ablation_fsb () =
          true
          (r.Experiments.Ablations.fsb_delta >= r.Experiments.Ablations.crossbar_delta))
     (Experiments.Ablations.a4_fsb ())
+
+let test_figure4_coruns_read_isolation_scripts () =
+  (* a cell's co-run follows its two isolations in one dag node, so from
+     cold caches it reads the scripts they compiled from the script memo *)
+  let hits = Obs.Metrics.counter ~timing:true "tcsim.script_memo.hits" in
+  Runtime.Run_cache.clear ();
+  let hits0 = Obs.Metrics.value hits in
+  let rows = Experiments.Figure4.run_all ~jobs:1 () in
+  Alcotest.(check bool) "rows unchanged" true (rows = Lazy.force fig4_rows);
+  Alcotest.(check bool) "tcsim.script_memo.hits > 0 on Figure 4" true
+    (Obs.Metrics.value hits - hits0 > 0)
 
 let test_parallel_determinism () =
   (* the work-stealing pool must not change any result: rows at every
@@ -290,6 +300,8 @@ let () =
           Alcotest.test_case "ILP tighter than fTC" `Slow test_figure4_ilp_tighter_than_ftc;
           Alcotest.test_case "ILP adapts to load" `Slow test_figure4_ilp_adapts_to_load;
           Alcotest.test_case "ideal below ILP" `Slow test_figure4_ideal_below_ilp;
+          Alcotest.test_case "co-runs read isolation scripts" `Slow
+            test_figure4_coruns_read_isolation_scripts;
           Alcotest.test_case "parallel determinism" `Slow test_parallel_determinism;
           Alcotest.test_case "dag matches phased runner" `Slow test_dag_matches_phased;
         ] );

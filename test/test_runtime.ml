@@ -738,72 +738,95 @@ let test_run_cache_jobs_invariant () =
   Alcotest.(check int) "two distinct co-runs in the batch" 2 m1;
   Alcotest.(check int) "the other ten hit" 10 h1
 
-(* --- run families through the cache ------------------------------------------- *)
+(* --- solo runs sharing memo scripts through the cache ------------------------ *)
 
-let family_specs () =
+let memo_hits = Obs.Metrics.counter ~timing:true "tcsim.script_memo.hits"
+let memo_misses = Obs.Metrics.counter ~timing:true "tcsim.script_memo.misses"
+
+(* three requests around one analysis program: alone, traced against a
+   contender, and prioritised against it *)
+let related_runs () =
   let analysis = { Tcsim.Machine.program = mk_prog (); core = 0 } in
   [
-    Tcsim.Machine.spec ~analysis ();
-    Tcsim.Machine.spec ~restart_contenders:false ~trace:true ~analysis
+    Runtime.Run_cache.run ~analysis ();
+    Runtime.Run_cache.run ~restart_contenders:false ~trace:true ~analysis
       ~contenders:[ mk_contender "c" ] ();
-    Tcsim.Machine.spec ~restart_contenders:false ~priorities:[| 0; 1; 1 |]
+    Runtime.Run_cache.run ~restart_contenders:false ~priorities:[| 0; 1; 1 |]
       ~analysis ~contenders:[ mk_contender "c" ] ();
   ]
 
-let solo_of_specs specs =
-  List.map
-    (fun s ->
-       Runtime.Run_cache.run
-         ~restart_contenders:s.Tcsim.Machine.sp_restart_contenders
-         ?priorities:s.Tcsim.Machine.sp_priorities
-         ~trace:s.Tcsim.Machine.sp_trace ~analysis:s.Tcsim.Machine.sp_analysis
-         ~contenders:s.Tcsim.Machine.sp_contenders ())
-    specs
-
-let test_run_family_matches_solo_and_shares_entries () =
-  (* family members land under exactly the key a solo run would use: a
-     fresh family populates the cache (all misses), solo re-requests of
-     every member then hit, and the results are bit-identical *)
+let test_solo_runs_share_scripts_keyed_apart () =
+  (* each request lands under its own key, while the runs that simulate
+     read the scripts the earlier ones compiled from the script memo *)
   Runtime.Run_cache.clear ();
-  let fam = Runtime.Run_cache.run_family (family_specs ()) in
+  let h0 = Obs.Metrics.value memo_hits in
+  let first = related_runs () in
   let { Runtime.Run_cache.hits; misses; _ } = Runtime.Run_cache.stats () in
-  Alcotest.(check int) "three members simulated" 3 misses;
+  Alcotest.(check int) "three requests simulated" 3 misses;
   Alcotest.(check int) "no hits yet" 0 hits;
-  let solo = solo_of_specs (family_specs ()) in
-  Alcotest.(check bool) "family results equal solo results" true (fam = solo);
+  Alcotest.(check int) "later runs read the analysis script, the last the contender's too"
+    3 (Obs.Metrics.value memo_hits - h0);
+  let again = related_runs () in
+  Alcotest.(check bool) "replays equal the simulated results" true (again = first);
   let { Runtime.Run_cache.hits; misses; _ } = Runtime.Run_cache.stats () in
-  Alcotest.(check int) "solo runs replay family entries" 3 hits;
+  Alcotest.(check int) "every request replays" 3 hits;
   Alcotest.(check int) "nothing re-simulated" 3 misses;
-  (* and the converse: a warm cache makes a family all-hits *)
-  let fam' = Runtime.Run_cache.run_family (family_specs ()) in
-  Alcotest.(check bool) "warm family replays" true (fam' = fam);
-  let { Runtime.Run_cache.hits; misses; _ } = Runtime.Run_cache.stats () in
-  Alcotest.(check int) "family replays all members" 6 hits;
-  Alcotest.(check int) "still three simulations" 3 misses
+  Alcotest.(check int) "replays check nothing out" 3 (Obs.Metrics.value memo_hits - h0)
 
-let test_run_family_outcomes_captures_cycle_limit () =
-  (* [run_family] aborts at the raising member like Machine.run_family;
-     [run_family_outcomes] captures it as that member's [Error] and
-     still runs the rest *)
+let test_solo_runs_around_cycle_limit () =
+  (* a run that raises returns its scripts and caches its outcome; the
+     runs around it are unaffected *)
   Runtime.Run_cache.clear ();
   let heavy = { Tcsim.Machine.program = mk_prog ~loads:500 (); core = 0 } in
   let light = { Tcsim.Machine.program = mk_prog ~loads:2 (); core = 0 } in
-  let specs =
-    [
-      Tcsim.Machine.spec ~analysis:light ();
-      Tcsim.Machine.spec ~restart_contenders:true ~analysis:heavy ();
-      Tcsim.Machine.spec ~analysis:{ light with Tcsim.Machine.core = 1 } ();
-    ]
+  let runs () =
+    List.map
+      (fun (restart_contenders, analysis) ->
+         match Runtime.Run_cache.run ~max_cycles:50 ~restart_contenders ~analysis () with
+         | r -> Ok r
+         | exception e -> Error e)
+      [ (true, light); (true, heavy); (true, { light with Tcsim.Machine.core = 1 }) ]
   in
-  (match Runtime.Run_cache.run_family ~max_cycles:50 specs with
-   | _ -> Alcotest.fail "expected Cycle_limit_exceeded"
-   | exception Tcsim.Machine.Cycle_limit_exceeded _ -> ());
-  match Runtime.Run_cache.run_family_outcomes ~max_cycles:50 specs with
-  | [ Ok a; Error (Tcsim.Machine.Cycle_limit_exceeded c); Ok b ] ->
-    Alcotest.(check bool) "limit payload past the budget" true (c > 50);
-    Alcotest.(check bool) "members around the failure still run" true
-      (a.Tcsim.Machine.cycles > 0 && b.Tcsim.Machine.cycles > 0)
-  | _ -> Alcotest.fail "expected [Ok; Error Cycle_limit; Ok]"
+  let check_shape = function
+    | [ Ok a; Error (Tcsim.Machine.Cycle_limit_exceeded c); Ok b ] ->
+      Alcotest.(check bool) "limit payload past the budget" true (c > 50);
+      Alcotest.(check bool) "runs around the failure finish" true
+        (a.Tcsim.Machine.cycles > 0 && b.Tcsim.Machine.cycles > 0)
+    | _ -> Alcotest.fail "expected [Ok; Error Cycle_limit; Ok]"
+  in
+  let first = runs () in
+  check_shape first;
+  let h0 = Obs.Metrics.value memo_hits in
+  (* a larger budget is a new key: it simulates, reading the script the
+     raising run returned *)
+  (match
+     Runtime.Run_cache.run ~max_cycles:1_000_000 ~restart_contenders:true
+       ~analysis:heavy ()
+   with
+   | r -> Alcotest.(check bool) "finishes under a larger budget" true (r.Tcsim.Machine.cycles > 50)
+   | exception _ -> Alcotest.fail "expected the heavy run to finish");
+  Alcotest.(check int) "it read the raising run's script" 1 (Obs.Metrics.value memo_hits - h0);
+  let again = runs () in
+  check_shape again;
+  let { Runtime.Run_cache.hits; misses; _ } = Runtime.Run_cache.stats () in
+  Alcotest.(check int) "four simulations" 4 misses;
+  Alcotest.(check int) "three replays, the cycle limit included" 3 hits
+
+let test_clear_drops_memo () =
+  (* a cold pass stays cold: after [clear] the first run compiles *)
+  let analysis = { Tcsim.Machine.program = mk_prog ~name:"cold" ~loads:7 (); core = 0 } in
+  ignore (Runtime.Run_cache.run ~analysis ());
+  (* a new key over the same program reads the retained script *)
+  let h0 = Obs.Metrics.value memo_hits in
+  ignore (Runtime.Run_cache.run ~trace:true ~analysis ());
+  Alcotest.(check int) "warm memo hits" 1 (Obs.Metrics.value memo_hits - h0);
+  Runtime.Run_cache.clear ();
+  Alcotest.(check int) "nothing retained" 0
+    (Obs.Metrics.gauge_value (Obs.Metrics.gauge ~timing:true "tcsim.script_memo.segments"));
+  let h0 = Obs.Metrics.value memo_hits and m0 = Obs.Metrics.value memo_misses in
+  ignore (Runtime.Run_cache.run ~analysis ());
+  Alcotest.(check int) "no hit after clear" 0 (Obs.Metrics.value memo_hits - h0);
+  Alcotest.(check int) "the script compiles afresh" 1 (Obs.Metrics.value memo_misses - m0)
 
 (* --- telemetry ---------------------------------------------------------------- *)
 
@@ -948,10 +971,11 @@ let () =
             test_run_cache_single_flight;
           Alcotest.test_case "hit/miss totals jobs-invariant" `Quick
             test_run_cache_jobs_invariant;
-          Alcotest.test_case "family shares entries with solo runs" `Quick
-            test_run_family_matches_solo_and_shares_entries;
-          Alcotest.test_case "family outcomes capture cycle limit" `Quick
-            test_run_family_outcomes_captures_cycle_limit;
+          Alcotest.test_case "solo runs share scripts, keyed apart" `Quick
+            test_solo_runs_share_scripts_keyed_apart;
+          Alcotest.test_case "solo runs around a cycle limit" `Quick
+            test_solo_runs_around_cycle_limit;
+          Alcotest.test_case "clear drops the script memo" `Quick test_clear_drops_memo;
         ] );
       ( "telemetry",
         [

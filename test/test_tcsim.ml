@@ -852,68 +852,77 @@ let test_edge_cases_match_reference () =
   check "data-flash fetch" [ task 1 [ compute ~pc:dfl 1 ] ];
   check "unmapped address" [ task 1 [ load lmu_nc; load 0x1234 ] ]
 
-(* --- run families ------------------------------------------------------------- *)
+(* --- the script memo ------------------------------------------------------ *)
 
-(* A family groups runs that share compiled scripts; each member must
-   nevertheless reproduce the reference model's [run_result] bit for
-   bit — cycles, counters, ground-truth profiles, restart counts and
-   traces. *)
-let prop_family_matches_solo =
-  QCheck.Test.make ~name:"family members reproduce solo runs bit for bit"
+let memo_hits = Obs.Metrics.counter ~timing:true "tcsim.script_memo.hits"
+let memo_segments () =
+  Obs.Metrics.gauge_value (Obs.Metrics.gauge ~timing:true "tcsim.script_memo.segments")
+
+(* Every run checks its scripts out of the process-wide memo, so
+   sequential solo runs of related mixes read scripts earlier runs
+   compiled; each must nevertheless reproduce the reference model's
+   [run_result] bit for bit — cycles, counters, ground-truth profiles,
+   restart counts and traces. *)
+let prop_memo_runs_match_reference =
+  QCheck.Test.make
+    ~name:"sequential solo runs sharing memo scripts reproduce Ref_sim bit for bit"
     ~count:60 (QCheck.make gen_kernel_diff)
     (fun (analysis, contenders, priorities, restart) ->
-       let member ~trace contenders =
-         ( (trace, contenders),
-           Machine.spec ~restart_contenders:restart ?priorities ~trace
-             ~analysis ~contenders () )
-       in
        (* the full mix (traced), the analysis alone, and — when there are
-          contenders — the analysis against the first one: the analysis
-          program's script is read by every member, contender scripts by
-          some, and one member exercises the traced path *)
-       let members =
-         member ~trace:true contenders
-         :: member ~trace:false []
-         :: (match contenders with
-             | [] -> []
-             | c :: _ -> [ member ~trace:false [ c ] ])
+          contenders — the analysis against the first one: every later
+          run reads the analysis program's script, some read contender
+          scripts, and one exercises the traced path *)
+       let mixes =
+         (true, contenders)
+         :: (false, [])
+         :: (match contenders with [] -> [] | c :: _ -> [ (false, [ c ]) ])
        in
-       let budget = kernel_budget in
        let reference =
          List.map
-           (fun ((trace, contenders), _) ->
+           (fun (trace, contenders) ->
               outcome (fun () ->
-                  Ref_sim.run ~max_cycles:budget ~restart_contenders:restart
+                  Ref_sim.run ~max_cycles:kernel_budget ~restart_contenders:restart
                     ?priorities ~trace ~analysis ~contenders ()))
-           members
+           mixes
        in
-       (* a family stops at its first raising member *)
-       let rec expected = function
-         | [] -> Ok []
-         | Error c :: _ -> Error c
-         | Ok r :: rest -> Result.map (List.cons r) (expected rest)
+       Machine.clear_scripts ();
+       let hits0 = Obs.Metrics.value memo_hits in
+       let runs =
+         List.map
+           (fun (trace, contenders) ->
+              outcome (fun () ->
+                  Machine.run ~max_cycles:kernel_budget ~restart_contenders:restart
+                    ?priorities ~trace ~analysis ~contenders ()))
+           mixes
        in
-       outcome (fun () -> Machine.run_family ~max_cycles:budget (List.map snd members))
-       = expected reference)
+       runs = reference && Obs.Metrics.value memo_hits - hits0 >= List.length mixes - 1)
 
-let prop_family_cycle_limit_matches_solo =
-  QCheck.Test.make ~name:"family agrees with solo on the cycle-limit boundary"
+let prop_memo_cycle_limit_matches_reference =
+  QCheck.Test.make ~name:"scripts a raising run returned reproduce Ref_sim"
     ~count:40
     (QCheck.pair (QCheck.make gen_kernel_diff) (QCheck.int_range 0 400))
     (fun ((analysis, contenders, priorities, restart), max_cycles) ->
-       (* duplicate members: the second reads the scripts the first
-          compiled, including on the raising path *)
-       let spec =
-         Machine.spec ~restart_contenders:restart ?priorities ~analysis
-           ~contenders ()
+       (* the same run twice under a tight budget — the second reads the
+          scripts the first returned, including on the raising path —
+          then under the full budget, which compiles them on past where
+          the raising runs stopped *)
+       let budgets = [ max_cycles; max_cycles; kernel_budget ] in
+       let reference =
+         List.map
+           (fun max_cycles ->
+              outcome (fun () ->
+                  Ref_sim.run ~max_cycles ~restart_contenders:restart ?priorities
+                    ~analysis ~contenders ()))
+           budgets
        in
-       let fam = outcome (fun () -> Machine.run_family ~max_cycles [ spec; spec ]) in
-       let solo =
-         outcome (fun () ->
-             Ref_sim.run ~max_cycles ~restart_contenders:restart ?priorities
-               ~analysis ~contenders ())
-       in
-       fam = Result.map (fun r -> [ r; r ]) solo)
+       Machine.clear_scripts ();
+       List.map
+         (fun max_cycles ->
+            outcome (fun () ->
+                Machine.run ~max_cycles ~restart_contenders:restart ?priorities
+                  ~analysis ~contenders ()))
+         budgets
+       = reference)
 
 (* The metrics a run records in the deterministic snapshot — per-target
    SRI totals and the run/cycle counters — match the reference, also
@@ -1019,6 +1028,120 @@ let test_events_are_issues_and_grants () =
          ])
     (figure4_cells ())
 
+(* --- the script memo, shared ------------------------------------------------ *)
+
+(* Runs on four domains, plus two systhreads sharing the main domain,
+   check the same scripts in and out concurrently: a script is lent to
+   one of them at a time, the others compile their own, and every
+   result still equals the reference. *)
+let test_memo_concurrent_runs_match_reference () =
+  (* random mixes, each program looped so that its script compiles
+     throughout a run rather than in its first few events *)
+  let longer (t : Machine.task) =
+    let items = Program.items t.Machine.program in
+    { t with Machine.program = prog "long" [ Program.loop 20_000 items ] }
+  in
+  let cases =
+    Array.of_list
+      (List.map
+         (fun (analysis, contenders, priorities, restart) ->
+            (longer analysis, List.map longer contenders, priorities, restart))
+         (QCheck.Gen.generate ~rand:(Random.State.make [| 13 |]) ~n:12 gen_kernel_diff))
+  in
+  let run_case ~reference (analysis, contenders, priorities, restart) =
+    outcome (fun () ->
+        if reference then
+          Ref_sim.run ~max_cycles:kernel_budget ~restart_contenders:restart ?priorities
+            ~trace:true ~analysis ~contenders ()
+        else
+          Machine.run ~max_cycles:kernel_budget ~restart_contenders:restart ?priorities
+            ~trace:true ~analysis ~contenders ())
+  in
+  let expected = Array.map (run_case ~reference:true) cases in
+  (* the memo starts out with every script partly compiled, by runs
+     that hit a small budget; every worker then walks the cases in the
+     same order, so they keep asking for the same scripts at once,
+     while those still compile *)
+  Machine.clear_scripts ();
+  Array.iter
+    (fun (analysis, contenders, priorities, restart) ->
+       ignore
+         (outcome (fun () ->
+              Machine.run ~max_cycles:2_000 ~restart_contenders:restart ?priorities
+                ~analysis ~contenders ())))
+    cases;
+  let worker () = Array.map (run_case ~reference:false) cases in
+  let domains = List.init 4 (fun _ -> Domain.spawn worker) in
+  let threads = Array.make 2 [||] in
+  List.iter Thread.join
+    (List.init 2 (fun k -> Thread.create (fun () -> threads.(k) <- worker ()) ()));
+  List.iteri
+    (fun w results ->
+       Array.iteri
+         (fun c r ->
+            Alcotest.(check bool)
+              (Printf.sprintf "worker %d, case %d equals the reference" w c)
+              true (r = expected.(c)))
+         results)
+    (List.map Domain.join domains @ Array.to_list threads)
+
+let test_memo_bounded () =
+  (* each program compiles 100k LMU transactions, ~1/5 of the cap *)
+  let mid i =
+    prog (Printf.sprintf "mid%d" i) [ compute (1 + i); Program.loop 100_000 [ load lmu_nc ] ]
+  in
+  let hit p =
+    let h0 = Obs.Metrics.value memo_hits in
+    ignore (Machine.run_isolation p);
+    Obs.Metrics.value memo_hits - h0 = 1
+  in
+  Machine.clear_scripts ();
+  let programs = List.init 8 mid in
+  List.iter
+    (fun p ->
+       ignore (Machine.run_isolation p);
+       Alcotest.(check bool) "retained segments within the cap" true
+         (memo_segments () <= Machine.script_memo_cap))
+    programs;
+  Alcotest.(check bool) "the most recently returned script is kept" true
+    (hit (List.nth programs 7));
+  Alcotest.(check bool) "the least recently returned one was evicted" false
+    (hit (List.nth programs 0));
+  (* 600k transactions: more segments than the cap *)
+  let huge = prog "huge" [ Program.loop 600_000 [ load lmu_nc ] ] in
+  let before = memo_segments () in
+  let r = Machine.run_isolation huge in
+  Alcotest.(check int) "an oversize script is not retained" before
+    (memo_segments ());
+  Alcotest.(check bool) "nor read back" false (hit huge);
+  Alcotest.(check bool) "and its run was exact" true
+    (r = Ref_sim.run ~analysis:{ Machine.program = huge; core = 0 } ())
+
+let test_memo_restarting_corun_extends_isolation_script () =
+  (* the isolation compiles one pass of the contender; the co-run
+     restarts it with warm caches — its data in the D$, its code in the
+     I$ — compiling the later passes onto the same script *)
+  let analysis =
+    { Machine.program = prog "long" [ Program.loop 300 [ load lmu_nc; compute 5 ] ]; core = 0 }
+  in
+  List.iter
+    (fun (name, items) ->
+       let contender = { Machine.program = prog name items; core = 1 } in
+       Machine.clear_scripts ();
+       ignore (Machine.run ~analysis:contender ());
+       let h0 = Obs.Metrics.value memo_hits in
+       let r = Machine.run ~trace:true ~analysis ~contenders:[ contender ] () in
+       Alcotest.(check bool) (name ^ ": the co-run read the isolation's script") true
+         (Obs.Metrics.value memo_hits - h0 >= 1);
+       Alcotest.(check bool) (name ^ ": the contender restarted") true
+         ((List.assoc 1 r.Machine.contenders).Machine.restarts > 0);
+       Alcotest.(check bool) (name ^ ": co-run equals the reference") true
+         (r = Ref_sim.run ~trace:true ~analysis ~contenders:[ contender ] ()))
+    [
+      ("warm data", [ Program.loop 4 [ load lmu_c; compute 2 ]; load lmu_nc ]);
+      ("warm code", [ compute ~pc:pf0_c 1; compute ~pc:(pf0_c + 4) 2; load lmu_nc ]);
+    ]
+
 let () =
   Alcotest.run "tcsim"
     [
@@ -1116,6 +1239,14 @@ let () =
               Alcotest.(check bool) "lmu utilization positive" true
                 (List.assoc Target.Lmu s.Stats.utilization > 0.));
         ] );
+      ( "script-memo",
+        [
+          Alcotest.test_case "concurrent runs match reference" `Quick
+            test_memo_concurrent_runs_match_reference;
+          Alcotest.test_case "retained segments bounded" `Quick test_memo_bounded;
+          Alcotest.test_case "restarting co-run extends isolation script" `Quick
+            test_memo_restarting_corun_extends_isolation_script;
+        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
@@ -1124,8 +1255,8 @@ let () =
             prop_simulation_deterministic;
             prop_kernels_agree;
             prop_kernels_agree_on_cycle_limit;
-            prop_family_matches_solo;
-            prop_family_cycle_limit_matches_solo;
+            prop_memo_runs_match_reference;
+            prop_memo_cycle_limit_matches_reference;
             prop_metrics_match_reference;
           ] );
     ]
