@@ -104,6 +104,32 @@ let probe c ~addr =
   let set_idx, tag = locate c addr in
   Array.exists (fun l -> l.valid && l.tag = tag) c.sets.(set_idx)
 
+let lines c = c.nsets * c.geom.ways
+
+(* Selection by stamp, newest first: valid stamps are distinct, and
+   [ways] is small. Loops, not closures: a loop boundary of the script
+   compiler calls this and must not allocate. *)
+let snapshot c buf ~pos =
+  let ways = c.geom.ways in
+  for s = 0 to c.nsets - 1 do
+    let set = c.sets.(s) and bound = ref max_int in
+    for k = 0 to ways - 1 do
+      let best = ref (-1) in
+      for w = 0 to ways - 1 do
+        let l = set.(w) in
+        if l.valid && l.stamp < !bound && (!best < 0 || l.stamp > set.(!best).stamp)
+        then best := w
+      done;
+      buf.(pos + (s * ways) + k) <-
+        (if !best < 0 then -1
+         else begin
+           let l = set.(!best) in
+           bound := l.stamp;
+           (l.tag lsl 1) lor Bool.to_int l.dirty
+         end)
+    done
+  done
+
 let flush c =
   Array.iter
     (Array.iter (fun l ->

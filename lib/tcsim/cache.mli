@@ -43,6 +43,18 @@ val clean_miss : int
 val probe : t -> addr:int -> bool
 (** Non-destructive lookup: would [addr] hit? *)
 
+val lines : t -> int
+(** Lines the cache holds: [size_bytes / line_bytes]. *)
+
+val snapshot : t -> int array -> pos:int -> unit
+(** Writes the cache's canonical state into [lines t] slots from [pos]:
+    per set, the valid lines from most to least recently used, each as
+    [tag lsl 1 lor dirty], then [-1] for every invalid way. Two caches
+    with equal snapshots classify every access sequence alike — LRU
+    victims depend on recency order alone, and way positions never show
+    in an outcome — so the snapshot is what loop replay compares
+    ({!Core_model.Script}). Allocates nothing. *)
+
 val flush : t -> unit
 (** Invalidate everything (drops dirty lines; used between runs). *)
 

@@ -32,7 +32,18 @@ let e16_config = { kind = E16; icache = Some Cache.tc16e_icache; dcache = None }
    start — to the cycle the segment's event happens. [miss] names the
    counter the issue bumps. A pass without transactions ends in a
    [silent_end]: caches only change on misses, so every later pass
-   repeats it exactly and the script is complete. *)
+   repeats it exactly and the script is complete.
+
+   Loop replay: at each loop boundary — the start of a new iteration of
+   a loop instance — whose iterations run at least as many instructions
+   as the caches have lines, the compiler snapshots its state: the
+   canonical cache contents ({!Cache.snapshot}) and [acc]. If the state
+   equals the snapshot taken at the previous boundary of the same
+   instance and segments were emitted in between, the iteration left
+   the state where it found it, so every remaining iteration emits
+   those segments again: the walker skips the loop, and the remaining
+   [iterations × period] segments are emitted lazily, each a copy of
+   the one [period] slots earlier, while the caches stay as they are. *)
 module Script = struct
   let tag_code = 0
   let tag_data = 1
@@ -44,6 +55,9 @@ module Script = struct
   let miss_dclean = 2
   let miss_ddirty = 3
   let seg_bits = 10
+
+  (* The state at a loop instance's latest boundary, and [len] then. *)
+  type snap = { mutable state : int array; mutable id : int; mutable at : int }
 
   type t = {
     mutable chunks : int array array;
@@ -61,7 +75,17 @@ module Script = struct
     mutable x_target : int;
     mutable x_addr : int;
     mutable x_victim : int;  (* a dirty victim's address, or -1 *)
+    (* loop replay *)
+    lines : int;  (* cache lines: the shortest iteration worth a snapshot *)
+    mutable scratch : int array;  (* the state at this boundary *)
+    mutable snaps : snap array;  (* per frame depth *)
+    mutable period : int;
+    mutable replay_left : int;  (* segments still to copy *)
   }
+
+  let m_replayed = Obs.Metrics.counter ~timing:true "tcsim.script.replayed_segments"
+
+  let cache_lines = function Some c -> Cache.lines c | None -> 0
 
   let create (config : config) program =
     let icache = Option.map Cache.create config.icache in
@@ -69,6 +93,7 @@ module Script = struct
       Option.map Cache.create
         (match config.kind with P16 -> config.dcache | E16 -> None)
     in
+    let lines = cache_lines icache + cache_lines dcache in
     {
       chunks = [||];
       len = 0;
@@ -84,6 +109,11 @@ module Script = struct
       x_target = 0;
       x_addr = 0;
       x_victim = -1;
+      lines;
+      scratch = [||];
+      snaps = [||];
+      period = 0;
+      replay_left = 0;
     }
 
   let emit t w0 w1 =
@@ -188,24 +218,82 @@ module Script = struct
 
   let eop = { Program.pc = -1; kind = Program.Compute 1 }
 
+  let state_into t buf =
+    (match t.icache with Some c -> Cache.snapshot c buf ~pos:0 | None -> ());
+    (match t.dcache with
+     | Some c -> Cache.snapshot c buf ~pos:(cache_lines t.icache)
+     | None -> ());
+    buf.(t.lines) <- t.acc
+
+  (* At the boundary that began a new iteration of frame [d]'s loop:
+     starts replaying when the previous iteration left the state where
+     it found it, and otherwise keeps the state for the next boundary. *)
+  let boundary t d =
+    let w = t.walker in
+    Program.Walker.iteration_length w d >= t.lines
+    && begin
+      let n = Array.length t.snaps in
+      if d >= n then
+        t.snaps <-
+          Array.init (d + 1) (fun i ->
+              if i < n then t.snaps.(i) else { state = [||]; id = 0; at = 0 });
+      (* buffers come with the loops long enough to need them; an empty
+         state never equals one *)
+      if Array.length t.scratch = 0 then t.scratch <- Array.make (t.lines + 1) 0;
+      let snap = t.snaps.(d) and id = Program.Walker.instance w d in
+      state_into t t.scratch;
+      if snap.id = id && t.len > snap.at && t.scratch = snap.state then begin
+        let period = t.len - snap.at in
+        let n = Program.Walker.iterations_left w d * period in
+        t.period <- period;
+        t.replay_left <- n;
+        (* every segment of a period is a transaction *)
+        t.pass_txns <- t.pass_txns + n;
+        Program.Walker.skip_loop w d;
+        Obs.Metrics.add m_replayed n;
+        true
+      end
+      else begin
+        let prev = snap.state in
+        snap.state <- t.scratch;
+        t.scratch <- prev;
+        snap.id <- id;
+        snap.at <- t.len;
+        false
+      end
+    end
+
+  let replay t =
+    let src = t.len - t.period in
+    let ci = src lsr seg_bits and o = (src land ((1 lsl seg_bits) - 1)) lsl 1 in
+    emit t t.chunks.(ci).(o) t.chunks.(ci).(o + 1);
+    t.replay_left <- t.replay_left - 1
+
   (* Compiles up to the next segment. The walker rewinds at a pass end
      while the caches stay warm: restart semantics. *)
   let compile_next t =
-    let i = Program.Walker.next_or t.walker ~default:eop in
-    if i == eop then begin
-      Program.Walker.reset t.walker;
-      let silent = t.pass_txns = 0 in
-      emit t ((t.acc lsl 5) lor if silent then tag_silent_end else tag_pass_end) 0;
-      t.complete <- silent;
-      t.acc <- 1;
-      t.pass_txns <- 0
+    if t.replay_left > 0 then replay t
+    else begin
+      let i = Program.Walker.next_or t.walker ~default:eop in
+      if i == eop then begin
+        Program.Walker.reset t.walker;
+        let silent = t.pass_txns = 0 in
+        emit t ((t.acc lsl 5) lor if silent then tag_silent_end else tag_pass_end) 0;
+        t.complete <- silent;
+        t.acc <- 1;
+        t.pass_txns <- 0
+      end
+      else begin
+        let d = Program.Walker.restarted t.walker in
+        if d >= 0 && boundary t d then replay t
+        else
+          try compile_instr t i
+          with e ->
+            emit t ((t.acc lsl 5) lor tag_fail) 0;
+            t.failed <- Some e;
+            t.complete <- true
+      end
     end
-    else
-      try compile_instr t i
-      with e ->
-        emit t ((t.acc lsl 5) lor tag_fail) 0;
-        t.failed <- Some e;
-        t.complete <- true
 
   (* Readers never read past a silent end or a failure. *)
   let w0 t i =
@@ -315,6 +403,31 @@ let commit_stall t =
     t.done_at <- max_int
   end
 
+(* The issue step of [fire] and [fire_alone]: bumps the miss counter,
+   advances past the segment and waits for the grant. Returns [w1]. *)
+let issue t w0 ~cycle =
+  let w1 = Script.w1 t.script t.seg in
+  (match Script.miss w0 with
+   | 1 -> t.pcache_miss <- t.pcache_miss + 1
+   | 2 -> t.dcache_miss_clean <- t.dcache_miss_clean + 1
+   | 3 -> t.dcache_miss_dirty <- t.dcache_miss_dirty + 1
+   | _ -> ());
+  let op = if Script.tag w0 = Script.tag_code then 0 else 1 in
+  t.seg <- t.seg + 1;
+  t.waiting <- true;
+  t.next <- max_int;
+  t.stall_base <- cycle + Sri.hide t.sri ~target:(w1 land 3) ~op;
+  t.op <- op;
+  w1
+
+(* A failure segment raises; the analysis program's end stops the core,
+   its last cycle uncounted. *)
+let stop t w0 ~cycle =
+  if Script.tag w0 = Script.tag_fail then raise (Option.get t.script.Script.failed);
+  t.stop <- cycle;
+  t.ccnt <- cycle;
+  t.next <- max_int
+
 let fire t ~cycle =
   commit_stall t;
   let w0 = ref (Script.w0 t.script t.seg) in
@@ -325,30 +438,24 @@ let fire t ~cycle =
     w0 := Script.w0 t.script t.seg
   done;
   let w0 = !w0 in
-  let tag = Script.tag w0 in
-  if tag <= Script.tag_folded then begin
-    let w1 = Script.w1 t.script t.seg in
-    (match Script.miss w0 with
-     | 1 -> t.pcache_miss <- t.pcache_miss + 1
-     | 2 -> t.dcache_miss_clean <- t.dcache_miss_clean + 1
-     | 3 -> t.dcache_miss_dirty <- t.dcache_miss_dirty + 1
-     | _ -> ());
-    let target = w1 land 3 and op = if tag = Script.tag_code then 0 else 1 in
-    t.seg <- t.seg + 1;
-    t.waiting <- true;
-    t.next <- max_int;
-    t.stall_base <- cycle + Sri.hide t.sri ~target ~op;
-    t.op <- op;
-    Sri.request t.sri ~core:t.core_id ~target ~op ~line:(w1 lsr 2)
-      ~folded:(tag = Script.tag_folded) ~cycle
+  if Script.tag w0 <= Script.tag_folded then begin
+    let w1 = issue t w0 ~cycle in
+    Sri.request t.sri ~core:t.core_id ~target:(w1 land 3) ~op:t.op ~line:(w1 lsr 2)
+      ~folded:(Script.tag w0 = Script.tag_folded) ~cycle
   end
-  else if tag = Script.tag_fail then
-    raise (Option.get t.script.Script.failed)
+  else stop t w0 ~cycle
+
+let fire_alone t ~cycle ~limit =
+  commit_stall t;
+  let w0 = Script.w0 t.script t.seg in
+  if Script.tag w0 <= Script.tag_folded then begin
+    let w1 = issue t w0 ~cycle in
+    Sri.serve_alone t.sri ~core:t.core_id ~target:(w1 land 3) ~op:t.op
+      ~line:(w1 lsr 2) ~folded:(Script.tag w0 = Script.tag_folded) ~cycle ~limit
+  end
   else begin
-    (* the analysis program's end: its last cycle goes uncounted *)
-    t.stop <- cycle;
-    t.ccnt <- cycle;
-    t.next <- max_int
+    stop t w0 ~cycle;
+    cycle
   end
 
 let finished t = t.stop >= 0

@@ -41,7 +41,12 @@ val e16_config : config
     instruction that raises). Any number of cores read one script from
     private cursors, but a script is single-threaded: reading it
     compiles it, so only one domain or systhread may hold it at a time.
-    {!Machine.run} lends scripts out of a memo on exactly these terms. *)
+    {!Machine.run} lends scripts out of a memo on exactly these terms.
+
+    A loop iteration that leaves the canonical cache state and the cycle
+    offset as it found them is compiled once: the remaining iterations
+    are emitted as copies of its segments (loop replay, DESIGN.md §7),
+    counted by the timing-tier counter [tcsim.script.replayed_segments]. *)
 module Script : sig
   type t
 
@@ -73,6 +78,14 @@ val fire : t -> cycle:int -> unit
 (** Performs the event due at [cycle = wake t].
     @raise Invalid_argument when the program reaches an unmapped address,
     a store to program flash or a data-flash fetch. *)
+
+val fire_alone : t -> cycle:int -> limit:int -> int
+(** {!fire} for the analysis core once it is alone on the SRI — nothing
+    queued, and no contender will issue again: its request is served by
+    {!Sri.serve_alone} without arbitration. Returns the grant cycle
+    ([cycle] itself when the event was no issue); a grant past [limit] is
+    not made.
+    @raise Invalid_argument as {!fire} does. *)
 
 val finished : t -> bool
 (** The analysis core's program has ended. *)

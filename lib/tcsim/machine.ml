@@ -139,7 +139,9 @@ let imin (a : int) b = if a <= b then a else b
    that cycle in the fixed order grants, analysis core, contenders in
    list order — the order the hardware model resolves same-cycle
    arbitration in. [`Stepped] visits every cycle instead; nothing
-   happens at the others. See DESIGN.md §7 for why this is exact. *)
+   happens at the others. Once nothing is queued and no contender will
+   issue again, the event kernel steps the analysis core alone (see
+   below). See DESIGN.md §7 for why this is exact. *)
 let run_kernel ~stepped ~max_cycles ~sri ~analysis ~contenders =
   let events = ref 0 and last = ref (-1) in
   Fun.protect
@@ -149,30 +151,49 @@ let run_kernel ~stepped ~max_cycles ~sri ~analysis ~contenders =
         Obs.Metrics.add m_skipped (!last + 1 - !events))
     (fun () ->
        let n = Array.length contenders in
-       while not (Core_model.finished analysis) do
-         let t =
-           if stepped then !last + 1
+       let alone = ref false in
+       while not (!alone || Core_model.finished analysis) do
+         (* the earliest event of anyone but the analysis core; a loop,
+            not a closure: this runs at every event *)
+         let others =
+           if stepped then 0
            else begin
-             let t = ref (imin (Core_model.wake analysis) (Sri.next_grant_at sri)) in
+             let t = ref (Sri.next_grant_at sri) in
              for i = 0 to n - 1 do
                t := imin !t (Core_model.wake contenders.(i))
              done;
              !t
            end
          in
-         if t = max_int then
-           (* unreachable: a blocked analysis core always has a queued or
-              granted request, both of which schedule an event *)
-           failwith "Machine.run: no pending event";
+         if others = max_int then alone := true
+         else begin
+           let t = if stepped then !last + 1 else imin (Core_model.wake analysis) others in
+           if t > max_cycles then raise (Cycle_limit_exceeded (max_cycles + 1));
+           incr events;
+           last := t;
+           Sri.step sri ~cycle:t;
+           if Core_model.wake analysis = t then Core_model.fire analysis ~cycle:t;
+           for i = 0 to n - 1 do
+             let c = contenders.(i) in
+             if Core_model.wake c = t then Core_model.fire c ~cycle:t
+           done
+         end
+       done;
+       (* Alone on the crossbar: every event is the analysis core's — an
+          issue, granted at once or, behind a contender's last
+          transaction still in service, at a later cycle that is an
+          event of its own — or its end. *)
+       while not (Core_model.finished analysis) do
+         let t = Core_model.wake analysis in
          if t > max_cycles then raise (Cycle_limit_exceeded (max_cycles + 1));
          incr events;
          last := t;
-         Sri.step sri ~cycle:t;
-         if Core_model.wake analysis = t then Core_model.fire analysis ~cycle:t;
-         for i = 0 to n - 1 do
-           let c = contenders.(i) in
-           if Core_model.wake c = t then Core_model.fire c ~cycle:t
-         done
+         let g = Core_model.fire_alone analysis ~cycle:t ~limit:max_cycles in
+         if g > t then begin
+           if g > max_cycles then raise (Cycle_limit_exceeded (max_cycles + 1));
+           incr events;
+           last := g
+         end
        done;
        let finish = Core_model.finish_cycle analysis in
        Array.iter (fun c -> Core_model.settle c ~cycle:finish) contenders)

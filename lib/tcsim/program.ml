@@ -73,13 +73,19 @@ let code_footprint p =
 module Walker = struct
   type program = t
 
-  (* [remaining] counts loop iterations left for this frame. Frames live
-     in a reused array (entries above [depth] are spare), so walking
-     allocates nothing once the deepest nesting has been seen. *)
+  (* [remaining] counts loop iterations left for this frame, the one
+     under way included. Frames live in a reused array (entries above
+     [depth] are spare), so walking allocates nothing once the deepest
+     nesting has been seen. [id] numbers loop instances: a re-pushed
+     inner loop gets a fresh one. [mark] is [count] when the current
+     iteration began, [iter_len] the previous iteration's length. *)
   type frame = {
     mutable body : citem array;
     mutable idx : int;
     mutable remaining : int;
+    mutable id : int;
+    mutable mark : int;
+    mutable iter_len : int;
   }
 
   type t = {
@@ -87,15 +93,17 @@ module Walker = struct
     mutable frames : frame array;
     mutable depth : int;
     mutable count : int;
+    mutable ids : int;  (* loop instances pushed so far *)
+    mutable restarted : int;  (* see [restarted] *)
   }
 
+  let blank () = { body = [||]; idx = 0; remaining = 0; id = 0; mark = 0; iter_len = 0 }
+
   let create prog =
-    {
-      prog;
-      frames = [| { body = prog.compiled; idx = 0; remaining = 1 } |];
-      depth = 1;
-      count = 0;
-    }
+    let f = blank () in
+    f.body <- prog.compiled;
+    f.remaining <- 1;
+    { prog; frames = [| f |]; depth = 1; count = 0; ids = 0; restarted = -1 }
 
   let reset w =
     let f = w.frames.(0) in
@@ -103,28 +111,41 @@ module Walker = struct
     f.idx <- 0;
     f.remaining <- 1;
     w.depth <- 1;
-    w.count <- 0
+    w.count <- 0;
+    w.restarted <- -1
 
   let push w body remaining =
     let n = Array.length w.frames in
     if w.depth = n then
-      w.frames <-
-        Array.append w.frames
-          (Array.init n (fun _ -> { body = [||]; idx = 0; remaining = 0 }));
+      w.frames <- Array.append w.frames (Array.init n (fun _ -> blank ()));
     let f = w.frames.(w.depth) in
     f.body <- body;
     f.idx <- 0;
     f.remaining <- remaining;
+    w.ids <- w.ids + 1;
+    f.id <- w.ids;
+    f.mark <- w.count;
     w.depth <- w.depth + 1
 
-  let rec next_or w ~default =
+  let rec step w ~default =
     if w.depth = 0 then default
     else begin
       let frame = w.frames.(w.depth - 1) in
       if frame.idx >= Array.length frame.body then begin
         frame.remaining <- frame.remaining - 1;
-        if frame.remaining > 0 then frame.idx <- 0 else w.depth <- w.depth - 1;
-        next_or w ~default
+        if frame.remaining > 0 then begin
+          frame.idx <- 0;
+          frame.iter_len <- w.count - frame.mark;
+          frame.mark <- w.count;
+          w.restarted <- w.depth - 1
+        end
+        else begin
+          w.depth <- w.depth - 1;
+          (* restarted and ended within one step: its iterations ran
+             no instruction, so there is no boundary to report *)
+          if w.restarted >= w.depth then w.restarted <- -1
+        end;
+        step w ~default
       end
       else begin
         let item = frame.body.(frame.idx) in
@@ -135,9 +156,13 @@ module Walker = struct
           i
         | CLoop (count, body) ->
           if count > 0 && Array.length body > 0 then push w body count;
-          next_or w ~default
+          step w ~default
       end
     end
+
+  let next_or w ~default =
+    w.restarted <- -1;
+    step w ~default
 
   let sentinel = { pc = -1; kind = Compute 1 }
 
@@ -146,4 +171,14 @@ module Walker = struct
     if i == sentinel then None else Some i
 
   let executed w = w.count
+  let restarted w = w.restarted
+  let instance w d = w.frames.(d).id
+  let iteration_length w d = w.frames.(d).iter_len
+  let iterations_left w d = w.frames.(d).remaining
+
+  let skip_loop w d =
+    let f = w.frames.(d) in
+    w.count <- f.mark + (f.remaining * f.iter_len);
+    w.depth <- d;
+    w.restarted <- -1
 end

@@ -58,4 +58,33 @@ module Walker : sig
   val executed : t -> int
   (** Instructions returned since creation / last reset that returned
       [Some]. *)
+
+  (** {2 Loop boundaries}
+
+      Loop frames are numbered by nesting depth, [0] being the program
+      itself. *)
+
+  val restarted : t -> int
+  (** The frame whose loop began a new iteration during the latest
+      {!next_or} — the instruction it returned is that iteration's first
+      — or [-1]. An iteration that runs no instruction is no boundary. *)
+
+  val instance : t -> int -> int
+  (** The loop instance running in a frame: every entry into a loop,
+      also an inner loop re-entered by its enclosing one, gets a fresh
+      number. *)
+
+  val iteration_length : t -> int -> int
+  (** Instructions the frame's previous iteration executed (all
+      iterations of a loop execute the same number); meaningful once
+      the frame has {!restarted}. *)
+
+  val iterations_left : t -> int -> int
+  (** Iterations the frame's loop has left, the one under way
+      included. *)
+
+  val skip_loop : t -> int -> unit
+  (** Leaves the frame's loop as if the iteration under way and every
+      later one had run, dropping the instruction already returned from
+      it; {!executed} counts them all. *)
 end

@@ -159,15 +159,26 @@ let try_grant t i ~cycle =
     grant t i cycle !best
   end
 
-let request t ~core ~target ~op ~line ~folded ~cycle =
+let record t ~core ~target ~op ~line ~folded ~cycle =
   t.p_target.(core) <- target;
   t.p_op.(core) <- op;
   t.p_line.(core) <- line;
   t.p_folded.(core) <- folded;
   t.p_issued.(core) <- cycle;
   t.p_done.(core) <- max_int;
-  t.queued.(target) <- t.queued.(target) + 1;
+  t.queued.(target) <- t.queued.(target) + 1
+
+let request t ~core ~target ~op ~line ~folded ~cycle =
+  record t ~core ~target ~op ~line ~folded ~cycle;
   try_grant t target ~cycle
+
+(* With no other request queued, arbitration has one candidate: the
+   request is granted as soon as its target is free. *)
+let serve_alone t ~core ~target ~op ~line ~folded ~cycle ~limit =
+  record t ~core ~target ~op ~line ~folded ~cycle;
+  let at = if t.busy_until.(target) > cycle then t.busy_until.(target) else cycle in
+  if at <= limit then grant t target at core;
+  at
 
 let step t ~cycle =
   for i = 0 to ntargets - 1 do

@@ -48,6 +48,24 @@ val request :
     guarantees an admissible (target, op) pair and that [core] has no
     other transaction waiting for a grant. *)
 
+val serve_alone :
+  t ->
+  core:int ->
+  target:int ->
+  op:int ->
+  line:int ->
+  folded:bool ->
+  cycle:int ->
+  limit:int ->
+  int
+(** {!request} for a master that issues while no other request is
+    queued and no other master will issue again: it is granted at
+    [max cycle busy_until] — later only while another master's last
+    transaction is still in service — with the same bookkeeping
+    (profile, trace, metrics) as an arbitrated grant. Returns the grant
+    cycle; a grant past [limit] is not made, and the request stays
+    queued. *)
+
 val done_at : t -> core:int -> int
 (** Completion cycle of [core]'s latest request once granted; [max_int]
     while it waits. *)

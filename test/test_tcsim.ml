@@ -124,6 +124,26 @@ let test_cache_write_hit_dirties () =
      Alcotest.(check int) "write-hit marked line dirty" 0x0000 v
    | _ -> Alcotest.fail "expected dirty victim after write hit")
 
+(* Set 0 of a 4-set, 2-way cache holds lines 0x000, 0x080, 0x100, ... *)
+let test_cache_snapshot () =
+  let snap accesses =
+    let c = Cache.create { Cache.size_bytes = 256; ways = 2; line_bytes = 32 } in
+    List.iter (fun (addr, write) -> ignore (Cache.access c ~addr ~write)) accesses;
+    let buf = Array.make (Cache.lines c) 0 in
+    Cache.snapshot c buf ~pos:0;
+    buf
+  in
+  let r addr = (addr, false) in
+  let a = snap [ r 0x000; r 0x080 ] in
+  Alcotest.(check int) "one slot per line" 8 (Array.length a);
+  (* 0x100 fills way 0, 0x000 way 1, and 0x080 evicts 0x100: the ways
+     are swapped relative to [a], the recency order is the same *)
+  Alcotest.(check (array int)) "way positions do not show" a
+    (snap [ r 0x100; r 0x000; r 0x080 ]);
+  Alcotest.(check bool) "recency order shows" false (a = snap [ r 0x080; r 0x000 ]);
+  Alcotest.(check bool) "dirtiness shows" false (a = snap [ (0x000, true); r 0x080 ]);
+  Alcotest.(check bool) "invalid ways show" false (a = snap [ r 0x080 ])
+
 let test_cache_flush () =
   let c = Cache.create Cache.tc16p_dcache in
   ignore (Cache.access c ~addr:0x9000_0000 ~write:true);
@@ -169,6 +189,54 @@ let test_walker_loops () =
   let n2 = ref 0 in
   while Program.Walker.next w <> None do incr n2 done;
   Alcotest.(check int) "after reset" 11 !n2
+
+(* The loop-boundary hooks loop replay relies on: a new iteration is
+   reported before its first instruction is compiled, an inner loop
+   re-entered by its enclosing one is a new instance, and skipping a
+   loop counts every instruction it would have run. *)
+let test_walker_boundaries () =
+  let p =
+    prog "b"
+      [ compute 1; Program.loop 3 [ compute 2; Program.loop 2 [ compute 3 ] ]; compute 4 ]
+  in
+  let w = Program.Walker.create p in
+  let step () =
+    let i = Option.get (Program.Walker.next w) in
+    let d = Program.Walker.restarted w in
+    ( (match i.Program.kind with Program.Compute n -> n | _ -> 0),
+      d,
+      if d >= 0 then Program.Walker.instance w d else 0 )
+  in
+  let trace = List.init 10 (fun _ -> step ()) in
+  Alcotest.(check (list (pair int int)))
+    "restarting frame per instruction"
+    [ (1, -1); (2, -1); (3, -1); (3, 2); (2, 1); (3, -1); (3, 2); (2, 1); (3, -1); (3, 2) ]
+    (List.map (fun (k, d, _) -> (k, d)) trace);
+  let inner = List.filter_map (fun (_, d, id) -> if d = 2 then Some id else None) trace in
+  Alcotest.(check int) "each inner entry is a fresh instance" 3
+    (List.length (List.sort_uniq compare inner));
+  Alcotest.(check int) "outer iteration length" 3 (Program.Walker.iteration_length w 1);
+  Alcotest.(check int) "inner instance of the outer frame is stable" 1
+    (List.length
+       (List.sort_uniq compare
+          (List.filter_map (fun (_, d, id) -> if d = 1 then Some id else None) trace)));
+  (* replay the outer loop from its second boundary: the walker resumes
+     after it, having counted all three iterations *)
+  let w = Program.Walker.create p in
+  let rec until_outer () =
+    ignore (Program.Walker.next w);
+    if Program.Walker.restarted w <> 1 then until_outer ()
+  in
+  until_outer ();
+  Alcotest.(check int) "iterations left" 2 (Program.Walker.iterations_left w 1);
+  Program.Walker.skip_loop w 1;
+  Alcotest.(check bool) "resumes after the loop" true
+    (match Program.Walker.next w with
+     | Some { Program.kind = Program.Compute 4; _ } -> true
+     | _ -> false);
+  Alcotest.(check int) "executed counts the skipped iterations"
+    (Program.dynamic_length p) (Program.Walker.executed w);
+  Alcotest.(check bool) "then ends" true (Program.Walker.next w = None)
 
 let test_walker_zero_loop () =
   let p = prog "z" [ Program.loop 0 [ compute 1 ]; compute 1 ] in
@@ -1028,6 +1096,286 @@ let test_events_are_issues_and_grants () =
          ])
     (figure4_cells ())
 
+(* --- loop replay -------------------------------------------------------------- *)
+
+(* Programs whose loop bodies outrun the caches, so that the script
+   compiler snapshots their iterations and replays them once the state
+   settles: fetches from more cached pf0/pf1 lines than the I$ holds, in
+   shuffled order; cacheable LMU loads and stores over more lines than
+   the D$ holds (dirty write-backs, folded fills) and cacheable flash
+   constants (write-backs ahead of a flash fill); uncached LMU and
+   data-flash traffic; small nested inner loops; and now and then an
+   instruction that raises, inside the loop or after it. *)
+let gen_replay_program =
+  let open QCheck.Gen in
+  let code_lines = 640 (* the P16 I$ holds 512 *) in
+  let load_addr =
+    frequency
+      [
+        (5, map (fun k -> lmu_c + (32 * k)) (int_range 0 383) (* the D$ holds 256 *));
+        (1, map (fun k -> pf0_c + 0x8000 + (32 * k)) (int_range 0 63));
+        (1, map (fun k -> lmu_nc + (4 * k)) (int_range 0 63));
+        (1, map (fun k -> dfl + (32 * k)) (int_range 0 15));
+      ]
+  in
+  let store_addr =
+    frequency
+      [
+        (5, map (fun k -> lmu_c + (32 * k)) (int_range 0 383));
+        (1, map (fun k -> lmu_nc + (4 * k)) (int_range 0 63));
+        (1, map (fun k -> dfl + (32 * k)) (int_range 0 15));
+      ]
+  in
+  let kind =
+    frequency
+      [
+        (3, map (fun n -> Program.Compute (1 + n)) (int_range 0 3));
+        (3, map (fun a -> Program.Load a) load_addr);
+        (2, map (fun a -> Program.Store a) store_addr);
+      ]
+  in
+  let pc_of line =
+    if line < code_lines / 2 then pf0_c + (32 * line)
+    else pf1_c + (32 * (line - (code_lines / 2)))
+  in
+  let raising = Program.I { Program.pc = pspr; kind = Program.Store pf0_c } in
+  let small =
+    list_size (int_range 1 3) (map (fun kind -> Program.I { Program.pc = pspr; kind }) kind)
+  in
+  shuffle_l (List.init code_lines Fun.id) >>= fun lines ->
+  int_range 800 1000 >>= fun n ->
+  let lines = Array.of_list lines in
+  list_repeat n
+    (frequency
+       [
+         (1, map (fun kind -> `Local kind) kind);
+         (6, map (fun kind -> `Flash kind) kind);
+         (1, map2 (fun count body -> `Inner (Program.loop count body)) (int_range 1 3) small);
+       ])
+  >>= fun slots ->
+  (* flash-fetched instructions take the shuffled lines in turn *)
+  let next = ref 0 in
+  let body =
+    List.map
+      (function
+        | `Local kind -> Program.I { Program.pc = pspr; kind }
+        | `Flash kind ->
+          let pc = pc_of lines.(!next mod code_lines) in
+          incr next;
+          Program.I { Program.pc; kind }
+        | `Inner item -> item)
+      slots
+  in
+  int_range 3 6 >>= fun count ->
+  small >>= fun prefix ->
+  small >>= fun suffix ->
+  frequency [ (6, return `None); (1, return `Inside); (1, return `After) ] >|= fun raise_at ->
+  let body =
+    match raise_at with
+    | `Inside -> body @ [ raising ]
+    | `None | `After -> body
+  in
+  prefix @ [ Program.loop count body ] @ suffix
+  @ match raise_at with `After -> [ raising ] | `None | `Inside -> []
+
+(* The analysis task on a P16 (core 0) or the E16 (core 2), up to two
+   contenders on the other cores, restarting or not, random priority
+   classes. *)
+let gen_replay_case =
+  let open QCheck.Gen in
+  let task core =
+    map
+      (fun its -> { Machine.program = prog (Printf.sprintf "r%d" core) its; core })
+      gen_replay_program
+  in
+  oneofl [ (0, [ 1; 2 ]); (2, [ 0; 1 ]) ] >>= fun (a, others) ->
+  task a >>= fun analysis ->
+  int_range 0 2 >>= fun k ->
+  flatten_l (List.map task (List.filteri (fun i _ -> i < k) others)) >>= fun contenders ->
+  oneof [ return None; map (fun l -> Some (Array.of_list l)) (list_repeat 3 (int_range 0 1)) ]
+  >>= fun priorities ->
+  bool >|= fun restart -> (analysis, contenders, priorities, restart)
+
+let replay_budget = 400_000
+
+(* [outcome], raising instructions included *)
+let verdict f =
+  match f () with
+  | r -> Ok r
+  | exception Machine.Cycle_limit_exceeded c -> Error (Printf.sprintf "limit %d" c)
+  | exception Invalid_argument m -> Error m
+
+let prop_replay_matches_reference =
+  QCheck.Test.make ~name:"replayed loop scripts reproduce Ref_sim bit for bit" ~count:40
+    (QCheck.make gen_replay_case)
+    (fun (analysis, contenders, priorities, restart) ->
+       let reference =
+         verdict (fun () ->
+             Ref_sim.run ~max_cycles:replay_budget ?priorities ~restart_contenders:restart
+               ~trace:true ~analysis ~contenders ())
+       in
+       let go kernel () =
+         Machine.clear_scripts ();
+         Machine.run ~kernel ~max_cycles:replay_budget ?priorities
+           ~restart_contenders:restart ~trace:true ~analysis ~contenders ()
+       in
+       verdict (go `Event) = reference && verdict (go `Stepped) = reference)
+
+let replayed = Obs.Metrics.counter ~timing:true "tcsim.script.replayed_segments"
+
+let replayed_by f =
+  Machine.clear_scripts ();
+  let before = Obs.Metrics.value replayed in
+  let r = f () in
+  (r, Obs.Metrics.value replayed - before)
+
+(* Guards the property above against passing vacuously: on the
+   programs it generates, loop replay does fire. *)
+let test_replay_fires () =
+  let programs =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:12 gen_replay_program
+  in
+  let fired =
+    List.filter
+      (fun items ->
+         let _, n =
+           replayed_by (fun () -> verdict (fun () -> Machine.run_isolation (prog "r" items)))
+         in
+         n > 0)
+      programs
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "replay fired on %d of %d programs" (List.length fired)
+       (List.length programs))
+    true
+    (2 * List.length fired >= List.length programs);
+  Alcotest.(check bool) "the counter is timing-tier" false
+    (List.mem_assoc "tcsim.script.replayed_segments" (Obs.Metrics.deterministic_snapshot ()))
+
+(* The scale target: Table 6's application at ten times its iterations
+   compiles no more segments than at one time; the extra periods are
+   all replayed. *)
+let test_replay_scale () =
+  List.iter
+    (fun variant ->
+       let compiled iterations =
+         let p =
+           Workload.Control_loop.build variant
+             { Workload.Control_loop.default_params with iterations }
+         in
+         let r, n =
+           replayed_by (fun () ->
+               Machine.run ~trace:true ~analysis:{ Machine.program = p; core = 0 } ())
+         in
+         (* one segment per transaction, plus the pass end *)
+         (List.length r.Machine.trace + 1 - n, n)
+       in
+       let base = Workload.Control_loop.default_params.Workload.Control_loop.iterations in
+       let c1, r1 = compiled base and c10, r10 = compiled (10 * base) in
+       let name = match variant with Workload.Control_loop.S1 -> "S1" | S2 -> "S2" in
+       Alcotest.(check bool) (name ^ ": replay fires at 1x") true (r1 > 0);
+       Alcotest.(check bool) (name ^ ": and replays more at 10x") true (r10 > r1);
+       Alcotest.(check int) (name ^ ": non-replayed segments, 10x = 1x") c1 c10)
+    [ Workload.Control_loop.S1; Workload.Control_loop.S2 ]
+
+(* --- alone on the crossbar ------------------------------------------------------ *)
+
+(* A [Once] contender's only transaction is granted at cycle 0 and
+   occupies the LMU until after the analysis task issues there at cycle
+   2: by then nothing is queued and the contender is done, so the
+   analysis core runs alone, and its grant waits for the LMU — an event
+   of its own. *)
+let solo_analysis =
+  {
+    Machine.program =
+      prog "solo" [ compute 2; load lmu_nc; Program.loop 30 [ load lmu_nc; compute 3 ] ];
+    core = 0;
+  }
+
+let solo_contenders = [ { Machine.program = prog "once" [ load lmu_nc ]; core = 1 } ]
+
+let solo_reference () =
+  Ref_sim.run ~restart_contenders:false ~trace:true ~analysis:solo_analysis
+    ~contenders:solo_contenders ()
+
+(* What the kernel must wake for: issues, grants and the end. *)
+let event_cycles (r : Machine.run_result) =
+  List.sort_uniq compare
+    (r.Machine.cycles
+     :: List.concat_map (fun e -> [ e.Trace.issue_cycle; e.Trace.grant_cycle ]) r.Machine.trace)
+
+let test_solo_delayed_grant () =
+  let reference = solo_reference () in
+  let first = List.find (fun e -> e.Trace.core = 0) reference.Machine.trace in
+  Alcotest.(check bool) "the analysis task's first grant waits" true (first.Trace.waited > 0);
+  let r, events =
+    events_of (fun () ->
+        Machine.run ~kernel:`Event ~restart_contenders:false ~trace:true
+          ~analysis:solo_analysis ~contenders:solo_contenders ())
+  in
+  Alcotest.(check bool) "full result equals the reference" true (r = reference);
+  Alcotest.(check int) "events: issues, the delayed grant and the end"
+    (List.length (event_cycles reference)) events
+
+(* The cycle limit striking while the analysis core runs alone — at an
+   issue, or at the delayed grant — raises the same exception as the
+   reference and leaves the same totals behind: events and skipped
+   cycles as counted from the reference's event cycles up to the limit,
+   and the per-target SRI totals of the reference itself. *)
+let test_solo_cycle_limit () =
+  let full = solo_reference () in
+  let delayed = List.find (fun e -> e.Trace.core = 0) full.Machine.trace in
+  let snap f =
+    Obs.Metrics.reset ();
+    let r = outcome f in
+    let pick p = List.filter (fun (k, _) -> p k) (Obs.Metrics.deterministic_snapshot ()) in
+    ( r,
+      pick (String.starts_with ~prefix:"sri."),
+      pick (fun k -> k = "tcsim.events" || k = "tcsim.skipped_cycles") )
+  in
+  List.iter
+    (fun max_cycles ->
+       let label = Printf.sprintf "limit %d" max_cycles in
+       let r, sri, work =
+         snap (fun () ->
+             Machine.run ~kernel:`Event ~max_cycles ~restart_contenders:false
+               ~analysis:solo_analysis ~contenders:solo_contenders ())
+       in
+       let r', sri', _ =
+         snap (fun () ->
+             Ref_sim.run ~max_cycles ~restart_contenders:false ~analysis:solo_analysis
+               ~contenders:solo_contenders ())
+       in
+       Alcotest.(check bool) (label ^ ": same exception") true (r = r' && Result.is_error r);
+       Alcotest.(check (list (pair string int))) (label ^ ": SRI totals") sri' sri;
+       let seen = List.filter (fun c -> c <= max_cycles) (event_cycles full) in
+       let last = List.fold_left max (-1) seen in
+       Alcotest.(check (list (pair string int)))
+         (label ^ ": events and skipped cycles")
+         [
+           ("tcsim.events", List.length seen);
+           ("tcsim.skipped_cycles", last + 1 - List.length seen);
+         ]
+         work)
+    [ delayed.Trace.issue_cycle - 1; delayed.Trace.issue_cycle; 100; full.Machine.cycles - 1 ]
+
+(* An isolation run is alone from its first cycle: traced, it equals
+   the reference, on synthetic programs and the paper's workloads. *)
+let test_solo_traced_isolation () =
+  List.iter
+    (fun (name, program) ->
+       let analysis = { Machine.program; core = 0 } in
+       Alcotest.(check bool) (name ^ ": traced isolation equals the reference") true
+         (Machine.run ~kernel:`Event ~trace:true ~analysis ()
+          = Ref_sim.run ~trace:true ~analysis ()))
+    (("solo", solo_analysis.Machine.program)
+     :: List.concat_map
+          (fun (scenario, level, app, con) ->
+             if level = Workload.Load_gen.High then
+               [ (scenario.Scenario.name ^ " app", app); (scenario.Scenario.name ^ " H-Load", con) ]
+             else [])
+          (figure4_cells ()))
+
 (* --- the script memo, shared ------------------------------------------------ *)
 
 (* Runs on four domains, plus two systhreads sharing the main domain,
@@ -1158,6 +1506,7 @@ let () =
           Alcotest.test_case "dirty victim" `Quick test_cache_dirty_victim;
           Alcotest.test_case "clean victim silent" `Quick test_cache_clean_victim_silent;
           Alcotest.test_case "write hit dirties" `Quick test_cache_write_hit_dirties;
+          Alcotest.test_case "canonical snapshot" `Quick test_cache_snapshot;
           Alcotest.test_case "flush" `Quick test_cache_flush;
           Alcotest.test_case "bad geometry" `Quick test_cache_bad_geometry;
         ] );
@@ -1165,6 +1514,7 @@ let () =
         [
           Alcotest.test_case "flat walker" `Quick test_walker_flat;
           Alcotest.test_case "nested loops" `Quick test_walker_loops;
+          Alcotest.test_case "loop boundaries" `Quick test_walker_boundaries;
           Alcotest.test_case "zero loop" `Quick test_walker_zero_loop;
           Alcotest.test_case "validation" `Quick test_program_validation;
           Alcotest.test_case "seq layout" `Quick test_seq_layout;
@@ -1217,6 +1567,21 @@ let () =
             test_silent_program_costs_one_event;
           Alcotest.test_case "events are issues, grants and the end" `Quick
             test_events_are_issues_and_grants;
+        ] );
+      ( "loop-replay",
+        [
+          Alcotest.test_case "replay fires on the generated programs" `Quick test_replay_fires;
+          Alcotest.test_case "10x iterations compile no more segments" `Quick
+            test_replay_scale;
+          QCheck_alcotest.to_alcotest prop_replay_matches_reference;
+        ] );
+      ( "alone-on-sri",
+        [
+          Alcotest.test_case "delayed grant behind a finished contender" `Quick
+            test_solo_delayed_grant;
+          Alcotest.test_case "cycle limit while alone" `Quick test_solo_cycle_limit;
+          Alcotest.test_case "traced isolation equals the reference" `Quick
+            test_solo_traced_isolation;
         ] );
       ( "ground-truth",
         [
