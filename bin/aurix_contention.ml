@@ -606,6 +606,8 @@ let profile_cmd =
       ("dma", fun ?jobs () -> ignore (Experiments.Dma_study.run ?jobs ()));
     ]
   in
+  let m_events = Obs.Metrics.counter "tcsim.events"
+  and m_skipped = Obs.Metrics.counter ~timing:true "tcsim.solo.skipped_events" in
   let run name runs jobs kernel trace metrics =
     match List.assoc_opt name experiments with
     | None ->
@@ -626,10 +628,15 @@ let profile_cmd =
            same work *)
         Runtime.Solve_cache.clear ();
         Runtime.Run_cache.clear ();
+        let events = Obs.Metrics.value m_events
+        and skipped = Obs.Metrics.value m_skipped in
         let (), t =
           Runtime.Telemetry.measure ~jobs:recorded_jobs (fun () -> f ?jobs ())
         in
-        Format.printf "run %d/%d: %a@." i runs Runtime.Telemetry.pp t
+        Format.printf "run %d/%d: %a@." i runs Runtime.Telemetry.pp t;
+        Format.printf "  sim: tcsim.events=%d tcsim.solo.skipped_events=%d@."
+          (Obs.Metrics.value m_events - events)
+          (Obs.Metrics.value m_skipped - skipped)
       done;
       Format.printf "@.%a@." Obs.Tracer.pp_hot_paths ()
   in

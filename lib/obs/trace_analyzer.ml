@@ -348,6 +348,28 @@ let traces t =
     tbl []
   |> List.sort (fun a b -> compare b.trace_total_us a.trace_total_us)
 
+(* --- simulator work -------------------------------------------------------- *)
+
+type sim_work = { sim_runs : int; sim_events : int; sim_skipped_events : int }
+
+(* Summed from the [events] / [skipped_events] attributes of [tcsim.run]
+   spans. *)
+let sim_work t =
+  let attr n k = Option.fold ~none:0 ~some:int_of_string (List.assoc_opt k n.attrs) in
+  match List.filter (fun n -> n.name = "tcsim.run") t.spans with
+  | [] -> None
+  | runs ->
+    Some
+      (List.fold_left
+         (fun w n ->
+            {
+              sim_runs = w.sim_runs + 1;
+              sim_events = w.sim_events + attr n "events";
+              sim_skipped_events = w.sim_skipped_events + attr n "skipped_events";
+            })
+         { sim_runs = 0; sim_events = 0; sim_skipped_events = 0 }
+         runs)
+
 (* --- report -------------------------------------------------------------- *)
 
 let ms us = us /. 1e3
@@ -417,6 +439,12 @@ let report ?(top = 5) fmt t =
               (100. *. r)
           | None -> Format.fprintf fmt "  %-8s %s@," c.cache outcomes)
        cs);
+  Option.iter
+    (fun w ->
+       Format.fprintf fmt
+         "@,simulator work: runs=%d  tcsim.events=%d  tcsim.solo.skipped_events=%d@,"
+         w.sim_runs w.sim_events w.sim_skipped_events)
+    (sim_work t);
   (* traces *)
   (match traces t with
    | [] -> ()
@@ -479,6 +507,16 @@ let to_json ?(top = 5) t =
                     ("trace", Json.Str n.trace);
                   ])
              (take top (requests t))) );
+      ( "sim_work",
+        match sim_work t with
+        | None -> Json.Null
+        | Some w ->
+          Json.Obj
+            [
+              ("runs", Json.Int w.sim_runs);
+              ("tcsim.events", Json.Int w.sim_events);
+              ("tcsim.solo.skipped_events", Json.Int w.sim_skipped_events);
+            ] );
       ( "caches",
         Json.Obj
           (List.map

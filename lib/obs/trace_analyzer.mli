@@ -77,6 +77,14 @@ val traces : t -> trace_stat list
     id appears in — a request whose client and daemon spans connect
     shows both pids here. Sorted by total time descending. *)
 
+type sim_work = { sim_runs : int; sim_events : int; sim_skipped_events : int }
+
+val sim_work : t -> sim_work option
+(** Simulator runs and their kernel events — all of them, and those
+    applied as whole skipped periods — summed from the [events] /
+    [skipped_events] attributes of [tcsim.run] spans; [None] when the
+    trace has no such span. *)
+
 val report : ?top:int -> Format.formatter -> t -> unit
 val report_string : ?top:int -> t -> string
 (** The human-readable report ([top] bounds the request/trace lists,

@@ -81,6 +81,8 @@ module Script = struct
     mutable snaps : snap array;  (* per frame depth *)
     mutable period : int;
     mutable replay_left : int;  (* segments still to copy *)
+    mutable regions : int array;  (* (first, period, stop) per detected replay *)
+    mutable nregions : int;
   }
 
   let m_replayed = Obs.Metrics.counter ~timing:true "tcsim.script.replayed_segments"
@@ -114,15 +116,26 @@ module Script = struct
       snaps = [||];
       period = 0;
       replay_left = 0;
+      regions = [||];
+      nregions = 0;
     }
 
-  let emit t w0 w1 =
+  let no_chunk = [||]
+
+  (* The chunk segment [t.len] goes into, allocated on first use; the
+     chunk table doubles, so growing a long script stays linear. *)
+  let open_chunk t =
     let ci = t.len lsr seg_bits in
     if ci = Array.length t.chunks then
-      t.chunks <- Array.append t.chunks [| Array.make (2 lsl seg_bits) 0 |];
+      t.chunks <- Array.append t.chunks (Array.make (max 1 ci) no_chunk);
+    if t.chunks.(ci) == no_chunk then t.chunks.(ci) <- Array.make (2 lsl seg_bits) 0;
+    t.chunks.(ci)
+
+  let emit t w0 w1 =
+    let c = open_chunk t in
     let o = (t.len land ((1 lsl seg_bits) - 1)) lsl 1 in
-    t.chunks.(ci).(o) <- w0;
-    t.chunks.(ci).(o + 1) <- w1;
+    c.(o) <- w0;
+    c.(o + 1) <- w1;
     t.len <- t.len + 1
 
   (* A transaction issued [t.acc] cycles after the anchor; its completion
@@ -225,6 +238,17 @@ module Script = struct
      | None -> ());
     buf.(t.lines) <- t.acc
 
+  (* Segments [first + period, stop) are copies of the segment [period]
+     slots earlier: the kernel skips whole periods of them. *)
+  let add_region t ~first ~period ~stop =
+    let k = 3 * t.nregions in
+    if k = Array.length t.regions then
+      t.regions <- Array.append t.regions (Array.make (max 6 k) 0);
+    t.regions.(k) <- first;
+    t.regions.(k + 1) <- period;
+    t.regions.(k + 2) <- stop;
+    t.nregions <- t.nregions + 1
+
   (* At the boundary that began a new iteration of frame [d]'s loop:
      starts replaying when the previous iteration left the state where
      it found it, and otherwise keeps the state for the next boundary. *)
@@ -247,6 +271,7 @@ module Script = struct
         let n = Program.Walker.iterations_left w d * period in
         t.period <- period;
         t.replay_left <- n;
+        if n > 0 then add_region t ~first:snap.at ~period ~stop:(t.len + n);
         (* every segment of a period is a transaction *)
         t.pass_txns <- t.pass_txns + n;
         Program.Walker.skip_loop w d;
@@ -263,16 +288,31 @@ module Script = struct
       end
     end
 
-  let replay t =
-    let src = t.len - t.period in
-    let ci = src lsr seg_bits and o = (src land ((1 lsl seg_bits) - 1)) lsl 1 in
-    emit t t.chunks.(ci).(o) t.chunks.(ci).(o + 1);
-    t.replay_left <- t.replay_left - 1
+  (* Copies replayed segments up to segment [upto], at least one, in
+     runs that stay within one source chunk, one destination chunk and
+     one period (whose source segments are all compiled). A plain int
+     loop: [Array.blit] into a major-heap array goes through the write
+     barrier word by word. *)
+  let replay t upto =
+    let chunk = 1 lsl seg_bits in
+    let stop = t.len + min t.replay_left (max 1 (upto + 1 - t.len)) in
+    t.replay_left <- t.replay_left - (stop - t.len);
+    while t.len < stop do
+      let src = t.len - t.period in
+      let so = src land (chunk - 1) and d = t.len land (chunk - 1) in
+      let k = min (min (stop - t.len) t.period) (chunk - max so d) in
+      let from = t.chunks.(src lsr seg_bits) and into = open_chunk t in
+      for j = 0 to (2 * k) - 1 do
+        into.((d lsl 1) + j) <- from.((so lsl 1) + j)
+      done;
+      t.len <- t.len + k
+    done
 
-  (* Compiles up to the next segment. The walker rewinds at a pass end
-     while the caches stay warm: restart semantics. *)
-  let compile_next t =
-    if t.replay_left > 0 then replay t
+  (* Compiles up to the next segment, or replays up to segment [upto].
+     The walker rewinds at a pass end while the caches stay warm: restart
+     semantics. *)
+  let compile_next t upto =
+    if t.replay_left > 0 then replay t upto
     else begin
       let i = Program.Walker.next_or t.walker ~default:eop in
       if i == eop then begin
@@ -285,7 +325,7 @@ module Script = struct
       end
       else begin
         let d = Program.Walker.restarted t.walker in
-        if d >= 0 && boundary t d then replay t
+        if d >= 0 && boundary t d then replay t upto
         else
           try compile_instr t i
           with e ->
@@ -298,12 +338,12 @@ module Script = struct
   (* Readers never read past a silent end or a failure. *)
   let w0 t i =
     while t.len <= i && not t.complete do
-      compile_next t
+      compile_next t i
     done;
     t.chunks.(i lsr seg_bits).((i land ((1 lsl seg_bits) - 1)) lsl 1)
 
   let w1 t i = t.chunks.(i lsr seg_bits).(((i land ((1 lsl seg_bits) - 1)) lsl 1) + 1)
-  let footprint t = max 1 (Array.length t.chunks) lsl seg_bits
+  let footprint t = max 1 ((t.len + (1 lsl seg_bits) - 1) lsr seg_bits) lsl seg_bits
   let gap w0 = w0 asr 5
   let tag w0 = w0 land 7
   let miss w0 = (w0 lsr 3) land 3
@@ -500,3 +540,174 @@ let counters t =
 
 let restarts t = t.restart_count
 let core_id t = t.core_id
+
+(* --- Skipping periods alone -------------------------------------------------
+   While the analysis core is alone on the SRI, nothing but its own
+   events changes the machine. At a boundary of a replayed region — its
+   cursor at [first + k × period], about to fire the segment there — the
+   whole state that decides the future, taken relative to the cycle of
+   that event, is the core's registers and the crossbar's interfaces.
+   When it is equal at two consecutive boundaries, the period between
+   them was stepped from the same state through the same segments, so
+   every later period of the region repeats it, shifted by its cycles:
+   whole periods are applied arithmetically (DESIGN.md §7). *)
+module Solo = struct
+  (* buffer layout: the state words (compared), then the totals *)
+  let core_state = 6
+  let state_words = core_state + Sri.solo_state_words
+  let core_totals = state_words
+  let sri_totals = core_totals + 5
+  let clock = sri_totals + Sri.solo_total_words (* events, then the cycle *)
+  let words = clock + 2
+
+  type core = t
+
+  type t = {
+    core : core;
+    mutable snap : int array;  (* the state at boundary [at] *)
+    mutable cur : int array;
+    mutable known : int;  (* regions scanned for [watch] *)
+    mutable watch : int;  (* the next segment worth a look *)
+    mutable region : int;  (* the region [snap] was taken in; -1 none *)
+    mutable at : int;
+    mutable period_events : int;
+    mutable period_cycles : int;
+  }
+
+  let create core =
+    {
+      core;
+      snap = Array.make words 0;
+      cur = Array.make words 0;
+      known = -1;
+      watch = -1;
+      region = -1;
+      at = 0;
+      period_events = 0;
+      period_cycles = 0;
+    }
+
+  let period_events k = k.period_events
+  let period_cycles k = k.period_cycles
+  let due k = k.core.seg >= k.watch || k.core.script.Script.nregions <> k.known
+
+  let rel v ~cycle = if v = max_int then min_int else v - cycle
+
+  (* relative to the cycle of the event the core is about to fire *)
+  let snapshot k buf ~events =
+    let c = k.core in
+    let cycle = c.next in
+    buf.(0) <- rel c.anchor ~cycle;
+    buf.(1) <- rel c.next ~cycle;
+    buf.(2) <- Bool.to_int c.waiting;
+    buf.(3) <- rel c.done_at ~cycle;
+    buf.(4) <- c.stall_base - cycle;
+    buf.(5) <- c.op;
+    Sri.solo_snapshot c.sri ~core:c.core_id ~cycle buf ~state:core_state
+      ~totals:sri_totals;
+    buf.(core_totals) <- c.pmem_stall;
+    buf.(core_totals + 1) <- c.dmem_stall;
+    buf.(core_totals + 2) <- c.pcache_miss;
+    buf.(core_totals + 3) <- c.dcache_miss_clean;
+    buf.(core_totals + 4) <- c.dcache_miss_dirty;
+    buf.(clock) <- events;
+    buf.(clock + 1) <- cycle
+
+  let same_state a b =
+    let rec go i = i = state_words || (a.(i) = b.(i) && go (i + 1)) in
+    go 0
+
+  let first k r = k.core.script.Script.regions.(3 * r)
+  let period k r = k.core.script.Script.regions.((3 * r) + 1)
+  let stop k r = k.core.script.Script.regions.((3 * r) + 2)
+
+  (* Sets [watch] to the first boundary at or after [from] with two whole
+     periods left in its region — one to compare, at least one to skip —
+     and returns that region, the outermost where boundaries coincide. *)
+  let scan k ~from =
+    let best = ref (-1) in
+    k.watch <- max_int;
+    for r = 0 to k.core.script.Script.nregions - 1 do
+      let f = first k r and p = period k r in
+      let b = if from <= f then f else f + ((from - f + p - 1) / p * p) in
+      if
+        b + (2 * p) <= stop k r
+        && (b < k.watch
+            || (b = k.watch && stop k r - f > stop k !best - first k !best))
+      then begin
+        k.watch <- b;
+        best := r
+      end
+    done;
+    !best
+
+  (* Applies [times] periods of [cycles] cycles each: the totals grow by
+     [times] × their change since [snap], the cycle registers shift. *)
+  let advance k ~times ~cycles ~segs =
+    let c = k.core and b = k.snap in
+    let shift = times * cycles in
+    let grow v i = v + (times * (v - b.(core_totals + i))) in
+    c.pmem_stall <- grow c.pmem_stall 0;
+    c.dmem_stall <- grow c.dmem_stall 1;
+    c.pcache_miss <- grow c.pcache_miss 2;
+    c.dcache_miss_clean <- grow c.dcache_miss_clean 3;
+    c.dcache_miss_dirty <- grow c.dcache_miss_dirty 4;
+    c.anchor <- c.anchor + shift;
+    if c.done_at < max_int then c.done_at <- c.done_at + shift;
+    c.stall_base <- c.stall_base + shift;
+    c.seg <- c.seg + segs;
+    (* the segment after the region need not be a copy *)
+    c.next <- peek c c.seg c.anchor;
+    Sri.solo_advance c.sri ~core:c.core_id b ~totals:sri_totals ~times ~cycles
+
+  let check k ~events ~limit =
+    let c = k.core in
+    let cycle = c.next in
+    k.known <- c.script.Script.nregions;
+    let times = ref 0 in
+    if k.region >= 0 && c.seg = k.at + period k k.region then begin
+      let r = k.region in
+      let p = period k r in
+      snapshot k k.cur ~events;
+      if same_state k.snap k.cur then begin
+        k.region <- -1;
+        k.period_events <- events - k.snap.(clock);
+        k.period_cycles <- cycle - k.snap.(clock + 1);
+        (* the first event after the skip must come at or before [limit]:
+           a boundary copy's comes [period_cycles] after the previous
+           one, the segment at the region's stop after its gap *)
+        let left = (stop k r - c.seg) / p in
+        let m = if cycle > limit then 0 else min left ((limit - cycle) / k.period_cycles) in
+        let m =
+          if
+            m = left
+            && c.anchor + (m * k.period_cycles)
+               + Script.gap (Script.w0 c.script (stop k r))
+               > limit
+          then m - 1
+          else m
+        in
+        if m > 0 then begin
+          advance k ~times:m ~cycles:k.period_cycles ~segs:(m * p);
+          times := m
+        end
+      end
+      else if c.seg + (2 * p) <= stop k r then begin
+        let prev = k.snap in
+        k.snap <- k.cur;
+        k.cur <- prev;
+        k.at <- c.seg
+      end
+      else k.region <- -1
+    end;
+    if k.region < 0 then begin
+      let r = scan k ~from:c.seg in
+      if k.watch = c.seg then begin
+        snapshot k k.snap ~events:(events + (!times * k.period_events));
+        k.region <- r;
+        k.at <- c.seg
+      end
+    end;
+    if k.region >= 0 then k.watch <- k.at + period k k.region;
+    !times
+end

@@ -87,6 +87,38 @@ val fire_alone : t -> cycle:int -> limit:int -> int
     not made.
     @raise Invalid_argument as {!fire} does. *)
 
+(** Skipping whole loop periods while the analysis core is alone on the
+    SRI (DESIGN.md §7). At a boundary of a replayed region of its script
+    the core snapshots its registers and the crossbar's interface state,
+    relative to the cycle of the event it is about to fire; when the
+    state is equal at the next boundary, the period in between repeats
+    until the region ends, and whole periods are applied at once. Every
+    result, counter and total is the one stepping gives. *)
+module Solo : sig
+  type core := t
+  type t
+
+  val create : core -> t
+  (** Preallocated buffers for the analysis core; use only while it is
+      alone ({!fire_alone}) and the crossbar is not tracing. *)
+
+  val due : t -> bool
+  (** The core's cursor has reached a segment worth a {!check}, or its
+      script has detected new regions. Cheap: call before every event. *)
+
+  val check : t -> events:int -> limit:int -> int
+  (** Call with the core awake ({!wake}) before its next event, given the
+      kernel's event count so far. Returns the number [m] of whole
+      periods skipped — the core and the crossbar are then [m] periods
+      on, and the kernel adds [m × period_events] events and
+      [m × period_cycles] to its clock. [m] is capped so that the first
+      event after the skip is at or before [limit]. *)
+
+  val period_events : t -> int
+  val period_cycles : t -> int
+  (** Of the period the latest skip applied. *)
+end
+
 val finished : t -> bool
 (** The analysis core's program has ended. *)
 

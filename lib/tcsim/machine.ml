@@ -53,6 +53,10 @@ let m_cycles = Obs.Metrics.counter "tcsim.cycles"
 let m_events = Obs.Metrics.counter "tcsim.events"
 let m_skipped = Obs.Metrics.counter "tcsim.skipped_cycles"
 
+(* events applied as whole periods; whether a region is known when the
+   core reaches it depends on what the script memo held *)
+let m_solo_skipped = Obs.Metrics.counter ~timing:true "tcsim.solo.skipped_events"
+
 (* --- the script memo --------------------------------------------------------
    Every run checks the compiled {!Core_model.Script}s it needs out of
    one process-wide memo keyed by (program content, core config), and
@@ -142,13 +146,16 @@ let imin (a : int) b = if a <= b then a else b
    happens at the others. Once nothing is queued and no contender will
    issue again, the event kernel steps the analysis core alone (see
    below). See DESIGN.md §7 for why this is exact. *)
-let run_kernel ~stepped ~max_cycles ~sri ~analysis ~contenders =
-  let events = ref 0 and last = ref (-1) in
+let run_kernel ~stepped ~skip ~max_cycles ~sri ~analysis ~contenders ~work =
+  let events = ref 0 and last = ref (-1) and solo_skipped = ref 0 in
   Fun.protect
     ~finally:(fun () ->
         Sri.flush_metrics sri;
         Obs.Metrics.add m_events !events;
-        Obs.Metrics.add m_skipped (!last + 1 - !events))
+        Obs.Metrics.add m_skipped (!last + 1 - !events);
+        Obs.Metrics.add m_solo_skipped !solo_skipped;
+        work.(0) <- !events;
+        work.(1) <- !solo_skipped)
     (fun () ->
        let n = Array.length contenders in
        let alone = ref false in
@@ -182,9 +189,25 @@ let run_kernel ~stepped ~max_cycles ~sri ~analysis ~contenders =
        (* Alone on the crossbar: every event is the analysis core's — an
           issue, granted at once or, behind a contender's last
           transaction still in service, at a later cycle that is an
-          event of its own — or its end. *)
+          event of its own — or its end. Untraced, whole periods of a
+          replayed region are skipped at once (DESIGN.md §7). *)
+       let solo = if skip then Some (Core_model.Solo.create analysis) else None in
        while not (Core_model.finished analysis) do
          let t = Core_model.wake analysis in
+         let t =
+           match solo with
+           | Some k when Core_model.Solo.due k ->
+             let m = Core_model.Solo.check k ~events:!events ~limit:max_cycles in
+             if m = 0 then t
+             else begin
+               let e = m * Core_model.Solo.period_events k in
+               events := !events + e;
+               solo_skipped := !solo_skipped + e;
+               last := !last + (m * Core_model.Solo.period_cycles k);
+               Core_model.wake analysis
+             end
+           | _ -> t
+         in
          if t > max_cycles then raise (Cycle_limit_exceeded (max_cycles + 1));
          incr events;
          last := t;
@@ -202,12 +225,14 @@ let run ?(config = default_config) ?(max_cycles = default_max_cycles)
     ?(restart_contenders = true) ?priorities ?(trace = false) ?kernel
     ~analysis ?(contenders = []) () =
   Obs.Metrics.incr m_runs;
-  let finish_cycle = ref 0 in
+  let finish_cycle = ref 0 and work = [| 0; 0 |] in
   Obs.Tracer.with_span "tcsim.run"
     ~attrs:(fun () ->
         [
           ("cores", string_of_int (1 + List.length contenders));
           ("cycles", string_of_int !finish_cycle);
+          ("events", string_of_int work.(0));
+          ("skipped_events", string_of_int work.(1));
         ])
     (fun () ->
   let ncores = Array.length config.cores in
@@ -249,7 +274,8 @@ let run ?(config = default_config) ?(max_cycles = default_max_cycles)
   in
   run_kernel
     ~stepped:((match kernel with Some k -> k | None -> default_kernel ()) = `Stepped)
-    ~max_cycles ~sri ~analysis:analysis_core ~contenders:contender_cores;
+    ~skip:(not trace) ~max_cycles ~sri ~analysis:analysis_core ~contenders:contender_cores
+    ~work;
   let result_of core =
     {
       counters = Core_model.counters core;

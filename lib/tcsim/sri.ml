@@ -180,6 +180,42 @@ let serve_alone t ~core ~target ~op ~line ~folded ~cycle ~limit =
   if at <= limit then grant t target at core;
   at
 
+(* Skipping periods alone: what the solo master's future depends on is
+   each interface's [busy_until] — only as far as it lies past the
+   current cycle, since every later request issues at or after it — and
+   its line buffer. *)
+let solo_state_words = 2 * ntargets
+let solo_total_words = 6 * ntargets
+
+let solo_snapshot t ~core ~cycle buf ~state ~totals =
+  for i = 0 to ntargets - 1 do
+    let b = t.busy_until.(i) in
+    buf.(state + (2 * i)) <- (if b > cycle then b - cycle else 0);
+    buf.(state + (2 * i) + 1) <- t.last_line.(i);
+    buf.(totals + i) <- b;
+    buf.(totals + ntargets + i) <- t.busy.(i);
+    buf.(totals + (2 * ntargets) + i) <- t.wait.(i);
+    buf.(totals + (3 * ntargets) + i) <- t.grants.(i)
+  done;
+  Array.blit t.served (core * 2 * ntargets) buf (totals + (4 * ntargets)) (2 * ntargets)
+
+let solo_advance t ~core buf ~totals ~times ~cycles =
+  let shift = times * cycles in
+  let grow a j at = a.(j) <- a.(j) + (times * (a.(j) - buf.(at))) in
+  for i = 0 to ntargets - 1 do
+    (* an interface the period used moves on with it; the others stay *)
+    if t.busy_until.(i) <> buf.(totals + i) then
+      t.busy_until.(i) <- t.busy_until.(i) + shift;
+    grow t.busy i (totals + ntargets + i);
+    grow t.wait i (totals + (2 * ntargets) + i);
+    grow t.grants i (totals + (3 * ntargets) + i)
+  done;
+  for k = 0 to (2 * ntargets) - 1 do
+    grow t.served ((core * 2 * ntargets) + k) (totals + (4 * ntargets) + k)
+  done;
+  t.p_issued.(core) <- t.p_issued.(core) + shift;
+  if t.p_done.(core) < max_int then t.p_done.(core) <- t.p_done.(core) + shift
+
 let step t ~cycle =
   for i = 0 to ntargets - 1 do
     try_grant t i ~cycle

@@ -66,6 +66,29 @@ val serve_alone :
     cycle; a grant past [limit] is not made, and the request stays
     queued. *)
 
+(** {2 Skipping periods alone}
+
+    For a master alone on the crossbar ({!serve_alone}), the state its
+    future depends on, and the totals its grants add to, as ints (used
+    by {!Core_model.Solo}). *)
+
+val solo_state_words : int
+val solo_total_words : int
+
+val solo_snapshot :
+  t -> core:int -> cycle:int -> int array -> state:int -> totals:int -> unit
+(** Writes the state relative to [cycle] — per interface, how far its
+    [busy_until] lies past [cycle] and the line in its buffer — at
+    [state], and the totals (per interface [busy_until], busy, wait and
+    grant totals, then [core]'s served counts) at [totals]. *)
+
+val solo_advance :
+  t -> core:int -> int array -> totals:int -> times:int -> cycles:int -> unit
+(** Applies [times] more periods like the one since the totals at
+    [totals] were taken: every total grows by [times] × its change, and
+    [core]'s transaction times and the [busy_until] of each interface
+    the period used shift by [times × cycles]. *)
+
 val done_at : t -> core:int -> int
 (** Completion cycle of [core]'s latest request once granted; [max_int]
     while it waits. *)

@@ -521,6 +521,34 @@ let test_analyzer_stages () =
             (s.stage, s.stage_spans, s.stage_self_us))
        (Obs.Trace_analyzer.stages t))
 
+let test_analyzer_sim_work () =
+  let trace =
+    {|{"traceEvents": [
+  {"name": "tcsim.run", "ph": "X", "ts": 0, "dur": 10, "pid": 1, "tid": 0,
+   "args": {"cores": "1", "events": "120", "skipped_events": "100"}},
+  {"name": "tcsim.run", "ph": "X", "ts": 20, "dur": 10, "pid": 1, "tid": 0,
+   "args": {"cores": "2", "events": "30", "skipped_events": "0"}}
+]}|}
+  in
+  match Obs.Trace_analyzer.of_string trace with
+  | Error e -> Alcotest.failf "fixture does not analyze: %s" e
+  | Ok t ->
+    Alcotest.(check (option (triple int int int))) "runs, events and skipped events summed"
+      (Some (2, 150, 100))
+      (Option.map
+         (fun w -> Obs.Trace_analyzer.(w.sim_runs, w.sim_events, w.sim_skipped_events))
+         (Obs.Trace_analyzer.sim_work t));
+    Alcotest.(check bool) "the report shows them" true
+      (let r = Obs.Trace_analyzer.report_string t in
+       let needle = "tcsim.events=150  tcsim.solo.skipped_events=100" in
+       let rec has i =
+         i + String.length needle <= String.length r
+         && (String.sub r i (String.length needle) = needle || has (i + 1))
+       in
+       has 0);
+    Alcotest.(check bool) "no simulator runs, no section" true
+      (Obs.Trace_analyzer.sim_work (analyze_fixture ()) = None)
+
 let test_analyzer_caches () =
   let t = analyze_fixture () in
   match Obs.Trace_analyzer.caches t with
@@ -728,6 +756,7 @@ let () =
             test_analyzer_forest;
           Alcotest.test_case "stage breakdown" `Quick test_analyzer_stages;
           Alcotest.test_case "cache effectiveness" `Quick test_analyzer_caches;
+          Alcotest.test_case "simulator work" `Quick test_analyzer_sim_work;
           Alcotest.test_case "trace ids connect processes" `Quick
             test_analyzer_traces_connect;
           Alcotest.test_case "garbage inputs rejected" `Quick

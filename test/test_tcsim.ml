@@ -1106,6 +1106,8 @@ let test_events_are_issues_and_grants () =
    constants (write-backs ahead of a flash fill); uncached LMU and
    data-flash traffic; small nested inner loops; and now and then an
    instruction that raises, inside the loop or after it. *)
+let raising_instr = { Program.pc = pspr; kind = Program.Store pf0_c }
+
 let gen_replay_program =
   let open QCheck.Gen in
   let code_lines = 640 (* the P16 I$ holds 512 *) in
@@ -1138,7 +1140,7 @@ let gen_replay_program =
     if line < code_lines / 2 then pf0_c + (32 * line)
     else pf1_c + (32 * (line - (code_lines / 2)))
   in
-  let raising = Program.I { Program.pc = pspr; kind = Program.Store pf0_c } in
+  let raising = Program.I raising_instr in
   let small =
     list_size (int_range 1 3) (map (fun kind -> Program.I { Program.pc = pspr; kind }) kind)
   in
@@ -1276,6 +1278,233 @@ let test_replay_scale () =
        Alcotest.(check bool) (name ^ ": replay fires at 1x") true (r1 > 0);
        Alcotest.(check bool) (name ^ ": and replays more at 10x") true (r10 > r1);
        Alcotest.(check int) (name ^ ": non-replayed segments, 10x = 1x") c1 c10)
+    [ Workload.Control_loop.S1; Workload.Control_loop.S2 ]
+
+(* --- skipping periods alone ------------------------------------------------- *)
+
+let solo_skipped = Obs.Metrics.counter ~timing:true "tcsim.solo.skipped_events"
+
+let skipped_by f =
+  let before = Obs.Metrics.value solo_skipped in
+  let r = f () in
+  (r, Obs.Metrics.value solo_skipped - before)
+
+(* What the kernel must wake for, in a reference run that completed:
+   issues and grants, requests still queued at the finish, the finish. *)
+let reference_event_cycles ~pending (r : Machine.run_result) =
+  List.sort_uniq compare
+    ((r.Machine.cycles :: pending)
+     @ List.concat_map (fun e -> [ e.Trace.issue_cycle; e.Trace.grant_cycle ]) r.Machine.trace)
+
+(* [gen_replay_case]'s co-runs with contenders that end early: each runs
+   one iteration of its loop, once, and raises nothing, so the analysis
+   core goes on alone in the middle of its loop. *)
+let gen_skip_case =
+  let rec once = function
+    | Program.I i when i = raising_instr -> []
+    | Program.I _ as item -> [ item ]
+    | Program.Loop { body; _ } -> [ Program.loop 1 (List.concat_map once body) ]
+  in
+  QCheck.Gen.map
+    (fun (analysis, contenders, priorities, _) ->
+       ( analysis,
+         List.map
+           (fun (t : Machine.task) ->
+              let items = List.concat_map once (Program.items t.Machine.program) in
+              { t with Machine.program = prog "once" items })
+           contenders,
+         priorities ))
+    gen_replay_case
+
+(* The untraced twin of the property above. Untraced, the event kernel
+   applies whole loop periods at once while the analysis core is alone:
+   every isolation, and co-runs once their [Once] contenders are done.
+   The cycle limit is drawn across the reference's run, so that it can
+   strike inside a skippable stretch; runs read cold scripts (regions
+   detected on the way) and warm ones (regions known up front). The
+   result, the per-target SRI totals, and the events and skipped cycles
+   as counted from the reference's event cycles all match. *)
+let prop_skip_matches_reference =
+  QCheck.Test.make ~name:"skipped periods reproduce Ref_sim untraced, cycle limit included"
+    ~count:60
+    (QCheck.pair (QCheck.make gen_skip_case) (QCheck.int_range 250 1250))
+    (fun ((analysis, contenders, priorities), per_mille) ->
+       let pending = ref [] in
+       let full =
+         verdict (fun () ->
+             Ref_sim.run ~max_cycles:replay_budget ?priorities ~restart_contenders:false
+               ~trace:true ~pending ~analysis ~contenders ())
+       in
+       let max_cycles =
+         match full with
+         | Ok r when per_mille <= 1000 -> r.Machine.cycles * per_mille / 1000
+         | _ -> replay_budget
+       in
+       let snap f =
+         Obs.Metrics.reset ();
+         let r = verdict f in
+         let pick p = List.filter (fun (k, _) -> p k) (Obs.Metrics.deterministic_snapshot ()) in
+         ( r,
+           pick (String.starts_with ~prefix:"sri."),
+           pick (fun k -> k = "tcsim.events" || k = "tcsim.skipped_cycles") )
+       in
+       let go () =
+         Machine.run ~max_cycles ?priorities ~restart_contenders:false ~analysis ~contenders ()
+       in
+       let reference, sri, _ =
+         snap (fun () ->
+             Ref_sim.run ~max_cycles ?priorities ~restart_contenders:false ~analysis
+               ~contenders ())
+       in
+       let work =
+         match full with
+         | Ok r ->
+           let seen =
+             List.filter (fun c -> c <= max_cycles) (reference_event_cycles ~pending:!pending r)
+           in
+           let n = List.length seen in
+           let last = List.fold_left max (-1) seen in
+           Some [ ("tcsim.events", n); ("tcsim.skipped_cycles", last + 1 - n) ]
+         | Error _ -> None
+       in
+       let agrees (r, sri', work') =
+         r = reference && sri' = sri
+         && match work with Some w -> w = work' | None -> true
+       in
+       Machine.clear_scripts ();
+       let cold = snap go in
+       let warm = snap go in
+       agrees cold && agrees warm)
+
+(* Guards the property above against passing vacuously: untraced, whole
+   periods are skipped on most generated programs; traced, never. A run
+   on a cold script detects a region one period in, so skipping needs
+   two more; on the script an earlier run compiled — the co-run after
+   the isolations — it needs one. Both kinds skip. *)
+let test_skip_fires () =
+  let programs =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:12 gen_replay_program
+  in
+  let skipped ~trace items =
+    let run () =
+      snd
+        (skipped_by (fun () ->
+             verdict (fun () ->
+                 Machine.run ~trace ~analysis:{ Machine.program = prog "r" items; core = 0 } ())))
+    in
+    Machine.clear_scripts ();
+    let cold = run () in
+    (cold, run ())
+  in
+  let untraced = List.map (skipped ~trace:false) programs in
+  let fired = List.filter (fun (_, warm) -> warm > 0) untraced in
+  Alcotest.(check bool)
+    (Printf.sprintf "skipping fired on %d of %d programs" (List.length fired)
+       (List.length programs))
+    true
+    (2 * List.length fired >= List.length programs);
+  Alcotest.(check bool) "and on cold scripts" true (List.exists (fun (cold, _) -> cold > 0) untraced);
+  Alcotest.(check (list (pair int int))) "traced runs step every period"
+    (List.map (fun _ -> (0, 0)) programs)
+    (List.map (skipped ~trace:true) programs);
+  Alcotest.(check bool) "the counter is timing-tier" false
+    (List.mem_assoc "tcsim.solo.skipped_events" (Obs.Metrics.deterministic_snapshot ()))
+
+(* Only the line buffer tells a region's first period from the rest: the
+   last pf1 access of iteration 1 is the I$ miss on the loop's last
+   code line, one line before the D$-thrashing load that opens every
+   iteration, so that load streams in iteration 2 only. Caches, cycle
+   offsets and interfaces are otherwise in the same state at the start
+   of iterations 2 and 3. A run on the compiled script (regions known
+   from the start) must not skip from that first comparison. *)
+let test_skip_line_buffer () =
+  let a = pf1_c + 0x2000 in
+  let body =
+    [ load a; load lmu_c; load (lmu_c + 0x1000) (* one D$ set, two ways *);
+      load (Memory_map.pf1_uncached_base + 0x4000) ]
+    @ List.init 800 (fun _ -> compute 1)
+    @ [ compute ~pc:(a - 32) 1; load lmu_nc ]
+  in
+  let analysis = { Machine.program = prog "buffer" [ Program.loop 8 body ]; core = 0 } in
+  let reference = Ref_sim.run ~trace:true ~analysis () in
+  let first = List.nth reference.Machine.trace 0 in
+  let streamed =
+    List.filter (fun e -> e.Trace.target = Target.Pf1 && e.Trace.op = Op.Data) reference.Machine.trace
+    |> List.map (fun e -> e.Trace.service)
+  in
+  Alcotest.(check bool) "the load streams in iteration 2 only" true
+    (first.Trace.target = Target.Pf1
+     && List.length (List.sort_uniq compare streamed) = 2
+     && List.nth streamed 2 < List.nth streamed 0);
+  Machine.clear_scripts ();
+  ignore (Machine.run ~analysis ());
+  let r, n = skipped_by (fun () -> Machine.run ~analysis ()) in
+  Alcotest.(check bool) "periods were skipped" true (n > 0);
+  Alcotest.(check bool) "result equals the reference" true
+    (r = { reference with Machine.trace = [] })
+
+let table6_app variant iterations =
+  Workload.Control_loop.build variant { Workload.Control_loop.default_params with iterations }
+
+let variant_name = function Workload.Control_loop.S1 -> "S1" | S2 -> "S2"
+
+(* On the paper's workloads, an untraced isolation — which skips — equals
+   the traced one, which steps every transaction, with the trace dropped,
+   and counts the same events. *)
+let test_skip_real_workloads () =
+  let programs =
+    List.concat_map
+      (fun (scenario, level, app, con) ->
+         if level = Workload.Load_gen.High then
+           [ (scenario.Scenario.name ^ " app", app); (scenario.Scenario.name ^ " H-Load", con) ]
+         else [])
+      (figure4_cells ())
+    @ List.map
+        (fun v ->
+           ( "Table 6 " ^ variant_name v,
+             table6_app v Workload.Control_loop.default_params.Workload.Control_loop.iterations ))
+        [ Workload.Control_loop.S1; Workload.Control_loop.S2 ]
+  in
+  let fired = ref 0 in
+  List.iter
+    (fun (name, program) ->
+       let analysis = { Machine.program; core = 0 } in
+       let run ~trace =
+         Obs.Metrics.reset ();
+         let r, n = skipped_by (fun () -> Machine.run ~trace ~analysis ()) in
+         (r, n, List.assoc "tcsim.events" (Obs.Metrics.deterministic_snapshot ()))
+       in
+       let traced, _, e_traced = run ~trace:true in
+       let plain, n, e_plain = run ~trace:false in
+       if n > 0 then incr fired;
+       Alcotest.(check int) (name ^ ": cycles") traced.Machine.cycles plain.Machine.cycles;
+       Alcotest.(check bool) (name ^ ": counters, profile and restarts") true
+         (plain = { traced with Machine.trace = [] });
+       Alcotest.(check int) (name ^ ": tcsim.events") e_traced e_plain)
+    programs;
+  Alcotest.(check bool) "skipping fired on the paper's workloads" true (!fired > 0)
+
+(* The scale target on the simulation side: Table 6's application in
+   isolation steps as many events at ten times its iterations as at one
+   time. The extra iterations all fall in whole skipped periods. *)
+let test_skip_scale () =
+  List.iter
+    (fun variant ->
+       let stepped iterations =
+         Machine.clear_scripts ();
+         Obs.Metrics.reset ();
+         let (_ : Machine.run_result), n =
+           skipped_by (fun () ->
+               Machine.run ~analysis:{ Machine.program = table6_app variant iterations; core = 0 } ())
+         in
+         (List.assoc "tcsim.events" (Obs.Metrics.deterministic_snapshot ()), n)
+       in
+       let base = Workload.Control_loop.default_params.Workload.Control_loop.iterations in
+       let e1, s1 = stepped base and e10, s10 = stepped (10 * base) in
+       let name = variant_name variant in
+       Alcotest.(check bool) (name ^ ": skipping fires at 1x") true (s1 > 0);
+       Alcotest.(check bool) (name ^ ": and skips more at 10x") true (s10 > s1);
+       Alcotest.(check int) (name ^ ": stepped events, 10x = 1x") (e1 - s1) (e10 - s10))
     [ Workload.Control_loop.S1; Workload.Control_loop.S2 ]
 
 (* --- alone on the crossbar ------------------------------------------------------ *)
@@ -1573,7 +1802,17 @@ let () =
           Alcotest.test_case "replay fires on the generated programs" `Quick test_replay_fires;
           Alcotest.test_case "10x iterations compile no more segments" `Quick
             test_replay_scale;
+          Alcotest.test_case "10x iterations step no more events" `Quick test_skip_scale;
           QCheck_alcotest.to_alcotest prop_replay_matches_reference;
+        ] );
+      ( "skip-periods",
+        [
+          Alcotest.test_case "skipping fires untraced, never traced" `Quick test_skip_fires;
+          Alcotest.test_case "untraced isolation equals traced on real workloads" `Quick
+            test_skip_real_workloads;
+          Alcotest.test_case "a line buffer that differs at the first boundary" `Quick
+            test_skip_line_buffer;
+          QCheck_alcotest.to_alcotest prop_skip_matches_reference;
         ] );
       ( "alone-on-sri",
         [
