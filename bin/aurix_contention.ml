@@ -677,10 +677,10 @@ let audit_cmd =
                Platform.Scenario.scenario1);
           ignore (Experiments.Ablations.a4_fsb ?jobs ()) );
       ( "bnb",
-        (* Hard certified solves with intra-solve parallelism: the
-           frontier-mining merge path itself produces the certificates
-           being audited, at whatever --jobs says. *)
-        fun ?jobs () ->
+        (* Hard certified solves: seeded models whose searches branch
+           deep, so the audited certificates are whole search trees.
+           One solve at a time; --jobs does not reach them. *)
+        fun ?jobs:_ () ->
           let state = ref 0x1F123BB5 in
           let rand bound =
             state := ((!state * 0x5DEECE66D) + 0xB) land ((1 lsl 48) - 1);
@@ -713,13 +713,7 @@ let audit_cmd =
                            vars)));
                 m)
           in
-          Runtime.Pool.with_pool ?jobs (fun pool ->
-              List.iter
-                (fun m ->
-                   ignore
-                     (Runtime.Solve_cache.solve_ilp
-                        ~parallel:(Runtime.Solve_cache.On_pool pool) m))
-                models) );
+          List.iter (fun m -> ignore (Runtime.Solve_cache.solve_ilp m)) models );
     ]
   in
   let run name jobs kernel trace metrics =

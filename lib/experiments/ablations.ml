@@ -5,26 +5,6 @@ let latency_of (config : Tcsim.Machine.config option) =
   | Some c -> c.Tcsim.Machine.latency
   | None -> Tcsim.Machine.default_config.Tcsim.Machine.latency
 
-let readings ?config ~scenario ~load () =
-  let variant = Workload.Control_loop.variant_of_scenario scenario in
-  let app = Workload.Control_loop.app variant in
-  let contender = Workload.Load_gen.make ~variant ~level:load () in
-  Analysis.Preflight.run ~latency:(latency_of config) ~scenario
-    ~tasks:
-      [
-        { Analysis.Program_lint.label = "app"; core = 0; program = app };
-        { Analysis.Program_lint.label = "contender"; core = 1; program = contender };
-      ]
-    ();
-  let a = (Mbta.Measurement.isolation ?config ~core:0 app).Mbta.Measurement.counters in
-  let b = (Mbta.Measurement.isolation ?config ~core:1 contender).Mbta.Measurement.counters in
-  Analysis.Preflight.guard
-    (Analysis.Counter_lint.check ~latency:(latency_of config) ~scenario
-       ~path:[ "isolation"; "app" ] a
-     @ Analysis.Counter_lint.check ~latency:(latency_of config) ~scenario
-         ~path:[ "isolation"; "contender" ] b);
-  (a, b)
-
 (* Per-cell readings as dag nodes: prep (programs + preflight) feeds the
    two isolation simulations, which feed the counter lint. Every
    ablation shares this chain shape, so independent cells pipeline —
@@ -140,43 +120,6 @@ let a1_contender_info ?config ?jobs () =
   in
   Runtime.Dag.run ?jobs dag;
   List.map get rows
-
-(* Phase-locked reference for [bench dag]: the pre-DAG shape, one
-   monolithic task per cell. Produces exactly [a1_contender_info]'s
-   rows. *)
-let a1_contender_info_phased ?config ?jobs () =
-  let latency = latency_of config in
-  Runtime.Pool.map ~label:"ablations.a1.phased" ?jobs
-    (fun (scenario, load) ->
-            Obs.Tracer.with_span "ablations.a1"
-              ~attrs:(fun () ->
-                  [
-                    ("scenario", scenario.Scenario.name);
-                    ("load", Workload.Load_gen.level_to_string load);
-                  ])
-            @@ fun () ->
-            let a, b = readings ?config ~scenario ~load () in
-            let bound options =
-              (Contention.Ilp_ptac.contention_bound_exn ~options ~latency
-                 ~scenario ~a ~b ())
-                .Contention.Ilp_ptac.delta
-            in
-            let with_info = bound Contention.Ilp_ptac.default_options in
-            let without_info =
-              bound
-                {
-                  Contention.Ilp_ptac.default_options with
-                  Contention.Ilp_ptac.use_contender_info = false;
-                }
-            in
-            let ftc_delta =
-              (Contention.Ftc.contention_bound
-                 ~dirty:(scenario.Scenario.name = "scenario2")
-                 ~latency ~a ())
-                .Contention.Ftc.delta
-            in
-            { a1_scenario = scenario.Scenario.name; a1_load = load; with_info; without_info; ftc_delta })
-    scenario_load_cells
 
 (* --- A2: stall-equality encodings ----------------------------------------- *)
 

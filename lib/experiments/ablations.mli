@@ -32,12 +32,6 @@ val a1_contender_info :
     [jobs] defaults to {!Runtime.Pool.default_jobs}, row order (and
     every row byte) is independent of it (as for every study below). *)
 
-val a1_contender_info_phased :
-  ?config:Tcsim.Machine.config -> ?jobs:int -> unit -> a1_row list
-(** Phase-locked reference executor (one monolithic task per cell, batch
-    barrier) — the [bench dag] baseline; produces exactly
-    {!a1_contender_info}'s rows. *)
-
 type a2_row = {
   a2_scenario : string;
   mode : Contention.Ilp_ptac.equality_mode;

@@ -218,14 +218,6 @@ let run_scenario ?config ?jobs scenario =
 
 let run_all ?config ?jobs () = run_cells ?config ?jobs all_cells
 
-(* Phase-locked reference executor: one monolithic task per cell, batch
-   barrier at the end — the pre-DAG shape, kept as the [bench dag]
-   baseline and as a differential oracle for the pipelined sweep. *)
-let run_all_phased ?config ?jobs () =
-  Runtime.Pool.map ~label:"figure4.phased" ?jobs
-    (fun (scenario, load) -> run_row ?config ~scenario ~load ())
-    all_cells
-
 let sound row =
   Mbta.Wcet.upper_bounds row.ftc ~observed_cycles:row.observed_cycles
   && Mbta.Wcet.upper_bounds row.ilp ~observed_cycles:row.observed_cycles

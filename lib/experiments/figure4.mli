@@ -41,13 +41,6 @@ val run_all : ?config:Tcsim.Machine.config -> ?jobs:int -> unit -> row list
     the row order (scenario-major, then H/M/L) — and every byte of the
     rows — is independent of [jobs]. *)
 
-val run_all_phased :
-  ?config:Tcsim.Machine.config -> ?jobs:int -> unit -> row list
-(** Phase-locked reference executor: one monolithic {!run_row} task per
-    cell with a batch barrier — the pre-DAG shape. Kept as the
-    [bench dag] wall-time baseline and as a differential oracle
-    (produces exactly {!run_all}'s rows). *)
-
 val sound : row -> bool
 (** Do both model estimates cover the observed co-run time? *)
 

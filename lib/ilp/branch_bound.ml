@@ -4,10 +4,7 @@ exception Node_limit_exceeded
 
 (* Search observability (Obs.Metrics): totals are per-process and, with
    the single-flight solve cache, independent of the parallel degree —
-   every distinct model is searched exactly once either way, and the
-   subtree phase commits speculative metric deltas in sequential merge
-   order (see below), so even intra-solve parallelism leaves the
-   deterministic counters byte-identical at any [jobs]. *)
+   every distinct model is searched exactly once, on one domain. *)
 let m_solves = Obs.Metrics.counter "ilp.bb.solves"
 let m_nodes = Obs.Metrics.counter "ilp.bb.nodes"
 let m_pruned = Obs.Metrics.counter "ilp.bb.pruned"
@@ -17,30 +14,7 @@ let m_warm = Obs.Metrics.counter "ilp.bb.warm_starts"
 let m_restarts = Obs.Metrics.counter "ilp.bb.engine_restarts"
 let m_max_depth = Obs.Metrics.gauge "ilp.bb.max_depth"
 
-(* Jobs-invariant parallel-search counters: where the frontier cut falls
-   and how many nodes sit below it depend only on the model and the
-   [frontier] width, never on how many domains mined the subtrees. *)
-let m_par_nodes = Obs.Metrics.counter "bnb.parallel_nodes"
-let m_par_splits = Obs.Metrics.counter "bnb.parallel_splits"
-
-(* Scheduling facts of one particular run: which domain claimed which
-   subtree (and how many speculative runs were redone as sequential
-   replays) is a race outcome, so these stay out of
-   [Obs.Metrics.deterministic_snapshot]. *)
-let m_subtrees = Obs.Metrics.counter ~timing:true "bnb.subtrees"
-let m_subtree_steals = Obs.Metrics.counter ~timing:true "bnb.subtree_steals"
-
 let branching_value x = (Q.floor x, Q.ceil x)
-
-(* How a solve may fan its subtree work out: [spawn] fires a helper
-   thunk onto some executor (in practice [Runtime.Pool.spawn_raw]) and
-   [degree] bounds how many helpers are worth spawning. The record is
-   dependency-inverted — lib/ilp does not know about the pool — and it
-   never affects results, node counts or certificates: only which
-   domain explores which subtree. *)
-type parallel = { degree : int; spawn : (unit -> unit) -> unit }
-
-let default_frontier = 32
 
 (* Depth-first branch & bound, most-fractional branching, down-branch
    first (for the contention ILPs the optimum sits near the upper bounds,
@@ -58,26 +32,7 @@ let default_frontier = 32
    relaxation cannot beat the incumbent by more than [slack]. The returned
    incumbent is therefore within [slack] of the true optimum — callers
    needing a sound upper (resp. lower) bound on a maximisation (resp.
-   minimisation) must add [slack] back.
-
-   {b Parallel determinism.} The search is one fixed algorithm at every
-   parallel degree: an explicit-stack DFS whose pop order is exactly the
-   recursive down-then-up order. The spawner expands the stack
-   sequentially until it holds [frontier] unexplored nodes; the
-   remaining stack, popped LIFO, lists subtree roots in sequential
-   continuation order. Subtrees are then claimed off an atomic counter
-   (by the spawner and any [parallel] helpers) and explored
-   speculatively: each run snapshots a shared atomic incumbent objective
-   at claim time (the only cross-subtree communication, used only for
-   pruning), counts its own nodes against an optimistic budget, and
-   buffers all metric updates in an [Obs.Metrics.capture] delta. The
-   spawner then merges results in subtree order: a run whose snapshot
-   equals the deterministic prefix incumbent made exactly the sequential
-   decisions, so its delta/incumbent/certificate commit as-is; any other
-   run (stale snapshot, or past the exact remaining node budget) is
-   discarded and replayed inline at its sequential position. Either way
-   the visit order, prune/incumbent/node/pivot totals, the returned
-   solution and the certificate tree are those of the sequential DFS. *)
+   minimisation) must add [slack] back. *)
 
 module type MODE = sig
   module E : Simplex.ENGINE
@@ -114,8 +69,7 @@ module Search (M : MODE) = struct
 
   (* One unexplored node. [set] installs the node's contribution once
      its whole subtree is done; branch nodes install themselves when
-     both children have (the join closures run only on the spawner or
-     wholly inside one speculative run, never concurrently). *)
+     both children have. *)
   type frame = {
     depth : int;
     parent : E.state option;
@@ -124,26 +78,7 @@ module Search (M : MODE) = struct
     set : M.node -> unit;
   }
 
-  (* Incumbent store and node accounting, so the same [process] drives
-     the sequential prefix (globals), a speculative subtree run (local
-     incumbent seeded from the claim-time snapshot) and a replay. *)
-  type env = {
-    bound : unit -> Q.t option;
-    record : Q.t -> Q.t array -> unit;
-    count_node : int -> unit;
-  }
-
-  type sub_result = {
-    snap : Q.t option;  (* shared incumbent objective at claim time *)
-    sr_nodes : int;
-    limit_hit : bool;  (* ran past the optimistic node budget *)
-    local_best : (Q.t * Q.t array) option;
-    delta : Obs.Metrics.delta;
-    sub_node : M.node option;
-    err : exn option;  (* deterministic abort (tier restart, unbounded) *)
-  }
-
-  let run ~node_limit ~slack ~parallel ~frontier model =
+  let run ~node_limit ~slack model =
     let nv = Model.num_vars model in
     let int_vars = Model.integer_vars model in
     let dir, obj_expr = Model.objective model in
@@ -181,7 +116,13 @@ module Search (M : MODE) = struct
        non-negative <=-constraint satisfied, so it often yields a feasible
        integer incumbent for free; we verify feasibility exactly before
        accepting it. *)
-    let try_floor env values =
+    let best : (Q.t * Q.t array) option ref = ref None in
+    let bound () = Option.map fst !best in
+    let record objective values =
+      Obs.Metrics.incr m_incumbents;
+      best := Some (objective, values)
+    in
+    let try_floor values =
       let floored =
         Array.mapi
           (fun v x -> if List.mem v int_vars then Q.floor x else x)
@@ -192,9 +133,9 @@ module Search (M : MODE) = struct
       | Error _ -> ()
       | Ok _ -> (
         let objective = Linexpr.eval obj_expr lookup in
-        match env.bound () with
+        match bound () with
         | Some b when not (better objective b) -> ()
-        | _ -> env.record objective floored)
+        | _ -> record objective floored)
     in
     (* Branch on the fractional variable closest to half-integral,
        preferring variables with a non-zero objective coefficient: ties in
@@ -219,12 +160,23 @@ module Search (M : MODE) = struct
       | Some _ as r -> r
       | None -> pick int_vars
     in
+    let nodes = ref 0 in
+    (* Depth-first over one explicit stack: popping LIFO visits nodes in
+       exactly the recursive down-then-up order. *)
+    let stack = ref [] in
+    let push f = stack := f :: !stack in
     (* One node: count it, presolve (or use the memoised root outcome),
        solve the relaxation warm from the parent basis, then settle as a
-       leaf or push both children ([push] up first so the down child pops
-       first — the recursive visit order). *)
-    let process env ~push frame =
-      env.count_node frame.depth;
+       leaf or push both children (up first so the down child pops
+       first). *)
+    let process frame =
+      incr nodes;
+      Obs.Metrics.incr m_nodes;
+      Obs.Metrics.set_max m_max_depth frame.depth;
+      if !nodes > node_limit then begin
+        Obs.Metrics.incr m_node_limit;
+        raise Node_limit_exceeded
+      end;
       match
         (match M.root with
          | Some outcome when frame.depth = 0 -> outcome
@@ -247,10 +199,10 @@ module Search (M : MODE) = struct
         | Solution.Optimal { objective; values } ->
           let info = M.info_of cert in
           (match most_fractional values with
-           | Some _ -> try_floor env values
+           | Some _ -> try_floor values
            | None -> ());
           let prune =
-            match env.bound () with
+            match bound () with
             | Some b -> not (worth_exploring objective b)
             | None -> false
           in
@@ -261,9 +213,9 @@ module Search (M : MODE) = struct
           else begin
             match most_fractional values with
             | None -> (
-              (match env.bound () with
+              (match bound () with
                | Some b when not (better objective b) -> ()
-               | _ -> env.record objective values);
+               | _ -> record objective values);
               frame.set (M.leaf_bounded info))
             | Some (v, _) ->
               let fl, cl = branching_value values.(v) in
@@ -296,209 +248,25 @@ module Search (M : MODE) = struct
                   set = join dhole }
           end)
     in
-    let exhaust env stack =
-      let rec go () =
-        match !stack with
-        | [] -> ()
-        | f :: rest ->
-          stack := rest;
-          process env ~push:(fun fr -> stack := fr :: !stack) f;
-          go ()
-      in
-      go ()
-    in
-    let best : (Q.t * Q.t array) option ref = ref None in
-    let nodes = ref 0 in
-    let count_global ~parallel_phase depth =
-      incr nodes;
-      Obs.Metrics.incr m_nodes;
-      if parallel_phase then Obs.Metrics.incr m_par_nodes;
-      Obs.Metrics.set_max m_max_depth depth;
-      if !nodes > node_limit then begin
-        Obs.Metrics.incr m_node_limit;
-        raise Node_limit_exceeded
-      end
-    in
-    let genv ~parallel_phase =
-      {
-        bound = (fun () -> Option.map fst !best);
-        record =
-          (fun o v ->
-             Obs.Metrics.incr m_incumbents;
-             best := Some (o, v));
-        count_node = count_global ~parallel_phase;
-      }
-    in
-    (* Claim-mine-merge over the frontier cut. The spawner participates
-       in claiming, then block-waits on its own condition variable for
-       any subtree a helper claimed — helpers never block, so there is
-       no cycle to deadlock on (in particular, a caller holding a
-       solve-cache reservation never executes foreign pool work here). *)
-    let explore_subtrees frames =
-      let subs = Array.of_list frames in
-      let m = Array.length subs in
-      let budget0 = node_limit - !nodes in
-      let shared : Q.t option Atomic.t = Atomic.make (Option.map fst !best) in
-      let results : sub_result option array = Array.make m None in
-      let rlock = Mutex.create () in
-      let rcond = Condition.create () in
-      let claim = Atomic.make 0 in
-      let speculative frame =
-        let snap = Atomic.get shared in
-        let local = ref None in
-        let lnodes = ref 0 in
-        let publish o =
-          let rec cas () =
-            let cur = Atomic.get shared in
-            let improves =
-              match cur with None -> true | Some c -> better o c
-            in
-            if improves && not (Atomic.compare_and_set shared cur (Some o))
-            then cas ()
-          in
-          cas ()
-        in
-        let env =
-          {
-            bound =
-              (fun () ->
-                 match !local with Some (o, _) -> Some o | None -> snap);
-            record =
-              (fun o v ->
-                 Obs.Metrics.incr m_incumbents;
-                 local := Some (o, v);
-                 publish o);
-            count_node =
-              (fun depth ->
-                 incr lnodes;
-                 Obs.Metrics.incr m_nodes;
-                 Obs.Metrics.incr m_par_nodes;
-                 Obs.Metrics.set_max m_max_depth depth;
-                 if !lnodes > budget0 then raise Node_limit_exceeded);
-          }
-        in
-        let result = ref None in
-        let stack = ref [ { frame with set = (fun t -> result := Some t) } ] in
-        let r, delta = Obs.Metrics.capture (fun () -> exhaust env stack) in
-        match r with
-        | Ok () ->
-          { snap; sr_nodes = !lnodes; limit_hit = false; local_best = !local;
-            delta; sub_node = !result; err = None }
-        | Error Node_limit_exceeded ->
-          { snap; sr_nodes = !lnodes; limit_hit = true; local_best = !local;
-            delta; sub_node = None; err = None }
-        | Error e ->
-          { snap; sr_nodes = !lnodes; limit_hit = false; local_best = !local;
-            delta; sub_node = None; err = Some e }
-      in
-      let run_claims ~stolen () =
-        let rec go () =
-          let i = Atomic.fetch_and_add claim 1 in
-          if i < m then begin
-            Obs.Metrics.incr m_subtrees;
-            if stolen then Obs.Metrics.incr m_subtree_steals;
-            let r = speculative subs.(i) in
-            Mutex.lock rlock;
-            results.(i) <- Some r;
-            Condition.broadcast rcond;
-            Mutex.unlock rlock;
-            go ()
-          end
-        in
-        go ()
-      in
-      (match parallel with
-       | Some p when p.degree > 1 && m > 1 ->
-         let helpers = min (p.degree - 1) (m - 1) in
-         for _ = 1 to helpers do
-           p.spawn (fun () -> run_claims ~stolen:true ())
-         done
-       | _ -> ());
-      run_claims ~stolen:false ();
-      (* every index is claimed by now; wait out helpers' stragglers *)
-      let wait i =
-        Mutex.lock rlock;
-        while (match results.(i) with None -> true | Some _ -> false) do
-          Condition.wait rcond rlock
-        done;
-        let r = match results.(i) with Some r -> r | None -> assert false in
-        Mutex.unlock rlock;
-        r
-      in
-      let replay frame =
-        let stack = ref [ frame ] in
-        exhaust (genv ~parallel_phase:true) stack
-      in
-      for i = 0 to m - 1 do
-        let r = wait i in
-        let prefix = Option.map fst !best in
-        let matches =
-          match (r.snap, prefix) with
-          | None, None -> true
-          | Some a, Some b -> Q.compare a b = 0
-          | _ -> false
-        in
-        let fits = (not r.limit_hit) && r.sr_nodes <= node_limit - !nodes in
-        if matches && fits then begin
-          (* the run saw exactly the sequential incumbent, so it made
-             exactly the sequential decisions: commit it *)
-          nodes := !nodes + r.sr_nodes;
-          Obs.Metrics.commit r.delta;
-          (match r.local_best with
-           | Some (o, v) -> (
-             match !best with
-             | Some (b, _) when not (better o b) -> ()
-             | _ -> best := Some (o, v))
-           | None -> ());
-          match r.err with
-          | Some e -> raise e
-          | None -> (
-            match r.sub_node with
-            | Some t -> subs.(i).set t
-            | None -> assert false)
-        end
-        else
-          (* stale snapshot or past the exact remaining budget: redo this
-             subtree inline at its sequential position (re-raising any
-             abort — node limit, tier restart — at the sequential point) *)
-          replay subs.(i)
-      done
-    in
     let lb0 = Array.init nv (fun v -> (Model.var_info model v).Model.lb) in
     let ub0 = Array.init nv (fun v -> (Model.var_info model v).Model.ub) in
     let root_node = ref None in
+    push
+      { depth = 0; parent = None; lb = lb0; ub = ub0;
+        set = (fun t -> root_node := Some t) };
+    let rec exhaust () =
+      match !stack with
+      | [] -> ()
+      | f :: rest ->
+        stack := rest;
+        process f;
+        exhaust ()
+    in
     Obs.Tracer.with_span "ilp.branch_bound"
       ~attrs:(fun () ->
           [ ("vars", string_of_int nv); ("nodes", string_of_int !nodes) ])
       (fun () ->
-         match
-           let stack =
-             ref
-               [ { depth = 0; parent = None; lb = lb0; ub = ub0;
-                   set = (fun t -> root_node := Some t) } ]
-           in
-           let size = ref 1 in
-           let push f =
-             stack := f :: !stack;
-             incr size
-           in
-           let env0 = genv ~parallel_phase:false in
-           let continue_ = ref true in
-           while !continue_ do
-             match !stack with
-             | [] -> continue_ := false
-             | _ when !size >= frontier -> continue_ := false
-             | f :: rest ->
-               stack := rest;
-               decr size;
-               process env0 ~push f
-           done;
-           match !stack with
-           | [] -> ()
-           | frames ->
-             Obs.Metrics.incr m_par_splits;
-             explore_subtrees frames
-         with
+         match exhaust () with
          | () ->
            let solution =
              match !best with
@@ -513,8 +281,7 @@ module Search (M : MODE) = struct
          | exception Unbounded_search c -> `Unbounded c)
 end
 
-let search engine ~node_limit ~slack ~presolve ~root ~parallel ~frontier model
-  =
+let search engine ~node_limit ~slack ~presolve ~root model =
   let module En = (val engine : Simplex.ENGINE) in
   let module S = Search (struct
     module E = En
@@ -539,7 +306,7 @@ let search engine ~node_limit ~slack ~presolve ~root ~parallel ~frontier model
     let presolve = presolve
     let root = root
   end) in
-  match S.run ~node_limit ~slack ~parallel ~frontier model with
+  match S.run ~node_limit ~slack model with
   | `Finished (sol, ()) -> sol
   | `Unbounded _ -> Solution.Unbounded
 
@@ -550,7 +317,7 @@ let search engine ~node_limit ~slack ~presolve ~root ~parallel ~frontier model
    every node box is derivable from the declared bounds plus the
    branching path alone; that changes the node count but never the
    answer, which only depends on the exhaustive search discipline. *)
-let search_certified engine ~node_limit ~slack ~parallel ~frontier model =
+let search_certified engine ~node_limit ~slack model =
   let module En = (val engine : Simplex.ENGINE) in
   let module S = Search (struct
     module E = En
@@ -585,7 +352,7 @@ let search_certified engine ~node_limit ~slack ~parallel ~frontier model =
     let presolve = false
     let root = None
   end) in
-  match S.run ~node_limit ~slack ~parallel ~frontier model with
+  match S.run ~node_limit ~slack model with
   | `Finished (solution, tree) ->
     (solution, Some (Cert.Ilp { islack = slack; tree }))
   | `Unbounded c ->
@@ -594,52 +361,36 @@ let search_certified engine ~node_limit ~slack ~parallel ~frontier model =
     (Solution.Unbounded, Option.map (fun c -> Cert.Ilp_unbounded c) c)
 
 let solve ?(node_limit = 200_000) ?(slack = Q.zero) ?(presolve = true) ?root
-    ?parallel ?(frontier = default_frontier) model =
+    model =
   if Q.sign slack < 0 then invalid_arg "Branch_bound.solve: negative slack";
-  if frontier < 1 then invalid_arg "Branch_bound.solve: frontier must be >= 1";
   Obs.Metrics.incr m_solves;
   (* Tier ladder: machine-word fast path, exact rationals, dense primal.
      Each restart reruns the entire search, so the answer is always the
      deterministic output of a single engine. *)
-  match
-    search Simplex.fast ~node_limit ~slack ~presolve ~root ~parallel ~frontier
-      model
-  with
+  match search Simplex.fast ~node_limit ~slack ~presolve ~root model with
   | result -> result
   | exception (Fastq.Overflow | Simplex.Stalled) -> (
       Obs.Metrics.incr m_restarts;
-      match
-        search Simplex.exact ~node_limit ~slack ~presolve ~root ~parallel
-          ~frontier model
-      with
+      match search Simplex.exact ~node_limit ~slack ~presolve ~root model with
       | result -> result
       | exception Simplex.Stalled ->
         Obs.Metrics.incr m_restarts;
-        search Simplex.dense ~node_limit ~slack ~presolve ~root ~parallel
-          ~frontier model)
+        search Simplex.dense ~node_limit ~slack ~presolve ~root model)
 
-let solve_certified ?(node_limit = 200_000) ?(slack = Q.zero) ?parallel
-    ?(frontier = default_frontier) model =
+let solve_certified ?(node_limit = 200_000) ?(slack = Q.zero) model =
   if Q.sign slack < 0 then
     invalid_arg "Branch_bound.solve_certified: negative slack";
-  if frontier < 1 then
-    invalid_arg "Branch_bound.solve_certified: frontier must be >= 1";
   Obs.Metrics.incr m_solves;
-  match
-    search_certified Simplex.fast ~node_limit ~slack ~parallel ~frontier model
-  with
+  match search_certified Simplex.fast ~node_limit ~slack model with
   | result -> result
   | exception (Fastq.Overflow | Simplex.Stalled | Uncertified) -> (
       Obs.Metrics.incr m_restarts;
-      match
-        search_certified Simplex.exact ~node_limit ~slack ~parallel ~frontier
-          model
-      with
+      match search_certified Simplex.exact ~node_limit ~slack model with
       | result -> result
       | exception (Simplex.Stalled | Uncertified) ->
         Obs.Metrics.incr m_restarts;
         ( search Simplex.dense ~node_limit ~slack ~presolve:true ~root:None
-            ~parallel ~frontier model,
+            model,
           None ))
 
 let solve_lp_relaxation = Simplex.solve

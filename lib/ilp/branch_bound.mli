@@ -8,26 +8,9 @@ open Numeric
 
 exception Node_limit_exceeded
 
-type parallel = { degree : int; spawn : (unit -> unit) -> unit }
-(** How a solve may fan subtree exploration out across domains. [spawn]
-    fires a fire-and-forget helper thunk onto some executor (in
-    practice {!Runtime.Pool.spawn_raw}); [degree] bounds how many
-    helpers one solve spawns (a pool passes its [jobs]). Helpers only
-    {e claim} subtrees — they never block — and the spawner merges
-    speculative results in sequential order, so the returned solution,
-    node counts, pivot totals, certificates and every jobs-invariant
-    metric are byte-identical whether or not [parallel] is supplied
-    (pinned by a qcheck property). lib/ilp does not depend on the
-    runtime; callers inject the executor through this record. *)
-
-val default_frontier : int
-(** Default frontier width (32): the sequential expansion stops once
-    this many unexplored subtree roots are on the stack. *)
-
 val solve :
   ?node_limit:int -> ?slack:Q.t -> ?presolve:bool ->
-  ?root:Presolve.outcome -> ?parallel:parallel -> ?frontier:int ->
-  Model.t -> Solution.t
+  ?root:Presolve.outcome -> Model.t -> Solution.t
 (** Solves the model enforcing integrality of its integer variables.
     [node_limit] (default [200_000]) bounds the number of explored
     branch-and-bound nodes.
@@ -56,20 +39,14 @@ val solve :
     exact bound propagation that skips simplex on detectably-infeasible
     boxes.
 
-    [parallel], when given, lets the search explore frontier subtrees on
-    helper domains; [frontier] (default {!default_frontier}) is the cut
-    width. Neither affects the result, the node count, or any
-    jobs-invariant metric — the search expands depth-first to [frontier]
-    subtree roots, mines them speculatively against a claim-time
-    incumbent snapshot, and commits (or replays) each subtree in
-    sequential order — they only change which domain does the work.
-    @raise Invalid_argument on negative [slack] or [frontier < 1].
+    The search is depth-first on the calling domain; concurrent solves
+    of different models are independent.
+    @raise Invalid_argument on negative [slack].
     @raise Node_limit_exceeded if the search does not finish in the
     budget — a safety net; the paper's instances take a handful of nodes. *)
 
 val solve_certified :
-  ?node_limit:int -> ?slack:Q.t -> ?parallel:parallel -> ?frontier:int ->
-  Model.t -> Solution.t * Cert.t option
+  ?node_limit:int -> ?slack:Q.t -> Model.t -> Solution.t * Cert.t option
 (** {!solve}, additionally emitting a search-tree certificate that
     {!Audit.Checker} (an independent exact checker) can replay against
     the model. The certified search disables presolve and the memoised

@@ -1035,8 +1035,6 @@ let solve_with_bounds_certified model ~lb ~ub =
        | Solution.Optimal _ -> ());
       (r, cert))
 
-let solve_with_bounds model ~lb ~ub = fst (solve_with_bounds_certified model ~lb ~ub)
-
 let declared_bounds model =
   let nv = Model.num_vars model in
   let lb = Array.init nv (fun v -> (Model.var_info model v).lb) in

@@ -93,13 +93,6 @@ val solve : Model.t -> Solution.t
 (** Solve with the bounds declared in the model, trying the fast tier
     first and falling back on overflow or stall. *)
 
-val solve_with_bounds :
-  Model.t -> lb:Q.t option array -> ub:Q.t option array -> Solution.t
-(** Solve with overriding variable bounds (used by {!Branch_bound}); the
-    arrays must have length [Model.num_vars]. The model's declared bounds
-    are ignored in favour of the arrays.
-    @raise Invalid_argument on a length mismatch. *)
-
 val solve_certified : Model.t -> Solution.t * Cert.lp_cert option
 (** {!solve} plus the certificate for the answer. [None] only when the
     solve fell through to the dense tier (counted by the checker as
@@ -108,4 +101,7 @@ val solve_certified : Model.t -> Solution.t * Cert.lp_cert option
 val solve_with_bounds_certified :
   Model.t -> lb:Q.t option array -> ub:Q.t option array ->
   Solution.t * Cert.lp_cert option
-(** {!solve_with_bounds} plus the certificate. *)
+(** Solve with overriding variable bounds, plus the certificate; the
+    arrays must have length [Model.num_vars]. The model's declared bounds
+    are ignored in favour of the arrays.
+    @raise Invalid_argument on a length mismatch. *)

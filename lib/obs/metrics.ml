@@ -9,11 +9,8 @@
    their observations are timing data recorded at task granularity, so
    the lock is never contended at a rate that matters. *)
 
-(* Counters and gauges carry their registry name so a captured delta
-   (see {!capture}) can merge buffered updates per metric. *)
-type cell = { name : string; v : int Atomic.t }
-type counter = cell
-type gauge = cell
+type counter = int Atomic.t
+type gauge = int Atomic.t
 
 type hist = {
   edges : float array; (* strictly increasing inclusive upper bounds *)
@@ -58,12 +55,12 @@ let register ?(timing = false) name make extract =
 
 let counter ?timing name =
   register ?timing name
-    (fun () -> MCounter { name; v = Atomic.make 0 })
+    (fun () -> MCounter (Atomic.make 0))
     (function MCounter c -> Some c | _ -> None)
 
 let gauge ?timing name =
   register ?timing name
-    (fun () -> MGauge { name; v = Atomic.make 0 })
+    (fun () -> MGauge (Atomic.make 0))
     (function MGauge g -> Some g | _ -> None)
 
 let histogram ~buckets name =
@@ -90,65 +87,16 @@ let histogram ~buckets name =
 let latency_buckets =
   [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 0.1; 0.25; 0.5; 1.; 2.5; 5.; 10. |]
 
-(* --- capture/commit ----------------------------------------------------- *)
+let incr c = Atomic.incr c
+let add c n = ignore (Atomic.fetch_and_add c n)
+let value c = Atomic.get c
+let set g v = Atomic.set g v
+let gauge_add g n = ignore (Atomic.fetch_and_add g n)
+let gauge_value g = Atomic.get g
 
-(* A capture buffers this domain's [incr]/[add]/[set_max] updates into a
-   private delta instead of the global cells, so speculative work (a
-   branch-and-bound subtree explored out of sequential order) can run
-   its full instrumentation and either [commit] the delta later — at the
-   deterministic point in the merge order — or drop it and replay.
-   Adds and monotonic maxima commute, so commit order across deltas
-   cannot change totals. [set]/[gauge_add]/[observe]/[value] are not
-   deferrable and keep writing (reading) the globals. *)
-
-type dop = Dadd of cell * int ref | Dmax of cell * int ref
-
-type delta = (string, dop) Hashtbl.t
-
-let capture_key : delta option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let incr_cell c n =
-  match Domain.DLS.get capture_key with
-  | None -> ignore (Atomic.fetch_and_add c.v n)
-  | Some d -> (
-    match Hashtbl.find_opt d c.name with
-    | Some (Dadd (_, r)) -> r := !r + n
-    | Some (Dmax _) | None -> Hashtbl.replace d c.name (Dadd (c, ref n)))
-
-let rec max_cell c v =
-  let cur = Atomic.get c.v in
-  if v > cur && not (Atomic.compare_and_set c.v cur v) then max_cell c v
-
-let incr c = incr_cell c 1
-let add c n = incr_cell c n
-let value c = Atomic.get c.v
-let set g v = Atomic.set g.v v
-let gauge_add g n = ignore (Atomic.fetch_and_add g.v n)
-let gauge_value g = Atomic.get g.v
-
-let set_max g v =
-  match Domain.DLS.get capture_key with
-  | None -> max_cell g v
-  | Some d -> (
-    match Hashtbl.find_opt d g.name with
-    | Some (Dmax (_, r)) -> if v > !r then r := v
-    | Some (Dadd _) | None -> Hashtbl.replace d g.name (Dmax (g, ref v)))
-
-let capture f =
-  let prev = Domain.DLS.get capture_key in
-  let d : delta = Hashtbl.create 32 in
-  Domain.DLS.set capture_key (Some d);
-  let r = try Ok (f ()) with e -> Error e in
-  Domain.DLS.set capture_key prev;
-  (r, d)
-
-(* Applied through the public update path, so committing inside an
-   enclosing capture re-buffers into that capture (deltas nest). *)
-let commit d =
-  Hashtbl.iter
-    (fun _ op ->
-       match op with Dadd (c, r) -> add c !r | Dmax (g, r) -> set_max g !r)
-    d
+let rec set_max g v =
+  let cur = Atomic.get g in
+  if v > cur && not (Atomic.compare_and_set g cur v) then set_max g v
 
 let observe h v =
   Mutex.lock h.h_lock;
@@ -204,8 +152,8 @@ let snapshot () =
   List.fold_left
     (fun acc (name, { metric = m; _ }) ->
        match m with
-       | MCounter c -> { acc with counters = acc.counters @ [ (name, Atomic.get c.v) ] }
-       | MGauge g -> { acc with gauges = acc.gauges @ [ (name, Atomic.get g.v) ] }
+       | MCounter c -> { acc with counters = acc.counters @ [ (name, Atomic.get c) ] }
+       | MGauge g -> { acc with gauges = acc.gauges @ [ (name, Atomic.get g) ] }
        | MHist h ->
          { acc with histograms = acc.histograms @ [ (name, snapshot_hist h) ] })
     { counters = []; gauges = []; histograms = [] }
@@ -216,8 +164,8 @@ let deterministic_snapshot () =
     (fun (name, { metric = m; timing }) ->
        match m with
        | _ when timing -> None
-       | MCounter c -> Some (name, Atomic.get c.v)
-       | MGauge g -> Some (name, Atomic.get g.v)
+       | MCounter c -> Some (name, Atomic.get c)
+       | MGauge g -> Some (name, Atomic.get g)
        | MHist _ -> None)
     (registered ())
 
@@ -225,7 +173,7 @@ let reset () =
   List.iter
     (fun (_, { metric = m; _ }) ->
        match m with
-       | MCounter c | MGauge c -> Atomic.set c.v 0
+       | MCounter c | MGauge c -> Atomic.set c 0
        | MHist h ->
          Mutex.lock h.h_lock;
          Array.fill h.counts 0 (Array.length h.counts) 0;
@@ -269,9 +217,9 @@ let to_json_value () =
        let push l x = l := !l @ [ x ] in
        match m with
        | MCounter c | MGauge c when is_timing ->
-         push timing (name, Json.Int (Atomic.get c.v))
-       | MCounter c -> push counters (name, Json.Int (Atomic.get c.v))
-       | MGauge g -> push gauges (name, Json.Int (Atomic.get g.v))
+         push timing (name, Json.Int (Atomic.get c))
+       | MCounter c -> push counters (name, Json.Int (Atomic.get c))
+       | MGauge g -> push gauges (name, Json.Int (Atomic.get g))
        | MHist h -> push hists (name, hist_to_json (snapshot_hist h)))
     (registered ());
   Json.Obj
@@ -306,8 +254,8 @@ let to_prometheus () =
   List.iter
     (fun (name, { metric = m; _ }) ->
        match m with
-       | MCounter c -> scalar "counter" name (Atomic.get c.v)
-       | MGauge g -> scalar "gauge" name (Atomic.get g.v)
+       | MCounter c -> scalar "counter" name (Atomic.get c)
+       | MGauge g -> scalar "gauge" name (Atomic.get g)
        | MHist h ->
          let s = snapshot_hist h in
          let n = prometheus_name name in

@@ -57,35 +57,6 @@ val observe : histogram -> float -> unit
 (** Adds one observation: the first bucket whose edge is [>=] the value
     counts it; values above the last edge land in the overflow bucket. *)
 
-(** {2 Speculative capture}
-
-    Speculative work — a branch-and-bound subtree explored out of its
-    sequential position — runs its full instrumentation, but the updates
-    must only land if the speculation is kept, and at a deterministic
-    point of the merge order. {!capture} redirects this domain's
-    {!incr}/{!add}/{!set_max} into a private delta for the dynamic
-    extent of a thunk; {!commit} applies a delta (order across deltas is
-    irrelevant: adds and monotonic maxima commute), and dropping it
-    discards the updates. *)
-
-type delta
-(** Buffered counter adds and gauge maxima from one {!capture}. *)
-
-val capture : (unit -> 'a) -> ('a, exn) result * delta
-(** [capture f] runs [f] with this domain's {!incr}/{!add}/{!set_max}
-    buffered into a fresh delta; every other operation (including
-    {!value}, which keeps reading the global cell) passes through.
-    Captures nest: the inner capture's extent shadows the outer one.
-    The buffer is domain-local — [f] must not hand work to other
-    domains and expect their updates captured, and must not block on
-    work whose completion needs this domain's metrics. *)
-
-val commit : delta -> unit
-(** Applies a delta through the public update path (so a commit inside
-    an enclosing {!capture} re-buffers there — deltas compose). A delta
-    may be committed at most once and never alongside a replay of the
-    same work. *)
-
 type histogram_snapshot = {
   edges : float array;
   counts : int array;  (** per-bucket counts; last slot is the overflow *)

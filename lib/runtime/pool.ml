@@ -444,24 +444,6 @@ let spawn ?label t f =
   end;
   p
 
-(* Scheduling-only submission: the raw thunk is enqueued with no
-   promise, no task counter, no latency histograms and no trace
-   propagation. This is what intra-solve helpers (parallel branch &
-   bound subtree miners) ride on — they must be invisible to the
-   jobs-invariant [pool.tasks] counter and to traces, because how many
-   of them run (and where) is a scheduling fact, not a computation
-   fact. On a sequential pool the thunk runs inline. *)
-let spawn_raw t f = if t.workers = [] then f () else enqueue t f
-
-(* The pool whose worker domain is executing the calling code, if any —
-   lets deep callees (the solve cache) fan work out over otherwise-idle
-   domains without threading the pool through every layer. *)
-let current () =
-  match Domain.DLS.get dls_ctx with
-  | Some c when c.wpool.workers <> [] && not (Atomic.get c.wpool.stop) ->
-    Some c.wpool
-  | _ -> None
-
 (* Work an awaiter may claim without stealing: its own deque (if it is
    a worker of this pool) and the injector. Deliberately not
    [t.pending > 0]: pending counts tasks sitting in *other* workers'

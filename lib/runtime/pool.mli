@@ -87,21 +87,6 @@ val spawn : ?label:string -> t -> (unit -> 'a) -> 'a Task.t
     the thunk runs eagerly inline before [spawn] returns. [label] tags
     the task's [pool.task] span ([batch] attribute). *)
 
-val spawn_raw : t -> (unit -> unit) -> unit
-(** Scheduling-only submission: enqueues the raw thunk with {e no}
-    promise, no [pool.tasks] accounting, no latency histograms and no
-    trace propagation (inline on a sequential pool). For helpers whose
-    very existence is a scheduling fact — the parallel branch & bound
-    subtree miners — which must leave the jobs-invariant counters and
-    traces untouched. The thunk must not raise and must not block. *)
-
-val current : unit -> t option
-(** The pool whose worker domain is executing the caller, if any (and
-    the pool is still live). Deep callees — {!Solve_cache} — use it to
-    fan one hard solve out over otherwise-idle domains without the pool
-    being threaded through every layer. [None] on non-worker domains,
-    including the main domain running the [jobs = 1] inline path. *)
-
 val await : t -> 'a Task.t -> 'a
 (** Block until settled, re-raising a {!Task.fail}ure. While the promise
     is pending the caller {e helps} with work it can claim without

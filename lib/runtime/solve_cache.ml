@@ -454,40 +454,12 @@ let solve_lp model =
         (s, Option.map (fun c -> Ilp.Cert.Lp c) c))
     model
 
-(* --- intra-solve parallelism ------------------------------------------- *)
-
-(* How a fresh ILP solve may fan its branch & bound subtrees out.
-   [Ambient] (the default) uses the pool whose worker is running the
-   request, if any — so figure4/table6/ablations DAG nodes split a hard
-   solve across otherwise-idle domains with zero plumbing. The choice
-   is deliberately NOT part of the cache tag: parallel and sequential
-   searches return byte-identical solutions, node counts and
-   certificates (the search commits speculative subtrees in sequential
-   merge order), so entries are interchangeable. *)
-type parallelism = Sequential | Ambient | On_pool of Pool.t
-
-let bb_parallel = function
-  | Sequential -> None
-  | On_pool p ->
-    if Pool.jobs p > 1 then
-      Some
-        { Ilp.Branch_bound.degree = Pool.jobs p; spawn = Pool.spawn_raw p }
-    else None
-  | Ambient -> (
-    match Pool.current () with
-    | Some p when Pool.jobs p > 1 ->
-      Some
-        { Ilp.Branch_bound.degree = Pool.jobs p; spawn = Pool.spawn_raw p }
-    | _ -> None)
-
 let solve_ilp ?(node_limit = 200_000) ?(slack = Q.zero) ?(presolve = true)
-    ?(parallel = Ambient) model =
+    model =
   let tag =
     Printf.sprintf "ilp|nodes=%d|slack=%s|presolve=%b" node_limit
       (Q.to_string slack) presolve
   in
-  (* resolved per fresh solve, inside the single-flight reservation —
-     waiters and hits never look at it *)
   solve_canon ~tag ~slack
     ~solve:(fun canon ->
        let cm = Ilp.Canonical.model canon in
@@ -497,15 +469,13 @@ let solve_ilp ?(node_limit = 200_000) ?(slack = Q.zero) ?(presolve = true)
              (root_presolve ~structure:(Ilp.Canonical.structure canon) cm)
          else None
        in
-       Ilp.Branch_bound.solve ~node_limit ~slack ~presolve ?root
-         ?parallel:(bb_parallel parallel) cm)
+       Ilp.Branch_bound.solve ~node_limit ~slack ~presolve ?root cm)
       (* the certified search always runs presolve-less (its node boxes
          must derive from the branching path alone); the answer is the
          same either way — presolve only skips work — so the entry is
          still valid for this tag *)
     ~solve_certified:(fun canon ->
         Ilp.Branch_bound.solve_certified ~node_limit ~slack
-          ?parallel:(bb_parallel parallel)
           (Ilp.Canonical.model canon))
     model
 

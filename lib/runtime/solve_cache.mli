@@ -41,23 +41,11 @@ open Numeric
 val solve_lp : Ilp.Model.t -> Ilp.Solution.t
 (** Cached {!Ilp.Simplex.solve} (the model's continuous relaxation). *)
 
-type parallelism = Sequential | Ambient | On_pool of Pool.t
-(** Whether a {e fresh} ILP solve may split its branch & bound frontier
-    across pool domains ({!Ilp.Branch_bound.parallel}). [Ambient] (the
-    default) resolves to the pool whose worker is running the request —
-    {!Pool.current} — so experiment DAG nodes fan a hard solve out over
-    otherwise-idle domains with no plumbing; it degrades to sequential
-    on non-worker domains and on [jobs = 1] pools. The choice is {e not}
-    part of the cache key: parallel and sequential searches are
-    byte-identical in solutions, node counts and certificates, so
-    entries are interchangeable. *)
-
 val solve_ilp :
-  ?node_limit:int -> ?slack:Q.t -> ?presolve:bool -> ?parallel:parallelism ->
-  Ilp.Model.t -> Ilp.Solution.t
+  ?node_limit:int -> ?slack:Q.t -> ?presolve:bool -> Ilp.Model.t ->
+  Ilp.Solution.t
 (** Cached {!Ilp.Branch_bound.solve}; defaults match it
-    ([node_limit = 200_000], [slack = 0], [presolve = true]) plus
-    [parallel = Ambient].
+    ([node_limit = 200_000], [slack = 0], [presolve = true]).
     @raise Ilp.Branch_bound.Node_limit_exceeded as the underlying solver
     would, including on a cache hit of such an outcome. *)
 

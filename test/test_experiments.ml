@@ -214,15 +214,32 @@ let test_parallel_determinism () =
          true (a1_seq = a1_par))
     [ 4; 8 ]
 
-let test_dag_matches_phased () =
-  (* the pipelined dag and the phase-locked barrier runner are two
-     schedules of the same computation: rows must be byte-identical *)
+let test_dag_matches_sequential () =
+  (* Figure 4: the pipelined dag on four domains against [run_row] mapped
+     over the six cells in order, recomputed from cold caches *)
   let dag = Experiments.Figure4.run_all ~jobs:4 () in
-  let phased = Experiments.Figure4.run_all_phased ~jobs:4 () in
-  Alcotest.(check bool) "figure4 dag = phased" true (dag = phased);
-  let a1_dag = Experiments.Ablations.a1_contender_info ~jobs:4 () in
-  let a1_phased = Experiments.Ablations.a1_contender_info_phased ~jobs:4 () in
-  Alcotest.(check bool) "ablation A1 dag = phased" true (a1_dag = a1_phased)
+  Runtime.Run_cache.clear ();
+  Runtime.Solve_cache.clear ();
+  let sequential =
+    List.concat_map
+      (fun scenario ->
+         List.map
+           (fun load -> Experiments.Figure4.run_row ~scenario ~load ())
+           Workload.Load_gen.all_levels)
+      [ Scenario.scenario1; Scenario.scenario2 ]
+  in
+  Alcotest.(check bool) "figure4 dag = run_row per cell" true
+    (dag = sequential);
+  (* A1: the dag's rows against the checked-in table *)
+  let golden =
+    let ic = open_in "golden/ablation_a1.txt" in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+  in
+  Alcotest.(check string) "ablation A1 dag = golden" golden
+    (Format.asprintf "%a" Experiments.Ablations.pp_a1
+       (Experiments.Ablations.a1_contender_info ~jobs:4 ()))
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -303,7 +320,8 @@ let () =
           Alcotest.test_case "co-runs read isolation scripts" `Slow
             test_figure4_coruns_read_isolation_scripts;
           Alcotest.test_case "parallel determinism" `Slow test_parallel_determinism;
-          Alcotest.test_case "dag matches phased runner" `Slow test_dag_matches_phased;
+          Alcotest.test_case "dag matches sequential cells" `Slow
+            test_dag_matches_sequential;
         ] );
       ( "tables",
         [

@@ -407,101 +407,59 @@ let prop_wide_bb_matches_brute_force =
         | Ilp.Solution.Infeasible, Some _ -> false
         | Ilp.Solution.Unbounded, _ -> false)
 
-(* --- parallel deterministic search ------------------------------------------- *)
+(* --- deep-tree work accounting ---------------------------------------------- *)
 
-(* The parallel search must be byte-identical to the sequential one:
-   same solution, same deterministic bnb.* counter deltas (nodes,
-   parallel_nodes, pivot totals), same certificate, at every jobs
-   level. Pools are hoisted out of the per-case loop (a domain spawn
-   per qcheck case would dominate the runtime), so this sweeps the
-   qcheck generators under a fixed seed instead of using QCheck.Test. *)
-
-let bnb_metric_values () =
-  List.filter
-    (fun (name, _) ->
-       String.length name >= 4 && String.equal (String.sub name 0 4) "bnb.")
-    (Obs.Metrics.deterministic_snapshot ())
-
-let with_bnb_delta f =
-  let before = bnb_metric_values () in
-  let r = f () in
-  let delta =
-    List.map
-      (fun (name, v) ->
-         let v0 = try List.assoc name before with Not_found -> 0 in
-         (name, v - v0))
-      (bnb_metric_values ())
+(* A deterministic family of branch & bound workloads in the shape the
+   contention pipelines produce — small integer programs with dense
+   knapsack-style rows and fractional LP optima (halved objective
+   coefficients defeat the integral-bound pruning, forcing real
+   branching). A fixed LCG generates the family, so every run on every
+   machine solves the same models. *)
+let solver_models () =
+  (* 48-bit LCG (Knuth/POSIX drand48 constants): fits the 63-bit native
+     int and is identical on every platform *)
+  let state = ref 0x5DEECE66D in
+  let rand bound =
+    state := ((!state * 0x5DEECE66D) + 0xB) land ((1 lsl 48) - 1);
+    (!state lsr 16) mod bound
   in
-  (r, delta)
-
-let same_cert a b =
-  match (a, b) with
-  | None, None -> true
-  | Some a, Some b -> Ilp.Cert.equal a b
-  | _ -> false
-
-let pp_delta d =
-  String.concat ", " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) d)
-
-let test_parallel_bb_matches_sequential () =
-  let rand = Random.State.make [| 0x9e3779b9; 10 |] in
-  let cases =
-    QCheck.Gen.generate ~n:40 ~rand gen_rand_ilp
-    @ QCheck.Gen.generate ~n:20 ~rand gen_rand_ilp_wide
-  in
-  (* frontier 2: even 2-variable instances split into subtrees, so the
-     speculative mine/merge/replay machinery runs on every case *)
-  let reference =
-    List.map
-      (fun r ->
-         let m = to_model r in
-         let sol, d =
-           with_bnb_delta (fun () -> Ilp.Branch_bound.solve ~frontier:2 m)
-         in
-         let (csol, cert), cd =
-           with_bnb_delta (fun () ->
-               Ilp.Branch_bound.solve_certified ~frontier:2 m)
-         in
-         (sol, d, csol, cert, cd))
-      cases
-  in
-  let check_jobs jobs =
-    Runtime.Pool.with_pool ~jobs (fun pool ->
-        let parallel =
-          { Ilp.Branch_bound.degree = Runtime.Pool.jobs pool;
-            spawn = Runtime.Pool.spawn_raw pool }
+  List.init 12 (fun _ ->
+      let q = Numeric.Q.of_int in
+      let m = Ilp.Model.create () in
+      let nv = 5 + rand 5 in
+      let vars =
+        Array.init nv (fun i ->
+            Ilp.Model.add_var m ~integer:true ~ub:(q (2 + rand 7))
+              (Printf.sprintf "x%d" i))
+      in
+      let nr = 6 + rand 7 in
+      for _ = 1 to nr do
+        let terms =
+          Array.to_list (Array.map (fun v -> (q (rand 11 - 4), v)) vars)
         in
-        List.iteri
-          (fun i (r, (sol, d, csol, cert, cd)) ->
-             let m = to_model r in
-             let psol, pd =
-               with_bnb_delta (fun () ->
-                   Ilp.Branch_bound.solve ~frontier:2 ~parallel m)
-             in
-             if not (Ilp.Solution.equal sol psol) then
-               Alcotest.failf "case %d jobs=%d: solve solutions differ" i jobs;
-             if d <> pd then
-               Alcotest.failf
-                 "case %d jobs=%d: solve counters differ (seq %s / par %s)" i
-                 jobs (pp_delta d) (pp_delta pd);
-             let (pcsol, pcert), pcd =
-               with_bnb_delta (fun () ->
-                   Ilp.Branch_bound.solve_certified ~frontier:2 ~parallel m)
-             in
-             if not (Ilp.Solution.equal csol pcsol) then
-               Alcotest.failf "case %d jobs=%d: certified solutions differ" i
-                 jobs;
-             if not (same_cert cert pcert) then
-               Alcotest.failf "case %d jobs=%d: certificates differ" i jobs;
-             if cd <> pcd then
-               Alcotest.failf
-                 "case %d jobs=%d: certified counters differ (seq %s / par %s)"
-                 i jobs (pp_delta cd) (pp_delta pcd))
-          (List.combine cases reference))
+        Ilp.Model.add_constraint m (Ilp.Linexpr.of_terms terms) Ilp.Model.Le
+          (q (10 + rand 40))
+      done;
+      Ilp.Model.set_objective m Ilp.Model.Maximize
+        (Ilp.Linexpr.of_terms
+           (Array.to_list
+              (Array.map (fun v -> (Numeric.Q.of_ints (1 + rand 17) 2, v)) vars)));
+      m)
+
+(* Pins the warm-started search's work on trees that branch past the
+   root: any change to branching order, warm starts or pivot rules
+   moves these counts. *)
+let test_solver_models_work () =
+  let expected =
+    [ ("ilp.bb.nodes", 284); ("ilp.simplex.pivots", 496);
+      ("ilp.simplex.dual_pivots", 403); ("ilp.bb.warm_starts", 264) ]
   in
-  check_jobs 1;
-  check_jobs 4;
-  check_jobs 8
+  let value name = Obs.Metrics.value (Obs.Metrics.counter name) in
+  let before = List.map (fun (name, _) -> value name) expected in
+  List.iter (fun m -> ignore (Ilp.Branch_bound.solve m)) (solver_models ());
+  List.iter2
+    (fun (name, count) v0 -> Alcotest.(check int) name count (value name - v0))
+    expected before
 
 (* --- presolve ----------------------------------------------------------------- *)
 
@@ -955,6 +913,7 @@ let () =
           Alcotest.test_case "diophantine equality" `Quick test_ilp_equality_feasible;
           Alcotest.test_case "mixed integer" `Quick test_ilp_mixed;
           Alcotest.test_case "solution feasibility" `Quick test_ilp_solution_feasibility;
+          Alcotest.test_case "deep-tree work counters" `Quick test_solver_models_work;
         ] );
       ( "presolve",
         [
@@ -984,11 +943,6 @@ let () =
             test_canonical_distinguishes_programs;
           QCheck_alcotest.to_alcotest prop_canonical_row_twins_collide;
           QCheck_alcotest.to_alcotest prop_canonical_idempotent;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "jobs=1/4/8 byte-identical to sequential" `Quick
-            test_parallel_bb_matches_sequential;
         ] );
       ( "warm-start",
         List.map QCheck_alcotest.to_alcotest
