@@ -26,9 +26,10 @@ type histogram = hist
 
 type metric = MCounter of counter | MGauge of gauge | MHist of hist
 
-(* [timing] marks a counter/gauge as a host-timing fact (steal counts,
-   queue depths): kept out of {!deterministic_snapshot} like histograms
-   are, because its value legitimately varies with the parallel degree.
+(* [timing] marks a counter/gauge as a host-timing fact (script-memo
+   hits, solo-skipped events): kept out of {!deterministic_snapshot}
+   like histograms are, because its value legitimately varies with the
+   parallel degree or the cache state.
    The flag is fixed by the first registration of a name. *)
 type entry = { metric : metric; timing : bool }
 
@@ -204,9 +205,9 @@ let hist_to_json (s : histogram_snapshot) =
 
 (* The JSON export keeps the documented contract that the [counters]
    and [gauges] sections are identical for every --jobs value: metrics
-   registered [~timing:true] (steal counts, queue depths) go to their
-   own [timing] section instead, next to the equally schedule-dependent
-   [histograms]. *)
+   registered [~timing:true] (script-memo and solo-skip counters) go to
+   their own [timing] section instead, next to the equally
+   schedule-dependent [histograms]. *)
 let to_json_value () =
   let counters = ref []
   and gauges = ref []

@@ -14,9 +14,10 @@
     {!deterministic_snapshot} exposes exactly this jobs-invariant subset.
     Histograms record host timing (task latency, queue wait) and are the
     only part of a snapshot allowed to differ between runs — except for
-    counters/gauges registered with [~timing:true] (steal counts,
-    queue-depth gauges), which are scheduling facts of one particular
-    run and are likewise excluded from {!deterministic_snapshot}. *)
+    counters/gauges registered with [~timing:true] (tcsim's script-memo
+    and solo-skip counters), which depend on the cache state or the
+    schedule of one particular run and are likewise excluded from
+    {!deterministic_snapshot}. *)
 
 type counter
 type gauge

@@ -1,9 +1,8 @@
 (* Dependency-graph execution on top of Pool. A dag is built once
    (nodes may only depend on already-created nodes, so node ids are a
    topological order by construction), then run once. The parallel path
-   schedules a node the moment its last dependency finishes — a worker
-   completing a producer pushes the dependent onto its own LIFO deque,
-   so independent rows overlap across phases instead of running
+   queues a node the moment its last dependency finishes, so
+   independent rows overlap across phases instead of running
    phase-locked. The sequential path executes nodes in id order.
 
    Determinism: results live in per-node cells, every node executes (or
@@ -130,43 +129,35 @@ let run_seq nodes =
   Array.iter (fun st -> Pool.inline_task st.exec) nodes
 
 let run_parallel pool nodes =
-  let n = Array.length nodes in
-  let remaining = Atomic.make n in
-  let done_p : unit Pool.Task.t = Pool.Task.create () in
+  let remaining = Atomic.make (Array.length nodes) in
   let rec schedule st =
-    ignore
-      (Pool.spawn ~label:st.label pool (fun () ->
-           st.exec ();
-           (* the decrements publish [mark]/[cell] to dependents and to
-              the awaiting submitter (SC atomics) *)
-           List.iter
-             (fun d ->
-                if Atomic.fetch_and_add d.pending (-1) = 1 then schedule d)
-             st.dependents;
-           if Atomic.fetch_and_add remaining (-1) = 1 then
-             Pool.Task.fulfill done_p ()))
+    Pool.submit ~label:st.label pool (fun () ->
+        st.exec ();
+        (* the decrements publish [mark]/[cell] to dependents and to
+           the helping submitter (SC atomics) *)
+        List.iter
+          (fun d -> if Atomic.fetch_and_add d.pending (-1) = 1 then schedule d)
+          st.dependents;
+        Atomic.decr remaining)
   in
   Array.iter (fun st -> if Array.length st.deps = 0 then schedule st) nodes;
-  Pool.await pool done_p
+  Pool.help_until pool (fun () -> Atomic.get remaining = 0)
 
-let run ?pool ?jobs t =
+let run ?jobs t =
   if t.ran then invalid_arg "Dag.run: dag already ran";
   t.ran <- true;
   let nodes = nodes_in_order t in
   if Array.length nodes = 0 then ()
   else begin
-    (match pool with
-     | Some p -> if Pool.jobs p <= 1 then run_seq nodes else run_parallel p nodes
-     | None -> (
-       let j =
-         match jobs with
-         | None -> Pool.default_jobs ()
-         | Some j ->
-           if j < 1 then invalid_arg "Dag.run: jobs must be >= 1";
-           j
-       in
-       if j = 1 then run_seq nodes
-       else Pool.with_pool ~jobs:j (fun p -> run_parallel p nodes)));
+    let j =
+      match jobs with
+      | None -> Pool.default_jobs ()
+      | Some j ->
+        if j < 1 then invalid_arg "Dag.run: jobs must be >= 1";
+        j
+    in
+    if j = 1 then run_seq nodes
+    else Pool.with_pool ~jobs:j (fun p -> run_parallel p nodes);
     raise_first_failure nodes
   end
 

@@ -42,12 +42,11 @@ val node : ?label:string -> t -> deps:dep list -> (unit -> 'a) -> 'a node
 
 val dep : 'a node -> dep
 
-val run : ?pool:Pool.t -> ?jobs:int -> t -> unit
-(** Executes the dag: on [pool] when given, else on a fresh pool of
-    [jobs] (default {!Pool.default_jobs}; degree 1 executes nodes
-    inline in id order — the sequential path). Every node runs or is
-    skip-marked before [run] returns; the first failure in node-id
-    order is re-raised.
+val run : ?jobs:int -> t -> unit
+(** Executes the dag on a fresh pool of [jobs] (default
+    {!Pool.default_jobs}; degree 1 executes nodes inline in id order —
+    the sequential path). Every node runs or is skip-marked before
+    [run] returns; the first failure in node-id order is re-raised.
     @raise Invalid_argument on a second [run] or [jobs < 1]. *)
 
 val get : 'a node -> 'a

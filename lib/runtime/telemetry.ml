@@ -39,15 +39,6 @@ let measure ~jobs f =
       run_cache_misses = rstats1.Run_cache.misses - rstats0.Run_cache.misses;
     } )
 
-(* Regions faster than the clock granularity report wall_s = 0.; an
-   unguarded quotient then returns inf (or nan for 0/0). Clamping the
-   denominator to 1ns keeps the ratio finite, and the two-sided zero
-   case — neither region measurable — reads as parity. *)
-let speedup ~baseline t =
-  let floor_s = 1e-9 in
-  if baseline.wall_s <= floor_s && t.wall_s <= floor_s then 1.
-  else baseline.wall_s /. Float.max t.wall_s floor_s
-
 let cache_hit_rate t =
   let total = t.cache_hits + t.cache_misses in
   if total = 0 then 0. else float_of_int t.cache_hits /. float_of_int total

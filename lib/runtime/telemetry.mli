@@ -24,13 +24,6 @@ val measure : jobs:int -> (unit -> 'a) -> 'a * t
 (** [measure ~jobs f] runs [f ()] and reports what happened around it.
     [jobs] is only recorded, not enforced — pass what the region used. *)
 
-val speedup : baseline:t -> t -> float
-(** [baseline.wall_s /. t.wall_s], guarded against sub-granularity
-    regions: the denominator is clamped to 1ns and two unmeasurably
-    fast regions compare as [1.0], so the result is always finite —
-    never [inf]/[nan] — even when a region completes between two clock
-    reads. *)
-
 val cache_hit_rate : t -> float
 (** [cache_hits / (cache_hits + cache_misses)] in [0, 1]; [0.] when the
     region performed no cached solves at all. *)

@@ -30,7 +30,6 @@ type t = {
   pool : Runtime.Pool.t;
       (* persistent dispatch pool: domains are spawned once at engine
          creation, not per request *)
-  owns_pool : bool; (* false when borrowing Runtime.Pool.shared *)
   table : (string, entry) Hashtbl.t;
   lock : Mutex.t;
   settled : Condition.t;
@@ -115,20 +114,9 @@ let create config =
       true
     | _ -> false
   in
-  (* an explicit --jobs pins a private pool of that width; otherwise the
-     daemon shares the process-wide pool (and its domains) with anything
-     else running in this process — no oversubscription, and concurrent
-     requests interleave batch-for-batch in the injector instead of
-     head-of-line blocking *)
-  let pool, owns_pool =
-    match config.jobs with
-    | Some j -> (Runtime.Pool.create ~jobs:j (), true)
-    | None -> (Runtime.Pool.shared (), false)
-  in
   {
     config;
-    pool;
-    owns_pool;
+    pool = Runtime.Pool.create ?jobs:config.jobs ();
     table = Hashtbl.create 64;
     lock = Mutex.create ();
     settled = Condition.create ();
@@ -148,7 +136,7 @@ let close t =
     Runtime.Run_cache.set_store None;
     Runtime.Solve_cache.set_store None
   end;
-  if t.owns_pool then Runtime.Pool.shutdown t.pool
+  Runtime.Pool.shutdown t.pool
 
 let stats (t : t) : stats =
   {

@@ -12,9 +12,8 @@
 
 type config = {
   jobs : int option;
-      (** simulation parallelism: [Some j] gives the engine a private
-          [j]-wide pool; [None] borrows {!Runtime.Pool.shared} so the
-          daemon and anything else in the process share one domain set *)
+      (** simulation parallelism: the width of the engine's pool;
+          [None] means {!Runtime.Pool.default_jobs} *)
   max_request_bytes : int;  (** admission: longer lines are rejected *)
   max_program_size : int;  (** admission: larger inline programs rejected *)
   disk : Disk_cache.t option;  (** persistent tier; [None] = memory only *)
@@ -34,13 +33,12 @@ val create : config -> t
 (** Installs the runtime-cache backing stores when configured — these
     are process-wide, so run one engine per process (tests that create
     several engines must not enable [persist_runtime_caches] on more
-    than the active one). Also acquires the dispatch pool (private or
-    shared, per [config.jobs]): domains are spawned once here, not per
-    request. *)
+    than the active one). Also creates the engine's dispatch pool, so
+    domains are spawned once here, not per request. *)
 
 val close : t -> unit
 (** Uninstalls the runtime-cache backing stores and shuts down the
-    engine's private pool (a borrowed shared pool is left running). *)
+    engine's pool. *)
 
 type stats = {
   served : int;  (** analyze requests answered with a result *)

@@ -629,8 +629,8 @@ let knapsack ~capacity ~flipped () =
   m
 
 let test_timing_metrics_excluded () =
-  (* metrics registered with ~timing:true (steal counts, queue depth
-     gauges) are facts about the schedule, not the computation: they
+  (* metrics registered with ~timing:true (script-memo and solo-skip
+     counters) are facts about the run, not the computation: they
      must show up in the full snapshot and the Prometheus exposition
      but never in the deterministic snapshot *)
   let c = Obs.Metrics.counter ~timing:true "test.obs.timing_counter" in

@@ -84,14 +84,6 @@ let test_all_tasks_complete_despite_exception () =
    | exception Boom _ -> ());
   Alcotest.(check int) "parallel batch drains fully" 10 (Atomic.get ran)
 
-let test_both () =
-  List.iter
-    (fun jobs ->
-       let a, b = Runtime.Pool.both ~jobs (fun () -> "l") (fun () -> 42) in
-       Alcotest.(check string) "left" "l" a;
-       Alcotest.(check int) "right" 42 b)
-    [ 1; 2 ]
-
 let test_tasks_counter () =
   let before = Runtime.Pool.tasks_run () in
   ignore (Runtime.Pool.map ~jobs:2 Fun.id [ 1; 2; 3; 4; 5 ]);
@@ -119,7 +111,7 @@ let test_with_pool_reuse () =
       Alcotest.(check (list int)) "first batch" [ 2; 3; 4 ] a;
       Alcotest.(check (list int)) "second batch" [ 10; 20; 30 ] b)
 
-(* --- scheduler: promises, helping, stealing ----------------------------------- *)
+(* --- scheduler: one queue, helping waiters ------------------------------------ *)
 
 (* deterministic busy work so task costs are real compute, not sleeps *)
 let spin n =
@@ -129,74 +121,30 @@ let spin n =
   done;
   !acc
 
-let test_spawn_await () =
+let test_nested_run_all_on_workers () =
+  (* tasks block on a nested batch of the same pool. At jobs=2 the one
+     worker and the caller each run an outer task and wait on its inner
+     batch: the batches finish only because waiters help *)
   List.iter
     (fun jobs ->
        Runtime.Pool.with_pool ~jobs (fun pool ->
-           let t = Runtime.Pool.spawn pool (fun () -> spin 1000 + 1) in
-           Alcotest.(check int)
-             (Printf.sprintf "jobs=%d" jobs)
-             (spin 1000 + 1)
-             (Runtime.Pool.await pool t)))
-    [ 1; 4 ]
+           let out =
+             Runtime.Pool.map_in pool
+               (fun i ->
+                  List.fold_left ( + ) 0
+                    (Runtime.Pool.run_all_in pool
+                       (List.init 4 (fun j () -> (10 * i) + j))))
+               [ 1; 2; 3; 4; 5; 6 ]
+           in
+           Alcotest.(check (list int))
+             (Printf.sprintf "nested batches compose at jobs=%d" jobs)
+             (List.map (fun i -> (40 * i) + 6) [ 1; 2; 3; 4; 5; 6 ])
+             out))
+    [ 2; 3 ]
 
-let test_await_failure () =
-  Runtime.Pool.with_pool ~jobs:2 (fun pool ->
-      let t = Runtime.Pool.spawn pool (fun () -> raise (Boom 7)) in
-      match Runtime.Pool.await pool t with
-      | _ -> Alcotest.fail "expected Boom"
-      | exception Boom 7 -> ())
-
-let test_promise_fulfill () =
-  Runtime.Pool.with_pool ~jobs:2 (fun pool ->
-      let p = Runtime.Pool.Task.create () in
-      Alcotest.(check bool) "pending" true (Runtime.Pool.Task.peek p = None);
-      ignore
-        (Runtime.Pool.spawn pool (fun () -> Runtime.Pool.Task.fulfill p 99));
-      Alcotest.(check int) "awaited" 99 (Runtime.Pool.await pool p);
-      match Runtime.Pool.Task.fulfill p 1 with
-      | () -> Alcotest.fail "second fulfill must be rejected"
-      | exception Invalid_argument _ -> ())
-
-let test_nested_run_all_on_workers () =
-  (* tasks block on a nested batch of the same pool: awaiters help
-     instead of deadlocking (the old FIFO pool documented this as
-     forbidden) *)
-  Runtime.Pool.with_pool ~jobs:3 (fun pool ->
-      let out =
-        Runtime.Pool.map_in pool
-          (fun i ->
-             List.fold_left ( + ) 0
-               (Runtime.Pool.run_all ~jobs:3
-                  (List.init 4 (fun j () -> (10 * i) + j))))
-          [ 1; 2; 3; 4; 5; 6 ]
-      in
-      Alcotest.(check (list int)) "nested batches compose"
-        (List.map (fun i -> (40 * i) + 6) [ 1; 2; 3; 4; 5; 6 ])
-        out)
-
-let test_both_nested_on_workers () =
-  (* both inside pool tasks routes through the scheduler, spawning no
-     extra domains, and stays deterministic *)
-  let expected = List.init 8 (fun i -> (i, -i)) in
-  List.iter
-    (fun jobs ->
-       let out =
-         Runtime.Pool.map ~jobs
-           (fun i ->
-              Runtime.Pool.both
-                (fun () -> ignore (spin (100 * i)); i)
-                (fun () -> -i))
-           (List.init 8 Fun.id)
-       in
-       Alcotest.(check (list (pair int int)))
-         (Printf.sprintf "jobs=%d" jobs)
-         expected out)
-    [ 1; 4 ]
-
-let test_steal_hammer () =
-  (* skewed task costs on 4 domains: early tasks are two orders of
-     magnitude heavier, so the owner's deque drains by theft; results,
+let test_skewed_hammer () =
+  (* skewed task costs on 4 domains: every eighth task is two orders of
+     magnitude heavier, so executors finish out of step; results,
      exactly-once accounting and the task counter must not notice *)
   let n = 64 in
   let cost i = if i mod 8 = 0 then 200_000 else 500 in
@@ -221,50 +169,6 @@ let test_steal_hammer () =
   let r4' = Runtime.Pool.run_all ~jobs:4 (batch ()) in
   Alcotest.(check (list int)) "parallel = sequential" r1 r4;
   Alcotest.(check (list int)) "parallel repeatable" r4 r4'
-
-let test_await_never_steals () =
-  (* a promise awaiter helps from its own deque and the injector only —
-     never from another worker's private deque (the old help-loop's
-     steal churn). The hammer tasks below exist only in a worker's own
-     deque: a batch submitted from a worker is pushed there, not to the
-     injector. The main domain awaits a promise the whole time the
-     hammers are runnable, so under no-steal await it is deterministically
-     impossible for any hammer to execute on the main domain. *)
-  Runtime.Pool.with_pool ~jobs:3 (fun pool ->
-      let main = (Domain.self () :> int) in
-      let started = Atomic.make false in
-      let on_main = Atomic.make 0 in
-      let p = Runtime.Pool.Task.create () in
-      ignore
-        (Runtime.Pool.spawn pool (fun () ->
-             Atomic.set started true;
-             let sum =
-               List.fold_left ( + ) 0
-                 (Runtime.Pool.run_all_in pool
-                    (List.init 100 (fun i () ->
-                         if (Domain.self () :> int) = main then
-                           Atomic.incr on_main;
-                         spin 2_000 lxor i)))
-             in
-             Runtime.Pool.Task.fulfill p sum));
-      (* busy-wait (not await) until a worker owns the batch submitter,
-         so the submitter itself cannot land on the main domain via the
-         awaiter's injector help *)
-      while not (Atomic.get started) do
-        Domain.cpu_relax ()
-      done;
-      let expected =
-        List.fold_left ( + ) 0 (List.init 100 (fun i -> spin 2_000 lxor i))
-      in
-      Alcotest.(check int) "awaited sum" expected (Runtime.Pool.await pool p);
-      Alcotest.(check int) "no hammer ran on the awaiting main domain" 0
-        (Atomic.get on_main))
-
-let test_shared_pool () =
-  let p = Runtime.Pool.shared () in
-  Alcotest.(check bool) "same instance" true (p == Runtime.Pool.shared ());
-  Alcotest.(check (list int)) "usable" [ 2; 4; 6 ]
-    (Runtime.Pool.map_in p (fun i -> 2 * i) [ 1; 2; 3 ])
 
 (* --- dag ----------------------------------------------------------------------- *)
 
@@ -334,12 +238,16 @@ let test_dag_node_counter_invariant () =
     Runtime.Pool.tasks_run () - before
   in
   let c1 = count 1 in
-  let c4 = count 4 in
   Alcotest.(check int) "one task per node" 3 c1;
-  Alcotest.(check int) "task totals jobs-invariant" c1 c4
+  List.iter
+    (fun jobs ->
+       Alcotest.(check int)
+         (Printf.sprintf "task totals jobs-invariant at jobs=%d" jobs)
+         c1 (count jobs))
+    [ 2; 4 ]
 
 (* Random DAGs: completion order respects every edge and results are
-   identical at jobs=1/4/8. Node "durations" are injected determinist-
+   identical at jobs=1/2/4/8. Node "durations" are injected determinist-
    ically from the spec (busy spins), skewing schedules without
    touching the clock. *)
 let dag_spec_gen =
@@ -420,7 +328,7 @@ let dag_respects_edges =
             && List.for_all2 edge_ok
                  (List.init (List.length spec) Fun.id)
                  spec)
-         [ 1; 4; 8 ])
+         [ 1; 2; 4; 8 ])
 
 (* --- solve cache -------------------------------------------------------------- *)
 
@@ -845,31 +753,6 @@ let test_telemetry_measure () =
   Alcotest.(check bool) "wall time non-negative" true
     (t.Runtime.Telemetry.wall_s >= 0.)
 
-let test_telemetry_speedup_guarded () =
-  let record wall_s =
-    {
-      Runtime.Telemetry.jobs = 1;
-      tasks = 0;
-      wall_s;
-      cpu_s = 0.;
-      cache_hits = 0;
-      cache_misses = 0;
-      cache_raw_hits = 0;
-      cache_canonical_hits = 0;
-      cache_waited = 0;
-      run_cache_hits = 0;
-      run_cache_misses = 0;
-    }
-  in
-  (* a region faster than the clock granularity must not yield inf/nan *)
-  let s = Runtime.Telemetry.speedup ~baseline:(record 1.0) (record 0.0) in
-  Alcotest.(check bool) "zero-wall denominator stays finite" true
-    (Float.is_finite s);
-  Alcotest.(check (float 1e-9)) "two unmeasurable regions compare equal" 1.0
-    (Runtime.Telemetry.speedup ~baseline:(record 0.0) (record 0.0));
-  Alcotest.(check (float 1e-9)) "ordinary regions divide" 2.0
-    (Runtime.Telemetry.speedup ~baseline:(record 2.0) (record 1.0))
-
 let test_telemetry_hit_rate () =
   let record ?(raw = 0) ?(canonical = 0) ?(waited = 0) hits misses =
     {
@@ -913,26 +796,16 @@ let () =
             test_first_exception_in_input_order;
           Alcotest.test_case "batch drains despite exception" `Quick
             test_all_tasks_complete_despite_exception;
-          Alcotest.test_case "both" `Quick test_both;
           Alcotest.test_case "task counter" `Quick test_tasks_counter;
           Alcotest.test_case "AURIX_JOBS parsing" `Quick test_default_jobs_env;
           Alcotest.test_case "pool reuse across batches" `Quick test_with_pool_reuse;
         ] );
       ( "scheduler",
         [
-          Alcotest.test_case "spawn/await" `Quick test_spawn_await;
-          Alcotest.test_case "await propagates failure" `Quick test_await_failure;
-          Alcotest.test_case "promise fulfill is once-only" `Quick
-            test_promise_fulfill;
           Alcotest.test_case "nested run_all on workers" `Quick
             test_nested_run_all_on_workers;
-          Alcotest.test_case "both nested on workers" `Quick
-            test_both_nested_on_workers;
-          Alcotest.test_case "steal hammer (skewed costs, 4 domains)" `Quick
-            test_steal_hammer;
-          Alcotest.test_case "awaiters never steal foreign deques" `Quick
-            test_await_never_steals;
-          Alcotest.test_case "shared pool" `Quick test_shared_pool;
+          Alcotest.test_case "skewed-cost hammer (four domains)" `Quick
+            test_skewed_hammer;
         ] );
       ( "dag",
         [
@@ -980,8 +853,6 @@ let () =
       ( "telemetry",
         [
           Alcotest.test_case "measure" `Quick test_telemetry_measure;
-          Alcotest.test_case "speedup guarded against zero wall" `Quick
-            test_telemetry_speedup_guarded;
           Alcotest.test_case "cache hit rate" `Quick test_telemetry_hit_rate;
         ] );
     ]
