@@ -7,8 +7,8 @@
 
     Rules:
     - [audit.certificate-missing] (warning): the answer carries no
-      certificate, so it cannot be independently verified (the dense
-      solver tier, or a producer predating certificates).
+      certificate, so it cannot be independently verified (a producer
+      predating certificates, such as a certless solve-cache entry).
     - [audit.certificate-rejected] (error): the certificate does not
       prove the answer; the checker's reason is included. *)
 

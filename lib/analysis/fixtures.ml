@@ -97,13 +97,13 @@ let bad_dual_certificate =
     let sol, cert = Ilp.Simplex.solve_certified m in
     let cert =
       match cert with
-      | Some (Ilp.Cert.Optimal_cert { duals }) ->
+      | Ilp.Cert.Optimal_cert { duals } ->
         let duals = Array.copy duals in
         duals.(0) <- Q.add duals.(0) Q.one;
-        Some (Ilp.Cert.Lp (Ilp.Cert.Optimal_cert { duals }))
-      | c -> Option.map (fun c -> Ilp.Cert.Lp c) c
+        Ilp.Cert.Lp (Ilp.Cert.Optimal_cert { duals })
+      | c -> Ilp.Cert.Lp c
     in
-    Audit_lint.check ~path:[ "fixture:bad_dual_certificate" ] m sol cert
+    Audit_lint.check ~path:[ "fixture:bad_dual_certificate" ] m sol (Some cert)
   in
   {
     fname = "bad_dual_certificate";
@@ -131,20 +131,19 @@ let truncated_tree_certificate =
     let vacuous = Ilp.Cert.Farkas_ray [| Q.zero; Q.zero |] in
     let cert =
       match cert with
-      | Some (Ilp.Cert.Ilp { islack; tree = Ilp.Cert.Branch b }) ->
-        Some
-          (Ilp.Cert.Ilp
-             {
-               islack;
-               tree =
-                 Ilp.Cert.Branch
-                   { b with up = Ilp.Cert.Leaf_infeasible vacuous };
-             })
-      | Some (Ilp.Cert.Ilp { islack; _ }) ->
-        Some (Ilp.Cert.Ilp { islack; tree = Ilp.Cert.Leaf_infeasible vacuous })
+      | Ilp.Cert.Ilp { islack; tree = Ilp.Cert.Branch b } ->
+        Ilp.Cert.Ilp
+          {
+            islack;
+            tree =
+              Ilp.Cert.Branch { b with up = Ilp.Cert.Leaf_infeasible vacuous };
+          }
+      | Ilp.Cert.Ilp { islack; _ } ->
+        Ilp.Cert.Ilp { islack; tree = Ilp.Cert.Leaf_infeasible vacuous }
       | c -> c
     in
-    Audit_lint.check ~path:[ "fixture:truncated_tree_certificate" ] m sol cert
+    Audit_lint.check ~path:[ "fixture:truncated_tree_certificate" ] m sol
+      (Some cert)
   in
   {
     fname = "truncated_tree_certificate";
@@ -171,7 +170,8 @@ let tampered_solution_objective =
         Ilp.Solution.Optimal { objective = Q.add objective Q.one; values }
       | s -> s
     in
-    Audit_lint.check ~path:[ "fixture:tampered_solution_objective" ] m sol cert
+    Audit_lint.check ~path:[ "fixture:tampered_solution_objective" ] m sol
+      (Some cert)
   in
   {
     fname = "tampered_solution_objective";

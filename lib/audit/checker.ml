@@ -4,7 +4,6 @@ type verdict = Verified | Failed of string
 
 let m_verified = Obs.Metrics.counter "audit.verified"
 let m_failed = Obs.Metrics.counter "audit.failed"
-let m_skipped = Obs.Metrics.counter "audit.skipped"
 
 exception Fail of string
 
@@ -351,13 +350,8 @@ let check ?slack model solution cert =
 
 let audit ?slack model solution cert =
   Obs.Tracer.with_span "audit" (fun () ->
-      match cert with
-      | None ->
-        Obs.Metrics.incr m_skipped;
-        None
-      | Some c ->
-        let v = check ?slack model solution c in
-        (match v with
-         | Verified -> Obs.Metrics.incr m_verified
-         | Failed _ -> Obs.Metrics.incr m_failed);
-        Some v)
+      let v = check ?slack model solution cert in
+      (match v with
+       | Verified -> Obs.Metrics.incr m_verified
+       | Failed _ -> Obs.Metrics.incr m_failed);
+      v)

@@ -36,7 +36,6 @@ val check :
 
 val audit :
   ?slack:Numeric.Q.t ->
-  Ilp.Model.t -> Ilp.Solution.t -> Ilp.Cert.t option -> verdict option
+  Ilp.Model.t -> Ilp.Solution.t -> Ilp.Cert.t -> verdict
 (** {!check} wrapped in an ["audit"] tracer span and the
-    [audit.verified] / [audit.failed] / [audit.skipped] metrics;
-    [None] certificate counts as skipped and returns [None]. *)
+    [audit.verified] / [audit.failed] metrics. *)

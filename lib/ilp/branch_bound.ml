@@ -25,8 +25,8 @@ let branching_value x = (Q.floor x, Q.ceil x)
    parent's solver state ({!Simplex.ENGINE.branch}) and re-optimises with
    a few dual pivots instead of building and solving a tableau from
    scratch. The search runs on the machine-word fast tier first; an
-   overflow or stall deterministically restarts the whole search on the
-   next tier, so the result never depends on which tier finished.
+   overflow deterministically restarts the whole search on the exact
+   tier, so the result never depends on which tier finished.
 
    [slack] relaxes the pruning test: a node is abandoned when its
    relaxation cannot beat the incumbent by more than [slack]. The returned
@@ -45,24 +45,16 @@ module type MODE = sig
   (** Payload extracted from an optimal node's LP certificate before
       branching decisions ([unit], or the dual multipliers). *)
 
-  val eval :
-    model:Model.t ->
-    parent:E.state option ->
-    lb:Q.t option array ->
-    ub:Q.t option array ->
-    E.state option * Solution.t * Cert.lp_cert option
-
-  val info_of : Cert.lp_cert option -> info
+  val info_of : Cert.lp_cert -> info
   val presolve_leaf : node
-  val leaf_infeasible : Cert.lp_cert option -> node
+  val leaf_infeasible : Cert.lp_cert -> node
   val leaf_bounded : info -> node
   val branch_node : var:int -> pivot:Q.t -> down:node -> up:node -> node
   val presolve : bool
   val root : Presolve.outcome option
 end
 
-exception Unbounded_search of Cert.lp_cert option
-exception Uncertified
+exception Unbounded_search of Cert.lp_cert
 
 module Search (M : MODE) = struct
   module E = M.E
@@ -189,7 +181,14 @@ module Search (M : MODE) = struct
         (match frame.parent with
          | Some _ -> Obs.Metrics.incr m_warm
          | None -> ());
-        let state, solution, cert = M.eval ~model ~parent:frame.parent ~lb ~ub in
+        let state, solution, cert =
+          match frame.parent with
+          | Some pst ->
+            let st = E.branch pst in
+            let sol, cert = E.reoptimize_certified st ~lb ~ub in
+            (Some st, sol, cert)
+          | None -> E.root_certified model ~lb ~ub
+        in
         match solution with
         | Solution.Infeasible -> frame.set (M.leaf_infeasible cert)
         | Solution.Unbounded ->
@@ -281,7 +280,7 @@ module Search (M : MODE) = struct
          | exception Unbounded_search c -> `Unbounded c)
 end
 
-let search engine ~node_limit ~slack ~presolve ~root model =
+let search engine ~node_limit ~slack ~root model =
   let module En = (val engine : Simplex.ENGINE) in
   let module S = Search (struct
     module E = En
@@ -289,21 +288,12 @@ let search engine ~node_limit ~slack ~presolve ~root model =
     type node = unit
     type info = unit
 
-    let eval ~model ~parent ~lb ~ub =
-      match parent with
-      | Some pst ->
-        let st = E.branch pst in
-        (Some st, E.reoptimize st ~lb ~ub, None)
-      | None ->
-        let st, sol = E.root model ~lb ~ub in
-        (st, sol, None)
-
     let info_of _ = ()
     let presolve_leaf = ()
     let leaf_infeasible _ = ()
     let leaf_bounded () = ()
     let branch_node ~var:_ ~pivot:_ ~down:_ ~up:_ = ()
-    let presolve = presolve
+    let presolve = true
     let root = root
   end) in
   match S.run ~node_limit ~slack model with
@@ -325,24 +315,16 @@ let search_certified engine ~node_limit ~slack model =
     type node = Cert.tree
     type info = Q.t array (* optimal duals *)
 
-    let eval ~model ~parent ~lb ~ub =
-      match parent with
-      | Some pst ->
-        let st = E.branch pst in
-        let sol, cert = E.reoptimize_certified st ~lb ~ub in
-        (Some st, sol, cert)
-      | None -> E.root_certified model ~lb ~ub
-
+    (* the engines pair every [Optimal] answer with an [Optimal_cert] *)
     let info_of = function
-      | Some (Cert.Optimal_cert { duals }) -> duals
-      | Some _ | None -> raise Uncertified
+      | Cert.Optimal_cert { duals } -> duals
+      | Cert.Farkas_box _ | Cert.Farkas_ray _ | Cert.Unbounded_cert _ ->
+        assert false
 
     (* unreachable: the certified search never presolves *)
     let presolve_leaf = Cert.Leaf_bounded { duals = [||] }
 
-    let leaf_infeasible = function
-      | Some c -> Cert.Leaf_infeasible c
-      | None -> raise Uncertified
+    let leaf_infeasible c = Cert.Leaf_infeasible c
 
     (* Sound against the final answer because incumbents only ever
        improve: the dual bound beats at most incumbent + slack, and
@@ -354,43 +336,31 @@ let search_certified engine ~node_limit ~slack model =
   end) in
   match S.run ~node_limit ~slack model with
   | `Finished (solution, tree) ->
-    (solution, Some (Cert.Ilp { islack = slack; tree }))
+    (solution, Cert.Ilp { islack = slack; tree })
   | `Unbounded c ->
     (* Warm re-solves never end [Unbounded] (branching only tightens
        bounds), so this can only fire at the root node. *)
-    (Solution.Unbounded, Option.map (fun c -> Cert.Ilp_unbounded c) c)
+    (Solution.Unbounded, Cert.Ilp_unbounded c)
 
-let solve ?(node_limit = 200_000) ?(slack = Q.zero) ?(presolve = true) ?root
-    model =
+(* Tier ladder: machine-word fast path, then exact rationals. An
+   overflow reruns the entire search, so the answer is always the
+   deterministic output of a single engine. *)
+let on_tiers search =
+  match search Simplex.fast with
+  | result -> result
+  | exception Fastq.Overflow ->
+    Obs.Metrics.incr m_restarts;
+    search Simplex.exact
+
+let solve ?(node_limit = 200_000) ?(slack = Q.zero) ?root model =
   if Q.sign slack < 0 then invalid_arg "Branch_bound.solve: negative slack";
   Obs.Metrics.incr m_solves;
-  (* Tier ladder: machine-word fast path, exact rationals, dense primal.
-     Each restart reruns the entire search, so the answer is always the
-     deterministic output of a single engine. *)
-  match search Simplex.fast ~node_limit ~slack ~presolve ~root model with
-  | result -> result
-  | exception (Fastq.Overflow | Simplex.Stalled) -> (
-      Obs.Metrics.incr m_restarts;
-      match search Simplex.exact ~node_limit ~slack ~presolve ~root model with
-      | result -> result
-      | exception Simplex.Stalled ->
-        Obs.Metrics.incr m_restarts;
-        search Simplex.dense ~node_limit ~slack ~presolve ~root model)
+  on_tiers (fun engine -> search engine ~node_limit ~slack ~root model)
 
 let solve_certified ?(node_limit = 200_000) ?(slack = Q.zero) model =
   if Q.sign slack < 0 then
     invalid_arg "Branch_bound.solve_certified: negative slack";
   Obs.Metrics.incr m_solves;
-  match search_certified Simplex.fast ~node_limit ~slack model with
-  | result -> result
-  | exception (Fastq.Overflow | Simplex.Stalled | Uncertified) -> (
-      Obs.Metrics.incr m_restarts;
-      match search_certified Simplex.exact ~node_limit ~slack model with
-      | result -> result
-      | exception (Simplex.Stalled | Uncertified) ->
-        Obs.Metrics.incr m_restarts;
-        ( search Simplex.dense ~node_limit ~slack ~presolve:true ~root:None
-            model,
-          None ))
+  on_tiers (fun engine -> search_certified engine ~node_limit ~slack model)
 
 let solve_lp_relaxation = Simplex.solve

@@ -9,18 +9,19 @@ open Numeric
 exception Node_limit_exceeded
 
 val solve :
-  ?node_limit:int -> ?slack:Q.t -> ?presolve:bool ->
-  ?root:Presolve.outcome -> Model.t -> Solution.t
+  ?node_limit:int -> ?slack:Q.t -> ?root:Presolve.outcome -> Model.t ->
+  Solution.t
 (** Solves the model enforcing integrality of its integer variables.
     [node_limit] (default [200_000]) bounds the number of explored
     branch-and-bound nodes.
 
     The search is warm-started: each child node copies its parent's
     optimal basis and re-optimises with dual-simplex pivots
-    ({!Simplex.ENGINE.reoptimize}); it runs on the machine-word fast
-    tier first and deterministically restarts on the exact (then dense)
-    tier on overflow or stall, so the result never depends on which
-    tier finished.
+    ({!Simplex.ENGINE.reoptimize_certified}); it runs on the
+    machine-word fast tier first and deterministically restarts on the
+    exact tier on overflow, so the result never depends on which tier
+    finished. Every node runs {!Presolve.tighten} first: exact bound
+    propagation that skips simplex on detectably-infeasible boxes.
 
     [root], when given, is used as the root node's presolve outcome
     instead of running {!Presolve.tighten} there — callers that solve
@@ -35,29 +36,25 @@ val solve :
     returned objective. Useful when the relaxation has wide near-optimal
     plateaus (the Scenario-2 contention ILPs).
 
-    [presolve] (default [true]) runs {!Presolve.tighten} at every node:
-    exact bound propagation that skips simplex on detectably-infeasible
-    boxes.
-
     The search is depth-first on the calling domain; concurrent solves
     of different models are independent.
     @raise Invalid_argument on negative [slack].
     @raise Node_limit_exceeded if the search does not finish in the
-    budget — a safety net; the paper's instances take a handful of nodes. *)
+    budget — a safety net; the paper's instances take a handful of nodes.
+    @raise Simplex.Stalled on a solver bug. *)
 
 val solve_certified :
-  ?node_limit:int -> ?slack:Q.t -> Model.t -> Solution.t * Cert.t option
+  ?node_limit:int -> ?slack:Q.t -> Model.t -> Solution.t * Cert.t
 (** {!solve}, additionally emitting a search-tree certificate that
     {!Audit.Checker} (an independent exact checker) can replay against
-    the model. The certified search disables presolve and the memoised
-    root so that node boxes are derivable from the declared bounds plus
-    the branching path; the answer is identical to
+    the model. The certified search runs without presolve and the
+    memoised root so that node boxes are derivable from the declared
+    bounds plus the branching path; the answer is identical to
     [solve ~node_limit ~slack] (presolve only skips work, it never
-    changes results — pinned by a qcheck property). The certificate is
-    [None] only when the search fell through to the dense tier, which
-    cannot certify.
+    changes results — pinned by a qcheck property).
     @raise Invalid_argument on negative [slack].
-    @raise Node_limit_exceeded as {!solve}. *)
+    @raise Node_limit_exceeded as {!solve}.
+    @raise Simplex.Stalled as {!solve}. *)
 
 val solve_lp_relaxation : Model.t -> Solution.t
 (** The continuous relaxation (same as {!Simplex.solve}); exposed for

@@ -14,57 +14,49 @@
     warm-start state that re-optimises with a few dual pivots after
     bound tightenings — the {!Branch_bound} workload.
 
-    Three tiers run the same algorithm: machine-word rationals
-    ({!Numeric.Fastq}, any overflow raises and the solve falls back),
-    exact bignum rationals, and — purely as a defensive fallback behind a
-    pivot budget — the original dense two-phase primal simplex. *)
+    Two tiers run the same algorithm: machine-word rationals
+    ({!Numeric.Fastq}, any overflow raises and the solve falls back) and
+    exact bignum rationals. Both certify every answer (see
+    {!Cert.lp_cert}), so every answer can be checked independently. *)
 
 open Numeric
 
 exception Stalled
 (** Raised when a solve exceeds its defensive pivot budget. Bland's rule
-    terminates, so this firing indicates a solver bug; callers treat it
-    as "fall back to a slower tier", never as an answer. *)
+    terminates, so this firing indicates a solver bug. No tier catches
+    it: both tiers take the same pivots, so a stall on one would be a
+    stall on the other. *)
 
 (** A solver tier exposing warm starts. *)
 module type ENGINE = sig
   type state
 
-  val root :
-    Model.t -> lb:Q.t option array -> ub:Q.t option array ->
-    state option * Solution.t
-  (** Cold solve under the given box (arrays of length
-      [Model.num_vars]; they override the model's declared bounds). A
-      state is returned exactly when the solution is [Optimal]; it sits
-      at the optimal basis and seeds {!branch}/{!reoptimize}.
-      @raise Invalid_argument on a bound-array length mismatch. *)
-
   val root_certified :
     Model.t -> lb:Q.t option array -> ub:Q.t option array ->
-    state option * Solution.t * Cert.lp_cert option
-  (** {!root} plus the certificate for the answer (see {!Cert.lp_cert}).
-      The dense tier returns [None] — it cannot certify. *)
+    state option * Solution.t * Cert.lp_cert
+  (** Cold solve under the given box (arrays of length
+      [Model.num_vars]; they override the model's declared bounds), plus
+      the certificate for the answer (see {!Cert.lp_cert}). A state is
+      returned exactly when the solution is [Optimal]; it sits at the
+      optimal basis and seeds {!branch}/{!reoptimize_certified}.
+      @raise Invalid_argument on a bound-array length mismatch. *)
 
   val branch : state -> state
   (** Deep copy. Branch & bound's tree discipline is copy-on-branch:
       children pivot on their own copy, so the parent state can seed
       every sibling. *)
 
-  val reoptimize :
-    state -> lb:Q.t option array -> ub:Q.t option array -> Solution.t
-  (** Dual-simplex re-solve (in place) after tightening bounds. The new
-      box must be contained in the box the state was last solved under —
-      exactly what branching and presolve produce. After a non-[Optimal]
-      result the state must not be reused. May raise
-      {!Numeric.Fastq.Overflow} on the fast tier and {!Stalled} on any
-      tier. *)
-
   val reoptimize_certified :
     state -> lb:Q.t option array -> ub:Q.t option array ->
-    Solution.t * Cert.lp_cert option
-  (** {!reoptimize} plus the certificate. Warm re-solves only ever end
-      [Optimal] or [Infeasible], so the certificate is an
-      [Optimal_cert], a [Farkas_box] or a [Farkas_ray]. *)
+    Solution.t * Cert.lp_cert
+  (** Dual-simplex re-solve (in place) after tightening bounds, plus the
+      certificate. The new box must be contained in the box the state
+      was last solved under — exactly what branching and presolve
+      produce. After a non-[Optimal] result the state must not be
+      reused. Warm re-solves only ever end [Optimal] or [Infeasible], so
+      the certificate is an [Optimal_cert], a [Farkas_box] or a
+      [Farkas_ray]. May raise {!Numeric.Fastq.Overflow} on the fast
+      tier and {!Stalled} on any tier. *)
 end
 
 module Fast_engine : ENGINE
@@ -78,30 +70,20 @@ val fast : (module ENGINE)
 val exact : (module ENGINE)
 (** Bignum {!Q} arithmetic; never overflows. *)
 
-val dense : (module ENGINE)
-(** The original dense two-phase primal simplex behind the same
-    interface. [root] never returns a state, so every node is a cold
-    solve — the pre-warm-start behaviour, kept as the fallback of last
-    resort. *)
-
-val dense_solve_with_bounds :
-  Model.t -> lb:Q.t option array -> ub:Q.t option array -> Solution.t
-(** Direct entry to the dense fallback (exposed for differential
-    testing). *)
-
 val solve : Model.t -> Solution.t
 (** Solve with the bounds declared in the model, trying the fast tier
-    first and falling back on overflow or stall. *)
+    first and redoing the solve exactly on overflow.
+    @raise Stalled on a solver bug (see {!exception-Stalled}). *)
 
-val solve_certified : Model.t -> Solution.t * Cert.lp_cert option
-(** {!solve} plus the certificate for the answer. [None] only when the
-    solve fell through to the dense tier (counted by the checker as
-    [audit.skipped]). *)
+val solve_certified : Model.t -> Solution.t * Cert.lp_cert
+(** {!solve} plus the certificate for the answer.
+    @raise Stalled as {!solve}. *)
 
 val solve_with_bounds_certified :
   Model.t -> lb:Q.t option array -> ub:Q.t option array ->
-  Solution.t * Cert.lp_cert option
+  Solution.t * Cert.lp_cert
 (** Solve with overriding variable bounds, plus the certificate; the
     arrays must have length [Model.num_vars]. The model's declared bounds
     are ignored in favour of the arrays.
-    @raise Invalid_argument on a length mismatch. *)
+    @raise Invalid_argument on a length mismatch.
+    @raise Stalled as {!solve}. *)

@@ -289,7 +289,7 @@ let replay canon outcome =
    every disk load (failed check => quarantine + certified recompute).
    All auditing happens inside the single-flight reservation, so each
    unique key is audited exactly once per process — the
-   audit.{verified,failed,skipped} counters are jobs-invariant. *)
+   audit.{verified,failed} counters are jobs-invariant. *)
 let audit_flag = Atomic.make false
 
 let set_audit b = Atomic.set audit_flag b
@@ -332,10 +332,10 @@ let solve_canon ~tag ?slack ~solve ~solve_certified model =
         match solve_certified canon with
         | s, cert ->
           (match Audit.Checker.audit ?slack cm s cert with
-           | Some (Audit.Checker.Failed reason) -> record_audit_failure k reason
-           | Some Audit.Checker.Verified | None -> ());
+           | Audit.Checker.Failed reason -> record_audit_failure k reason
+           | Audit.Checker.Verified -> ());
           settle k (Some (Solved s));
-          store_save ?cert k (Solved s);
+          store_save ~cert k (Solved s);
           replay canon (Solved s)
         | exception Ilp.Branch_bound.Node_limit_exceeded ->
           settle k (Some Node_limit);
@@ -371,21 +371,21 @@ let solve_canon ~tag ?slack ~solve ~solve_certified model =
          (* re-audit on disk load; the checksum tier catches bit rot,
             this tier catches entries whose *content* no longer proves
             what it claims *)
-         match o with
-         | Node_limit ->
+         match (o, cert) with
+         | Node_limit, _ ->
            (* deterministic replay outcome; carries no certificate *)
            settle k (Some o);
            replay canon o
-         | Solved _ when cert = None ->
+         | Solved _, None ->
            (* certless entry (pre-audit producer): recompute through
               the certified path so the tier gets upgraded in place *)
            compute ()
-         | Solved s -> (
+         | Solved s, Some cert -> (
              match Audit.Checker.audit ?slack cm s cert with
-             | Some Audit.Checker.Verified ->
+             | Audit.Checker.Verified ->
                settle k (Some o);
                replay canon o
-             | Some (Audit.Checker.Failed _) | None ->
+             | Audit.Checker.Failed _ ->
                store_reject k;
                compute ())
        end)
@@ -451,25 +451,23 @@ let solve_lp model =
   solve_cached ~tag:"lp" ~solve:Ilp.Simplex.solve
     ~solve_certified:(fun m ->
         let s, c = Ilp.Simplex.solve_certified m in
-        (s, Option.map (fun c -> Ilp.Cert.Lp c) c))
+        (s, Ilp.Cert.Lp c))
     model
 
-let solve_ilp ?(node_limit = 200_000) ?(slack = Q.zero) ?(presolve = true)
-    model =
+let solve_ilp ?(node_limit = 200_000) ?(slack = Q.zero) model =
+  (* "presolve=true" is a relic of a removed option; it stays so that
+     keys of existing memory and disk entries do not move *)
   let tag =
-    Printf.sprintf "ilp|nodes=%d|slack=%s|presolve=%b" node_limit
-      (Q.to_string slack) presolve
+    Printf.sprintf "ilp|nodes=%d|slack=%s|presolve=true" node_limit
+      (Q.to_string slack)
   in
   solve_canon ~tag ~slack
     ~solve:(fun canon ->
        let cm = Ilp.Canonical.model canon in
        let root =
-         if presolve then
-           Some
-             (root_presolve ~structure:(Ilp.Canonical.structure canon) cm)
-         else None
+         root_presolve ~structure:(Ilp.Canonical.structure canon) cm
        in
-       Ilp.Branch_bound.solve ~node_limit ~slack ~presolve ?root cm)
+       Ilp.Branch_bound.solve ~node_limit ~slack ~root cm)
       (* the certified search always runs presolve-less (its node boxes
          must derive from the branching path alone); the answer is the
          same either way — presolve only skips work — so the entry is

@@ -42,10 +42,10 @@ val solve_lp : Ilp.Model.t -> Ilp.Solution.t
 (** Cached {!Ilp.Simplex.solve} (the model's continuous relaxation). *)
 
 val solve_ilp :
-  ?node_limit:int -> ?slack:Q.t -> ?presolve:bool -> Ilp.Model.t ->
-  Ilp.Solution.t
+  ?node_limit:int -> ?slack:Q.t -> Ilp.Model.t -> Ilp.Solution.t
 (** Cached {!Ilp.Branch_bound.solve}; defaults match it
-    ([node_limit = 200_000], [slack = 0], [presolve = true]).
+    ([node_limit = 200_000], [slack = 0]). The root presolve outcome is
+    memoised per model structure and shared across tags.
     @raise Ilp.Branch_bound.Node_limit_exceeded as the underlying solver
     would, including on a cache hit of such an outcome. *)
 
@@ -165,7 +165,7 @@ val set_store : store option -> unit
     recomputes through the certified path, mirroring the checksum
     handling one tier below. Auditing happens inside the single-flight
     reservation, so each unique key is audited exactly once per process
-    and the [audit.{verified,failed,skipped}] counters are
+    and the [audit.{verified,failed}] counters are
     jobs-invariant. *)
 
 val set_audit : bool -> unit

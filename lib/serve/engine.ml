@@ -572,7 +572,6 @@ let stats_payload t =
           [
             ("verified", counter_value "audit.verified");
             ("failed", counter_value "audit.failed");
-            ("skipped", counter_value "audit.skipped");
           ] );
       ("stages", J.Obj stage_histograms);
       ("recent_rejects", J.List recent);

@@ -141,32 +141,25 @@ let wyndor () =
 
 let test_checker_lp_optimal () =
   let m = wyndor () in
-  let s, cert = Ilp.Simplex.solve_certified m in
-  match cert with
-  | None -> Alcotest.fail "LP solve produced no certificate"
-  | Some c ->
-    check_verified "wyndor" (C.check m s (Ilp.Cert.Lp c));
-    (* minimisation answers are certified in the max frame *)
-    let m2 = Ilp.Model.create () in
-    let x2 = Ilp.Model.add_var m2 "x" in
-    ge [ (Q.one, x2) ] (q 3) m2;
-    Ilp.Model.set_objective m2 Ilp.Model.Minimize
-      (Ilp.Linexpr.of_terms [ (q 3, x2) ]);
-    let s2, c2 = Ilp.Simplex.solve_certified m2 in
-    (match c2 with
-     | Some c2 -> check_verified "minimise" (C.check m2 s2 (Ilp.Cert.Lp c2))
-     | None -> Alcotest.fail "minimise solve produced no certificate")
+  let s, c = Ilp.Simplex.solve_certified m in
+  check_verified "wyndor" (C.check m s (Ilp.Cert.Lp c));
+  (* minimisation answers are certified in the max frame *)
+  let m2 = Ilp.Model.create () in
+  let x2 = Ilp.Model.add_var m2 "x" in
+  ge [ (Q.one, x2) ] (q 3) m2;
+  Ilp.Model.set_objective m2 Ilp.Model.Minimize
+    (Ilp.Linexpr.of_terms [ (q 3, x2) ]);
+  let s2, c2 = Ilp.Simplex.solve_certified m2 in
+  check_verified "minimise" (C.check m2 s2 (Ilp.Cert.Lp c2))
 
 let test_checker_lp_infeasible () =
   let m = Ilp.Model.create () in
   let x = Ilp.Model.add_var m ~ub:(q 2) "x" in
   ge [ (Q.one, x) ] (q 4) m;
   Ilp.Model.set_objective m Ilp.Model.Maximize (Ilp.Linexpr.var x);
-  let s, cert = Ilp.Simplex.solve_certified m in
+  let s, c = Ilp.Simplex.solve_certified m in
   Alcotest.(check bool) "infeasible" true (s = Ilp.Solution.Infeasible);
-  match cert with
-  | Some c -> check_verified "farkas" (C.check m s (Ilp.Cert.Lp c))
-  | None -> Alcotest.fail "infeasible solve produced no certificate"
+  check_verified "farkas" (C.check m s (Ilp.Cert.Lp c))
 
 let test_checker_lp_unbounded () =
   let m = Ilp.Model.create () in
@@ -175,11 +168,9 @@ let test_checker_lp_unbounded () =
   le [ (Q.one, x); (Q.of_int (-1), y) ] (q 1) m;
   Ilp.Model.set_objective m Ilp.Model.Maximize
     (Ilp.Linexpr.of_terms [ (Q.one, x); (Q.one, y) ]);
-  let s, cert = Ilp.Simplex.solve_certified m in
+  let s, c = Ilp.Simplex.solve_certified m in
   Alcotest.(check bool) "unbounded" true (s = Ilp.Solution.Unbounded);
-  match cert with
-  | Some c -> check_verified "ray" (C.check m s (Ilp.Cert.Lp c))
-  | None -> Alcotest.fail "unbounded solve produced no certificate"
+  check_verified "ray" (C.check m s (Ilp.Cert.Lp c))
 
 let knapsack () =
   (* max 8a + 11b + 6c st 5a + 7b + 4c <= 14, binary -> 19 *)
@@ -193,10 +184,8 @@ let knapsack () =
 
 let test_checker_ilp_optimal () =
   let m = knapsack () in
-  let s, cert = Ilp.Branch_bound.solve_certified m in
-  match cert with
-  | Some c -> check_verified "knapsack" (C.check m s c)
-  | None -> Alcotest.fail "ILP solve produced no certificate"
+  let s, c = Ilp.Branch_bound.solve_certified m in
+  check_verified "knapsack" (C.check m s c)
 
 let test_checker_ilp_infeasible () =
   let m = Ilp.Model.create () in
@@ -206,11 +195,9 @@ let test_checker_ilp_infeasible () =
     (Ilp.Linexpr.var ~coeff:(q 2) x)
     Ilp.Model.Eq (q 3);
   Ilp.Model.set_objective m Ilp.Model.Maximize (Ilp.Linexpr.var x);
-  let s, cert = Ilp.Branch_bound.solve_certified m in
+  let s, c = Ilp.Branch_bound.solve_certified m in
   Alcotest.(check bool) "infeasible" true (s = Ilp.Solution.Infeasible);
-  match cert with
-  | Some c -> check_verified "diophantine" (C.check m s c)
-  | None -> Alcotest.fail "infeasible ILP produced no certificate"
+  check_verified "diophantine" (C.check m s c)
 
 (* --- checker: every mutation class must be rejected -------------------------- *)
 
@@ -218,7 +205,7 @@ let test_mutation_wrong_dual () =
   let m = wyndor () in
   let s, cert = Ilp.Simplex.solve_certified m in
   match cert with
-  | Some (Ilp.Cert.Optimal_cert { duals }) ->
+  | Ilp.Cert.Optimal_cert { duals } ->
     Array.iteri
       (fun i _ ->
          let duals = Array.copy duals in
@@ -233,7 +220,7 @@ let test_mutation_tampered_objective () =
   let m = knapsack () in
   let s, cert = Ilp.Branch_bound.solve_certified m in
   match (s, cert) with
-  | Ilp.Solution.Optimal { objective; values }, Some c ->
+  | Ilp.Solution.Optimal { objective; values }, c ->
     check_failed "objective bumped"
       (C.check m
          (Ilp.Solution.Optimal { objective = Q.add objective Q.one; values })
@@ -258,7 +245,7 @@ let test_mutation_truncated_tree () =
     (Ilp.Linexpr.var ~coeff:(Q.of_ints 1 2) y);
   let s, cert = Ilp.Branch_bound.solve_certified m in
   match cert with
-  | Some (Ilp.Cert.Ilp { islack; tree = Ilp.Cert.Branch b }) ->
+  | Ilp.Cert.Ilp { islack; tree = Ilp.Cert.Branch b } ->
     let vacuous =
       Ilp.Cert.Leaf_infeasible (Ilp.Cert.Farkas_ray [| Q.zero; Q.zero |])
     in
@@ -272,18 +259,9 @@ let test_mutation_truncated_tree () =
 
 let test_mutation_slack_mismatch () =
   let m = knapsack () in
-  let s, cert = Ilp.Branch_bound.solve_certified ~slack:Q.one m in
-  match cert with
-  | Some c ->
-    check_verified "matching slack" (C.check ~slack:Q.one m s c);
-    check_failed "mismatched slack" (C.check ~slack:(q 2) m s c)
-  | None -> Alcotest.fail "expected a certificate"
-
-let test_audit_none_is_skipped () =
-  let m = wyndor () in
-  let s = Ilp.Simplex.solve m in
-  Alcotest.(check bool) "no certificate -> no verdict" true
-    (C.audit m s None = None)
+  let s, c = Ilp.Branch_bound.solve_certified ~slack:Q.one m in
+  check_verified "matching slack" (C.check ~slack:Q.one m s c);
+  check_failed "mismatched slack" (C.check ~slack:(q 2) m s c)
 
 (* --- certificates: JSON round-trips ------------------------------------------- *)
 
@@ -355,33 +333,26 @@ let prop_certified_ilp_verifies =
   QCheck.Test.make ~name:"certified ILP answers verify and match plain solve"
     ~count:200 (QCheck.make gen_rand_ilp) (fun r ->
         let m = to_model r in
-        let s, cert = Ilp.Branch_bound.solve_certified m in
+        let s, c = Ilp.Branch_bound.solve_certified m in
         same_answer s (Ilp.Branch_bound.solve (to_model r))
-        && match cert with
-        | None -> false
-        | Some c -> C.check m s c = C.Verified)
+        && C.check m s c = C.Verified)
 
 let prop_certified_lp_verifies =
   QCheck.Test.make ~name:"certified LP answers verify and match plain solve"
     ~count:200 (QCheck.make gen_rand_ilp) (fun r ->
         let m = to_model r in
-        let s, cert = Ilp.Simplex.solve_certified m in
+        let s, c = Ilp.Simplex.solve_certified m in
         Ilp.Solution.equal s (Ilp.Simplex.solve (to_model r))
-        && match cert with
-        | None -> false
-        | Some c -> C.check m s (Ilp.Cert.Lp c) = C.Verified)
+        && C.check m s (Ilp.Cert.Lp c) = C.Verified)
 
 let prop_cert_json_roundtrip =
   QCheck.Test.make ~name:"certificate JSON round-trips exactly" ~count:200
     (QCheck.make gen_rand_ilp) (fun r ->
         let m = to_model r in
-        let _, cert = Ilp.Branch_bound.solve_certified m in
-        match cert with
-        | None -> false
-        | Some c ->
-          (match Ilp.Cert.of_string (Ilp.Cert.to_string c) with
-           | Some c' -> Ilp.Cert.equal c c'
-           | None -> false))
+        let _, c = Ilp.Branch_bound.solve_certified m in
+        match Ilp.Cert.of_string (Ilp.Cert.to_string c) with
+        | Some c' -> Ilp.Cert.equal c c'
+        | None -> false)
 
 (* the slack contract (satellite of the certified-solving work): a slack
    solve may stop early, but never returns an answer more than [slack]
@@ -404,9 +375,7 @@ let prop_slack_contract =
             audited upper bound is sound) *)
          Q.compare o b <= 0
          && Q.compare b (Q.add o slack) <= 0
-         && (match cert with
-             | Some c -> C.check ~slack m relaxed c = C.Verified
-             | None -> false)
+         && C.check ~slack m relaxed cert = C.Verified
        | _ -> false)
 
 (* --- Solution API hardening ---------------------------------------------------- *)
@@ -466,8 +435,6 @@ let () =
             test_checker_ilp_optimal;
           Alcotest.test_case "ILP infeasible verified" `Quick
             test_checker_ilp_infeasible;
-          Alcotest.test_case "no certificate -> skipped" `Quick
-            test_audit_none_is_skipped;
         ] );
       ( "mutations",
         [

@@ -552,12 +552,15 @@ let prop_presolve_preserves_solutions =
           go 0;
           !ok)
 
+(* [solve] presolves every node and the certified search never does, so
+   their answers pin presolve to skipping work without moving the
+   optimum. *)
 let prop_presolve_same_optimum =
   QCheck.Test.make ~name:"branch&bound optimum unchanged by presolve" ~count:100
     (QCheck.make gen_rand_ilp) (fun r ->
         let m = to_model r in
-        let with_p = Ilp.Branch_bound.solve ~presolve:true m in
-        let without = Ilp.Branch_bound.solve ~presolve:false m in
+        let with_p = Ilp.Branch_bound.solve m in
+        let without, _ = Ilp.Branch_bound.solve_certified m in
         match (with_p, without) with
         | Ilp.Solution.Optimal { objective = a; _ }, Ilp.Solution.Optimal { objective = b; _ }
           -> Q.equal a b
@@ -776,8 +779,8 @@ let gen_warm_chain =
 let run_warm_chain (module E : Ilp.Simplex.ENGINE) (r, steps) =
   let m = to_model r in
   let lb, ub = full_box r in
-  let st0, s0 = E.root m ~lb ~ub in
-  if not (same_solution s0 (Ilp.Simplex.dense_solve_with_bounds m ~lb ~ub))
+  let st0, s0, _ = E.root_certified m ~lb ~ub in
+  if not (same_solution s0 (Ref_simplex.solve_with_bounds m ~lb ~ub))
   then false
   else begin
     match st0 with
@@ -798,8 +801,8 @@ let run_warm_chain (module E : Ilp.Simplex.ENGINE) (r, steps) =
                  | Some u -> ub.(v) <- Some (Q.sub u (q amount))
                  | None -> assert false);
               let child = E.branch !st in
-              let warm = E.reoptimize child ~lb ~ub in
-              let cold = Ilp.Simplex.dense_solve_with_bounds m ~lb ~ub in
+              let warm, _ = E.reoptimize_certified child ~lb ~ub in
+              let cold = Ref_simplex.solve_with_bounds m ~lb ~ub in
               if not (same_solution warm cold) then begin
                 ok := false;
                 raise Exit
@@ -824,7 +827,7 @@ let prop_warm_fast_matches_cold =
     ~count:150 (QCheck.make gen_warm_chain) (fun case ->
         match run_warm_chain (module Ilp.Simplex.Fast_engine) case with
         | ok -> ok
-        | exception (Fastq.Overflow | Ilp.Simplex.Stalled) -> true)
+        | exception Fastq.Overflow -> true)
 
 (* --- fast tier vs exact tier -------------------------------------------------- *)
 
@@ -870,11 +873,40 @@ let prop_fast_tier_exact_or_falls_back =
         let r, _ = case in
         let m = to_model_scaled case in
         let lb, ub = full_box r in
-        match Ilp.Simplex.Fast_engine.root m ~lb ~ub with
-        | exception (Fastq.Overflow | Ilp.Simplex.Stalled) -> true
-        | _, sf ->
-          let _, se = Ilp.Simplex.Exact_engine.root m ~lb ~ub in
+        match Ilp.Simplex.Fast_engine.root_certified m ~lb ~ub with
+        | exception Fastq.Overflow -> true
+        | _, sf, _ ->
+          let _, se, _ = Ilp.Simplex.Exact_engine.root_certified m ~lb ~ub in
           same_solution sf se)
+
+(* The public ladder on the same mixed-magnitude models, where the fast
+   tier overflows on about a third of the instances: whichever tier
+   answers, the answer is the reference solver's. *)
+let prop_ladder_matches_reference =
+  QCheck.Test.make
+    ~name:"tier ladder equals the reference simplex (mixed magnitudes)"
+    ~count:150 (QCheck.make gen_scaled_lp) (fun case ->
+        let r, _ = case in
+        let m = to_model_scaled case in
+        let lb, ub = full_box r in
+        same_solution
+          (Ilp.Simplex.solve (to_model_scaled case))
+          (Ref_simplex.solve_with_bounds m ~lb ~ub))
+
+let test_bounds_length_mismatch () =
+  let m = Ilp.Model.create () in
+  let _ = Ilp.Model.add_var m ~ub:(q 3) "x" in
+  let _ = Ilp.Model.add_var m ~ub:(q 3) "y" in
+  Ilp.Model.set_objective m Ilp.Model.Maximize Ilp.Linexpr.zero;
+  List.iter
+    (fun (label, lb, ub) ->
+       match Ilp.Simplex.solve_with_bounds_certified m ~lb ~ub with
+       | _ -> Alcotest.failf "%s: expected Invalid_argument" label
+       | exception Invalid_argument _ -> ())
+    [
+      ("short lb", [| None |], [| None; None |]);
+      ("long ub", [| None; None |], [| None; None; None |]);
+    ]
 
 let test_lp_format_parse_variants () =
   (* alternative spellings we tolerate *)
@@ -904,6 +936,8 @@ let () =
           Alcotest.test_case "degenerate (Bland)" `Quick test_lp_degenerate;
           Alcotest.test_case "constant folding" `Quick test_lp_constant_in_expr;
           Alcotest.test_case "objective constant" `Quick test_lp_objective_constant;
+          Alcotest.test_case "bound-array length mismatch" `Quick
+            test_bounds_length_mismatch;
         ] );
       ( "branch-bound",
         [
@@ -950,6 +984,7 @@ let () =
             prop_warm_exact_matches_cold;
             prop_warm_fast_matches_cold;
             prop_fast_tier_exact_or_falls_back;
+            prop_ladder_matches_reference;
           ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -484,7 +484,7 @@ let test_cache_replays_node_limit () =
   in
   Runtime.Solve_cache.clear ();
   Runtime.Solve_cache.reset_stats ();
-  let solve () = Runtime.Solve_cache.solve_ilp ~node_limit:1 ~presolve:false (hard ()) in
+  let solve () = Runtime.Solve_cache.solve_ilp ~node_limit:1 (hard ()) in
   (match solve () with
    | _ -> Alcotest.fail "expected Node_limit_exceeded"
    | exception Ilp.Branch_bound.Node_limit_exceeded -> ());
