@@ -51,7 +51,6 @@ module type MODE = sig
   val leaf_bounded : info -> node
   val branch_node : var:int -> pivot:Q.t -> down:node -> up:node -> node
   val presolve : bool
-  val root : Presolve.outcome option
 end
 
 exception Unbounded_search of Cert.lp_cert
@@ -157,10 +156,9 @@ module Search (M : MODE) = struct
        exactly the recursive down-then-up order. *)
     let stack = ref [] in
     let push f = stack := f :: !stack in
-    (* One node: count it, presolve (or use the memoised root outcome),
-       solve the relaxation warm from the parent basis, then settle as a
-       leaf or push both children (up first so the down child pops
-       first). *)
+    (* One node: count it, presolve, solve the relaxation warm from the
+       parent basis, then settle as a leaf or push both children (up
+       first so the down child pops first). *)
     let process frame =
       incr nodes;
       Obs.Metrics.incr m_nodes;
@@ -170,11 +168,8 @@ module Search (M : MODE) = struct
         raise Node_limit_exceeded
       end;
       match
-        (match M.root with
-         | Some outcome when frame.depth = 0 -> outcome
-         | _ ->
-           if M.presolve then Presolve.tighten model ~lb:frame.lb ~ub:frame.ub
-           else Presolve.Tightened (frame.lb, frame.ub))
+        if M.presolve then Presolve.tighten model ~lb:frame.lb ~ub:frame.ub
+        else Presolve.Tightened (frame.lb, frame.ub)
       with
       | Presolve.Infeasible -> frame.set M.presolve_leaf
       | Presolve.Tightened (lb, ub) -> (
@@ -280,7 +275,7 @@ module Search (M : MODE) = struct
          | exception Unbounded_search c -> `Unbounded c)
 end
 
-let search engine ~node_limit ~slack ~root model =
+let search engine ~node_limit ~slack model =
   let module En = (val engine : Simplex.ENGINE) in
   let module S = Search (struct
     module E = En
@@ -294,7 +289,6 @@ let search engine ~node_limit ~slack ~root model =
     let leaf_bounded () = ()
     let branch_node ~var:_ ~pivot:_ ~down:_ ~up:_ = ()
     let presolve = true
-    let root = root
   end) in
   match S.run ~node_limit ~slack model with
   | `Finished (sol, ()) -> sol
@@ -303,10 +297,10 @@ let search engine ~node_limit ~slack ~root model =
 (* Certified search: identical branching discipline, but every node's
    relaxation goes through the certified engine entry points and the
    search keeps a log — a {!Cert.tree} — that an independent checker can
-   replay. Presolve (and the memoised root presolve) is disabled so that
-   every node box is derivable from the declared bounds plus the
-   branching path alone; that changes the node count but never the
-   answer, which only depends on the exhaustive search discipline. *)
+   replay. Presolve is disabled so that every node box is derivable
+   from the declared bounds plus the branching path alone; that changes
+   the node count but never the answer, which only depends on the
+   exhaustive search discipline. *)
 let search_certified engine ~node_limit ~slack model =
   let module En = (val engine : Simplex.ENGINE) in
   let module S = Search (struct
@@ -332,7 +326,6 @@ let search_certified engine ~node_limit ~slack model =
     let leaf_bounded duals = Cert.Leaf_bounded { duals }
     let branch_node ~var ~pivot ~down ~up = Cert.Branch { var; pivot; down; up }
     let presolve = false
-    let root = None
   end) in
   match S.run ~node_limit ~slack model with
   | `Finished (solution, tree) ->
@@ -352,10 +345,10 @@ let on_tiers search =
     Obs.Metrics.incr m_restarts;
     search Simplex.exact
 
-let solve ?(node_limit = 200_000) ?(slack = Q.zero) ?root model =
+let solve ?(node_limit = 200_000) ?(slack = Q.zero) model =
   if Q.sign slack < 0 then invalid_arg "Branch_bound.solve: negative slack";
   Obs.Metrics.incr m_solves;
-  on_tiers (fun engine -> search engine ~node_limit ~slack ~root model)
+  on_tiers (fun engine -> search engine ~node_limit ~slack model)
 
 let solve_certified ?(node_limit = 200_000) ?(slack = Q.zero) model =
   if Q.sign slack < 0 then

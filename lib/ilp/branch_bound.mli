@@ -8,9 +8,7 @@ open Numeric
 
 exception Node_limit_exceeded
 
-val solve :
-  ?node_limit:int -> ?slack:Q.t -> ?root:Presolve.outcome -> Model.t ->
-  Solution.t
+val solve : ?node_limit:int -> ?slack:Q.t -> Model.t -> Solution.t
 (** Solves the model enforcing integrality of its integer variables.
     [node_limit] (default [200_000]) bounds the number of explored
     branch-and-bound nodes.
@@ -22,12 +20,6 @@ val solve :
     exact tier on overflow, so the result never depends on which tier
     finished. Every node runs {!Presolve.tighten} first: exact bound
     propagation that skips simplex on detectably-infeasible boxes.
-
-    [root], when given, is used as the root node's presolve outcome
-    instead of running {!Presolve.tighten} there — callers that solve
-    many structurally identical models (the solve cache) memoise it. It
-    must equal what the root tightening would produce; passing anything
-    else voids the optimality guarantee.
 
     [slack] (default 0 — exact) relaxes pruning: nodes that cannot improve
     on the incumbent by more than [slack] are abandoned, so the returned
@@ -47,9 +39,9 @@ val solve_certified :
   ?node_limit:int -> ?slack:Q.t -> Model.t -> Solution.t * Cert.t
 (** {!solve}, additionally emitting a search-tree certificate that
     {!Audit.Checker} (an independent exact checker) can replay against
-    the model. The certified search runs without presolve and the
-    memoised root so that node boxes are derivable from the declared
-    bounds plus the branching path; the answer is identical to
+    the model. The certified search runs without presolve so that node
+    boxes are derivable from the declared bounds plus the branching
+    path; the answer is identical to
     [solve ~node_limit ~slack] (presolve only skips work, it never
     changes results — pinned by a qcheck property).
     @raise Invalid_argument on negative [slack].

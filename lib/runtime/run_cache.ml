@@ -10,13 +10,13 @@
    literal order (stepping order is architecturally visible through
    same-cycle arbitration).
 
-   Single-flight, like {!Solve_cache}: the first requester of a key
-   installs [Pending] and simulates; concurrent requesters block until
-   the outcome lands and count as hits. Hit/miss totals are therefore a
-   function of the request multiset alone — identical at any parallel
-   degree — which keeps the run_cache.* Obs counters inside the
-   deterministic snapshot. [run_result] is immutable all the way down,
-   so sharing one value between requesters is safe. *)
+   Single-flight ({!Single_flight}): the first requester of a key
+   simulates; concurrent requesters block until the outcome lands and
+   count as hits. Hit/miss totals are therefore a function of the
+   request multiset alone — identical at any parallel degree — which
+   keeps the run_cache.* Obs counters inside the deterministic snapshot.
+   [run_result] is immutable all the way down, so sharing one value
+   between requesters is safe. *)
 
 open Tcsim
 
@@ -24,18 +24,14 @@ type outcome = Finished of Machine.run_result | Limit of int
 
 type stats = { hits : int; misses : int; waited : int }
 
-type entry = { mutable state : state }
-and state = Done of outcome | Pending
+let table : outcome Single_flight.t =
+  Single_flight.create ~entries:(Obs.Metrics.gauge "run_cache.entries") ()
 
-let table : (string, entry) Hashtbl.t = Hashtbl.create 128
-let lock = Mutex.create ()
-let settled = Condition.create ()
 let hit_count = Atomic.make 0
 let miss_count = Atomic.make 0
 let waited_count = Atomic.make 0
 let m_hits = Obs.Metrics.counter "run_cache.hits"
 let m_misses = Obs.Metrics.counter "run_cache.misses"
-let m_entries = Obs.Metrics.gauge "run_cache.entries"
 
 (* --- fingerprint ------------------------------------------------------- *)
 
@@ -346,47 +342,7 @@ let store_save k o =
   | None -> ()
   | Some s -> ( try s.save k (entry_to_string o) with _ -> ())
 
-(* --- single-flight table ----------------------------------------------- *)
-
-let size () =
-  Mutex.lock lock;
-  let n =
-    Hashtbl.fold
-      (fun _ e acc -> match e.state with Done _ -> acc + 1 | Pending -> acc)
-      table 0
-  in
-  Mutex.unlock lock;
-  n
-
-let acquire k =
-  Mutex.lock lock;
-  let rec loop ~waited =
-    match Hashtbl.find_opt table k with
-    | Some { state = Done o } ->
-      Mutex.unlock lock;
-      `Hit (o, waited)
-    | Some { state = Pending } ->
-      Condition.wait settled lock;
-      loop ~waited:true
-    | None ->
-      Hashtbl.replace table k { state = Pending };
-      Mutex.unlock lock;
-      `Reserved
-  in
-  loop ~waited:false
-
-let settle k result =
-  Mutex.lock lock;
-  (match (Hashtbl.find_opt table k, result) with
-   | Some e, Some outcome -> e.state <- Done outcome
-   | Some _, None ->
-     (* uncached failure (e.g. validation error): release the key so a
-        later request can retry *)
-     Hashtbl.remove table k
-   | None, _ -> ());
-  Condition.broadcast settled;
-  Mutex.unlock lock;
-  if result <> None then Obs.Metrics.set m_entries (size ())
+let size () = Single_flight.size table
 
 let replay = function
   | Finished r -> r
@@ -409,23 +365,24 @@ let miss k ~sim =
   | Some o ->
     (* second-tier hit: install the persisted outcome without
        simulating; still a miss of the memory tier *)
-    settle k (Some o);
+    Single_flight.settle table k o;
     replay o
   | None ->
-    (match sim () with
-     | r ->
-       settle k (Some (Finished r));
-       store_save k (Finished r);
-       r
-     | exception Machine.Cycle_limit_exceeded c ->
-       (* deterministic for this key (max_cycles is part of it): cache
-          the outcome so hit/miss totals stay jobs-invariant *)
-       settle k (Some (Limit c));
-       store_save k (Limit c);
-       raise (Machine.Cycle_limit_exceeded c)
-     | exception e ->
-       settle k None;
-       raise e)
+    let o =
+      match sim () with
+      | r -> Finished r
+      | exception Machine.Cycle_limit_exceeded c ->
+        (* deterministic for this key (max_cycles is part of it): cache
+           the outcome so hit/miss totals stay jobs-invariant *)
+        Limit c
+      | exception e ->
+        (* uncached failure (e.g. validation error): release the key *)
+        Single_flight.fail table k;
+        raise e
+    in
+    Single_flight.settle table k o;
+    store_save k o;
+    replay o
 
 let run ?(config = Machine.default_config)
     ?(max_cycles = Machine.default_max_cycles) ?(restart_contenders = true)
@@ -437,7 +394,7 @@ let run ?(config = Machine.default_config)
     fingerprint ~config ~max_cycles ~restart_contenders ~priorities ~trace
       ~kernel ~analysis ~contenders
   in
-  match acquire k with
+  match Single_flight.acquire table k with
   | `Hit (o, waited) -> hit k o ~waited
   | `Reserved ->
     miss k ~sim:(fun () ->
@@ -460,10 +417,6 @@ let reset_stats () =
   Atomic.set waited_count 0
 
 let clear () =
-  Mutex.lock lock;
-  Hashtbl.reset table;
-  Condition.broadcast settled;
-  Mutex.unlock lock;
+  Single_flight.clear table;
   Machine.clear_scripts ();
-  Obs.Metrics.set m_entries 0;
   reset_stats ()

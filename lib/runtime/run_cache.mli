@@ -9,7 +9,7 @@
     arbitration). Ablations and the portability sweep re-simulate
     identical co-runs dozens of times; those become cache hits.
 
-    Single-flight like {!Solve_cache}: concurrent requests for one key
+    Single-flight ({!Single_flight}): concurrent requests for one key
     run the simulation once, so hit/miss totals depend only on the
     request multiset — identical at any parallel degree — and the
     [run_cache.hits] / [run_cache.misses] Obs counters stay inside the

@@ -19,9 +19,9 @@ type stats = {
    outcome independent of which twin arrived first, so results stay
    deterministic at any parallel degree.
 
-   Single-flight: the first requester of a key installs [Pending] and
-   solves; concurrent requesters of the same key block on [settled]
-   until the outcome lands, then count as hits. This makes the hit/miss
+   Single-flight ({!Single_flight}): the first requester of a key
+   solves; concurrent requesters of the same key block until the
+   outcome lands, then count as hits. This makes the hit/miss
    split a function of the request sequence alone — every unique key is
    exactly one miss, every other request a hit — so cache counters are
    identical at any parallel degree, which the metrics determinism
@@ -41,15 +41,17 @@ type stats = {
    kept out of the jobs-invariant Obs counter set and reported only in
    [stats]. *)
 type entry = {
-  mutable state : state;
-  raw_seen : (string, unit) Hashtbl.t; (* raw digests already served *)
+  outcome : outcome;
+  raw_seen : (string, unit) Hashtbl.t;
+      (* raw digests already served, under [lock]; the solver's own raw
+         is in it before the entry settles *)
 }
 
-and state = Done of outcome | Pending
+let table : entry Single_flight.t =
+  Single_flight.create ~entries:(Obs.Metrics.gauge "solve_cache.entries") ()
 
-let table : (string, entry) Hashtbl.t = Hashtbl.create 256
+(* guards every entry's [raw_seen] and [audit_failures_tbl] *)
 let lock = Mutex.create ()
-let settled = Condition.create ()
 let hit_count = Atomic.make 0
 let miss_count = Atomic.make 0
 let raw_hit_count = Atomic.make 0
@@ -59,7 +61,6 @@ let m_hits = Obs.Metrics.counter "solve_cache.hits"
 let m_misses = Obs.Metrics.counter "solve_cache.misses"
 let m_raw_hits = Obs.Metrics.counter "solve_cache.raw_hits"
 let m_canonical_hits = Obs.Metrics.counter "ilp.cache.canonical_hits"
-let m_entries = Obs.Metrics.gauge "solve_cache.entries"
 
 let key ~tag model =
   Digest.to_hex (Digest.string (tag ^ "\n" ^ Ilp.Model.canonical model))
@@ -208,15 +209,7 @@ let store_reject k =
   | None -> ()
   | Some s -> ( try s.reject k with _ -> ())
 
-let size () =
-  Mutex.lock lock;
-  let n =
-    Hashtbl.fold
-      (fun _ e acc -> match e.state with Done _ -> acc + 1 | Pending -> acc)
-      table 0
-  in
-  Mutex.unlock lock;
-  n
+let size () = Single_flight.size table
 
 let count_hit ~key ~waited kind =
   Atomic.incr hit_count;
@@ -234,42 +227,13 @@ let count_hit ~key ~waited kind =
     Atomic.incr canonical_hit_count;
     Obs.Metrics.incr m_canonical_hits
 
-(* Either returns the settled outcome (classified raw/canonical) or
-   reserves the key for the caller to solve (waiting out another
-   domain's in-flight solve first). *)
-let acquire ~raw k =
-  Mutex.lock lock;
-  let rec loop ~waited =
-    match Hashtbl.find_opt table k with
-    | Some { state = Done o; raw_seen } ->
-      let kind = if Hashtbl.mem raw_seen raw then `Raw else `Canonical in
-      Hashtbl.replace raw_seen raw ();
-      Mutex.unlock lock;
-      `Hit (o, kind, waited)
-    | Some { state = Pending; _ } ->
-      Condition.wait settled lock;
-      loop ~waited:true
-    | None ->
-      let raw_seen = Hashtbl.create 4 in
-      Hashtbl.replace raw_seen raw ();
-      Hashtbl.replace table k { state = Pending; raw_seen };
-      Mutex.unlock lock;
-      `Reserved
-  in
-  loop ~waited:false
-
-let settle k result =
-  Mutex.lock lock;
-  (match (Hashtbl.find_opt table k, result) with
-   | Some e, Some outcome -> e.state <- Done outcome
-   | Some _, None ->
-     (* the solver raised something we don't cache: release the key so a
-        later request can retry *)
-     Hashtbl.remove table k
-   | None, _ -> ());
-  Condition.broadcast settled;
-  Mutex.unlock lock;
-  if result <> None then Obs.Metrics.set m_entries (size ())
+(* Raw if some earlier request had this exact model, else canonical;
+   either way [raw] has now been served. *)
+let classify e raw =
+  Mutex.protect lock (fun () ->
+      let kind = if Hashtbl.mem e.raw_seen raw then `Raw else `Canonical in
+      Hashtbl.replace e.raw_seen raw ();
+      kind)
 
 (* Map a canonical-frame outcome back into the requester's frame. *)
 let replay canon outcome =
@@ -313,137 +277,70 @@ let audit_failures () =
   Mutex.unlock lock;
   List.sort compare l
 
-let solve_canon ~tag ?slack ~solve ~solve_certified model =
+let solve_cached ~tag ?slack ~solve ~solve_certified model =
   let canon = Ilp.Canonical.of_model model in
   let raw = key ~tag model in
   let k = canonical_key ~tag canon in
-  match acquire ~raw k with
-  | `Hit (o, kind, waited) ->
-    count_hit ~key:k ~waited kind;
-    replay canon o
+  match Single_flight.acquire table k with
+  | `Hit (e, waited) ->
+    count_hit ~key:k ~waited (classify e raw);
+    replay canon e.outcome
   | `Reserved ->
     Atomic.incr miss_count;
     Obs.Metrics.incr m_misses;
     Obs.Tracer.instant "cache.solve.miss" ~attrs:(fun () -> [ ("key", k) ]);
     let auditing = audit_enabled () in
     let cm = Ilp.Canonical.model canon in
-    let compute () =
-      if auditing then begin
-        match solve_certified canon with
-        | s, cert ->
+    (* A disk entry is served if it still proves what it claims: under
+       audit it is re-audited (the checksum tier catches bit rot, this
+       tier catches content that no longer verifies); a certless entry
+       from a pre-audit producer is recomputed so the tier gets
+       upgraded in place. A node-limit outcome carries no certificate. *)
+    let loaded () =
+      match store_load k with
+      | None -> None
+      | Some (o, _) when not auditing -> Some o
+      | Some ((Node_limit as o), _) -> Some o
+      | Some (Solved _, None) -> None
+      | Some ((Solved s as o), Some cert) -> (
+        match Audit.Checker.audit ?slack cm s cert with
+        | Audit.Checker.Verified -> Some o
+        | Audit.Checker.Failed _ ->
+          store_reject k;
+          None)
+    in
+    (* A fresh solve, with the certificate (if any) to persist. A
+       node-limit outcome is deterministic for the key, so it is cached
+       too. *)
+    let fresh () =
+      match
+        if auditing then begin
+          let s, cert = solve_certified cm in
           (match Audit.Checker.audit ?slack cm s cert with
            | Audit.Checker.Failed reason -> record_audit_failure k reason
            | Audit.Checker.Verified -> ());
-          settle k (Some (Solved s));
-          store_save ~cert k (Solved s);
-          replay canon (Solved s)
-        | exception Ilp.Branch_bound.Node_limit_exceeded ->
-          settle k (Some Node_limit);
-          store_save k Node_limit;
-          raise Ilp.Branch_bound.Node_limit_exceeded
-        | exception e ->
-          settle k None;
-          raise e
-      end
-      else begin
-        match solve canon with
-        | s ->
-          settle k (Some (Solved s));
-          store_save k (Solved s);
-          replay canon (Solved s)
-        | exception Ilp.Branch_bound.Node_limit_exceeded ->
-          settle k (Some Node_limit);
-          store_save k Node_limit;
-          raise Ilp.Branch_bound.Node_limit_exceeded
-        | exception e ->
-          settle k None;
-          raise e
-      end
+          (s, Some cert)
+        end
+        else (solve cm, None)
+      with
+      | s, cert -> (Solved s, Some cert)
+      | exception Ilp.Branch_bound.Node_limit_exceeded -> (Node_limit, Some None)
     in
-    (match store_load k with
-     | None -> compute ()
-     | Some (o, cert) ->
-       if not auditing then begin
-         settle k (Some o);
-         replay canon o
-       end
-       else begin
-         (* re-audit on disk load; the checksum tier catches bit rot,
-            this tier catches entries whose *content* no longer proves
-            what it claims *)
-         match (o, cert) with
-         | Node_limit, _ ->
-           (* deterministic replay outcome; carries no certificate *)
-           settle k (Some o);
-           replay canon o
-         | Solved _, None ->
-           (* certless entry (pre-audit producer): recompute through
-              the certified path so the tier gets upgraded in place *)
-           compute ()
-         | Solved s, Some cert -> (
-             match Audit.Checker.audit ?slack cm s cert with
-             | Audit.Checker.Verified ->
-               settle k (Some o);
-               replay canon o
-             | Audit.Checker.Failed _ ->
-               store_reject k;
-               compute ())
-       end)
-
-let solve_cached ~tag ~solve ~solve_certified model =
-  solve_canon ~tag
-    ~solve:(fun canon -> solve (Ilp.Canonical.model canon))
-    ~solve_certified:(fun canon -> solve_certified (Ilp.Canonical.model canon))
-    model
-
-(* --- root-presolve memo ------------------------------------------------ *)
-
-(* The root box of a branch & bound search depends only on the model, so
-   structurally identical solves with different solver options (distinct
-   cache tags) share it. Single-flight for the same reason as the main
-   table: it keeps ilp.presolve.* counters jobs-invariant. *)
-type presolve_entry = P_done of Ilp.Presolve.outcome | P_pending
-
-let presolve_table : (string, presolve_entry) Hashtbl.t = Hashtbl.create 64
-
-let root_presolve ~structure model =
-  let k = structure in
-  Mutex.lock lock;
-  let rec loop () =
-    match Hashtbl.find_opt presolve_table k with
-    | Some (P_done o) ->
-      Mutex.unlock lock;
-      o
-    | Some P_pending ->
-      Condition.wait settled lock;
-      loop ()
-    | None ->
-      Hashtbl.replace presolve_table k P_pending;
-      Mutex.unlock lock;
-      let nv = Ilp.Model.num_vars model in
-      let lb =
-        Array.init nv (fun v -> (Ilp.Model.var_info model v).Ilp.Model.lb)
-      in
-      let ub =
-        Array.init nv (fun v -> (Ilp.Model.var_info model v).Ilp.Model.ub)
-      in
-      let o =
-        match Ilp.Presolve.tighten model ~lb ~ub with
-        | o -> o
-        | exception e ->
-          Mutex.lock lock;
-          Hashtbl.remove presolve_table k;
-          Condition.broadcast settled;
-          Mutex.unlock lock;
-          raise e
-      in
-      Mutex.lock lock;
-      Hashtbl.replace presolve_table k (P_done o);
-      Condition.broadcast settled;
-      Mutex.unlock lock;
-      o
-  in
-  loop ()
+    (* [save] is [Some cert] for a fresh outcome, [None] for a loaded
+       one *)
+    let outcome, save =
+      try (match loaded () with Some o -> (o, None) | None -> fresh ())
+      with e ->
+        (* an uncached failure: release the key so a later request can
+           retry *)
+        Single_flight.fail table k;
+        raise e
+    in
+    let raw_seen = Hashtbl.create 4 in
+    Hashtbl.replace raw_seen raw ();
+    Single_flight.settle table k { outcome; raw_seen };
+    Option.iter (fun cert -> store_save ?cert k outcome) save;
+    replay canon outcome
 
 (* --- public solvers ---------------------------------------------------- *)
 
@@ -461,20 +358,13 @@ let solve_ilp ?(node_limit = 200_000) ?(slack = Q.zero) model =
     Printf.sprintf "ilp|nodes=%d|slack=%s|presolve=true" node_limit
       (Q.to_string slack)
   in
-  solve_canon ~tag ~slack
-    ~solve:(fun canon ->
-       let cm = Ilp.Canonical.model canon in
-       let root =
-         root_presolve ~structure:(Ilp.Canonical.structure canon) cm
-       in
-       Ilp.Branch_bound.solve ~node_limit ~slack ~root cm)
+  solve_cached ~tag ~slack
+    ~solve:(Ilp.Branch_bound.solve ~node_limit ~slack)
       (* the certified search always runs presolve-less (its node boxes
          must derive from the branching path alone); the answer is the
          same either way — presolve only skips work — so the entry is
          still valid for this tag *)
-    ~solve_certified:(fun canon ->
-        Ilp.Branch_bound.solve_certified ~node_limit ~slack
-          (Ilp.Canonical.model canon))
+    ~solve_certified:(Ilp.Branch_bound.solve_certified ~node_limit ~slack)
     model
 
 let stats () =
@@ -494,13 +384,8 @@ let reset_stats () =
   Atomic.set waited_count 0
 
 let clear () =
-  Mutex.lock lock;
-  Hashtbl.reset table;
-  Hashtbl.reset presolve_table;
-  Hashtbl.reset audit_failures_tbl;
-  (* waiters on a cleared Pending key re-check, find nothing, and become
-     fresh misses — acceptable for a bench-only operation *)
-  Condition.broadcast settled;
-  Mutex.unlock lock;
-  Obs.Metrics.set m_entries 0;
+  (* waiters on a cleared reservation become fresh misses — acceptable
+     for a bench-only operation *)
+  Single_flight.clear table;
+  Mutex.protect lock (fun () -> Hashtbl.reset audit_failures_tbl);
   reset_stats ()

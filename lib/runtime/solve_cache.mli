@@ -7,8 +7,8 @@
     {e canonical structure} ({!Ilp.Canonical}) — rows scaled to coprime
     integers, variables renamed by structural fingerprint, terms and
     rows sorted — concatenated with the solver kind and its parameters,
-    so [solve_lp] and [solve_ilp] (and different
-    node-limit/slack/presolve settings) never collide, while sweep
+    so [solve_lp] and [solve_ilp] (and different node-limit/slack
+    settings) never collide, while sweep
     points that build the same program in a different order share one
     solve.
 
@@ -16,25 +16,23 @@
     stored in its frame and every requester maps values back through its
     own renaming ({!Ilp.Canonical.restore_values}). The stored outcome
     is therefore independent of which structural twin arrived first, so
-    cached results are deterministic at any parallel degree. The root
-    branch-and-bound presolve is likewise memoised per structure and
-    shared across solver-parameter tags.
+    cached results are deterministic at any parallel degree.
 
     Both solvers are deterministic, hence a cached solution is bitwise
     the solution a fresh solve would produce: routing solves through the
     cache cannot change any experiment output.
 
     The cache is shared by every domain in the process and is safe to use
-    from {!Pool} workers. Lookups are {e single-flight}: the first
-    requester of a key solves it while concurrent requesters of the same
-    key block until the outcome lands and then count as hits. Hit/miss
-    totals are therefore a function of the request sequence alone — one
-    miss per unique key, a hit for everything else — identical at any
-    parallel degree, which is what keeps {!Obs.Metrics} counter
-    snapshots jobs-invariant.
+    from {!Pool} workers. Lookups are {e single-flight}
+    ({!Single_flight}): the first requester of a key solves it while
+    concurrent requesters of the same key block until the outcome lands
+    and then count as hits. Hit/miss totals are therefore a function of
+    the request sequence alone — one miss per unique key, a hit for
+    everything else — identical at any parallel degree, which is what
+    keeps {!Obs.Metrics} counter snapshots jobs-invariant.
 
     {!Ilp.Branch_bound.Node_limit_exceeded} outcomes are cached too and
-    re-raised on hits. *)
+    re-raised on hits; any other exception releases the key. *)
 
 open Numeric
 
@@ -44,8 +42,7 @@ val solve_lp : Ilp.Model.t -> Ilp.Solution.t
 val solve_ilp :
   ?node_limit:int -> ?slack:Q.t -> Ilp.Model.t -> Ilp.Solution.t
 (** Cached {!Ilp.Branch_bound.solve}; defaults match it
-    ([node_limit = 200_000], [slack = 0]). The root presolve outcome is
-    memoised per model structure and shared across tags.
+    ([node_limit = 200_000], [slack = 0]).
     @raise Ilp.Branch_bound.Node_limit_exceeded as the underlying solver
     would, including on a cache hit of such an outcome. *)
 
@@ -97,8 +94,7 @@ val canonical_key : tag:string -> Ilp.Canonical.t -> string
     caches fails loudly. Outcomes are stored in the canonical
     representative's frame; rationals render via {!Q.to_string}, which
     is exact, so a reloaded solution is bitwise what a fresh solve would
-    produce. The root-presolve memo is deliberately {e not} persisted —
-    it is a per-process accelerator, cheap to rebuild. *)
+    produce. *)
 
 type outcome = Solved of Ilp.Solution.t | Node_limit
 (** A settled cache entry: a solution, or the (deterministic) node-limit

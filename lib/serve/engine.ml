@@ -18,21 +18,16 @@ let default_config =
     persist_runtime_caches = false;
   }
 
-(* Query-level single-flight: the first requester of a digest computes
-   while duplicates wait, exactly like the runtime caches one layer
-   down. An entry only reaches [Done] for successful results — rejects
-   are not cached (a lint reject is cheap to re-derive and callers may
-   retry with a fixed request). *)
-type entry = Pending | Done of P.analyze_result
-
 type t = {
   config : config;
   pool : Runtime.Pool.t;
       (* persistent dispatch pool: domains are spawned once at engine
          creation, not per request *)
-  table : (string, entry) Hashtbl.t;
-  lock : Mutex.t;
-  settled : Condition.t;
+  table : P.analyze_result Runtime.Single_flight.t;
+      (* query-level single-flight, like the runtime caches one layer
+         down; only successful results settle — rejects are not cached
+         (a lint reject is cheap to re-derive and callers may retry with
+         a fixed request) *)
   stores_installed : bool;
   created_at : float;
   served : int Atomic.t;
@@ -117,9 +112,7 @@ let create config =
   {
     config;
     pool = Runtime.Pool.create ?jobs:config.jobs ();
-    table = Hashtbl.create 64;
-    lock = Mutex.create ();
-    settled = Condition.create ();
+    table = Runtime.Single_flight.create ();
     stores_installed;
     created_at = Unix.gettimeofday ();
     served = Atomic.make 0;
@@ -404,31 +397,6 @@ let compute t (q : P.analyze) : P.analyze_result =
 
 (* --- query-level single-flight + disk tier ------------------------------ *)
 
-let acquire t k =
-  Mutex.lock t.lock;
-  let rec loop () =
-    match Hashtbl.find_opt t.table k with
-    | None ->
-      Hashtbl.replace t.table k Pending;
-      Mutex.unlock t.lock;
-      `Reserved
-    | Some Pending ->
-      Condition.wait t.settled t.lock;
-      loop ()
-    | Some (Done r) ->
-      Mutex.unlock t.lock;
-      `Hit r
-  in
-  loop ()
-
-let settle t k result =
-  Mutex.lock t.lock;
-  (match result with
-   | Some r -> Hashtbl.replace t.table k (Done r)
-   | None -> Hashtbl.remove t.table k);
-  Condition.broadcast t.settled;
-  Mutex.unlock t.lock
-
 let disk_query_load t k =
   match t.config.disk with
   | None -> None
@@ -456,8 +424,8 @@ let analyze (t : t) (q : P.analyze) =
     P.Result { rid = q.id; cache; wall_us; result }
   in
   let k = digest q in
-  match acquire t k with
-  | `Hit r ->
+  match Runtime.Single_flight.acquire t.table k with
+  | `Hit (r, _) ->
     Atomic.incr t.memory_hits;
     Obs.Metrics.incr m_memory_hits;
     Obs.Tracer.instant "cache.query.memory_hit"
@@ -466,7 +434,7 @@ let analyze (t : t) (q : P.analyze) =
   | `Reserved -> (
     match disk_query_load t k with
     | Some r ->
-      settle t k (Some r);
+      Runtime.Single_flight.settle t.table k r;
       Atomic.incr t.disk_hits;
       Obs.Metrics.incr m_disk_hits;
       Obs.Tracer.instant "cache.query.disk_hit"
@@ -475,7 +443,7 @@ let analyze (t : t) (q : P.analyze) =
     | None -> (
       match compute t q with
       | r ->
-        settle t k (Some r);
+        Runtime.Single_flight.settle t.table k r;
         disk_query_save t k r;
         Atomic.incr t.computed;
         Obs.Metrics.incr m_computed;
@@ -483,7 +451,7 @@ let analyze (t : t) (q : P.analyze) =
           ~attrs:(fun () -> [ ("digest", k) ]);
         finish P.Computed r
       | exception e ->
-        settle t k None;
+        Runtime.Single_flight.fail t.table k;
         raise e))
 
 (* --- live introspection -------------------------------------------------- *)

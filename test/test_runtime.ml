@@ -8,8 +8,9 @@
    and the solver parameters, and caching of the node-limit outcome.
    Run_cache coverage: the same single-flight guarantees for whole
    simulator runs — key sensitivity (kernel, programs, priorities,
-   flags; never names), cycle-limit replay, and hit/miss totals that are
-   invariant across parallel degrees. *)
+   flags; never names), cycle-limit replay, hit/miss totals that are
+   invariant across parallel degrees, and uncached failures that
+   release the key in both caches. *)
 
 open Numeric
 
@@ -636,6 +637,9 @@ let test_run_cache_jobs_invariant () =
     Runtime.Run_cache.clear ();
     let rs = Runtime.Pool.run_all ~jobs (batch ()) in
     let { Runtime.Run_cache.hits; misses; _ } = Runtime.Run_cache.stats () in
+    Alcotest.(check int) "entries gauge is the settled count"
+      (Runtime.Run_cache.size ())
+      (Obs.Metrics.gauge_value (Obs.Metrics.gauge "run_cache.entries"));
     (rs, hits, misses)
   in
   let r1, h1, m1 = observe 1 in
@@ -645,6 +649,76 @@ let test_run_cache_jobs_invariant () =
   Alcotest.(check int) "misses invariant" m1 m4;
   Alcotest.(check int) "two distinct co-runs in the batch" 2 m1;
   Alcotest.(check int) "the other ten hit" 10 h1
+
+let test_failure_releases_the_key () =
+  (* an uncached exception releases the key: every one of eight
+     identical failing requests raises and counts as a miss — nothing
+     hits, nothing settles — and waiters on a failed reservation
+     re-reserve rather than hang, at any parallel degree *)
+  let bad_core () =
+    Runtime.Run_cache.run ~analysis:{ Tcsim.Machine.program = mk_prog (); core = 7 } ()
+  in
+  let negative_slack () =
+    Runtime.Solve_cache.solve_ilp ~slack:(q (-1)) (knapsack_model ())
+  in
+  let check jobs name request stats size =
+    let raised =
+      Runtime.Pool.run_all ~jobs
+        (List.init 8 (fun _ () ->
+             match request () with
+             | _ -> false
+             | exception Invalid_argument _ -> true))
+    in
+    let label what = Printf.sprintf "%s at jobs=%d: %s" name jobs what in
+    Alcotest.(check (list bool)) (label "every request raises")
+      (List.init 8 (fun _ -> true)) raised;
+    let hits, misses = stats () in
+    Alcotest.(check int) (label "every request misses") 8 misses;
+    Alcotest.(check int) (label "nothing hits") 0 hits;
+    Alcotest.(check int) (label "nothing settles") 0 (size ())
+  in
+  List.iter
+    (fun jobs ->
+       Runtime.Run_cache.clear ();
+       check jobs "run cache" bad_core
+         (fun () ->
+            let { Runtime.Run_cache.hits; misses; _ } = Runtime.Run_cache.stats () in
+            (hits, misses))
+         Runtime.Run_cache.size;
+       Runtime.Solve_cache.clear ();
+       check jobs "solve cache" negative_slack
+         (fun () ->
+            let { Runtime.Solve_cache.hits; misses; _ } =
+              Runtime.Solve_cache.stats ()
+            in
+            (hits, misses))
+         Runtime.Solve_cache.size)
+    [ 1; 4 ]
+
+let test_failed_reservation_wakes_waiters () =
+  (* the table under both caches: requesters blocked on a reservation
+     that fails wake up; one of them re-reserves and settles, the others
+     hit its value *)
+  let module S = Runtime.Single_flight in
+  let t = S.create () in
+  (match S.acquire t "k" with
+   | `Reserved -> ()
+   | `Hit _ -> Alcotest.fail "empty table hit");
+  let waiters =
+    List.init 3 (fun _ ->
+        Domain.spawn (fun () ->
+            match S.acquire t "k" with
+            | `Reserved ->
+              S.settle t "k" 42;
+              None
+            | `Hit (v, _) -> Some v))
+  in
+  Unix.sleepf 0.05;
+  S.fail t "k";
+  let outcomes = List.sort compare (List.map Domain.join waiters) in
+  Alcotest.(check (list (option int))) "one re-reserves, the rest hit"
+    [ None; Some 42; Some 42 ] outcomes;
+  Alcotest.(check int) "one entry" 1 (S.size t)
 
 (* --- solo runs sharing memo scripts through the cache ------------------------ *)
 
@@ -844,6 +918,10 @@ let () =
             test_run_cache_single_flight;
           Alcotest.test_case "hit/miss totals jobs-invariant" `Quick
             test_run_cache_jobs_invariant;
+          Alcotest.test_case "uncached failure releases the key" `Quick
+            test_failure_releases_the_key;
+          Alcotest.test_case "failed reservation wakes its waiters" `Quick
+            test_failed_reservation_wakes_waiters;
           Alcotest.test_case "solo runs share scripts, keyed apart" `Quick
             test_solo_runs_share_scripts_keyed_apart;
           Alcotest.test_case "solo runs around a cycle limit" `Quick
