@@ -54,8 +54,11 @@ let level_arg =
 let jobs_conv =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "JOBS must be >= 1, got %d" n))
+    | Some n when n >= 1 && n <= Runtime.Pool.max_jobs -> Ok n
+    | Some n ->
+      Error
+        (`Msg
+           (Printf.sprintf "JOBS must be in 1..%d, got %d" Runtime.Pool.max_jobs n))
     | None -> Error (`Msg (Printf.sprintf "invalid value %S, expected an integer" s))
   in
   Arg.conv (parse, Format.pp_print_int)
@@ -66,9 +69,9 @@ let jobs_arg =
     & opt (some jobs_conv) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Degree of parallelism for independent experiment cells (default: \
-           $(b,AURIX_JOBS) or the machine's domain count). Results are \
-           identical for every value.")
+          "Degree of parallelism for independent experiment cells, 1 to 128 \
+           (default: $(b,AURIX_JOBS) or the machine's domain count). Results \
+           are identical for every value.")
 
 (* --- simulator kernel -------------------------------------------------------- *)
 

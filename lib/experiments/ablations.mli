@@ -27,10 +27,10 @@ type a1_row = {
 
 val a1_contender_info :
   ?config:Tcsim.Machine.config -> ?jobs:int -> unit -> a1_row list
-(** One {!Runtime.Dag} chain per (scenario, load) — readings feed the
-    two ILP solves and the fTC bound as separate overlapping nodes;
-    [jobs] defaults to {!Runtime.Pool.default_jobs}, row order (and
-    every row byte) is independent of it (as for every study below). *)
+(** One row function mapped over the (scenario, load) cells on a
+    [jobs]-wide pool (default {!Runtime.Pool.default_jobs}): isolation
+    readings, then the two ILP solves and the fTC bound. Row order (and
+    every row byte) is independent of [jobs], as for every study below. *)
 
 type a2_row = {
   a2_scenario : string;
@@ -40,8 +40,8 @@ type a2_row = {
 
 val a2_equality_modes :
   ?config:Tcsim.Machine.config -> ?jobs:int -> unit -> a2_row list
-(** Both scenarios, H-Load, the three encodings; scenarios are pool
-    cells (the three modes share one cell's counter readings). *)
+(** Both scenarios, H-Load, the three encodings; each scenario is one
+    pool cell, so its readings are taken once for the three modes. *)
 
 type a3_result = {
   a3_scenario : string;
@@ -54,7 +54,8 @@ type a3_result = {
 val a3_multi_contender :
   ?config:Tcsim.Machine.config -> ?jobs:int -> Scenario.t -> a3_result
 (** Application on core 0, M-Load on core 1, L-Load on core 2 (the 1.6E
-    efficiency core). *)
+    efficiency core). The three isolation runs and the co-run are one
+    [jobs]-wide pool batch. *)
 
 type a4_row = {
   a4_scenario : string;

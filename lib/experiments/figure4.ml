@@ -91,132 +91,24 @@ let run_row ?config ~scenario ~load () =
     ideal_delta;
   }
 
-(* Each (scenario, load) cell unfolds into a small dependency chain —
-   prep → {isolation app, isolation contender, corun} → bounds → row —
-   declared on a Runtime.Dag shared by the whole sweep. Independent
-   cells overlap across phases: a worker finishing one cell's isolation
-   sims starts that cell's model build while other cells still simulate.
-   Rows are read back by node identity in cell order, so the schedule
-   (and jobs count) never shows in the output. *)
-let add_row_nodes ?config dag ~scenario ~load =
-  let open Runtime.Dag in
-  let name = scenario.Scenario.name in
-  let lbl stage =
-    Printf.sprintf "figure4/%s/%s/%s" name
-      (Workload.Load_gen.level_to_string load) stage
-  in
-  let variant = Workload.Control_loop.variant_of_scenario scenario in
-  let latency = latency_of config in
-  let prep =
-    node ~label:(lbl "prep") dag ~deps:[] (fun () ->
-        let app = Workload.Control_loop.app variant in
-        let contender = Workload.Load_gen.make ~variant ~level:load () in
-        Analysis.Preflight.run ~latency ~scenario
-          ~tasks:
-            [
-              { Analysis.Program_lint.label = "app"; core = 0; program = app };
-              {
-                Analysis.Program_lint.label = "contender";
-                core = 1;
-                program = contender;
-              };
-            ]
-          ();
-        (app, contender))
-  in
-  (* the cell's three simulations — two isolations, then the observed
-     co-run — run back to back in one node, so the co-run reads both
-     programs' scripts from the script memo as the isolations left them *)
-  let sims =
-    node ~label:(lbl "sims") dag ~deps:[ dep prep ] (fun () ->
-        let app, contender = get prep in
-        let iso_a = Mbta.Measurement.isolation ?config ~core:0 app in
-        let iso_b = Mbta.Measurement.isolation ?config ~core:1 contender in
-        let corun =
-          Mbta.Measurement.corun ?config ~analysis:(app, 0)
-            ~contenders:[ (contender, 1) ] ()
-        in
-        (iso_a, iso_b, corun))
-  in
-  let bounds =
-    node ~label:(lbl "bounds") dag ~deps:[ dep sims ]
-      (fun () ->
-        let iso_a, iso_b, _ = get sims in
-        let a = iso_a.Mbta.Measurement.counters in
-        let b = iso_b.Mbta.Measurement.counters in
-        Analysis.Preflight.guard
-          (Analysis.Counter_lint.check ~latency ~scenario
-             ~path:[ "isolation"; "app" ] a
-           @ Analysis.Counter_lint.check ~latency ~scenario
-               ~path:[ "isolation"; "contender" ] b);
-        let is_s2 = scenario.Scenario.name = "scenario2" in
-        let ftc_r = Contention.Ftc.contention_bound ~dirty:is_s2 ~latency ~a () in
-        let ilp_options =
-          {
-            Contention.Ilp_ptac.default_options with
-            Contention.Ilp_ptac.dirty_lmu = b.Counters.dcache_miss_dirty > 0;
-          }
-        in
-        let model, _ =
-          Contention.Ilp_ptac.build_model ~options:ilp_options ~latency
-            ~scenario ~a ~b ()
-        in
-        Analysis.Preflight.guard
-          (Analysis.Model_lint.check
-             ~path:[ "ilp-ptac"; scenario.Scenario.name ]
-             model);
-        let ilp_r =
-          Contention.Ilp_ptac.contention_bound_exn ~options:ilp_options ~latency
-            ~scenario ~a ~b ()
-        in
-        let ideal_delta =
-          Contention.Ideal.contention_bound ~latency
-            ~a:iso_a.Mbta.Measurement.ground_truth
-            ~b:iso_b.Mbta.Measurement.ground_truth ()
-        in
-        (ftc_r, ilp_r, ideal_delta))
-  in
-  node ~label:(lbl "row") dag
-    ~deps:[ dep bounds; dep sims ]
-    (fun () ->
-      let ftc_r, ilp_r, ideal_delta = get bounds in
-      let iso_a, _, corun = get sims in
-      let isolation_cycles = iso_a.Mbta.Measurement.cycles in
-      {
-        scenario = scenario.Scenario.name;
-        load;
-        isolation_cycles;
-        observed_cycles = corun.Mbta.Measurement.cycles;
-        ftc =
-          Mbta.Wcet.make ~isolation_cycles
-            ~contention_cycles:ftc_r.Contention.Ftc.delta;
-        ilp =
-          Mbta.Wcet.make ~isolation_cycles
-            ~contention_cycles:ilp_r.Contention.Ilp_ptac.delta;
-        ideal_delta;
-      })
-
-let all_cells =
+let cells scenarios =
   List.concat_map
     (fun scenario ->
        List.map (fun load -> (scenario, load)) Workload.Load_gen.all_levels)
-    [ Scenario.scenario1; Scenario.scenario2 ]
+    scenarios
 
+(* one cell = one [run_row]; the pool overlaps cells, results come back
+   in cell order *)
 let run_cells ?config ?jobs cells =
-  let dag = Runtime.Dag.create () in
-  let rows =
-    List.map
-      (fun (scenario, load) -> add_row_nodes ?config dag ~scenario ~load)
-      cells
-  in
-  Runtime.Dag.run ?jobs dag;
-  List.map Runtime.Dag.get rows
+  Runtime.Pool.map ~label:"figure4" ?jobs
+    (fun (scenario, load) -> run_row ?config ~scenario ~load ())
+    cells
 
 let run_scenario ?config ?jobs scenario =
-  run_cells ?config ?jobs
-    (List.map (fun load -> (scenario, load)) Workload.Load_gen.all_levels)
+  run_cells ?config ?jobs (cells [ scenario ])
 
-let run_all ?config ?jobs () = run_cells ?config ?jobs all_cells
+let run_all ?config ?jobs () =
+  run_cells ?config ?jobs (cells [ Scenario.scenario1; Scenario.scenario2 ])
 
 let sound row =
   Mbta.Wcet.upper_bounds row.ftc ~observed_cycles:row.observed_cycles

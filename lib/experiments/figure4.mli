@@ -27,19 +27,19 @@ val run_row :
   load:Workload.Load_gen.level ->
   unit ->
   row
+(** One cell: pre-flight lint, both isolation measurements, counter lint,
+    the fTC, ILP-PTAC and ideal bounds, then the observed co-run. *)
 
 val run_scenario :
   ?config:Tcsim.Machine.config -> ?jobs:int -> Platform.Scenario.t -> row list
-(** H-, M-, L-Load rows for one scenario. [jobs] (default
-    {!Runtime.Pool.default_jobs}) runs the load cells' dependency
-    graph on a domain pool; rows come back in load order regardless. *)
+(** H-, M-, L-Load rows for one scenario: {!run_row} mapped over the
+    loads on a [jobs]-wide pool (default {!Runtime.Pool.default_jobs});
+    rows come back in load order regardless. *)
 
 val run_all : ?config:Tcsim.Machine.config -> ?jobs:int -> unit -> row list
-(** Both paper scenarios, all three loads. Each cell unfolds into a
-    {!Runtime.Dag} chain (prep → isolation sims / corun → bounds → row)
-    and independent cells overlap across phases on a [jobs]-wide pool;
-    the row order (scenario-major, then H/M/L) — and every byte of the
-    rows — is independent of [jobs]. *)
+(** Both paper scenarios, all three loads: {!run_row} mapped over the six
+    cells on a [jobs]-wide pool. The row order (scenario-major, then
+    H/M/L) — and every byte of the rows — is independent of [jobs]. *)
 
 val sound : row -> bool
 (** Do both model estimates cover the observed co-run time? *)

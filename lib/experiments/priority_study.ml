@@ -34,61 +34,42 @@ let run ?(scenario = Scenario.scenario1) ?jobs () =
     let same = corun [| 0; 0; 0 |] in
     (same, corun [| 0; 1; 1 |])
   in
-  (* three isolation runs and two arbitration co-runs as dag nodes: the
-     multi-ILP bound starts as soon as the three isolation sims finish,
-     overlapping the (trace-collecting, slower) arbitration co-runs *)
-  let open Runtime.Dag in
-  let lbl stage = Printf.sprintf "priority/%s/%s" scenario.Scenario.name stage in
-  let dag = create () in
-  let iso =
-    node ~label:(lbl "iso_app") dag ~deps:[] (fun () ->
-        Mbta.Measurement.isolation ~core:0 app)
-  in
-  let iso_c1 =
-    node ~label:(lbl "iso_c1") dag ~deps:[] (fun () ->
-        (Mbta.Measurement.isolation ~core:1 c1).Mbta.Measurement.counters)
-  in
-  let iso_c2 =
-    node ~label:(lbl "iso_c2") dag ~deps:[] (fun () ->
-        (Mbta.Measurement.isolation ~core:2 c2).Mbta.Measurement.counters)
-  in
-  let coruns = node ~label:(lbl "coruns") dag ~deps:[] (fun () -> coruns ()) in
-  let same = node ~label:(lbl "corun_same") dag ~deps:[ dep coruns ] (fun () -> fst (get coruns)) in
-  let prio = node ~label:(lbl "corun_prio") dag ~deps:[ dep coruns ] (fun () -> snd (get coruns)) in
-  let multi =
-    node ~label:(lbl "multi_bound") dag
-      ~deps:[ dep iso; dep iso_c1; dep iso_c2 ]
-      (fun () ->
-        Contention.Multi.contention_bound ~latency ~scenario
-          ~a:(get iso).Mbta.Measurement.counters
-          ~contenders:[ get iso_c1; get iso_c2 ]
-          ())
-  in
-  let result =
-    node ~label:(lbl "result") dag
-      ~deps:[ dep multi; dep same; dep prio; dep iso ]
-      (fun () ->
-        let iso = get iso in
-        let a = iso.Mbta.Measurement.counters in
-        let max_wait (r : Tcsim.Machine.run_result) =
-          Tcsim.Trace.max_wait (Tcsim.Trace.of_core r.Tcsim.Machine.trace 0)
-        in
-        {
-          scenario = scenario.Scenario.name;
-          isolation_cycles = iso.Mbta.Measurement.cycles;
-          observed_same_class = (get same).Tcsim.Machine.cycles;
-          observed_prioritised = (get prio).Tcsim.Machine.cycles;
-          multi_ilp_bound =
-            Option.map (fun r -> r.Contention.Multi.delta) (get multi);
-          blocking_bound =
-            (Contention.Priority.contention_bound ~latency ~a ())
-              .Contention.Priority.delta;
-          max_wait_same_class = max_wait (get same);
-          max_wait_prioritised = max_wait (get prio);
-        })
-  in
-  Runtime.Dag.run ?jobs dag;
-  get result
+  (* the three isolation runs and the pair of co-runs are independent
+     simulations: one batch *)
+  let iso core p = Either.Left (Mbta.Measurement.isolation ~core p) in
+  match
+    Runtime.Pool.run_all ~label:"priority" ?jobs
+      [
+        (fun () -> iso 0 app);
+        (fun () -> iso 1 c1);
+        (fun () -> iso 2 c2);
+        (fun () -> Either.Right (coruns ()));
+      ]
+  with
+  | [ Left iso; Left iso_c1; Left iso_c2; Right (same, prio) ] ->
+    let a = iso.Mbta.Measurement.counters in
+    let multi =
+      Contention.Multi.contention_bound ~latency ~scenario ~a
+        ~contenders:
+          [ iso_c1.Mbta.Measurement.counters; iso_c2.Mbta.Measurement.counters ]
+        ()
+    in
+    let max_wait (r : Tcsim.Machine.run_result) =
+      Tcsim.Trace.max_wait (Tcsim.Trace.of_core r.Tcsim.Machine.trace 0)
+    in
+    {
+      scenario = scenario.Scenario.name;
+      isolation_cycles = iso.Mbta.Measurement.cycles;
+      observed_same_class = same.Tcsim.Machine.cycles;
+      observed_prioritised = prio.Tcsim.Machine.cycles;
+      multi_ilp_bound = Option.map (fun r -> r.Contention.Multi.delta) multi;
+      blocking_bound =
+        (Contention.Priority.contention_bound ~latency ~a ())
+          .Contention.Priority.delta;
+      max_wait_same_class = max_wait same;
+      max_wait_prioritised = max_wait prio;
+    }
+  | _ -> assert false
 
 let sound r =
   (match r.multi_ilp_bound with

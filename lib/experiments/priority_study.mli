@@ -21,9 +21,8 @@ type result = {
 }
 
 val run : ?scenario:Platform.Scenario.t -> ?jobs:int -> unit -> result
-(** The three isolation runs and the two arbitration co-runs are
-    independent pool cells ([jobs] defaults to
-    {!Runtime.Pool.default_jobs}). *)
+(** The three isolation runs and the pair of arbitration co-runs are
+    one pool batch ([jobs] defaults to {!Runtime.Pool.default_jobs}). *)
 
 val sound : result -> bool
 val pp : Format.formatter -> result -> unit

@@ -1,74 +1,40 @@
 type entry = { scenario : string; core : int; counters : Platform.Counters.t }
 
-let run ?config ?jobs () =
-  (* per (scenario, role) cell: prep (program + preflight) → isolation
-     simulation → counter lint + entry, declared as dag nodes so cells
-     pipeline; entries come back in the paper's row order by node
-     identity *)
-  let open Runtime.Dag in
-  let dag = create () in
-  let entries =
-    List.map
-      (fun (scenario, role) ->
-         let role_name = match role with `App -> "app" | `HLoad -> "hload" in
-         let lbl stage =
-           Printf.sprintf "table6/%s/%s/%s" scenario.Platform.Scenario.name
-             role_name stage
-         in
-         let sim_core = match role with `App -> 0 | `HLoad -> 1 in
-         let report_core = match role with `App -> 1 | `HLoad -> 2 in
-         let prep =
-           node ~label:(lbl "prep") dag ~deps:[] (fun () ->
-               let variant =
-                 Workload.Control_loop.variant_of_scenario scenario
-               in
-               let p =
-                 match role with
-                 | `App -> Workload.Control_loop.app variant
-                 | `HLoad ->
-                   Workload.Load_gen.make ~variant
-                     ~level:Workload.Load_gen.High ()
-               in
-               Analysis.Preflight.run ~scenario
-                 ~tasks:
-                   [
-                     {
-                       Analysis.Program_lint.label = Tcsim.Program.name p;
-                       core = sim_core;
-                       program = p;
-                     };
-                   ]
-                 ();
-               p)
-         in
-         let iso =
-           node ~label:(lbl "iso") dag ~deps:[ dep prep ] (fun () ->
-               (Mbta.Measurement.isolation ?config ~core:sim_core (get prep))
-                 .Mbta.Measurement.counters)
-         in
-         node ~label:(lbl "entry") dag
-           ~deps:[ dep prep; dep iso ]
-           (fun () ->
-             let c = get iso in
-             Analysis.Preflight.guard
-               (Analysis.Counter_lint.check ~scenario
-                  ~path:
-                    [
-                      scenario.Platform.Scenario.name;
-                      Tcsim.Program.name (get prep);
-                    ]
-                  c);
-             {
-               scenario = scenario.Platform.Scenario.name;
-               core = report_core;
-               counters = c;
-             }))
-      (List.concat_map
-         (fun scenario -> [ (scenario, `App); (scenario, `HLoad) ])
-         [ Platform.Scenario.scenario1; Platform.Scenario.scenario2 ])
+(* one (scenario, role) entry: program + preflight, isolation
+   simulation, counter lint *)
+let entry ?config (scenario, role) =
+  let sim_core, report_core = match role with `App -> (0, 1) | `HLoad -> (1, 2) in
+  let variant = Workload.Control_loop.variant_of_scenario scenario in
+  let p =
+    match role with
+    | `App -> Workload.Control_loop.app variant
+    | `HLoad -> Workload.Load_gen.make ~variant ~level:Workload.Load_gen.High ()
   in
-  Runtime.Dag.run ?jobs dag;
-  List.map get entries
+  Analysis.Preflight.run ~scenario
+    ~tasks:
+      [
+        {
+          Analysis.Program_lint.label = Tcsim.Program.name p;
+          core = sim_core;
+          program = p;
+        };
+      ]
+    ();
+  let c =
+    (Mbta.Measurement.isolation ?config ~core:sim_core p)
+      .Mbta.Measurement.counters
+  in
+  Analysis.Preflight.guard
+    (Analysis.Counter_lint.check ~scenario
+       ~path:[ scenario.Platform.Scenario.name; Tcsim.Program.name p ]
+       c);
+  { scenario = scenario.Platform.Scenario.name; core = report_core; counters = c }
+
+let run ?config ?jobs () =
+  Runtime.Pool.map ~label:"table6" ?jobs (entry ?config)
+    (List.concat_map
+       (fun scenario -> [ (scenario, `App); (scenario, `HLoad) ])
+       [ Platform.Scenario.scenario1; Platform.Scenario.scenario2 ])
 
 let pp fmt entries =
   Format.fprintf fmt "@[<v>%-12s %-6s %8s %6s %6s %9s %9s@," "scenario" "core"

@@ -22,9 +22,12 @@ let h_wait =
   Obs.Metrics.histogram "pool.queue_wait_seconds"
     ~buckets:Obs.Metrics.latency_buckets
 
+(* OCaml 5.1's domain limit on 64-bit ([Max_domains] in caml/domain.h) *)
+let max_jobs = 128
+
 let parse_jobs s =
   match int_of_string_opt (String.trim s) with
-  | Some n when n >= 1 -> Some (min n 128)
+  | Some n when n >= 1 -> Some (min n max_jobs)
   | _ -> None
 
 let default_jobs () =
@@ -35,7 +38,8 @@ let default_jobs () =
 let resolve_jobs = function
   | None -> default_jobs ()
   | Some j ->
-    if j < 1 then invalid_arg "Pool: jobs must be >= 1";
+    if j < 1 || j > max_jobs then
+      invalid_arg (Printf.sprintf "Pool: jobs must be in 1..%d" max_jobs);
     j
 
 type t = {
@@ -149,8 +153,6 @@ let make_task ?label f settle =
     Obs.Metrics.incr m_tasks;
     Obs.Metrics.observe h_task (Unix.gettimeofday () -. started_at);
     settle r
-
-let submit ?label t f = enqueue t [ make_task ?label f ignore ]
 
 let run_all_in ?label t thunks =
   if thunks = [] then []

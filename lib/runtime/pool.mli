@@ -1,9 +1,9 @@
-(** Deterministic domain pool for experiment cells and DAGs.
+(** Deterministic domain pool for experiment cells.
 
     A pool owns [jobs - 1] OCaml 5 worker domains serving one
-    mutex-guarded FIFO queue. A caller waiting on its own batch (or
-    dag) {e helps}: it takes tasks from the same queue until its batch
-    is done, so it is the [jobs]-th executor, and a task may itself wait
+    mutex-guarded FIFO queue. A caller waiting on its own batch
+    {e helps}: it takes tasks from the same queue until its batch is
+    done, so it is the [jobs]-th executor, and a task may itself wait
     on a batch of the pool it runs in without deadlock.
 
     {b Determinism.} Scheduling permutes {e execution} order only:
@@ -13,7 +13,8 @@
     experiment suites assert byte-identical outputs at jobs 1/2/4/8.
 
     Concurrency degree resolution, in decreasing priority:
-    + the [?jobs] argument of the entry points below;
+    + the [?jobs] argument of the entry points below, in
+      [1..]{!max_jobs};
     + the [AURIX_JOBS] environment variable (a positive integer);
     + [Domain.recommended_domain_count ()].
 
@@ -24,14 +25,18 @@
 type t
 (** A running pool. *)
 
+val max_jobs : int
+(** 128: the most domains the OCaml 5.1 runtime runs at once on 64-bit. *)
+
 val default_jobs : unit -> int
-(** [AURIX_JOBS] when set to a positive integer (clamped to [1..128]),
-    otherwise [Domain.recommended_domain_count ()]. *)
+(** [AURIX_JOBS] when set to a positive integer (clamped to
+    [1..]{!max_jobs}), otherwise [Domain.recommended_domain_count ()]. *)
 
 val create : ?jobs:int -> unit -> t
 (** Spawns [jobs - 1 >= 0] worker domains. Default [jobs]:
     {!default_jobs}.
-    @raise Invalid_argument on [jobs < 1]. *)
+    @raise Invalid_argument on [jobs < 1] or [jobs > max_jobs], before
+    any domain is spawned. *)
 
 val jobs : t -> int
 (** The configured concurrency degree. *)
@@ -58,26 +63,10 @@ val map_in : ?label:string -> t -> ('a -> 'b) -> 'a list -> 'b list
 
 val run_all : ?label:string -> ?jobs:int -> (unit -> 'a) list -> 'a list
 (** One-shot: [with_pool ?jobs (fun p -> run_all_in p thunks)], inline
-    without a pool at degree 1. *)
+    without a pool at degree 1. [jobs] is checked as by {!create}. *)
 
 val map : ?label:string -> ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** One-shot parallel map preserving input order. *)
-
-val submit : ?label:string -> t -> (unit -> unit) -> unit
-(** Queue one task, with the same accounting, trace id and span as a
-    batch task. [f] must not raise: nothing awaits its outcome, so an
-    escaping exception is dropped. Pair with {!help_until}. *)
-
-val help_until : t -> (unit -> bool) -> unit
-(** Runs queued tasks on the caller until [cond ()] holds, sleeping
-    while the queue is empty. [cond] is checked under the pool lock and
-    must only become true inside a task of [t]: every task completion
-    wakes the sleepers, so the change cannot be missed. *)
-
-val inline_task : (unit -> 'a) -> 'a
-(** Run one thunk on the caller with task accounting (task counter and
-    latency histogram) — the sequential path's unit of execution, used
-    by {!Dag} so task totals stay jobs-invariant. *)
 
 val tasks_run : unit -> int
 (** Process-wide count of pool tasks executed (inline or on a worker);

@@ -187,8 +187,9 @@ let test_ablation_fsb () =
     (Experiments.Ablations.a4_fsb ())
 
 let test_figure4_coruns_read_isolation_scripts () =
-  (* a cell's co-run follows its two isolations in one dag node, so from
-     cold caches it reads the scripts they compiled from the script memo *)
+  (* [run_row] runs a cell's co-run after its two isolations, so from
+     cold caches the co-run reads the scripts they compiled from the
+     script memo *)
   let hits = Obs.Metrics.counter ~timing:true "tcsim.script_memo.hits" in
   Runtime.Run_cache.clear ();
   let hits0 = Obs.Metrics.value hits in
@@ -198,47 +199,44 @@ let test_figure4_coruns_read_isolation_scripts () =
     (Obs.Metrics.value hits - hits0 > 0)
 
 let test_parallel_determinism () =
-  (* the pool must not change any result: rows at every jobs count are
-     structurally equal to the sequential jobs=1 rows; at jobs=2 one
-     worker and the helping caller make up the pool *)
-  let seq = Experiments.Figure4.run_all ~jobs:1 () in
-  let a1_seq = Experiments.Ablations.a1_contender_info ~jobs:1 () in
-  List.iter
-    (fun jobs ->
-       let par = Experiments.Figure4.run_all ~jobs () in
-       Alcotest.(check bool)
-         (Printf.sprintf "figure4 rows identical at jobs=%d" jobs)
-         true (seq = par);
-       let a1_par = Experiments.Ablations.a1_contender_info ~jobs () in
-       Alcotest.(check bool)
-         (Printf.sprintf "ablation A1 rows identical at jobs=%d" jobs)
-         true (a1_seq = a1_par))
-    [ 2; 4; 8 ]
-
-let test_dag_matches_sequential () =
-  (* Figure 4: the pipelined dag on four domains against [run_row] mapped
-     over the six cells in order, recomputed from cold caches *)
-  let dag = Experiments.Figure4.run_all ~jobs:4 () in
-  Runtime.Run_cache.clear ();
-  Runtime.Solve_cache.clear ();
-  let sequential =
-    List.concat_map
-      (fun scenario ->
-         List.map
-           (fun load -> Experiments.Figure4.run_row ~scenario ~load ())
-           Workload.Load_gen.all_levels)
-      [ Scenario.scenario1; Scenario.scenario2 ]
+  (* the pool must not change any result: every experiment's output at
+     jobs 2/4/8 is structurally equal to its sequential jobs=1 output; at
+     jobs=2 one worker and the helping caller make up the pool *)
+  let invariant name run =
+    let seq = run 1 in
+    List.iter
+      (fun jobs ->
+         Alcotest.(check bool)
+           (Printf.sprintf "%s identical at jobs=%d" name jobs)
+           true
+           (seq = run jobs))
+      [ 2; 4; 8 ]
   in
-  Alcotest.(check bool) "figure4 dag = run_row per cell" true
-    (dag = sequential);
-  (* A1: the dag's rows against the checked-in table *)
+  invariant "figure4 rows" (fun jobs -> Experiments.Figure4.run_all ~jobs ());
+  invariant "table6 entries" (fun jobs -> Experiments.Table6.run ~jobs ());
+  invariant "ablation A1 rows" (fun jobs ->
+      Experiments.Ablations.a1_contender_info ~jobs ());
+  invariant "ablation A2 rows" (fun jobs ->
+      Experiments.Ablations.a2_equality_modes ~jobs ());
+  List.iter
+    (fun scenario ->
+       invariant
+         ("ablation A3 on " ^ scenario.Scenario.name)
+         (fun jobs -> Experiments.Ablations.a3_multi_contender ~jobs scenario))
+    [ Scenario.scenario1; Scenario.scenario2 ];
+  invariant "ablation A4 rows" (fun jobs -> Experiments.Ablations.a4_fsb ~jobs ());
+  invariant "priority study" (fun jobs ->
+      Experiments.Priority_study.run ~jobs ())
+
+let test_ablation_a1_golden () =
+  (* A1 on four domains against the checked-in table *)
   let golden =
     let ic = open_in "golden/ablation_a1.txt" in
     let s = really_input_string ic (in_channel_length ic) in
     close_in ic;
     s
   in
-  Alcotest.(check string) "ablation A1 dag = golden" golden
+  Alcotest.(check string) "ablation A1 = golden" golden
     (Format.asprintf "%a" Experiments.Ablations.pp_a1
        (Experiments.Ablations.a1_contender_info ~jobs:4 ()))
 
@@ -321,8 +319,6 @@ let () =
           Alcotest.test_case "co-runs read isolation scripts" `Slow
             test_figure4_coruns_read_isolation_scripts;
           Alcotest.test_case "parallel determinism" `Slow test_parallel_determinism;
-          Alcotest.test_case "dag matches sequential cells" `Slow
-            test_dag_matches_sequential;
         ] );
       ( "tables",
         [
@@ -336,6 +332,7 @@ let () =
           Alcotest.test_case "A2 equality modes" `Slow test_ablation_equality_modes;
           Alcotest.test_case "A3 multi-contender" `Slow test_ablation_multi_contender;
           Alcotest.test_case "A4 FSB reduction" `Slow test_ablation_fsb;
+          Alcotest.test_case "A1 matches golden table" `Slow test_ablation_a1_golden;
         ] );
       ( "extensions",
         [

@@ -104,6 +104,24 @@ let test_default_jobs_env () =
     (Runtime.Pool.default_jobs () >= 1);
   Unix.putenv "AURIX_JOBS" ""
 
+let test_jobs_beyond_domain_limit () =
+  (* rejected before any domain is spawned: a degree past the runtime's
+     domain limit would otherwise start 127 workers, then fail *)
+  let ran = ref false in
+  List.iter
+    (fun jobs ->
+       (match Runtime.Pool.create ~jobs () with
+        | p ->
+          Runtime.Pool.shutdown p;
+          Alcotest.failf "create ~jobs:%d accepted" jobs
+        | exception Invalid_argument _ -> ());
+       match Runtime.Pool.run_all ~jobs [ (fun () -> ran := true) ] with
+       | _ -> Alcotest.failf "run_all ~jobs:%d accepted" jobs
+       | exception Invalid_argument _ -> ())
+    [ 0; Runtime.Pool.max_jobs + 1 ];
+  Alcotest.(check int) "limit" 128 Runtime.Pool.max_jobs;
+  Alcotest.(check bool) "no task ran" false !ran
+
 let test_with_pool_reuse () =
   Runtime.Pool.with_pool ~jobs:3 (fun pool ->
       Alcotest.(check int) "degree" 3 (Runtime.Pool.jobs pool);
@@ -170,166 +188,6 @@ let test_skewed_hammer () =
   let r4' = Runtime.Pool.run_all ~jobs:4 (batch ()) in
   Alcotest.(check (list int)) "parallel = sequential" r1 r4;
   Alcotest.(check (list int)) "parallel repeatable" r4 r4'
-
-(* --- dag ----------------------------------------------------------------------- *)
-
-let test_dag_basic () =
-  List.iter
-    (fun jobs ->
-       let open Runtime.Dag in
-       let dag = create () in
-       let a = node ~label:"a" dag ~deps:[] (fun () -> 2) in
-       let b = node ~label:"b" dag ~deps:[ dep a ] (fun () -> get a * 3) in
-       let c = node ~label:"c" dag ~deps:[ dep a ] (fun () -> get a + 10) in
-       let d =
-         node ~label:"d" dag ~deps:[ dep b; dep c ] (fun () -> get b + get c)
-       in
-       run ~jobs dag;
-       Alcotest.(check int) (Printf.sprintf "jobs=%d" jobs) 18 (get d))
-    [ 1; 4 ]
-
-let test_dag_skip_propagation () =
-  let open Runtime.Dag in
-  let dag = create () in
-  let a = node ~label:"a" dag ~deps:[] (fun () -> raise (Boom 3)) in
-  let ran_b = ref false in
-  let b =
-    node ~label:"b" dag ~deps:[ dep a ] (fun () ->
-        ran_b := true;
-        0)
-  in
-  let c = node ~label:"c" dag ~deps:[] (fun () -> 5) in
-  (match run ~jobs:4 dag with
-   | () -> Alcotest.fail "expected Boom"
-   | exception Boom 3 -> ());
-  Alcotest.(check bool) "skipped node never executed" false !ran_b;
-  Alcotest.(check int) "independent node still ran" 5 (get c);
-  (match get b with
-   | _ -> Alcotest.fail "expected Dependency_failed"
-   | exception Dependency_failed { node = "b"; dep = "a" } -> ()
-   | exception Dependency_failed _ -> Alcotest.fail "wrong edge reported")
-
-let test_dag_first_failure_by_node_id () =
-  (* node 0 is slow and fails; node 1 fails instantly: the raised
-     failure is node 0's on every schedule *)
-  List.iter
-    (fun jobs ->
-       let open Runtime.Dag in
-       let dag = create () in
-       ignore
-         (node ~label:"slow" dag ~deps:[] (fun () ->
-              ignore (spin 200_000);
-              raise (Boom 0)));
-       ignore (node ~label:"fast" dag ~deps:[] (fun () -> raise (Boom 1)));
-       match run ~jobs dag with
-       | () -> Alcotest.fail "expected Boom"
-       | exception Boom i ->
-         Alcotest.(check int) (Printf.sprintf "jobs=%d" jobs) 0 i)
-    [ 1; 4 ]
-
-let test_dag_node_counter_invariant () =
-  let count jobs =
-    let open Runtime.Dag in
-    let dag = create () in
-    let a = node dag ~deps:[] (fun () -> 1) in
-    let b = node dag ~deps:[ dep a ] (fun () -> get a + 1) in
-    ignore (node dag ~deps:[ dep a; dep b ] (fun () -> get a + get b));
-    let before = Runtime.Pool.tasks_run () in
-    run ~jobs dag;
-    Runtime.Pool.tasks_run () - before
-  in
-  let c1 = count 1 in
-  Alcotest.(check int) "one task per node" 3 c1;
-  List.iter
-    (fun jobs ->
-       Alcotest.(check int)
-         (Printf.sprintf "task totals jobs-invariant at jobs=%d" jobs)
-         c1 (count jobs))
-    [ 2; 4 ]
-
-(* Random DAGs: completion order respects every edge and results are
-   identical at jobs=1/2/4/8. Node "durations" are injected determinist-
-   ically from the spec (busy spins), skewing schedules without
-   touching the clock. *)
-let dag_spec_gen =
-  QCheck.Gen.(
-    sized_size (int_range 2 18) (fun n ->
-        let node_spec i =
-          (* deps drawn from strictly earlier nodes; weight = duration *)
-          let* weight = int_range 0 2000 in
-          let* deps =
-            if i = 0 then return []
-            else list_size (int_range 0 (min i 3)) (int_range 0 (i - 1))
-          in
-          return (weight, List.sort_uniq compare deps)
-        in
-        let rec build i acc =
-          if i >= n then return (List.rev acc)
-          else
-            let* s = node_spec i in
-            build (i + 1) (s :: acc)
-        in
-        build 0 []))
-
-let dag_spec_print spec =
-  String.concat ";"
-    (List.mapi
-       (fun i (w, deps) ->
-          Printf.sprintf "%d:(w=%d deps=[%s])" i w
-            (String.concat "," (List.map string_of_int deps)))
-       spec)
-
-let run_dag_spec spec jobs =
-  let open Runtime.Dag in
-  let dag = create () in
-  let order = ref [] in
-  let order_lock = Mutex.create () in
-  let nodes = Array.make (List.length spec) None in
-  List.iteri
-    (fun i (weight, deps) ->
-       let deps =
-         List.map
-           (fun j ->
-              match nodes.(j) with Some n -> dep n | None -> assert false)
-           deps
-       in
-       nodes.(i) <-
-         Some
-           (node ~label:(string_of_int i) dag ~deps (fun () ->
-                let v = spin weight lxor i in
-                Mutex.lock order_lock;
-                order := i :: !order;
-                Mutex.unlock order_lock;
-                v)))
-    spec;
-  run ~jobs dag;
-  let results =
-    Array.to_list
-      (Array.map (function Some n -> get n | None -> assert false) nodes)
-  in
-  (results, List.rev !order)
-
-let dag_respects_edges =
-  QCheck.Test.make ~count:40 ~name:"random dag: edges respected, results jobs-invariant"
-    (QCheck.make ~print:dag_spec_print dag_spec_gen)
-    (fun spec ->
-       let r1, _ = run_dag_spec spec 1 in
-       List.for_all
-         (fun jobs ->
-            let r, completed = run_dag_spec spec jobs in
-            let pos = Hashtbl.create 16 in
-            List.iteri (fun at i -> Hashtbl.replace pos i at) completed;
-            let edge_ok i (_, deps) =
-              List.for_all
-                (fun d -> Hashtbl.find pos d < Hashtbl.find pos i)
-                deps
-            in
-            r = r1
-            && List.length completed = List.length spec
-            && List.for_all2 edge_ok
-                 (List.init (List.length spec) Fun.id)
-                 spec)
-         [ 1; 2; 4; 8 ])
 
 (* --- solve cache -------------------------------------------------------------- *)
 
@@ -872,6 +730,8 @@ let () =
             test_all_tasks_complete_despite_exception;
           Alcotest.test_case "task counter" `Quick test_tasks_counter;
           Alcotest.test_case "AURIX_JOBS parsing" `Quick test_default_jobs_env;
+          Alcotest.test_case "jobs beyond the domain limit rejected" `Quick
+            test_jobs_beyond_domain_limit;
           Alcotest.test_case "pool reuse across batches" `Quick test_with_pool_reuse;
         ] );
       ( "scheduler",
@@ -880,17 +740,6 @@ let () =
             test_nested_run_all_on_workers;
           Alcotest.test_case "skewed-cost hammer (four domains)" `Quick
             test_skewed_hammer;
-        ] );
-      ( "dag",
-        [
-          Alcotest.test_case "diamond" `Quick test_dag_basic;
-          Alcotest.test_case "failure skips dependents" `Quick
-            test_dag_skip_propagation;
-          Alcotest.test_case "first failure by node id" `Quick
-            test_dag_first_failure_by_node_id;
-          Alcotest.test_case "node counter jobs-invariant" `Quick
-            test_dag_node_counter_invariant;
-          QCheck_alcotest.to_alcotest dag_respects_edges;
         ] );
       ( "solve-cache",
         [
