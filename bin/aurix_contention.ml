@@ -716,7 +716,9 @@ let audit_cmd =
                            vars)));
                 m)
           in
-          List.iter (fun m -> ignore (Runtime.Solve_cache.solve_ilp m)) models );
+          List.iter
+            (fun m -> ignore Runtime.Solve_cache.(solve_ilp (prepare m)))
+            models );
     ]
   in
   let run name jobs kernel trace metrics =

@@ -183,7 +183,8 @@ let contention_bound ?(options = default_options) ~latency ~scenario ~a ~b () =
       profile "a",
       profile "b" )
   in
-  let lp = Runtime.Solve_cache.solve_lp model in
+  let prepared = Runtime.Solve_cache.prepare model in
+  let lp = Runtime.Solve_cache.solve_lp prepared in
   let lp_cap =
     match lp with
     | Ilp.Solution.Optimal { objective; _ } -> Q.to_int_floor objective
@@ -191,7 +192,7 @@ let contention_bound ?(options = default_options) ~latency ~scenario ~a ~b () =
   in
   match
     Runtime.Solve_cache.solve_ilp ~node_limit:options.node_limit
-      ~slack:(q options.mip_slack) model
+      ~slack:(q options.mip_slack) prepared
   with
   | Ilp.Solution.Infeasible -> None
   | Ilp.Solution.Unbounded ->

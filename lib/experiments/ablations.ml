@@ -1,37 +1,14 @@
 open Platform
 
-let latency_of (config : Tcsim.Machine.config option) =
-  match config with
-  | Some c -> c.Tcsim.Machine.latency
-  | None -> Tcsim.Machine.default_config.Tcsim.Machine.latency
+let latency_of = Figure4.latency_of
 
-(* One cell's readings: programs and preflight, both isolation
-   simulations, then the counter lint. An isolation an earlier cell
-   already measured (the app repeats across load levels) replays from
-   the run cache. *)
+(* One cell's isolation counters: the Figure 4 cell's readings. An
+   isolation an earlier cell already measured (the app repeats across
+   load levels) replays from the run cache. *)
 let readings ?config ~scenario ~load () =
-  let latency = latency_of config in
-  let variant = Workload.Control_loop.variant_of_scenario scenario in
-  let app = Workload.Control_loop.app variant in
-  let contender = Workload.Load_gen.make ~variant ~level:load () in
-  Analysis.Preflight.run ~latency ~scenario
-    ~tasks:
-      [
-        { Analysis.Program_lint.label = "app"; core = 0; program = app };
-        { Analysis.Program_lint.label = "contender"; core = 1; program = contender };
-      ]
-    ();
-  let iso core p =
-    (Mbta.Measurement.isolation ?config ~core p).Mbta.Measurement.counters
-  in
-  let a = iso 0 app in
-  let b = iso 1 contender in
-  Analysis.Preflight.guard
-    (Analysis.Counter_lint.check ~latency ~scenario
-       ~path:[ "isolation"; "app" ] a
-     @ Analysis.Counter_lint.check ~latency ~scenario
-         ~path:[ "isolation"; "contender" ] b);
-  (a, b)
+  let r = Figure4.readings ?config ~scenario ~load () in
+  ( r.Figure4.iso_app.Mbta.Measurement.counters,
+    r.Figure4.iso_contender.Mbta.Measurement.counters )
 
 (* --- A1: value of contender information ---------------------------------- *)
 

@@ -15,14 +15,14 @@ let latency_of (config : Tcsim.Machine.config option) =
   | Some c -> c.Tcsim.Machine.latency
   | None -> Tcsim.Machine.default_config.Tcsim.Machine.latency
 
-let run_row ?config ~scenario ~load () =
-  Obs.Tracer.with_span "figure4.row"
-    ~attrs:(fun () ->
-        [
-          ("scenario", scenario.Scenario.name);
-          ("load", Workload.Load_gen.level_to_string load);
-        ])
-  @@ fun () ->
+type readings = {
+  app : Tcsim.Program.t;
+  contender : Tcsim.Program.t;
+  iso_app : Mbta.Measurement.observation;
+  iso_contender : Mbta.Measurement.observation;
+}
+
+let readings ?config ~scenario ~load () =
   let variant = Workload.Control_loop.variant_of_scenario scenario in
   let latency = latency_of config in
   let app = Workload.Control_loop.app variant in
@@ -37,16 +37,31 @@ let run_row ?config ~scenario ~load () =
       ]
     ();
   (* isolation measurements: all the models may consume *)
-  let iso_a = Mbta.Measurement.isolation ?config ~core:0 app in
-  let iso_b = Mbta.Measurement.isolation ?config ~core:1 contender in
-  let a = iso_a.Mbta.Measurement.counters in
-  let b = iso_b.Mbta.Measurement.counters in
+  let iso_app = Mbta.Measurement.isolation ?config ~core:0 app in
+  let iso_contender = Mbta.Measurement.isolation ?config ~core:1 contender in
   (* isolation readings feed the models as ground truth: reject corrupted
      read-outs (Table 4 invariants) rather than solving over them *)
   Analysis.Preflight.guard
-    (Analysis.Counter_lint.check ~latency ~scenario ~path:[ "isolation"; "app" ] a
+    (Analysis.Counter_lint.check ~latency ~scenario ~path:[ "isolation"; "app" ]
+       iso_app.Mbta.Measurement.counters
      @ Analysis.Counter_lint.check ~latency ~scenario
-         ~path:[ "isolation"; "contender" ] b);
+         ~path:[ "isolation"; "contender" ] iso_contender.Mbta.Measurement.counters);
+  { app; contender; iso_app; iso_contender }
+
+let run_row ?config ~scenario ~load () =
+  Obs.Tracer.with_span "figure4.row"
+    ~attrs:(fun () ->
+        [
+          ("scenario", scenario.Scenario.name);
+          ("load", Workload.Load_gen.level_to_string load);
+        ])
+  @@ fun () ->
+  let latency = latency_of config in
+  let { app; contender; iso_app = iso_a; iso_contender = iso_b } =
+    readings ?config ~scenario ~load ()
+  in
+  let a = iso_a.Mbta.Measurement.counters in
+  let b = iso_b.Mbta.Measurement.counters in
   (* Scenario 2 has cacheable data everywhere, so the fTC model must assume
      dirty-miss delays (paper Section 4.1); the ILP charges the dirty LMU
      latency only when the contender can actually produce dirty misses. *)

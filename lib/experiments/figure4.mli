@@ -21,14 +21,35 @@ type row = {
       (** Eq. 1 on ground-truth profiles (simulator-only reference) *)
 }
 
+type readings = {
+  app : Tcsim.Program.t;
+  contender : Tcsim.Program.t;
+  iso_app : Mbta.Measurement.observation;
+  iso_contender : Mbta.Measurement.observation;
+}
+
+val latency_of : Tcsim.Machine.config option -> Platform.Latency.t
+(** The latency table of a configuration; [None] is the default one. *)
+
+val readings :
+  ?config:Tcsim.Machine.config ->
+  scenario:Platform.Scenario.t ->
+  load:Workload.Load_gen.level ->
+  unit ->
+  readings
+(** One cell's inputs, shared with the ablations: the application and
+    contender programs, the pre-flight lint, both isolation measurements
+    (cores 0 and 1) and the counter lint.
+    @raise Analysis.Preflight.Preflight_failed on a lint error. *)
+
 val run_row :
   ?config:Tcsim.Machine.config ->
   scenario:Platform.Scenario.t ->
   load:Workload.Load_gen.level ->
   unit ->
   row
-(** One cell: pre-flight lint, both isolation measurements, counter lint,
-    the fTC, ILP-PTAC and ideal bounds, then the observed co-run. *)
+(** One cell: the {!readings}, the fTC, ILP-PTAC and ideal bounds, then
+    the observed co-run. *)
 
 val run_scenario :
   ?config:Tcsim.Machine.config -> ?jobs:int -> Platform.Scenario.t -> row list

@@ -370,7 +370,11 @@ let to_float x =
 let ten_pow9 = 1_000_000_000
 
 let to_string x =
-  if x.sign = 0 then "0"
+  if Array.length x.mag = 1 then
+    (* one base-2^30 digit fits a native int: the common case of every
+       model coefficient and bound *)
+    string_of_int (x.sign * x.mag.(0))
+  else if x.sign = 0 then "0"
   else begin
     let buf = Buffer.create 16 in
     let rec chunks mag acc =

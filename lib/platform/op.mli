@@ -9,6 +9,10 @@ type t = Code | Data
 
 val all : t list
 val equal : t -> t -> bool
+
+val rank : t -> int
+(** Position in {!all}, from 0. *)
+
 val compare : t -> t -> int
 val to_string : t -> string
 val of_string : string -> t option

@@ -20,6 +20,10 @@ val data_targets : t list
 
 val is_flash : t -> bool
 val equal : t -> t -> bool
+
+val rank : t -> int
+(** Position in {!all}, from 0. *)
+
 val compare : t -> t -> int
 val to_string : t -> string
 val of_string : string -> t option

@@ -35,11 +35,41 @@ let m_misses = Obs.Metrics.counter "run_cache.misses"
 
 (* --- fingerprint ------------------------------------------------------- *)
 
+(* The key is rendered digit by digit straight into the buffer: through
+   [Printf.bprintf] it cost a large share of a short run's simulation.
+   [add_dec] and [add_hex] write exactly the bytes of [%d] and [%x] (a
+   negative [%x] prints its 63-bit two's complement), so keys — and the
+   disk entries stored under them — do not move. *)
+let rec add_nat buf n =
+  if n >= 10 then add_nat buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_dec buf n =
+  if n >= 0 then add_nat buf n
+  else begin
+    Buffer.add_char buf '-';
+    (* [-n] overflows at [min_int]: peel the last digit off first *)
+    if n <= -10 then add_nat buf (-(n / 10));
+    Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+  end
+
+let rec add_hex buf n =
+  if n lsr 4 <> 0 then add_hex buf (n lsr 4);
+  Buffer.add_char buf (String.unsafe_get "0123456789abcdef" (n land 15))
+
+(* the ints as [%d/%d/...;] *)
+let add_fields buf ns =
+  List.iteri
+    (fun i n ->
+       if i > 0 then Buffer.add_char buf '/';
+       add_dec buf n)
+    ns;
+  Buffer.add_char buf ';'
+
 let add_geometry buf = function
   | None -> Buffer.add_string buf "-;"
   | Some g ->
-    Printf.bprintf buf "%d/%d/%d;" g.Cache.size_bytes g.Cache.ways
-      g.Cache.line_bytes
+    add_fields buf [ g.Cache.size_bytes; g.Cache.ways; g.Cache.line_bytes ]
 
 let add_core_config buf (c : Core_model.config) =
   Buffer.add_string buf
@@ -50,26 +80,38 @@ let add_core_config buf (c : Core_model.config) =
 let add_latency buf lat =
   List.iter
     (fun (target, op) ->
-       Printf.bprintf buf "%d/%d/%d;"
-         (Platform.Latency.lmax lat target op)
-         (Platform.Latency.lmin lat target op)
-         (Platform.Latency.min_stall lat target op))
+       add_fields buf
+         [
+           Platform.Latency.lmax lat target op;
+           Platform.Latency.lmin lat target op;
+           Platform.Latency.min_stall lat target op;
+         ])
     Platform.Op.valid_pairs;
-  Printf.bprintf buf "~%d;" (Platform.Latency.lmu_dirty_lmax lat)
+  Buffer.add_char buf '~';
+  add_fields buf [ Platform.Latency.lmu_dirty_lmax lat ]
 
 (* Programs are keyed by content — two programs with the same items but
    different names simulate identically. *)
 let add_program buf p =
+  let instr tag add x pc =
+    Buffer.add_char buf tag;
+    add buf x;
+    Buffer.add_char buf '@';
+    add_hex buf pc;
+    Buffer.add_char buf ';'
+  in
   let rec items list =
     List.iter
       (function
         | Program.I { pc; kind } ->
           (match kind with
-           | Program.Compute n -> Printf.bprintf buf "c%d@%x;" n pc
-           | Program.Load a -> Printf.bprintf buf "l%x@%x;" a pc
-           | Program.Store a -> Printf.bprintf buf "s%x@%x;" a pc)
+           | Program.Compute n -> instr 'c' add_dec n pc
+           | Program.Load a -> instr 'l' add_hex a pc
+           | Program.Store a -> instr 's' add_hex a pc)
         | Program.Loop { count; body } ->
-          Printf.bprintf buf "L%d[" count;
+          Buffer.add_char buf 'L';
+          add_dec buf count;
+          Buffer.add_char buf '[';
           items body;
           Buffer.add_string buf "];")
       list
@@ -77,18 +119,32 @@ let add_program buf p =
   items (Program.items p)
 
 let add_task buf (t : Machine.task) =
-  Printf.bprintf buf "#%d:" t.Machine.core;
+  Buffer.add_char buf '#';
+  add_dec buf t.Machine.core;
+  Buffer.add_char buf ':';
   add_program buf t.Machine.program
 
 let fingerprint ~config ~max_cycles ~restart_contenders ~priorities ~trace
     ~kernel ~analysis ~contenders =
   let buf = Buffer.create 512 in
-  Printf.bprintf buf "%s|%d|%b|%b|" (Machine.kernel_to_string kernel) max_cycles
-    restart_contenders trace;
+  List.iter
+    (fun field ->
+       Buffer.add_string buf field;
+       Buffer.add_char buf '|')
+    [
+      Machine.kernel_to_string kernel;
+      string_of_int max_cycles;
+      string_of_bool restart_contenders;
+      string_of_bool trace;
+    ];
   (match priorities with
    | None -> Buffer.add_string buf "-|"
    | Some p ->
-     Array.iter (Printf.bprintf buf "%d,") p;
+     Array.iter
+       (fun n ->
+          add_dec buf n;
+          Buffer.add_char buf ',')
+       p;
      Buffer.add_char buf '|');
   add_latency buf config.Machine.latency;
   Buffer.add_char buf '|';

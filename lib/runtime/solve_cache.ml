@@ -62,11 +62,19 @@ let m_misses = Obs.Metrics.counter "solve_cache.misses"
 let m_raw_hits = Obs.Metrics.counter "solve_cache.raw_hits"
 let m_canonical_hits = Obs.Metrics.counter "ilp.cache.canonical_hits"
 
-let key ~tag model =
-  Digest.to_hex (Digest.string (tag ^ "\n" ^ Ilp.Model.canonical model))
+let digest ~tag text = Digest.to_hex (Digest.string (tag ^ "\n" ^ text))
+let key ~tag model = digest ~tag (Ilp.Model.canonical model)
+let canonical_key ~tag canon = digest ~tag (Ilp.Canonical.structure canon)
 
-let canonical_key ~tag canon =
-  Digest.to_hex (Digest.string (tag ^ "\n" ^ Ilp.Canonical.structure canon))
+(* A model's two renderings, made once however many solvers are asked:
+   the contention bound asks the LP and the ILP of one model. *)
+type prepared = {
+  canon : Ilp.Canonical.t;
+  raw_text : string;  (* {!Ilp.Model.canonical} of the model as built *)
+}
+
+let prepare model =
+  { canon = Ilp.Canonical.of_model model; raw_text = Ilp.Model.canonical model }
 
 (* --- stable key/entry serialization ------------------------------------- *)
 
@@ -277,9 +285,8 @@ let audit_failures () =
   Mutex.unlock lock;
   List.sort compare l
 
-let solve_cached ~tag ?slack ~solve ~solve_certified model =
-  let canon = Ilp.Canonical.of_model model in
-  let raw = key ~tag model in
+let solve_cached ~tag ?slack ~solve ~solve_certified { canon; raw_text } =
+  let raw = digest ~tag raw_text in
   let k = canonical_key ~tag canon in
   match Single_flight.acquire table k with
   | `Hit (e, waited) ->
@@ -344,14 +351,14 @@ let solve_cached ~tag ?slack ~solve ~solve_certified model =
 
 (* --- public solvers ---------------------------------------------------- *)
 
-let solve_lp model =
+let solve_lp prepared =
   solve_cached ~tag:"lp" ~solve:Ilp.Simplex.solve
     ~solve_certified:(fun m ->
         let s, c = Ilp.Simplex.solve_certified m in
         (s, Ilp.Cert.Lp c))
-    model
+    prepared
 
-let solve_ilp ?(node_limit = 200_000) ?(slack = Q.zero) model =
+let solve_ilp ?(node_limit = 200_000) ?(slack = Q.zero) prepared =
   (* "presolve=true" is a relic of a removed option; it stays so that
      keys of existing memory and disk entries do not move *)
   let tag =
@@ -365,7 +372,7 @@ let solve_ilp ?(node_limit = 200_000) ?(slack = Q.zero) model =
          same either way — presolve only skips work — so the entry is
          still valid for this tag *)
     ~solve_certified:(Ilp.Branch_bound.solve_certified ~node_limit ~slack)
-    model
+    prepared
 
 let stats () =
   {

@@ -36,11 +36,20 @@
 
 open Numeric
 
-val solve_lp : Ilp.Model.t -> Ilp.Solution.t
+type prepared
+(** A model with its raw and canonical renderings, computed once. The
+    same [prepared] value serves any number of solver calls. *)
+
+val prepare : Ilp.Model.t -> prepared
+(** Canonicalizes the model ({!Ilp.Canonical.of_model}) and renders it
+    ({!Ilp.Model.canonical}); both are pure, so a [prepared] value can be
+    shared between domains. *)
+
+val solve_lp : prepared -> Ilp.Solution.t
 (** Cached {!Ilp.Simplex.solve} (the model's continuous relaxation). *)
 
 val solve_ilp :
-  ?node_limit:int -> ?slack:Q.t -> Ilp.Model.t -> Ilp.Solution.t
+  ?node_limit:int -> ?slack:Q.t -> prepared -> Ilp.Solution.t
 (** Cached {!Ilp.Branch_bound.solve}; defaults match it
     ([node_limit = 200_000], [slack = 0]).
     @raise Ilp.Branch_bound.Node_limit_exceeded as the underlying solver

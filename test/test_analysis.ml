@@ -377,6 +377,111 @@ let test_program_zero_traffic_mismatch () =
     "zero-traffic-mismatch"
     (Analysis.Program_lint.check ~scenario:Scenario.scenario1 [ task "t" 0 p ])
 
+(* --- Program lint oracle ------------------------------------------------------------ *)
+
+(* Multi-task programs over a few lines of every window (cached and
+   uncached aliases), the scratchpads and a handful of unmapped
+   addresses, with repeated labels, zero-count loops and a scenario that
+   declares pairs zero: every rule can fire. *)
+let gen_lint_case =
+  let open QCheck.Gen in
+  let module M = Tcsim.Memory_map in
+  let sri_addr =
+    map3
+      (fun base line off -> base + (32 * line) + off)
+      (oneofl
+         M.
+           [
+             pf0_cached_base;
+             pf0_uncached_base;
+             pf1_cached_base;
+             pf1_uncached_base;
+             lmu_cached_base;
+             lmu_uncached_base;
+             dfl_base;
+           ])
+      (0 -- 3) (0 -- 31)
+  in
+  let addr =
+    frequency
+      [
+        (8, sri_addr);
+        (2, map (fun off -> M.dspr_base + off) (0 -- 64));
+        (2, map (fun off -> M.pspr_base + off) (0 -- 64));
+        (1, oneofl [ 0x1000; -4; M.lmu_cached_base + M.lmu_size; M.dfl_base - 1 ]);
+      ]
+  in
+  let kind =
+    frequency
+      [
+        (1, map (fun n -> Tcsim.Program.Compute n) (1 -- 9));
+        (2, map (fun a -> Tcsim.Program.Load a) addr);
+        (2, map (fun a -> Tcsim.Program.Store a) addr);
+      ]
+  in
+  let items =
+    fix
+      (fun self depth ->
+         list_size (1 -- 5)
+           (frequency
+              ((4, map2 (fun pc kind -> Tcsim.Program.I { pc; kind }) addr kind)
+               ::
+               (if depth = 0 then []
+                else
+                  [
+                    ( 1,
+                      map2
+                        (fun count body -> Tcsim.Program.Loop { count; body })
+                        (0 -- 2) (self (depth - 1)) );
+                  ]))))
+      2
+  in
+  let task =
+    map3
+      (fun label core items ->
+         { Analysis.Program_lint.label; core; program = prog label items })
+      (oneofl [ "a"; "b"; "c" ]) (0 -- 2) items
+  in
+  pair
+    (opt (oneofl [ Scenario.scenario1; Scenario.scenario2 ]))
+    (list_size (1 -- 4) task)
+
+let print_lint_case (_, tasks) =
+  String.concat "; "
+    (List.map
+       (fun t ->
+          Printf.sprintf "%s@%d: %d instrs" t.Analysis.Program_lint.label
+            t.Analysis.Program_lint.core
+            (Tcsim.Program.static_size t.Analysis.Program_lint.program))
+       tasks)
+
+let prop_program_lint_matches_oracle =
+  QCheck.Test.make ~name:"program lint = reference lint, same order" ~count:500
+    (QCheck.make ~print:print_lint_case gen_lint_case)
+    (fun (scenario, tasks) ->
+       Analysis.Program_lint.check ?scenario tasks
+       = Ref_program_lint.check ?scenario tasks)
+
+let test_lint_oracle_hits_every_rule () =
+  let fired = Hashtbl.create 8 in
+  List.iter
+    (fun (scenario, tasks) ->
+       List.iter
+         (fun d -> Hashtbl.replace fired d.Analysis.Diag.rule ())
+         (Analysis.Program_lint.check ?scenario tasks))
+    (QCheck.Gen.generate ~rand:(Random.State.make [| 25 |]) ~n:500 gen_lint_case);
+  List.iter
+    (fun rule ->
+       Alcotest.(check bool) (rule ^ " fires") true (Hashtbl.mem fired rule))
+    [
+      "map-overlap";
+      "code-data-overlap";
+      "zero-traffic-mismatch";
+      "address-unmapped";
+      "code-from-dfl";
+      "loop-unreachable";
+    ]
+
 (* --- fixtures & preflight -------------------------------------------------------- *)
 
 let test_fixtures_all_detected () =
@@ -606,6 +711,9 @@ let () =
             test_program_code_data_overlap;
           Alcotest.test_case "zero-traffic mismatch" `Quick
             test_program_zero_traffic_mismatch;
+          QCheck_alcotest.to_alcotest prop_program_lint_matches_oracle;
+          Alcotest.test_case "oracle cases hit every rule" `Quick
+            test_lint_oracle_hits_every_rule;
         ] );
       ( "fixtures",
         [

@@ -178,6 +178,63 @@ let prop_string_roundtrip =
         in
         Bigint.equal x (Bigint.of_string (Bigint.to_string x)))
 
+(* The multi-digit rendering rebuilt from public operations: base-10^9
+   chunks, most significant first, the lower ones zero-padded. Values of
+   one base-2^30 digit take [Bigint.to_string]'s fast path; this is the
+   path they took before it. *)
+let chunked_to_string x =
+  if Bigint.is_zero x then "0"
+  else begin
+    let billion = bi 1_000_000_000 in
+    let rec chunks m acc =
+      if Bigint.is_zero m then acc
+      else
+        let q, r = Bigint.divmod m billion in
+        chunks q (Bigint.to_int_exn r :: acc)
+    in
+    match chunks (Bigint.abs x) [] with
+    | [] -> assert false
+    | first :: rest ->
+      String.concat ""
+        ((if Bigint.sign x < 0 then "-" else "")
+         :: string_of_int first
+         :: List.map (Printf.sprintf "%09d") rest)
+  end
+
+let test_to_string_fast_path_edges () =
+  List.iter
+    (fun n ->
+       let x = bi n in
+       Alcotest.(check string) (string_of_int n) (chunked_to_string x)
+         (Bigint.to_string x);
+       Alcotest.(check string) (string_of_int n ^ " native") (string_of_int n)
+         (Bigint.to_string x))
+    [
+      0;
+      1;
+      -1;
+      (1 lsl 30) - 1;
+      -((1 lsl 30) - 1);
+      1 lsl 30;
+      -(1 lsl 30);
+      max_int;
+      min_int;
+    ]
+
+let prop_to_string_fast_path =
+  QCheck.Test.make ~name:"bigint to_string = chunked rendering" ~count:500
+    (QCheck.pair QCheck.int
+       (QCheck.list_of_size (QCheck.Gen.int_range 1 8) small_int))
+    (fun (n, parts) ->
+       let big =
+         List.fold_left
+           (fun acc p -> Bigint.add (Bigint.mul acc (bi 1000003)) (bi p))
+           (bi n) parts
+       in
+       List.for_all
+         (fun x -> String.equal (Bigint.to_string x) (chunked_to_string x))
+         [ bi n; big; Bigint.neg big ])
+
 let prop_mul_commutative_big =
   QCheck.Test.make ~name:"bigint big mul commutative" ~count:200
     (QCheck.pair (QCheck.list_of_size (QCheck.Gen.int_range 1 6) small_int)
@@ -420,6 +477,8 @@ let () =
           Alcotest.test_case "shifts" `Quick test_shifts;
           Alcotest.test_case "compare total order" `Quick test_compare;
           Alcotest.test_case "to_float" `Quick test_to_float;
+          Alcotest.test_case "to_string fast path edges" `Quick
+            test_to_string_fast_path_edges;
         ] );
       ( "bigint-properties",
         qsuite
@@ -428,6 +487,7 @@ let () =
             prop_mul_matches_int;
             prop_divmod_reconstruction;
             prop_string_roundtrip;
+            prop_to_string_fast_path;
             prop_mul_commutative_big;
             prop_div_of_product;
             prop_gcd_divides;

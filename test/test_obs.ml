@@ -686,7 +686,8 @@ let jobs_invariant_snapshot =
          ignore
            (Runtime.Pool.map ~jobs
               (fun (c, flipped) ->
-                 Runtime.Solve_cache.solve_ilp (knapsack ~capacity:c ~flipped ()))
+                 Runtime.Solve_cache.(
+                   solve_ilp (prepare (knapsack ~capacity:c ~flipped ()))))
               requests);
          Obs.Metrics.deterministic_snapshot ()
        in

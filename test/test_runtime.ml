@@ -213,8 +213,8 @@ let objective_exn = function
 let test_cache_hit_on_identical_model () =
   Runtime.Solve_cache.clear ();
   Runtime.Solve_cache.reset_stats ();
-  let s1 = Runtime.Solve_cache.solve_ilp (knapsack_model ()) in
-  let s2 = Runtime.Solve_cache.solve_ilp (knapsack_model ()) in
+  let s1 = Runtime.Solve_cache.(solve_ilp (prepare (knapsack_model ()))) in
+  let s2 = Runtime.Solve_cache.(solve_ilp (prepare (knapsack_model ()))) in
   Alcotest.(check string) "same optimum" "220"
     (Q.to_string (objective_exn s1));
   Alcotest.(check string) "cached result identical" "220"
@@ -232,8 +232,9 @@ let test_cache_hit_on_identical_model () =
 let test_cache_miss_on_perturbed_model () =
   Runtime.Solve_cache.clear ();
   Runtime.Solve_cache.reset_stats ();
-  ignore (Runtime.Solve_cache.solve_ilp (knapsack_model ()));
-  ignore (Runtime.Solve_cache.solve_ilp (knapsack_model ~capacity:40 ()));
+  ignore (Runtime.Solve_cache.(solve_ilp (prepare (knapsack_model ()))));
+  ignore
+    Runtime.Solve_cache.(solve_ilp (prepare (knapsack_model ~capacity:40 ())));
   let { Runtime.Solve_cache.hits; misses; _ } = Runtime.Solve_cache.stats () in
   Alcotest.(check int) "two misses" 2 misses;
   Alcotest.(check int) "no hits" 0 hits
@@ -245,9 +246,9 @@ let test_cache_distinguishes_solvers_and_params () =
     (String.equal k (Runtime.Solve_cache.key ~tag:"y" m));
   Runtime.Solve_cache.clear ();
   Runtime.Solve_cache.reset_stats ();
-  ignore (Runtime.Solve_cache.solve_lp m);
-  ignore (Runtime.Solve_cache.solve_ilp m);
-  ignore (Runtime.Solve_cache.solve_ilp ~slack:(q 5) m);
+  ignore (Runtime.Solve_cache.(solve_lp (prepare m)));
+  ignore (Runtime.Solve_cache.(solve_ilp (prepare m)));
+  ignore (Runtime.Solve_cache.(solve_ilp ~slack:(q 5) (prepare m)));
   let { Runtime.Solve_cache.hits; misses; _ } = Runtime.Solve_cache.stats () in
   Alcotest.(check int) "lp / ilp / ilp+slack are distinct entries" 3 misses;
   Alcotest.(check int) "no spurious hits" 0 hits
@@ -301,8 +302,8 @@ let test_cache_canonical_twin_hits () =
   Alcotest.(check string) "canonical keys agree"
     (Runtime.Solve_cache.canonical_key ~tag:"t" (Ilp.Canonical.of_model m1))
     (Runtime.Solve_cache.canonical_key ~tag:"t" (Ilp.Canonical.of_model m2));
-  let s1 = Runtime.Solve_cache.solve_ilp m1 in
-  let s2 = Runtime.Solve_cache.solve_ilp m2 in
+  let s1 = Runtime.Solve_cache.(solve_ilp (prepare m1)) in
+  let s2 = Runtime.Solve_cache.(solve_ilp (prepare m2)) in
   (* capacity 25 admits only item b: a = 0, b = 1, objective 100 *)
   List.iter
     (fun (s, a, b) ->
@@ -343,7 +344,9 @@ let test_cache_replays_node_limit () =
   in
   Runtime.Solve_cache.clear ();
   Runtime.Solve_cache.reset_stats ();
-  let solve () = Runtime.Solve_cache.solve_ilp ~node_limit:1 (hard ()) in
+  let solve () =
+    Runtime.Solve_cache.(solve_ilp ~node_limit:1 (prepare (hard ())))
+  in
   (match solve () with
    | _ -> Alcotest.fail "expected Node_limit_exceeded"
    | exception Ilp.Branch_bound.Node_limit_exceeded -> ());
@@ -362,7 +365,8 @@ let test_cache_single_flight () =
   Runtime.Solve_cache.reset_stats ();
   let results =
     Runtime.Pool.run_all ~jobs:4
-      (List.init 8 (fun _ () -> Runtime.Solve_cache.solve_ilp (knapsack_model ())))
+      (List.init 8 (fun _ () ->
+           Runtime.Solve_cache.(solve_ilp (prepare (knapsack_model ())))))
   in
   List.iter
     (fun s ->
@@ -517,7 +521,7 @@ let test_failure_releases_the_key () =
     Runtime.Run_cache.run ~analysis:{ Tcsim.Machine.program = mk_prog (); core = 7 } ()
   in
   let negative_slack () =
-    Runtime.Solve_cache.solve_ilp ~slack:(q (-1)) (knapsack_model ())
+    Runtime.Solve_cache.(solve_ilp ~slack:(q (-1)) (prepare (knapsack_model ())))
   in
   let check jobs name request stats size =
     let raised =
@@ -675,7 +679,7 @@ let test_telemetry_measure () =
   Runtime.Solve_cache.reset_stats ();
   let v, t =
     Runtime.Telemetry.measure ~jobs:2 (fun () ->
-        ignore (Runtime.Solve_cache.solve_ilp (knapsack_model ()));
+        ignore (Runtime.Solve_cache.(solve_ilp (prepare (knapsack_model ()))));
         Runtime.Pool.map ~jobs:2 Fun.id [ 1; 2; 3 ])
   in
   Alcotest.(check (list int)) "value passed through" [ 1; 2; 3 ] v;

@@ -431,6 +431,7 @@ let test_v1_compat () =
    migrate instead of editing the expectation. *)
 let expected_query_digest = "04b74dd2843bbe551660bb859c60a1fa"
 let expected_run_fingerprint = "c1fb13491754654423f7692a37bffb93"
+let expected_wide_run_fingerprint = "d5d22b5cbe35eadb395f7e3d2dc645ac"
 let expected_solve_key = "a87cb24c98ba740b7b21a2df83bfdfdc"
 
 let test_query_digest_golden () =
@@ -471,6 +472,135 @@ let test_run_fingerprint_golden () =
   Alcotest.(check (option string))
     "fingerprint is a valid key" (Some fp)
     (Runtime.Run_cache.key_of_string (Runtime.Run_cache.key_to_string fp))
+
+(* Every item shape a key renders: stores, nested and zero-count loops,
+   multi-digit computes, and two prioritised contenders. *)
+let wide_program =
+  let open Tcsim.Program in
+  make ~name:"wide"
+    [
+      I { pc = M.pf0_cached_base; kind = Compute 12 };
+      loop 3
+        [
+          I { pc = M.pf0_cached_base + 4; kind = Load (M.lmu_cached_base + 0x40) };
+          loop 0
+            [
+              I { pc = M.pf0_cached_base + 8;
+                  kind = Store (M.lmu_uncached_base + 0x1f0) };
+            ];
+          loop 17
+            [
+              I { pc = M.pf0_cached_base + 12; kind = Compute 1234 };
+              I { pc = M.pf0_cached_base + 16; kind = Store (M.dfl_base + 0x2468) };
+            ];
+        ];
+      I { pc = M.pf1_uncached_base + 0xabc; kind = Store (M.dspr_base + 0x10) };
+    ]
+
+let wide_contender pc_base addr =
+  let open Tcsim.Program in
+  make ~name:"c"
+    [
+      loop 250
+        [ I { pc = pc_base; kind = Load addr }; I { pc = pc_base + 4; kind = Compute 7 } ];
+    ]
+
+let wide_fingerprint fingerprint =
+  fingerprint ~config:Tcsim.Machine.default_config ~max_cycles:5_000_000
+    ~restart_contenders:true ~priorities:(Some [| 2; 0; 1 |]) ~trace:true
+    ~kernel:`Stepped
+    ~analysis:{ Tcsim.Machine.program = wide_program; core = 0 }
+    ~contenders:
+      [
+        { Tcsim.Machine.program =
+            wide_contender M.pf1_cached_base (M.lmu_uncached_base + 0x800);
+          core = 1 };
+        { Tcsim.Machine.program =
+            wide_contender (M.pf0_uncached_base + 0x100) (M.dfl_base + 0x1000);
+          core = 2 };
+      ]
+
+let test_wide_run_fingerprint_golden () =
+  Alcotest.(check string)
+    "wide run fingerprint" expected_wide_run_fingerprint
+    (wide_fingerprint Runtime.Run_cache.fingerprint);
+  Alcotest.(check string)
+    "the Printf oracle agrees" expected_wide_run_fingerprint
+    (wide_fingerprint Ref_run_fingerprint.fingerprint)
+
+(* Random requests, extreme integers included: the direct-digit key
+   renderer and the Printf oracle must agree byte for byte. *)
+let prop_fingerprint_matches_oracle =
+  let open QCheck.Gen in
+  let any_int =
+    oneof [ int; small_signed_int; oneofl [ 0; 9; 10; 15; 16; max_int; min_int ] ]
+  in
+  let kind =
+    oneof
+      [
+        map (fun n -> Tcsim.Program.Compute n) (oneof [ 1 -- 99_999; pure max_int ]);
+        map (fun a -> Tcsim.Program.Load a) any_int;
+        map (fun a -> Tcsim.Program.Store a) any_int;
+      ]
+  in
+  let items =
+    fix
+      (fun self depth ->
+         list_size (0 -- 4)
+           (frequency
+              ((3, map2 (fun pc kind -> Tcsim.Program.I { pc; kind }) any_int kind)
+               ::
+               (if depth = 0 then []
+                else
+                  [
+                    ( 1,
+                      map2
+                        (fun count body -> Tcsim.Program.Loop { count; body })
+                        (oneof [ 0 -- 20; pure max_int ])
+                        (self (depth - 1)) );
+                  ]))))
+      3
+  in
+  let task =
+    map2
+      (fun items core ->
+         { Tcsim.Machine.program = Tcsim.Program.make ~name:"p" items; core })
+      items (0 -- 2)
+  in
+  let config =
+    map2
+      (fun (v : Platform.Variants.t) no_icache ->
+         let d = Tcsim.Machine.default_config in
+         {
+           Tcsim.Machine.latency = v.Platform.Variants.latency;
+           cores =
+             (if no_icache then
+                Array.map
+                  (fun c -> { c with Tcsim.Core_model.icache = None })
+                  d.Tcsim.Machine.cores
+              else d.Tcsim.Machine.cores);
+         })
+      (oneofl Platform.Variants.all) bool
+  in
+  let request =
+    pair
+      (pair (pair config any_int) (pair bool bool))
+      (pair
+         (pair (opt (array_size (1 -- 3) any_int)) (oneofl [ `Event; `Stepped ]))
+         (pair task (list_size (0 -- 2) task)))
+  in
+  QCheck.Test.make ~name:"run fingerprint = Printf oracle" ~count:300
+    (QCheck.make request)
+    (fun
+      ( ((config, max_cycles), (restart_contenders, trace)),
+        ((priorities, kernel), (analysis, contenders)) ) ->
+      let fp f =
+        f ~config ~max_cycles ~restart_contenders ~priorities ~trace ~kernel
+          ~analysis ~contenders
+      in
+      String.equal
+        (fp Runtime.Run_cache.fingerprint)
+        (fp Ref_run_fingerprint.fingerprint))
 
 let tiny_model () =
   let m = Ilp.Model.create () in
@@ -875,7 +1005,7 @@ let test_cert_roundtrip_through_disk () =
   with_tmpdir @@ fun dir ->
   with_certified_store dir @@ fun _d saved ->
   let verified0 = metric "audit.verified" in
-  let o1 = Runtime.Solve_cache.solve_ilp (audit_model ()) in
+  let o1 = Runtime.Solve_cache.(solve_ilp (prepare (audit_model ()))) in
   Alcotest.(check int)
     "fresh solve audited" (verified0 + 1) (metric "audit.verified");
   let _, entry = the_saved_entry saved in
@@ -887,7 +1017,7 @@ let test_cert_roundtrip_through_disk () =
      load before it is served *)
   Runtime.Solve_cache.clear ();
   let corrupt0 = metric "serve.disk.corrupt" in
-  let o2 = Runtime.Solve_cache.solve_ilp (audit_model ()) in
+  let o2 = Runtime.Solve_cache.(solve_ilp (prepare (audit_model ()))) in
   Alcotest.(check bool)
     "answers identical across restart" true (Ilp.Solution.equal o1 o2);
   Alcotest.(check int)
@@ -898,7 +1028,7 @@ let test_cert_roundtrip_through_disk () =
 let test_tampered_cert_quarantined () =
   with_tmpdir @@ fun dir ->
   with_certified_store dir @@ fun d saved ->
-  let o1 = Runtime.Solve_cache.solve_ilp (audit_model ()) in
+  let o1 = Runtime.Solve_cache.(solve_ilp (prepare (audit_model ()))) in
   let key, entry = the_saved_entry saved in
   let outcome, cert =
     match Runtime.Solve_cache.entry_decode entry with
@@ -920,7 +1050,7 @@ let test_tampered_cert_quarantined () =
   Runtime.Solve_cache.clear ();
   let corrupt0 = metric "serve.disk.corrupt"
   and failed0 = metric "audit.failed" in
-  let o2 = Runtime.Solve_cache.solve_ilp (audit_model ()) in
+  let o2 = Runtime.Solve_cache.(solve_ilp (prepare (audit_model ()))) in
   Alcotest.(check bool)
     "tamper did not leak into the answer" true (Ilp.Solution.equal o1 o2);
   Alcotest.(check int)
@@ -939,7 +1069,7 @@ let test_tampered_cert_quarantined () =
 let test_certless_entry_upgraded () =
   with_tmpdir @@ fun dir ->
   with_certified_store dir @@ fun d saved ->
-  let o1 = Runtime.Solve_cache.solve_ilp (audit_model ()) in
+  let o1 = Runtime.Solve_cache.(solve_ilp (prepare (audit_model ()))) in
   let key, entry = the_saved_entry saved in
   (* downgrade the stored entry to the certificate-less v1 format, as a
      pre-audit producer would have written it *)
@@ -951,7 +1081,7 @@ let test_certless_entry_upgraded () =
   Serve.Disk_cache.store d ~ns:"solve" ~key v1;
   Runtime.Solve_cache.clear ();
   saved := [];
-  let o2 = Runtime.Solve_cache.solve_ilp (audit_model ()) in
+  let o2 = Runtime.Solve_cache.(solve_ilp (prepare (audit_model ()))) in
   Alcotest.(check bool)
     "upgrade preserves the answer" true (Ilp.Solution.equal o1 o2);
   (* recomputed through the certified path and re-persisted with a cert *)
@@ -1306,6 +1436,9 @@ let () =
           Alcotest.test_case "query digest pinned" `Quick test_query_digest_golden;
           Alcotest.test_case "run fingerprint pinned" `Quick
             test_run_fingerprint_golden;
+          Alcotest.test_case "wide run fingerprint pinned" `Quick
+            test_wide_run_fingerprint_golden;
+          QCheck_alcotest.to_alcotest prop_fingerprint_matches_oracle;
           Alcotest.test_case "solve key pinned" `Quick test_solve_key_golden;
           Alcotest.test_case "malformed keys rejected" `Quick
             test_key_of_string_rejects;
