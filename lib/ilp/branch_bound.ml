@@ -14,8 +14,6 @@ let m_warm = Obs.Metrics.counter "ilp.bb.warm_starts"
 let m_restarts = Obs.Metrics.counter "ilp.bb.engine_restarts"
 let m_max_depth = Obs.Metrics.gauge "ilp.bb.max_depth"
 
-let branching_value x = (Q.floor x, Q.ceil x)
-
 (* Depth-first branch & bound, most-fractional branching, down-branch
    first (for the contention ILPs the optimum sits near the upper bounds,
    so the tightened side finds incumbents quickly).
@@ -27,6 +25,11 @@ let branching_value x = (Q.floor x, Q.ceil x)
    scratch. The search runs on the machine-word fast tier first; an
    overflow deterministically restarts the whole search on the exact
    tier, so the result never depends on which tier finished.
+
+   Every node runs on its engine's scalar: node boxes, presolve, the
+   rounding heuristic, pruning and branching. {!Q} appears only when
+   the model, its declared bounds and [slack] are converted once per
+   search, and when the answer and certificate are handed back.
 
    [slack] relaxes the pruning test: a node is abandoned when its
    relaxation cannot beat the incumbent by more than [slack]. The returned
@@ -45,18 +48,20 @@ module type MODE = sig
   (** Payload extracted from an optimal node's LP certificate before
       branching decisions ([unit], or the dual multipliers). *)
 
-  val info_of : Cert.lp_cert -> info
+  val info_of : Cert.lp_cert Lazy.t -> info
   val presolve_leaf : node
-  val leaf_infeasible : Cert.lp_cert -> node
+  val leaf_infeasible : Cert.lp_cert Lazy.t -> node
   val leaf_bounded : info -> node
-  val branch_node : var:int -> pivot:Q.t -> down:node -> up:node -> node
+  val branch_node : var:int -> pivot:E.S.t -> down:node -> up:node -> node
   val presolve : bool
 end
 
-exception Unbounded_search of Cert.lp_cert
+exception Unbounded_search of Cert.lp_cert Lazy.t
 
 module Search (M : MODE) = struct
   module E = M.E
+  module S = E.S
+  module P = Presolve.Make (S)
 
   (* One unexplored node. [set] installs the node's contribution once
      its whole subtree is done; branch nodes install themselves when
@@ -64,92 +69,107 @@ module Search (M : MODE) = struct
   type frame = {
     depth : int;
     parent : E.state option;
-    lb : Q.t option array;
-    ub : Q.t option array;
+    lb : S.t option array;
+    ub : S.t option array;
     set : M.node -> unit;
   }
 
   let run ~node_limit ~slack model =
     let nv = Model.num_vars model in
-    let int_vars = Model.integer_vars model in
-    let dir, obj_expr = Model.objective model in
+    let rows = P.compile model in
+    let info v = Model.var_info model v in
+    let lb0 = Array.init nv (fun v -> Option.map S.of_q (info v).Model.lb) in
+    let ub0 = Array.init nv (fun v -> Option.map S.of_q (info v).Model.ub) in
+    let is_int = Array.init nv (fun v -> (info v).Model.integer) in
+    let slack = S.of_q slack in
+    let maximize, obj_expr =
+      match Model.objective model with
+      | Model.Maximize, e -> (true, e)
+      | Model.Minimize, e -> (false, e)
+    in
+    let obj_terms = Linexpr.terms obj_expr in
+    let obj_coeffs =
+      Array.of_list (List.map (fun (v, c) -> (v, S.of_q c)) obj_terms)
+    in
+    let obj_const = S.of_q (Linexpr.constant obj_expr) in
     (* When the objective takes integral values on every integer-feasible
        point, a node whose relaxation floors (resp. ceils) to the incumbent
        cannot contain a better solution — pruning on the rounded bound is
        exact and collapses fractional near-optimal plateaus. *)
     let objective_integral =
       Q.is_integer (Linexpr.constant obj_expr)
-      && List.for_all
-           (fun (v, c) -> Q.is_integer c && (Model.var_info model v).Model.integer)
-           (Linexpr.terms obj_expr)
+      && List.for_all (fun (v, c) -> Q.is_integer c && is_int.(v)) obj_terms
     in
     let effective_bound objective =
-      if objective_integral then
-        match dir with
-        | Model.Maximize -> Q.floor objective
-        | Model.Minimize -> Q.ceil objective
-      else objective
+      if not objective_integral then objective
+      else if maximize then S.floor objective
+      else S.ceil objective
     in
     let worth_exploring objective incumbent =
       (* Can this node still beat [incumbent] by more than [slack]? *)
-      match dir with
-      | Model.Maximize ->
-        Q.compare (effective_bound objective) (Q.add incumbent slack) > 0
-      | Model.Minimize ->
-        Q.compare (effective_bound objective) (Q.sub incumbent slack) < 0
+      if maximize then
+        S.compare (effective_bound objective) (S.add incumbent slack) > 0
+      else S.compare (effective_bound objective) (S.sub incumbent slack) < 0
     in
     let better a b =
-      match dir with
-      | Model.Maximize -> Q.compare a b > 0
-      | Model.Minimize -> Q.compare a b < 0
+      if maximize then S.compare a b > 0 else S.compare a b < 0
+    in
+    let best : (S.t * S.t array) option ref = ref None in
+    let bound () = Option.map fst !best in
+    let record objective values =
+      match bound () with
+      | Some b when not (better objective b) -> ()
+      | _ ->
+        Obs.Metrics.incr m_incumbents;
+        best := Some (objective, values)
     in
     (* Rounding heuristic: flooring a relaxation point keeps every
        non-negative <=-constraint satisfied, so it often yields a feasible
        integer incumbent for free; we verify feasibility exactly before
-       accepting it. *)
-    let best : (Q.t * Q.t array) option ref = ref None in
-    let bound () = Option.map fst !best in
-    let record objective values =
-      Obs.Metrics.incr m_incumbents;
-      best := Some (objective, values)
+       accepting it (the floored point is integral, so only the declared
+       bounds and the rows can fail). *)
+    let in_box x v =
+      (match lb0.(v) with Some l -> S.compare x l >= 0 | None -> true)
+      && match ub0.(v) with Some u -> S.compare x u <= 0 | None -> true
     in
     let try_floor values =
       let floored =
-        Array.mapi
-          (fun v x -> if List.mem v int_vars then Q.floor x else x)
-          values
+        Array.mapi (fun v x -> if is_int.(v) then S.floor x else x) values
       in
-      let lookup v = floored.(v) in
-      match Model.check_feasible model lookup with
-      | Error _ -> ()
-      | Ok _ -> (
-        let objective = Linexpr.eval obj_expr lookup in
-        match bound () with
-        | Some b when not (better objective b) -> ()
-        | _ -> record objective floored)
+      let rec boxed v = v = nv || (in_box floored.(v) v && boxed (v + 1)) in
+      if boxed 0 && P.satisfies rows floored then
+        record
+          (Array.fold_left
+             (fun acc (v, c) -> S.add acc (S.mul c floored.(v)))
+             obj_const obj_coeffs)
+          floored
     in
     (* Branch on the fractional variable closest to half-integral,
        preferring variables with a non-zero objective coefficient: ties in
        the relaxation otherwise make the search wander over fractional
        splits that cannot change the bound. *)
-    let in_objective v = not (Q.is_zero (Linexpr.coeff obj_expr v)) in
+    let int_vars = Model.integer_vars model in
+    let obj_int_vars = List.filter (fun v -> List.mem_assoc v obj_terms) int_vars in
+    let half = S.div S.one (S.add S.one S.one) in
     let most_fractional values =
       let pick vars =
         List.fold_left
           (fun acc v ->
-             let f = Q.frac values.(v) in
-             if Q.is_zero f then acc
+             let x = values.(v) in
+             let f = S.sub x (S.floor x) in
+             if S.is_zero f then acc
              else begin
-               let dist = Q.abs (Q.sub f (Q.of_ints 1 2)) in
+               let d = S.sub f half in
+               let dist = if S.sign d < 0 then S.neg d else d in
                match acc with
-               | Some (_, bdist) when Q.compare bdist dist <= 0 -> acc
+               | Some (_, bdist) when S.compare bdist dist <= 0 -> acc
                | _ -> Some (v, dist)
              end)
           None vars
       in
-      match pick (List.filter in_objective int_vars) with
-      | Some _ as r -> r
-      | None -> pick int_vars
+      match pick obj_int_vars with
+      | Some (v, _) -> Some v
+      | None -> Option.map fst (pick int_vars)
     in
     let nodes = ref 0 in
     (* Depth-first over one explicit stack: popping LIFO visits nodes in
@@ -168,7 +188,7 @@ module Search (M : MODE) = struct
         raise Node_limit_exceeded
       end;
       match
-        if M.presolve then Presolve.tighten model ~lb:frame.lb ~ub:frame.ub
+        if M.presolve then P.tighten rows ~lb:frame.lb ~ub:frame.ub
         else Presolve.Tightened (frame.lb, frame.ub)
       with
       | Presolve.Infeasible -> frame.set M.presolve_leaf
@@ -192,9 +212,8 @@ module Search (M : MODE) = struct
           raise (Unbounded_search cert)
         | Solution.Optimal { objective; values } ->
           let info = M.info_of cert in
-          (match most_fractional values with
-           | Some _ -> try_floor values
-           | None -> ());
+          let split = most_fractional values in
+          if Option.is_some split then try_floor values;
           let prune =
             match bound () with
             | Some b -> not (worth_exploring objective b)
@@ -205,24 +224,22 @@ module Search (M : MODE) = struct
             frame.set (M.leaf_bounded info)
           end
           else begin
-            match most_fractional values with
-            | None -> (
-              (match bound () with
-               | Some b when not (better objective b) -> ()
-               | _ -> record objective values);
-              frame.set (M.leaf_bounded info))
-            | Some (v, _) ->
-              let fl, cl = branching_value values.(v) in
+            match split with
+            | None ->
+              record objective values;
+              frame.set (M.leaf_bounded info)
+            | Some v ->
+              let fl = S.floor values.(v) and cl = S.ceil values.(v) in
               let ub' = Array.copy ub in
               ub'.(v) <-
                 (match ub.(v) with
-                 | Some u -> Some (Q.min u fl)
-                 | None -> Some fl);
+                 | Some u when S.compare u fl <= 0 -> Some u
+                 | _ -> Some fl);
               let lb' = Array.copy lb in
               lb'.(v) <-
                 (match lb.(v) with
-                 | Some l -> Some (Q.max l cl)
-                 | None -> Some cl);
+                 | Some l when S.compare l cl >= 0 -> Some l
+                 | _ -> Some cl);
               let dhole = ref None and uhole = ref None in
               let pending = ref 2 in
               let join hole t =
@@ -242,8 +259,6 @@ module Search (M : MODE) = struct
                   set = join dhole }
           end)
     in
-    let lb0 = Array.init nv (fun v -> (Model.var_info model v).Model.lb) in
-    let ub0 = Array.init nv (fun v -> (Model.var_info model v).Model.ub) in
     let root_node = ref None in
     push
       { depth = 0; parent = None; lb = lb0; ub = ub0;
@@ -265,7 +280,7 @@ module Search (M : MODE) = struct
            let solution =
              match !best with
              | Some (objective, values) ->
-               Solution.Optimal { objective; values }
+               Solution.map S.to_q (Solution.Optimal { objective; values })
              | None -> Solution.Infeasible
            in
            let node =
@@ -310,7 +325,8 @@ let search_certified engine ~node_limit ~slack model =
     type info = Q.t array (* optimal duals *)
 
     (* the engines pair every [Optimal] answer with an [Optimal_cert] *)
-    let info_of = function
+    let info_of c =
+      match Lazy.force c with
       | Cert.Optimal_cert { duals } -> duals
       | Cert.Farkas_box _ | Cert.Farkas_ray _ | Cert.Unbounded_cert _ ->
         assert false
@@ -318,13 +334,14 @@ let search_certified engine ~node_limit ~slack model =
     (* unreachable: the certified search never presolves *)
     let presolve_leaf = Cert.Leaf_bounded { duals = [||] }
 
-    let leaf_infeasible c = Cert.Leaf_infeasible c
+    let leaf_infeasible c = Cert.Leaf_infeasible (Lazy.force c)
 
     (* Sound against the final answer because incumbents only ever
        improve: the dual bound beats at most incumbent + slack, and
        incumbent <= answer. Covers pruned nodes and integral leaves. *)
     let leaf_bounded duals = Cert.Leaf_bounded { duals }
-    let branch_node ~var ~pivot ~down ~up = Cert.Branch { var; pivot; down; up }
+    let branch_node ~var ~pivot ~down ~up =
+      Cert.Branch { var; pivot = E.S.to_q pivot; down; up }
     let presolve = false
   end) in
   match S.run ~node_limit ~slack model with
@@ -333,7 +350,7 @@ let search_certified engine ~node_limit ~slack model =
   | `Unbounded c ->
     (* Warm re-solves never end [Unbounded] (branching only tightens
        bounds), so this can only fire at the root node. *)
-    (Solution.Unbounded, Cert.Ilp_unbounded c)
+    (Solution.Unbounded, Cert.Ilp_unbounded (Lazy.force c))
 
 (* Tier ladder: machine-word fast path, then exact rationals. An
    overflow reruns the entire search, so the answer is always the

@@ -18,8 +18,9 @@ val solve : ?node_limit:int -> ?slack:Q.t -> Model.t -> Solution.t
     ({!Simplex.ENGINE.reoptimize_certified}); it runs on the
     machine-word fast tier first and deterministically restarts on the
     exact tier on overflow, so the result never depends on which tier
-    finished. Every node runs {!Presolve.tighten} first: exact bound
-    propagation that skips simplex on detectably-infeasible boxes.
+    finished. Every node runs bound propagation ({!Presolve.Make}) first,
+    on the tier's own scalar: it skips simplex on detectably-infeasible
+    boxes.
 
     [slack] (default 0 — exact) relaxes pruning: nodes that cannot improve
     on the incumbent by more than [slack] are abandoned, so the returned
@@ -51,6 +52,3 @@ val solve_certified :
 val solve_lp_relaxation : Model.t -> Solution.t
 (** The continuous relaxation (same as {!Simplex.solve}); exposed for
     tightness comparisons. *)
-
-val branching_value : Q.t -> Q.t * Q.t
-(** [branching_value x] is [(floor x, ceil x)] — exposed for tests. *)

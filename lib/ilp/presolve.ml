@@ -1,12 +1,146 @@
 open Numeric
 
-type outcome = Tightened of Q.t option array * Q.t option array | Infeasible
+type 'a over = Tightened of 'a option array * 'a option array | Infeasible
+type outcome = Q.t over
 
 (* One tighten call per branch-and-bound node: totals are deterministic
    per solve and, through the single-flight cache, per process. *)
 let m_calls = Obs.Metrics.counter "ilp.presolve.calls"
 let m_tightened = Obs.Metrics.counter "ilp.presolve.bounds_tightened"
 let m_infeasible = Obs.Metrics.counter "ilp.presolve.infeasible"
+
+exception Empty_box
+
+module Make (S : Scalar.S) = struct
+  (* [Σ coeffs.(i) * x_(vars.(i)) <= rhs] with the expression's constant
+     folded into [rhs]; coefficients are non-zero and variables distinct
+     (the {!Linexpr} invariant). *)
+  type row = { vars : int array; coeffs : S.t array; rhs : S.t }
+  type rows = { rows : row array; integer : bool array }
+
+  (* A [>=] row is propagated as its negation and an [=] row as both
+     directions, [<=] first: the order {!tighten} sweeps them in. *)
+  let compile model =
+    let le expr rhs =
+      let terms = Array.of_list (Linexpr.terms expr) in
+      {
+        vars = Array.map fst terms;
+        coeffs = Array.map (fun (_, c) -> S.of_q c) terms;
+        rhs = S.of_q (Q.sub rhs (Linexpr.constant expr));
+      }
+    in
+    let ge expr rhs = le (Linexpr.neg expr) (Q.neg rhs) in
+    let rows =
+      List.concat_map
+        (fun { Model.expr; csense; rhs; _ } ->
+           match csense with
+           | Model.Le -> [ le expr rhs ]
+           | Model.Ge -> [ ge expr rhs ]
+           | Model.Eq -> [ le expr rhs; ge expr rhs ])
+        (Model.constraints model)
+    in
+    {
+      rows = Array.of_list rows;
+      integer =
+        Array.init (Model.num_vars model) (fun v ->
+            (Model.var_info model v).Model.integer);
+    }
+
+  let satisfies t x =
+    Array.for_all
+      (fun r ->
+         let s = ref S.zero in
+         Array.iteri (fun i v -> s := S.add !s (S.mul r.coeffs.(i) x.(v))) r.vars;
+         S.compare !s r.rhs <= 0)
+      t.rows
+
+  let tighten ?(rounds = 3) t ~lb ~ub =
+    let nv = Array.length t.integer in
+    if Array.length lb <> nv || Array.length ub <> nv then
+      invalid_arg "Presolve.tighten: bound array length mismatch";
+    Obs.Metrics.incr m_calls;
+    Obs.Tracer.with_span "ilp.presolve" (fun () ->
+    let lb = Array.copy lb and ub = Array.copy ub in
+    let raise_lb v x =
+      let x = if t.integer.(v) then S.ceil x else x in
+      match lb.(v) with
+      | Some l when S.compare l x >= 0 -> false
+      | _ ->
+        lb.(v) <- Some x;
+        (match ub.(v) with
+         | Some u when S.compare x u > 0 -> raise Empty_box
+         | _ -> ());
+        Obs.Metrics.incr m_tightened;
+        true
+    in
+    let lower_ub v x =
+      let x = if t.integer.(v) then S.floor x else x in
+      match ub.(v) with
+      | Some u when S.compare u x <= 0 -> false
+      | _ ->
+        ub.(v) <- Some x;
+        (match lb.(v) with
+         | Some l when S.compare l x > 0 -> raise Empty_box
+         | _ -> ());
+        Obs.Metrics.incr m_tightened;
+        true
+    in
+    (* The bound a term's minimum activity reads: the lower one for a
+       positive coefficient, the upper one for a negative. *)
+    let min_side c v = if S.sign c > 0 then lb.(v) else ub.(v) in
+    (* [c * x_v + rest <= rhs] bounds [x_v] from above ([c > 0]) or
+       below ([c < 0]). *)
+    let bound_term r c v rest =
+      let bound = S.div (S.sub r.rhs rest) c in
+      if S.sign c > 0 then lower_ub v bound else raise_lb v bound
+    in
+    (* Interval propagation of one row. The minimum activity of the rest
+       of the row is [total - term], or the finite part alone when this
+       term is the row's only infinite one. Tightening a term moves only
+       the bound its own minimum does not read (a positive coefficient
+       lowers [ub], a negative one raises [lb]), so [total] stays exact
+       for the whole sweep: O(k) work for k terms. *)
+    let propagate_le r =
+      let n = Array.length r.vars in
+      let fin = ref S.zero and ninf = ref 0 in
+      for i = 0 to n - 1 do
+        let c = r.coeffs.(i) in
+        match min_side c r.vars.(i) with
+        | Some b -> fin := S.add !fin (S.mul c b)
+        | None -> incr ninf
+      done;
+      if !ninf = 0 && S.compare !fin r.rhs > 0 then raise Empty_box;
+      let changed = ref false in
+      if !ninf <= 1 then
+        for i = 0 to n - 1 do
+          let c = r.coeffs.(i) and v = r.vars.(i) in
+          match min_side c v with
+          | Some b ->
+            if !ninf = 0 && bound_term r c v (S.sub !fin (S.mul c b)) then
+              changed := true
+          | None -> if bound_term r c v !fin then changed := true
+        done;
+      !changed
+    in
+    match
+      let round = ref 0 in
+      let changed = ref true in
+      while !changed && !round < rounds do
+        changed := false;
+        Array.iter (fun r -> if propagate_le r then changed := true) t.rows;
+        incr round
+      done
+    with
+    | () -> Tightened (lb, ub)
+    | exception Empty_box ->
+      Obs.Metrics.incr m_infeasible;
+      Infeasible)
+end
+
+module Exact = Make (Scalar.Exact)
+
+let tighten ?rounds model ~lb ~ub =
+  Exact.tighten ?rounds (Exact.compile model) ~lb ~ub
 
 (* Minimum/maximum activity of [coeff * x] over the box [lb, ub]:
    None encodes the corresponding infinity. *)
@@ -30,99 +164,3 @@ let activity ~lb ~ub expr =
     List.fold_left
       (fun acc (v, c) -> add_opt acc (term_max c lb.(v) ub.(v)))
       (Some const) terms )
-
-exception Empty_box
-
-let tighten ?(rounds = 3) model ~lb ~ub =
-  let nv = Model.num_vars model in
-  if Array.length lb <> nv || Array.length ub <> nv then
-    invalid_arg "Presolve.tighten: bound array length mismatch";
-  Obs.Metrics.incr m_calls;
-  Obs.Tracer.with_span "ilp.presolve" (fun () ->
-  let lb = Array.copy lb and ub = Array.copy ub in
-  let integer = Array.init nv (fun v -> (Model.var_info model v).Model.integer) in
-  let raise_lb v x =
-    let x = if integer.(v) then Q.ceil x else x in
-    match lb.(v) with
-    | Some l when Q.compare l x >= 0 -> false
-    | _ ->
-      lb.(v) <- Some x;
-      (match ub.(v) with
-       | Some u when Q.compare x u > 0 -> raise Empty_box
-       | _ -> ());
-      Obs.Metrics.incr m_tightened;
-      true
-  in
-  let lower_ub v x =
-    let x = if integer.(v) then Q.floor x else x in
-    match ub.(v) with
-    | Some u when Q.compare u x <= 0 -> false
-    | _ ->
-      ub.(v) <- Some x;
-      (match lb.(v) with
-       | Some l when Q.compare l x > 0 -> raise Empty_box
-       | _ -> ());
-      Obs.Metrics.incr m_tightened;
-      true
-  in
-  (* Propagates [expr <= rhs]; equality is handled by also propagating the
-     negated row. *)
-  let propagate_le expr rhs =
-    let terms = Linexpr.terms expr in
-    let const = Linexpr.constant expr in
-    (* total minimum activity, and whether it is finite *)
-    let min_total =
-      List.fold_left
-        (fun acc (v, c) -> add_opt acc (term_min c lb.(v) ub.(v)))
-        (Some const) terms
-    in
-    (match min_total with
-     | Some m when Q.compare m rhs > 0 -> raise Empty_box
-     | _ -> ());
-    let changed = ref false in
-    List.iter
-      (fun (v, c) ->
-         if not (Q.is_zero c) then begin
-           (* minimum activity of the row without this term *)
-           let rest =
-             List.fold_left
-               (fun acc (v', c') ->
-                  if v' = v then acc else add_opt acc (term_min c' lb.(v') ub.(v')))
-               (Some const) terms
-           in
-           match rest with
-           | None -> ()
-           | Some rest ->
-             let slack = Q.sub rhs rest in
-             let bound = Q.div slack c in
-             if Q.sign c > 0 then begin
-               if lower_ub v bound then changed := true
-             end
-             else if raise_lb v bound then changed := true
-         end)
-      terms;
-    !changed
-  in
-  let propagate_constraint (c : Model.constr) =
-    let expr = c.Model.expr and rhs = c.Model.rhs in
-    match c.Model.csense with
-    | Model.Le -> propagate_le expr rhs
-    | Model.Ge -> propagate_le (Linexpr.neg expr) (Q.neg rhs)
-    | Model.Eq ->
-      let a = propagate_le expr rhs in
-      let b = propagate_le (Linexpr.neg expr) (Q.neg rhs) in
-      a || b
-  in
-  let constraints = Model.constraints model in
-  match
-    let round = ref 0 in
-    let changed = ref true in
-    while !changed && !round < rounds do
-      changed := List.fold_left (fun acc c -> propagate_constraint c || acc) false constraints;
-      incr round
-    done
-  with
-  | () -> Tightened (lb, ub)
-  | exception Empty_box ->
-    Obs.Metrics.incr m_infeasible;
-    Infeasible)

@@ -8,14 +8,39 @@
 
     Soundness: propagation never cuts any point that satisfies all
     constraints and the input bounds, so the feasible set — in particular
-    every integer-feasible point — is preserved exactly. *)
+    every integer-feasible point — is preserved exactly.
+
+    The propagation is written once over the solver's scalar
+    ({!Numeric.Scalar.S}): {!Branch_bound} runs it on its tier's
+    machine-word or bignum rationals, on rows compiled once per search,
+    and {!tighten} is its exact instance. *)
 
 open Numeric
 
-type outcome =
-  | Tightened of Q.t option array * Q.t option array
+type 'a over =
+  | Tightened of 'a option array * 'a option array
       (** possibly-narrowed lower/upper bounds, same length as the input *)
   | Infeasible
+
+type outcome = Q.t over
+
+module Make (S : Scalar.S) : sig
+  type rows
+  (** A model's constraints as [<=] rows over [S] ([>=] rows negated,
+      [=] rows in both directions) plus its integrality flags. *)
+
+  val compile : Model.t -> rows
+  (** May raise [Numeric.Fastq.Overflow] on the fast scalar. *)
+
+  val tighten :
+    ?rounds:int -> rows -> lb:S.t option array -> ub:S.t option array ->
+    S.t over
+  (** As the top-level {!val-tighten}, over [S]. The input arrays are
+      not modified. *)
+
+  val satisfies : rows -> S.t array -> bool
+  (** Whether a point satisfies every constraint (bounds not checked). *)
+end
 
 val tighten :
   ?rounds:int ->

@@ -46,47 +46,17 @@ exception Stalled
    looping. *)
 
 (* ------------------------------------------------------------------ *)
-(* Scalar abstraction: exact rationals and the machine-word fast path  *)
-(* ------------------------------------------------------------------ *)
-
-module type SCALAR = sig
-  type t
-
-  val zero : t
-  val one : t
-  val of_q : Q.t -> t (* may raise Fastq.Overflow *)
-  val to_q : t -> Q.t
-  val neg : t -> t
-  val add : t -> t -> t
-  val sub : t -> t -> t
-  val mul : t -> t -> t
-  val div : t -> t -> t
-  val sign : t -> int
-  val is_zero : t -> bool
-  val compare : t -> t -> int
-end
-
-module Scalar_q : SCALAR with type t = Q.t = struct
-  include Q
-
-  let of_q q = q
-  let to_q q = q
-end
-
-module Scalar_fast : SCALAR with type t = Fastq.t = struct
-  include Fastq
-end
-
-(* ------------------------------------------------------------------ *)
 (* The bounded-variable engine                                         *)
 (* ------------------------------------------------------------------ *)
 
 module type ENGINE = sig
+  module S : Scalar.S
+
   type state
 
   val root_certified :
-    Model.t -> lb:Q.t option array -> ub:Q.t option array ->
-    state option * Solution.t * Cert.lp_cert
+    Model.t -> lb:S.t option array -> ub:S.t option array ->
+    state option * S.t Solution.over * Cert.lp_cert Lazy.t
   (** Cold solve, plus the answer's certificate. A state is returned
       exactly when the solution is [Optimal]; it sits at the optimal
       basis and can seed {!branch}/{!reoptimize_certified}. *)
@@ -96,8 +66,8 @@ module type ENGINE = sig
       parent's factorized tableau survives its first child's pivots. *)
 
   val reoptimize_certified :
-    state -> lb:Q.t option array -> ub:Q.t option array ->
-    Solution.t * Cert.lp_cert
+    state -> lb:S.t option array -> ub:S.t option array ->
+    S.t Solution.over * Cert.lp_cert Lazy.t
   (** Dual-simplex re-solve after tightening bounds (in place), plus the
       answer's certificate. The new box must be contained in the one the
       state was last solved with; this is exactly the branch & bound
@@ -107,9 +77,13 @@ end
 
 type vstatus = Basic | At_lower | At_upper | Free_zero
 
-module Engine (S : SCALAR) : ENGINE = struct
+module Engine (S : Scalar.S) : ENGINE with module S = S = struct
+  module S = S
+
   type state = {
-    model : Model.t;
+    objective : (int * S.t) array; (* the model's, in its own direction *)
+    obj_const : S.t;
+    maximize : bool;
     n_struct : int;
     m : int;
     n_total : int;
@@ -417,13 +391,15 @@ module Engine (S : SCALAR) : ENGINE = struct
 
   let values_of st =
     Array.init st.n_struct (fun v ->
-        if st.pos.(v) >= 0 then S.to_q st.beta.(st.pos.(v))
-        else S.to_q st.xval.(v))
+        if st.pos.(v) >= 0 then st.beta.(st.pos.(v)) else st.xval.(v))
 
   let extract st =
     let values = values_of st in
-    let _, obj = Model.objective st.model in
-    let objective = Linexpr.eval obj (fun v -> values.(v)) in
+    let objective =
+      Array.fold_left
+        (fun acc (v, c) -> S.add acc (S.mul c values.(v)))
+        st.obj_const st.objective
+    in
     Solution.Optimal { objective; values }
 
   (* Dual certificate at an optimal basis. The engine always minimises
@@ -459,7 +435,7 @@ module Engine (S : SCALAR) : ENGINE = struct
     let bad = ref (-1) in
     for v = nv - 1 downto 0 do
       match (lb.(v), ub.(v)) with
-      | Some l, Some u when Q.compare l u > 0 -> bad := v
+      | Some l, Some u when S.compare l u > 0 -> bad := v
       | _ -> ()
     done;
     if !bad < 0 then None else Some !bad
@@ -469,10 +445,8 @@ module Engine (S : SCALAR) : ENGINE = struct
      preserved where still meaningful, which is what keeps the basis
      dual feasible across branch & bound's bound tightenings. *)
   let set_bounds st ~lb ~ub =
-    for v = 0 to st.n_struct - 1 do
-      st.lb.(v) <- Option.map S.of_q lb.(v);
-      st.ub.(v) <- Option.map S.of_q ub.(v)
-    done;
+    Array.blit lb 0 st.lb 0 st.n_struct;
+    Array.blit ub 0 st.ub 0 st.n_struct;
     for j = 0 to st.n_total - 1 do
       if st.pos.(j) < 0 then begin
         match st.status.(j) with
@@ -509,7 +483,7 @@ module Engine (S : SCALAR) : ENGINE = struct
 
   (* --- cold build --------------------------------------------------- *)
 
-  let build model ~lb:lbq ~ub:ubq =
+  let build model ~lb:lbv ~ub:ubv =
     let nv = Model.num_vars model in
     let constrs = Array.of_list (Model.constraints model) in
     let m = Array.length constrs in
@@ -517,10 +491,8 @@ module Engine (S : SCALAR) : ENGINE = struct
     let tab = Array.init m (fun _ -> Array.make n_total S.zero) in
     let rho = Array.make m S.zero in
     let lb = Array.make n_total None and ub = Array.make n_total None in
-    for v = 0 to nv - 1 do
-      lb.(v) <- Option.map S.of_q lbq.(v);
-      ub.(v) <- Option.map S.of_q ubq.(v)
-    done;
+    Array.blit lbv 0 lb 0 nv;
+    Array.blit ubv 0 ub 0 nv;
     Array.iteri
       (fun i (c : Model.constr) ->
          List.iter
@@ -555,9 +527,14 @@ module Engine (S : SCALAR) : ENGINE = struct
         | None, None -> status.(j) <- Free_zero
     done;
     let beta = Array.make m S.zero in
+    let dir, obj = Model.objective model in
     let st =
       {
-        model;
+        objective =
+          Array.of_list
+            (List.map (fun (v, c) -> (v, S.of_q c)) (Linexpr.terms obj));
+        obj_const = S.of_q (Linexpr.constant obj);
+        maximize = (match dir with Model.Maximize -> true | Model.Minimize -> false);
         n_struct = nv;
         m;
         n_total;
@@ -593,14 +570,10 @@ module Engine (S : SCALAR) : ENGINE = struct
      basis; the basis columns of [tab] are unit columns, so one sweep of
      row subtractions zeroes every basic entry. *)
   let install_cost st =
-    let dir, obj = Model.objective st.model in
     Array.fill st.cost 0 st.n_total S.zero;
-    let negate = match dir with Model.Minimize -> false | Model.Maximize -> true in
-    List.iter
-      (fun (v, c) ->
-         let c = S.of_q c in
-         st.cost.(v) <- (if negate then S.neg c else c))
-      (Linexpr.terms obj);
+    Array.iter
+      (fun (v, c) -> st.cost.(v) <- (if st.maximize then S.neg c else c))
+      st.objective;
     for i = 0 to st.m - 1 do
       let f = st.cost.(st.basis.(i)) in
       if not (S.is_zero f) then begin
@@ -618,7 +591,7 @@ module Engine (S : SCALAR) : ENGINE = struct
        || Array.length ub <> Model.num_vars model
     then invalid_arg "Simplex: bound array length mismatch";
     match empty_var ~lb ~ub with
-    | Some v -> (None, Solution.Infeasible, Cert.Farkas_box v)
+    | Some v -> (None, Solution.Infeasible, Lazy.from_val (Cert.Farkas_box v))
     | None ->
       let st = build model ~lb ~ub in
       st.budget <- budget_for st;
@@ -626,34 +599,38 @@ module Engine (S : SCALAR) : ENGINE = struct
          dual feasible — dual pivots repair primal feasibility *)
       (match dual_loop st with
        | `Infeasible r ->
-         (None, Solution.Infeasible, Cert.Farkas_ray (farkas_of st r))
+         (None, Solution.Infeasible, lazy (Cert.Farkas_ray (farkas_of st r)))
        | `Feasible -> (
            install_cost st;
            match primal_loop st with
            | `Unbounded (c, up) ->
              ( None,
                Solution.Unbounded,
-               Cert.Unbounded_cert
-                 { point = values_of st; ray = ray_of st c up } )
+               lazy
+                 (Cert.Unbounded_cert
+                    { point = Array.map S.to_q (values_of st);
+                      ray = ray_of st c up }) )
            | `Optimal ->
-             (Some st, extract st, Cert.Optimal_cert { duals = duals_of st })))
+             ( Some st,
+               extract st,
+               lazy (Cert.Optimal_cert { duals = duals_of st }) )))
 
   let reoptimize_certified st ~lb ~ub =
     Obs.Metrics.incr m_solves;
     match empty_var ~lb ~ub with
-    | Some v -> (Solution.Infeasible, Cert.Farkas_box v)
+    | Some v -> (Solution.Infeasible, Lazy.from_val (Cert.Farkas_box v))
     | None ->
       st.budget <- budget_for st;
       set_bounds st ~lb ~ub;
       (match dual_loop st with
        | `Infeasible r ->
-         (Solution.Infeasible, Cert.Farkas_ray (farkas_of st r))
+         (Solution.Infeasible, lazy (Cert.Farkas_ray (farkas_of st r)))
        | `Feasible ->
-         (extract st, Cert.Optimal_cert { duals = duals_of st }))
+         (extract st, lazy (Cert.Optimal_cert { duals = duals_of st })))
 end
 
-module Fast_engine = Engine (Scalar_fast)
-module Exact_engine = Engine (Scalar_q)
+module Fast_engine = Engine (Scalar.Fast)
+module Exact_engine = Engine (Scalar.Exact)
 
 let fast : (module ENGINE) = (module Fast_engine)
 let exact : (module ENGINE) = (module Exact_engine)
@@ -662,17 +639,23 @@ let exact : (module ENGINE) = (module Exact_engine)
 (* Tiered public entry points                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* One cold solve on a tier, answer and certificate converted to
+   {!Q}. *)
+let root_on (module E : ENGINE) model ~lb ~ub =
+  let box = Array.map (Option.map E.S.of_q) in
+  let _, sol, cert = E.root_certified model ~lb:(box lb) ~ub:(box ub) in
+  (Solution.map E.S.to_q sol, Lazy.force cert)
+
 let solve_with_bounds_certified model ~lb ~ub =
   Obs.Tracer.with_span "ilp.simplex" (fun () ->
       let r, cert =
-        match Fast_engine.root_certified model ~lb ~ub with
-        | _, sol, cert ->
+        match root_on fast model ~lb ~ub with
+        | answer ->
           Obs.Metrics.incr m_fast_solves;
-          (sol, cert)
+          answer
         | exception Fastq.Overflow ->
           Obs.Metrics.incr m_fast_fallbacks;
-          let _, sol, cert = Exact_engine.root_certified model ~lb ~ub in
-          (sol, cert)
+          root_on exact model ~lb ~ub
       in
       (match r with
        | Solution.Infeasible -> Obs.Metrics.incr m_infeasible

@@ -27,13 +27,18 @@ exception Stalled
     it: both tiers take the same pivots, so a stall on one would be a
     stall on the other. *)
 
-(** A solver tier exposing warm starts. *)
+(** A solver tier exposing warm starts. Node boxes go in and answers
+    come out in the tier's own scalar [S]; the certificate of an answer
+    is built (in {!Q}) only when it is forced, which must happen before
+    the state is re-solved. *)
 module type ENGINE = sig
+  module S : Numeric.Scalar.S
+
   type state
 
   val root_certified :
-    Model.t -> lb:Q.t option array -> ub:Q.t option array ->
-    state option * Solution.t * Cert.lp_cert
+    Model.t -> lb:S.t option array -> ub:S.t option array ->
+    state option * S.t Solution.over * Cert.lp_cert Lazy.t
   (** Cold solve under the given box (arrays of length
       [Model.num_vars]; they override the model's declared bounds), plus
       the certificate for the answer (see {!Cert.lp_cert}). A state is
@@ -47,8 +52,8 @@ module type ENGINE = sig
       every sibling. *)
 
   val reoptimize_certified :
-    state -> lb:Q.t option array -> ub:Q.t option array ->
-    Solution.t * Cert.lp_cert
+    state -> lb:S.t option array -> ub:S.t option array ->
+    S.t Solution.over * Cert.lp_cert Lazy.t
   (** Dual-simplex re-solve (in place) after tightening bounds, plus the
       certificate. The new box must be contained in the box the state
       was last solved under — exactly what branching and presolve

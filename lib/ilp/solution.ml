@@ -1,9 +1,17 @@
 open Numeric
 
-type t =
-  | Optimal of { objective : Q.t; values : Q.t array }
+type 'a over =
+  | Optimal of { objective : 'a; values : 'a array }
   | Infeasible
   | Unbounded
+
+type t = Q.t over
+
+let map f = function
+  | Optimal { objective; values } ->
+    Optimal { objective = f objective; values = Array.map f values }
+  | Infeasible -> Infeasible
+  | Unbounded -> Unbounded
 
 exception Not_optimal of t
 

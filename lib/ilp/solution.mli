@@ -2,11 +2,18 @@
 
 open Numeric
 
-type t =
-  | Optimal of { objective : Q.t; values : Q.t array }
+type 'a over =
+  | Optimal of { objective : 'a; values : 'a array }
       (** [values.(v)] is the assignment of model variable [v]. *)
   | Infeasible
   | Unbounded
+(** A result over any scalar: the solver's tiers work on their own
+    machine-word or bignum rationals and convert with {!map} once, when
+    they hand the answer back. *)
+
+type t = Q.t over
+
+val map : ('a -> 'b) -> 'a over -> 'b over
 
 exception Not_optimal of t
 (** Raised by the [_exn] accessors on a non-[Optimal] solution, carrying

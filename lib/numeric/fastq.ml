@@ -73,6 +73,9 @@ let inv x =
    path. *)
 let mul x y =
   if x.n = 0 || y.n = 0 then zero
+  else if x.d = 1 && y.d = 1 then { n = mul_exn x.n y.n; d = 1 }
+    (* integral operands, most of a contention ILP's bounds and
+       coefficients, need no gcd *)
   else begin
     let g1 = gcd_int x.n y.d and g2 = gcd_int y.n x.d in
     let n = mul_exn (x.n / g1) (y.n / g2) in
@@ -88,6 +91,11 @@ let div x y =
 let add x y =
   if x.n = 0 then y
   else if y.n = 0 then x
+  else if x.d = 1 && y.d = 1 then begin
+    let n = add_exn x.n y.n in
+    if n = min_int then raise Overflow;
+    { n; d = 1 }
+  end
   else begin
     let g = gcd_int x.d y.d in
     let dx = x.d / g and dy = y.d / g in
@@ -98,6 +106,18 @@ let add x y =
   end
 
 let sub x y = add x (neg y)
+
+(* Integer division rounds toward zero, and a canonical [d > 1] always
+   leaves a remainder: step one down (floor) or up (ceil) from the
+   quotient. Its magnitude is at most half the numerator's, so neither
+   can overflow. *)
+let floor x =
+  if x.d = 1 then x
+  else { n = (if x.n < 0 then (x.n / x.d) - 1 else x.n / x.d); d = 1 }
+
+let ceil x =
+  if x.d = 1 then x
+  else { n = (if x.n > 0 then (x.n / x.d) + 1 else x.n / x.d); d = 1 }
 
 let of_q (q : Q.t) =
   match (Bigint.to_int_opt (Q.num q), Bigint.to_int_opt (Q.den q)) with

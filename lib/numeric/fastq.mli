@@ -55,5 +55,11 @@ val mul : t -> t -> t
 val div : t -> t -> t
 (** @raise Division_by_zero when the divisor is zero. *)
 
+val floor : t -> t
+(** Largest integer [<=] the argument, as {!Q.floor}; never overflows. *)
+
+val ceil : t -> t
+(** Smallest integer [>=] the argument, as {!Q.ceil}; never overflows. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

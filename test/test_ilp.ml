@@ -446,20 +446,103 @@ let solver_models () =
               (Array.map (fun v -> (Numeric.Q.of_ints (1 + rand 17) 2, v)) vars)));
       m)
 
-(* Pins the warm-started search's work on trees that branch past the
-   root: any change to branching order, warm starts or pivot rules
-   moves these counts. *)
-let test_solver_models_work () =
-  let expected =
-    [ ("ilp.bb.nodes", 284); ("ilp.simplex.pivots", 496);
-      ("ilp.simplex.dual_pivots", 403); ("ilp.bb.warm_starts", 264) ]
-  in
+(* [f ()]'s increments of the named counters must equal [expected]. *)
+let check_work expected f =
   let value name = Obs.Metrics.value (Obs.Metrics.counter name) in
   let before = List.map (fun (name, _) -> value name) expected in
-  List.iter (fun m -> ignore (Ilp.Branch_bound.solve m)) (solver_models ());
+  f ();
   List.iter2
     (fun (name, count) v0 -> Alcotest.(check int) name count (value name - v0))
     expected before
+
+(* Pins the warm-started search's work on trees that branch past the
+   root: any change to branching order, warm starts, presolve, the
+   rounding heuristic or pivot rules moves these counts. *)
+let test_solver_models_work () =
+  check_work
+    [ ("ilp.bb.nodes", 284); ("ilp.simplex.pivots", 496);
+      ("ilp.simplex.dual_pivots", 403); ("ilp.bb.warm_starts", 264);
+      ("ilp.presolve.calls", 284); ("ilp.presolve.bounds_tightened", 354);
+      ("ilp.presolve.infeasible", 8); ("ilp.bb.incumbents", 36);
+      ("ilp.bb.pruned", 125); ("ilp.bb.engine_restarts", 0) ]
+    (fun () ->
+       List.iter (fun m -> ignore (Ilp.Branch_bound.solve m)) (solver_models ()))
+
+(* Contention-shaped family: exact ([mip_slack = 0]) ILP-PTAC on three
+   fixed Scenario 2 counter pairs (measured by the simulator on the
+   benchmark's exact-bounds programs). Each search runs to the 2,000-node
+   limit, so the bound falls back to the LP relaxation; the counts cover
+   the searches and the relaxation solves. *)
+let test_contention_models_work () =
+  let counters ccnt pmem_stall dmem_stall pcache_miss dcache_miss_clean =
+    { Platform.Counters.ccnt; pmem_stall; dmem_stall; pcache_miss;
+      dcache_miss_clean; dcache_miss_dirty = 0 }
+  in
+  let pairs =
+    [
+      ( counters 500371 168960 15020 16896 119,
+        counters 712088 138096 17251 13824 121, 246289 );
+      ( counters 545680 184176 16355 18432 125,
+        counters 141967 48560 14976 4864 143, 99620 );
+      ( counters 590838 199472 17475 19968 115,
+        counters 167639 4476 21526 448 157, 38491 );
+    ]
+  in
+  let options =
+    { Contention.Ilp_ptac.default_options with Contention.Ilp_ptac.mip_slack = 0 }
+  in
+  Runtime.Solve_cache.clear ();
+  check_work
+    [ ("ilp.bb.nodes", 6003); ("ilp.simplex.pivots", 3941);
+      ("ilp.bb.node_limit_hits", 3); ("ilp.presolve.calls", 6000);
+      ("ilp.presolve.bounds_tightened", 17825); ("ilp.presolve.infeasible", 0);
+      ("ilp.bb.incumbents", 4); ("ilp.bb.pruned", 2995);
+      ("ilp.bb.engine_restarts", 0) ]
+    (fun () ->
+       List.iter
+         (fun (a, b, delta) ->
+            let r =
+              Contention.Ilp_ptac.contention_bound_exn ~options
+                ~latency:Tcsim.Machine.default_config.Tcsim.Machine.latency
+                ~scenario:Platform.Scenario.scenario2 ~a ~b ()
+            in
+            Alcotest.(check int) "delta" delta r.Contention.Ilp_ptac.delta;
+            Alcotest.(check bool) "node limit: LP bound" false
+              r.Contention.Ilp_ptac.exact)
+         pairs)
+
+(* The rounding heuristic floors x = 1/2 to 0, which satisfies every
+   row (there are none) but not the declared bound x >= 1/2: it must not
+   become the incumbent. *)
+let test_floor_respects_declared_bounds () =
+  let m = Ilp.Model.create () in
+  let x = Ilp.Model.add_var m ~integer:true ~lb:(Q.of_ints 1 2) ~ub:(q 10) "x" in
+  Ilp.Model.set_objective m Ilp.Model.Minimize (Ilp.Linexpr.var x);
+  let objective s = Q.to_string (Ilp.Solution.objective_exn s) in
+  Alcotest.(check string) "solve" "1" (objective (Ilp.Branch_bound.solve m));
+  Alcotest.(check string) "solve_certified" "1"
+    (objective (fst (Ilp.Branch_bound.solve_certified m)))
+
+(* Tier ladder: a term's minimum activity of -2^40 * 2^40 leaves the
+   machine-word range in the root's presolve, so the whole search
+   restarts once on the exact tier and returns its answer. *)
+let test_presolve_overflow_restarts () =
+  let m = Ilp.Model.create () in
+  let big = Q.of_int (1 lsl 40) in
+  let x = Ilp.Model.add_var m ~integer:true "x" in
+  let y = Ilp.Model.add_var m ~integer:true ~ub:big "y" in
+  le [ (Q.one, x); (Q.neg big, y) ] Q.zero m;
+  le [ (Q.one, x); (Q.one, y) ] (Q.of_ints 21 2) m;
+  Ilp.Model.set_objective m Ilp.Model.Maximize
+    (Ilp.Linexpr.of_terms [ (q 2, x); (Q.one, y) ]);
+  check_work [ ("ilp.bb.engine_restarts", 1) ] (fun () ->
+      match Ilp.Branch_bound.solve m with
+      | Ilp.Solution.Optimal { objective; values } ->
+        (* x = 9, y = 1: x <= 2^40 y forces y >= 1 whenever x > 0 *)
+        Alcotest.(check string) "objective" "19" (Q.to_string objective);
+        Alcotest.(check string) "x" "9" (Q.to_string values.(x));
+        Alcotest.(check string) "y" "1" (Q.to_string values.(y))
+      | s -> Alcotest.failf "expected optimal, got %a" Ilp.Solution.pp s)
 
 (* --- presolve ----------------------------------------------------------------- *)
 
@@ -551,6 +634,99 @@ let prop_presolve_preserves_solutions =
           in
           go 0;
           !ok)
+
+(* Presolve oracle: random boxes (free variables, fractional bounds)
+   over rows with negative and fractional coefficients and every sense,
+   so rows with no, one and several infinite terms all occur. *)
+let gen_presolve_case =
+  let open QCheck.Gen in
+  let rat = map2 Q.of_ints (int_range (-12) 12) (int_range 1 3) in
+  let bound = frequency [ (1, return None); (3, map Option.some rat) ] in
+  let* nvars = int_range 1 5 in
+  let* integer = array_repeat nvars bool in
+  let* lb = array_repeat nvars bound in
+  let* width = array_repeat nvars (int_range 0 10) in
+  let* ub_free = array_repeat nvars (frequency [ (1, return true); (3, return false) ]) in
+  let* ub_alone = array_repeat nvars rat in
+  let ub =
+    Array.init nvars (fun v ->
+        if ub_free.(v) then None
+        else
+          match lb.(v) with
+          | Some l -> Some (Q.add l (q width.(v)))
+          | None -> Some ub_alone.(v))
+  in
+  let* nrows = int_range 1 5 in
+  let* rows =
+    list_repeat nrows
+      (triple
+         (array_repeat nvars (frequency [ (1, return Q.zero); (4, rat) ]))
+         (oneofl [ Ilp.Model.Le; Ilp.Model.Ge; Ilp.Model.Eq ])
+         (int_range (-20) 30))
+  in
+  let m = Ilp.Model.create () in
+  Array.iteri
+    (fun v integer ->
+       ignore (Ilp.Model.add_free_var m ~integer (Printf.sprintf "x%d" v)))
+    integer;
+  List.iter
+    (fun (coeffs, sense, rhs) ->
+       let terms = Array.to_list (Array.mapi (fun v c -> (c, v)) coeffs) in
+       Ilp.Model.add_constraint m (Ilp.Linexpr.of_terms terms) sense (q rhs))
+    rows;
+  return (m, lb, ub)
+
+let print_presolve_case (m, lb, ub) =
+  let bound = function None -> "inf" | Some x -> Q.to_string x in
+  Format.asprintf "%a@.box: %s" Ilp.Model.pp m
+    (String.concat ", "
+       (Array.to_list
+          (Array.mapi
+             (fun v l -> Printf.sprintf "x%d in [%s, %s]" v (bound l) (bound ub.(v)))
+             lb)))
+
+let same_box (lb, ub) (lb', ub') =
+  let same a b =
+    Array.length a = Array.length b
+    && Array.for_all2 (Option.equal Q.equal) a b
+  in
+  same lb lb' && same ub ub'
+
+(* The presolve over either scalar makes exactly the oracle's
+   tightenings: same boxes (or infeasibility), same count. *)
+let prop_presolve_matches_oracle =
+  QCheck.Test.make ~name:"presolve matches the reference on both scalars"
+    ~count:500
+    (QCheck.make ~print:print_presolve_case gen_presolve_case)
+    (fun (m, lb, ub) ->
+       let module F = Ilp.Presolve.Make (Numeric.Scalar.Fast) in
+       let tightened () =
+         Obs.Metrics.value (Obs.Metrics.counter "ilp.presolve.bounds_tightened")
+       in
+       let expected, count = Ref_presolve.tighten m ~lb ~ub in
+       let agrees outcome delta =
+         delta = count
+         &&
+         match (outcome, expected) with
+         | Ilp.Presolve.Infeasible, None -> true
+         | Ilp.Presolve.Tightened (lb', ub'), Some box -> same_box (lb', ub') box
+         | _ -> false
+       in
+       let t0 = tightened () in
+       let exact = Ilp.Presolve.tighten m ~lb ~ub in
+       let t1 = tightened () in
+       agrees exact (t1 - t0)
+       &&
+       let fast_box = Array.map (Option.map Fastq.of_q) in
+       match F.tighten (F.compile m) ~lb:(fast_box lb) ~ub:(fast_box ub) with
+       | Ilp.Presolve.Tightened (lb', ub') ->
+         agrees
+           (Ilp.Presolve.Tightened
+              (Array.map (Option.map Fastq.to_q) lb',
+               Array.map (Option.map Fastq.to_q) ub'))
+           (tightened () - t1)
+       | Ilp.Presolve.Infeasible -> agrees Ilp.Presolve.Infeasible (tightened () - t1)
+       | exception Fastq.Overflow -> true)
 
 (* [solve] presolves every node and the certified search never does, so
    their answers pin presolve to skipping work without moving the
@@ -779,8 +955,10 @@ let gen_warm_chain =
 let run_warm_chain (module E : Ilp.Simplex.ENGINE) (r, steps) =
   let m = to_model r in
   let lb, ub = full_box r in
-  let st0, s0, _ = E.root_certified m ~lb ~ub in
-  if not (same_solution s0 (Ref_simplex.solve_with_bounds m ~lb ~ub))
+  let box = Array.map (Option.map E.S.of_q) in
+  let answer s = Ilp.Solution.map E.S.to_q s in
+  let st0, s0, _ = E.root_certified m ~lb:(box lb) ~ub:(box ub) in
+  if not (same_solution (answer s0) (Ref_simplex.solve_with_bounds m ~lb ~ub))
   then false
   else begin
     match st0 with
@@ -801,9 +979,11 @@ let run_warm_chain (module E : Ilp.Simplex.ENGINE) (r, steps) =
                  | Some u -> ub.(v) <- Some (Q.sub u (q amount))
                  | None -> assert false);
               let child = E.branch !st in
-              let warm, _ = E.reoptimize_certified child ~lb ~ub in
+              let warm, _ =
+                E.reoptimize_certified child ~lb:(box lb) ~ub:(box ub)
+              in
               let cold = Ref_simplex.solve_with_bounds m ~lb ~ub in
-              if not (same_solution warm cold) then begin
+              if not (same_solution (answer warm) cold) then begin
                 ok := false;
                 raise Exit
               end;
@@ -873,11 +1053,18 @@ let prop_fast_tier_exact_or_falls_back =
         let r, _ = case in
         let m = to_model_scaled case in
         let lb, ub = full_box r in
-        match Ilp.Simplex.Fast_engine.root_certified m ~lb ~ub with
+        let module F = Ilp.Simplex.Fast_engine in
+        let module E = Ilp.Simplex.Exact_engine in
+        let fast_box = Array.map (Option.map F.S.of_q) in
+        match F.root_certified m ~lb:(fast_box lb) ~ub:(fast_box ub) with
         | exception Fastq.Overflow -> true
         | _, sf, _ ->
-          let _, se, _ = Ilp.Simplex.Exact_engine.root_certified m ~lb ~ub in
-          same_solution sf se)
+          let exact_box = Array.map (Option.map E.S.of_q) in
+          let _, se, _ =
+            E.root_certified m ~lb:(exact_box lb) ~ub:(exact_box ub)
+          in
+          same_solution (Ilp.Solution.map F.S.to_q sf)
+            (Ilp.Solution.map E.S.to_q se))
 
 (* The public ladder on the same mixed-magnitude models, where the fast
    tier overflows on about a third of the instances: whichever tier
@@ -948,6 +1135,12 @@ let () =
           Alcotest.test_case "mixed integer" `Quick test_ilp_mixed;
           Alcotest.test_case "solution feasibility" `Quick test_ilp_solution_feasibility;
           Alcotest.test_case "deep-tree work counters" `Quick test_solver_models_work;
+          Alcotest.test_case "contention-shaped work counters" `Quick
+            test_contention_models_work;
+          Alcotest.test_case "presolve overflow restarts exactly" `Quick
+            test_presolve_overflow_restarts;
+          Alcotest.test_case "rounding respects declared bounds" `Quick
+            test_floor_respects_declared_bounds;
         ] );
       ( "presolve",
         [
@@ -956,6 +1149,7 @@ let () =
           Alcotest.test_case "equality fixes variables" `Quick test_presolve_equality_fixes;
           QCheck_alcotest.to_alcotest prop_presolve_preserves_solutions;
           QCheck_alcotest.to_alcotest prop_presolve_same_optimum;
+          QCheck_alcotest.to_alcotest prop_presolve_matches_oracle;
         ] );
       ( "lp-format",
         [

@@ -408,6 +408,28 @@ let test_fastq_to_q_total () =
          (Q.to_string (Fastq.to_q (Fastq.make n d))))
     [ (3, 2); (-3, 2); (0, 5); (max_int, 1); (1, max_int); (max_int, max_int - 1) ]
 
+let test_fastq_floor_ceil () =
+  List.iter
+    (fun (n, d, fl, cl) ->
+       let x = Fastq.make n d in
+       check_fq (Printf.sprintf "floor %d/%d" n d) fl (Fastq.floor x);
+       check_fq (Printf.sprintf "ceil %d/%d" n d) cl (Fastq.ceil x))
+    [
+      (7, 2, "3", "4");
+      (-7, 2, "-4", "-3");
+      (-1, 3, "-1", "0");
+      (1, 3, "0", "1");
+      (6, 3, "2", "2");
+      (-6, 3, "-2", "-2");
+      (0, 5, "0", "0");
+      (max_int, 1, string_of_int max_int, string_of_int max_int);
+      (-max_int, 1, string_of_int (-max_int), string_of_int (-max_int));
+      (max_int, 2, string_of_int (max_int / 2), string_of_int ((max_int / 2) + 1));
+      (-max_int, 2, string_of_int (-(max_int / 2) - 1), string_of_int (-(max_int / 2)));
+      (max_int - 1, max_int, "0", "1");
+      (-(max_int - 1), max_int, "-1", "0");
+    ]
+
 (* --- Fastq property tests ------------------------------------------------------ *)
 
 (* Small operands: every operation must agree exactly with Q. *)
@@ -454,6 +476,55 @@ let prop_fastq_huge_exact_or_overflow =
         && (match Fastq.compare a b with
             | c -> c = Q.compare (Fastq.to_q a) (Fastq.to_q b)
             | exception Fastq.Overflow -> true))
+
+(* Integral operands take a gcd-free path: near max_int it must still
+   agree exactly with Q or raise, never wrap or produce min_int. *)
+let arb_fq_integral =
+  let open QCheck.Gen in
+  QCheck.make ~print:Fastq.to_string
+    (map Fastq.of_int
+       (oneof
+          [
+            int_range (-1000) 1000;
+            int_range (-(1 lsl 31)) (1 lsl 31);
+            int_range (max_int - 1000) max_int;
+            int_range (-max_int) (-max_int + 1000);
+          ]))
+
+let prop_fastq_integral_exact_or_overflow =
+  QCheck.Test.make ~name:"fastq on integers: exact or Overflow, never wrong"
+    ~count:1000 (QCheck.pair arb_fq_integral arb_fq_integral) (fun (a, b) ->
+        let never_min_int f =
+          match f a b with
+          | r -> Fastq.num r <> min_int
+          | exception Fastq.Overflow -> true
+        in
+        exact_or_overflow Q.add Fastq.add a b
+        && exact_or_overflow Q.sub Fastq.sub a b
+        && exact_or_overflow Q.mul Fastq.mul a b
+        && never_min_int Fastq.add && never_min_int Fastq.sub
+        && never_min_int Fastq.mul)
+
+(* floor and ceil never overflow: anywhere in the native range, from
+   small fractions to numerators and denominators near max_int, both
+   agree exactly with Q. *)
+let arb_fq_any =
+  let open QCheck.Gen in
+  let magnitude =
+    oneof
+      [ int_range 1 20; int_range 1 (1 lsl 40); int_range (max_int - 1000) max_int ]
+  in
+  QCheck.make ~print:Fastq.to_string
+    (let* n = magnitude in
+     let* negative = bool in
+     let* d = oneof [ return 1; magnitude ] in
+     return (Fastq.make (if negative then -n else n) d))
+
+let prop_fastq_floor_ceil_match_q =
+  QCheck.Test.make ~name:"fastq floor/ceil agree with Q" ~count:1000 arb_fq_any
+    (fun x ->
+       Q.equal (Q.floor (Fastq.to_q x)) (Fastq.to_q (Fastq.floor x))
+       && Q.equal (Q.ceil (Fastq.to_q x)) (Fastq.to_q (Fastq.ceil x)))
 
 let qsuite props = List.map QCheck_alcotest.to_alcotest props
 
@@ -517,7 +588,14 @@ let () =
           Alcotest.test_case "small arithmetic" `Quick test_fastq_arith_small;
           Alcotest.test_case "overflow on extremes" `Quick test_fastq_overflow_extremes;
           Alcotest.test_case "to_q total" `Quick test_fastq_to_q_total;
+          Alcotest.test_case "floor/ceil" `Quick test_fastq_floor_ceil;
         ] );
       ( "fastq-properties",
-        qsuite [ prop_fastq_small_matches_q; prop_fastq_huge_exact_or_overflow ] );
+        qsuite
+          [
+            prop_fastq_small_matches_q;
+            prop_fastq_huge_exact_or_overflow;
+            prop_fastq_floor_ceil_match_q;
+            prop_fastq_integral_exact_or_overflow;
+          ] );
     ]
