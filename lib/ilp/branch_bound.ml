@@ -19,12 +19,21 @@ let m_max_depth = Obs.Metrics.gauge "ilp.bb.max_depth"
    so the tightened side finds incumbents quickly).
 
    Warm starts: a branch only tightens variable bounds, which keeps the
-   parent's optimal basis dual feasible, so each child node copies the
-   parent's solver state ({!Simplex.ENGINE.branch}) and re-optimises with
-   a few dual pivots instead of building and solving a tableau from
-   scratch. The search runs on the machine-word fast tier first; an
-   overflow deterministically restarts the whole search on the exact
-   tier, so the result never depends on which tier finished.
+   parent's optimal basis dual feasible, so each child node re-optimises
+   the parent's solver state with a few dual pivots instead of building
+   and solving a tableau from scratch. The down child pops first and
+   re-solves a copy ({!Simplex.ENGINE.branch}); the up child pops only
+   once the down subtree is done, when nothing reads the parent's state
+   any more, and re-solves that state in place. The search runs on the
+   machine-word fast tier first; an overflow deterministically restarts
+   the whole search on the exact tier, so the result never depends on
+   which tier finished.
+
+   Incremental presolve: a child's box is its parent's presolved box
+   with one bound moved, so the child propagates only the rows its
+   parent left dirty at the round cap plus the rows that read the moved
+   bound ({!Presolve.Make.moved}); every other row would change
+   nothing.
 
    Every node runs on its engine's scalar: node boxes, presolve, the
    rounding heuristic, pruning and branching. {!Q} appears only when
@@ -63,14 +72,21 @@ module Search (M : MODE) = struct
   module S = E.S
   module P = Presolve.Make (S)
 
-  (* One unexplored node. [set] installs the node's contribution once
-     its whole subtree is done; branch nodes install themselves when
-     both children have. *)
+  (* Where a node's solver state comes from: the root solves cold, the
+     down child copies its parent's state and the up child takes it
+     over. *)
+  type start = Cold | Copy of E.state | Take_over of E.state
+
+  (* One unexplored node. [dirty] holds the rows its presolve must
+     propagate. [set] installs the node's contribution once its whole
+     subtree is done; branch nodes install themselves when both
+     children have. *)
   type frame = {
     depth : int;
-    parent : E.state option;
+    start : start;
     lb : S.t option array;
     ub : S.t option array;
+    dirty : P.dirty;
     set : M.node -> unit;
   }
 
@@ -176,6 +192,11 @@ module Search (M : MODE) = struct
        exactly the recursive down-then-up order. *)
     let stack = ref [] in
     let push f = stack := f :: !stack in
+    let warm st ~lb ~ub =
+      Obs.Metrics.incr m_warm;
+      let sol, cert = E.reoptimize_certified st ~lb ~ub in
+      (Some st, sol, cert)
+    in
     (* One node: count it, presolve, solve the relaxation warm from the
        parent basis, then settle as a leaf or push both children (up
        first so the down child pops first). *)
@@ -188,21 +209,16 @@ module Search (M : MODE) = struct
         raise Node_limit_exceeded
       end;
       match
-        if M.presolve then P.tighten rows ~lb:frame.lb ~ub:frame.ub
-        else Presolve.Tightened (frame.lb, frame.ub)
+        if M.presolve then P.tighten rows frame.dirty ~lb:frame.lb ~ub:frame.ub
+        else (Presolve.Tightened (frame.lb, frame.ub), frame.dirty)
       with
-      | Presolve.Infeasible -> frame.set M.presolve_leaf
-      | Presolve.Tightened (lb, ub) -> (
-        (match frame.parent with
-         | Some _ -> Obs.Metrics.incr m_warm
-         | None -> ());
+      | Presolve.Infeasible, _ -> frame.set M.presolve_leaf
+      | Presolve.Tightened (lb, ub), dirty -> (
         let state, solution, cert =
-          match frame.parent with
-          | Some pst ->
-            let st = E.branch pst in
-            let sol, cert = E.reoptimize_certified st ~lb ~ub in
-            (Some st, sol, cert)
-          | None -> E.root_certified model ~lb ~ub
+          match frame.start with
+          | Cold -> E.root_certified model ~lb ~ub
+          | Copy pst -> warm (E.branch pst) ~lb ~ub
+          | Take_over pst -> warm pst ~lb ~ub
         in
         match solution with
         | Solution.Infeasible -> frame.set (M.leaf_infeasible cert)
@@ -251,18 +267,24 @@ module Search (M : MODE) = struct
                        ~down:(Option.get !dhole)
                        ~up:(Option.get !uhole))
               in
+              (* [state] is [Some] with every [Optimal] answer. By the
+                 time the up child pops, the down child has copied it,
+                 and the certified search forced this node's
+                 certificate above. *)
+              let st = Option.get state in
               push
-                { depth = frame.depth + 1; parent = state; lb = lb'; ub;
+                { depth = frame.depth + 1; start = Take_over st; lb = lb';
+                  ub; dirty = P.moved rows dirty ~var:v `Lb;
                   set = join uhole };
               push
-                { depth = frame.depth + 1; parent = state; lb; ub = ub';
-                  set = join dhole }
+                { depth = frame.depth + 1; start = Copy st; lb; ub = ub';
+                  dirty = P.moved rows dirty ~var:v `Ub; set = join dhole }
           end)
     in
     let root_node = ref None in
     push
-      { depth = 0; parent = None; lb = lb0; ub = ub0;
-        set = (fun t -> root_node := Some t) };
+      { depth = 0; start = Cold; lb = lb0; ub = ub0;
+        dirty = P.every_row rows; set = (fun t -> root_node := Some t) };
     let rec exhaust () =
       match !stack with
       | [] -> ()

@@ -13,14 +13,16 @@ val solve : ?node_limit:int -> ?slack:Q.t -> Model.t -> Solution.t
     [node_limit] (default [200_000]) bounds the number of explored
     branch-and-bound nodes.
 
-    The search is warm-started: each child node copies its parent's
-    optimal basis and re-optimises with dual-simplex pivots
-    ({!Simplex.ENGINE.reoptimize_certified}); it runs on the
-    machine-word fast tier first and deterministically restarts on the
-    exact tier on overflow, so the result never depends on which tier
-    finished. Every node runs bound propagation ({!Presolve.Make}) first,
-    on the tier's own scalar: it skips simplex on detectably-infeasible
-    boxes.
+    The search is warm-started: each child node re-optimises its
+    parent's optimal basis with dual-simplex pivots
+    ({!Simplex.ENGINE.reoptimize_certified}), the down child on a copy
+    and the up child in place; it runs on the machine-word fast tier
+    first and deterministically restarts on the exact tier on overflow,
+    so the result never depends on which tier finished. Every node runs
+    bound propagation ({!Presolve.Make}) first, on the tier's own
+    scalar: it skips simplex on detectably-infeasible boxes. A child
+    re-propagates only the rows its branched bound or its parent's
+    round cap left dirty, with the result of a full sweep.
 
     [slack] (default 0 — exact) relaxes pruning: nodes that cannot improve
     on the incumbent by more than [slack] are abandoned, so the returned

@@ -13,7 +13,10 @@
     The propagation is written once over the solver's scalar
     ({!Numeric.Scalar.S}): {!Branch_bound} runs it on its tier's
     machine-word or bignum rationals, on rows compiled once per search,
-    and {!tighten} is its exact instance. *)
+    and {!tighten} is its exact instance. Propagation is incremental: a
+    round visits only the rows whose minimum activity reads a bound that
+    moved since they were last propagated, which changes nothing else
+    about the result. *)
 
 open Numeric
 
@@ -27,16 +30,37 @@ type outcome = Q.t over
 module Make (S : Scalar.S) : sig
   type rows
   (** A model's constraints as [<=] rows over [S] ([>=] rows negated,
-      [=] rows in both directions) plus its integrality flags. *)
+      [=] rows in both directions) plus its integrality flags and, per
+      variable, the rows whose minimum activity reads its lower bound
+      (positive coefficient) and its upper bound (negative one). *)
 
   val compile : Model.t -> rows
   (** May raise [Numeric.Fastq.Overflow] on the fast scalar. *)
 
+  type dirty
+  (** A set of rows still to propagate. Values are immutable. *)
+
+  val every_row : rows -> dirty
+
+  val moved : rows -> dirty -> var:int -> [ `Lb | `Ub ] -> dirty
+  (** The set plus the rows that read the given bound of [var]: what a
+      branch & bound child must propagate after branching moved that
+      bound of its parent's presolved box. *)
+
   val tighten :
-    ?rounds:int -> rows -> lb:S.t option array -> ub:S.t option array ->
-    S.t over
-  (** As the top-level {!val-tighten}, over [S]. The input arrays are
-      not modified. *)
+    ?rounds:int -> rows -> dirty -> lb:S.t option array ->
+    ub:S.t option array -> S.t over * dirty
+  (** As the top-level {!val-tighten}, over [S], propagating only the
+      given rows and those a moved bound dirties, in row order within
+      each round. A row none of whose minimum-side bounds moved since it
+      was last propagated can neither tighten a bound nor prove the box
+      empty, so when every row left out of the set was propagated under
+      the bounds it reads now, the result and the [ilp.presolve.*]
+      counters other than [rows_propagated] equal those of propagating
+      every row. The second component is the set of rows still dirty
+      when the round cap stopped the loop (empty at a fixpoint); it is
+      only meaningful with [Tightened]. The input arrays are not
+      modified. *)
 
   val satisfies : rows -> S.t array -> bool
   (** Whether a point satisfies every constraint (bounds not checked). *)

@@ -62,8 +62,9 @@ module type ENGINE = sig
       basis and can seed {!branch}/{!reoptimize_certified}. *)
 
   val branch : state -> state
-  (** Deep copy: the warm-start tree discipline is copy-on-branch, so a
-      parent's factorized tableau survives its first child's pivots. *)
+  (** Deep copy, for the first child: the parent's factorized tableau
+      survives that child's pivots, and the last child re-solves the
+      parent's state itself. *)
 
   val reoptimize_certified :
     state -> lb:S.t option array -> ub:S.t option array ->

@@ -47,17 +47,26 @@ module type ENGINE = sig
       @raise Invalid_argument on a bound-array length mismatch. *)
 
   val branch : state -> state
-  (** Deep copy. Branch & bound's tree discipline is copy-on-branch:
-      children pivot on their own copy, so the parent state can seed
-      every sibling. *)
+  (** Deep copy. Branch & bound copies on branch for its first child
+      only: the down child pops first and re-solves a copy, so the
+      parent's state survives its pivots. The up child pops only once
+      the down subtree is done and re-solves the parent's state itself.
+      That is safe because by then nothing reads the parent's state any
+      more: the down child has copied it, and the certificate of a
+      state's answer is forced before the state is re-solved (the
+      certified search forces each node's before pushing its children,
+      the plain search never forces one). *)
 
   val reoptimize_certified :
     state -> lb:S.t option array -> ub:S.t option array ->
     S.t Solution.over * Cert.lp_cert Lazy.t
   (** Dual-simplex re-solve (in place) after tightening bounds, plus the
-      certificate. The new box must be contained in the box the state
-      was last solved under — exactly what branching and presolve
-      produce. After a non-[Optimal] result the state must not be
+      certificate. The state is a copy from {!branch} or one no caller
+      reads again (branch & bound's last child takes its parent's state
+      over); the certificate of the state's previous answer must have
+      been forced or dropped. The new box must be contained in the box
+      the state was last solved under — exactly what branching and
+      presolve produce. After a non-[Optimal] result the state must not be
       reused. Warm re-solves only ever end [Optimal] or [Infeasible], so
       the certificate is an [Optimal_cert], a [Farkas_box] or a
       [Farkas_ray]. May raise {!Numeric.Fastq.Overflow} on the fast

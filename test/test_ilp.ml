@@ -463,31 +463,33 @@ let test_solver_models_work () =
     [ ("ilp.bb.nodes", 284); ("ilp.simplex.pivots", 496);
       ("ilp.simplex.dual_pivots", 403); ("ilp.bb.warm_starts", 264);
       ("ilp.presolve.calls", 284); ("ilp.presolve.bounds_tightened", 354);
-      ("ilp.presolve.infeasible", 8); ("ilp.bb.incumbents", 36);
+      ("ilp.presolve.infeasible", 8); ("ilp.presolve.rows_propagated", 1667);
+      ("ilp.bb.incumbents", 36);
       ("ilp.bb.pruned", 125); ("ilp.bb.engine_restarts", 0) ]
     (fun () ->
        List.iter (fun m -> ignore (Ilp.Branch_bound.solve m)) (solver_models ()))
 
-(* Contention-shaped family: exact ([mip_slack = 0]) ILP-PTAC on three
-   fixed Scenario 2 counter pairs (measured by the simulator on the
-   benchmark's exact-bounds programs). Each search runs to the 2,000-node
-   limit, so the bound falls back to the LP relaxation; the counts cover
-   the searches and the relaxation solves. *)
-let test_contention_models_work () =
+(* Contention-shaped family: three fixed Scenario 2 counter pairs
+   (measured by the simulator on the benchmark's exact-bounds programs),
+   each with the LP-relaxation bound its exact ILP-PTAC falls back to. *)
+let scenario2_pairs =
   let counters ccnt pmem_stall dmem_stall pcache_miss dcache_miss_clean =
     { Platform.Counters.ccnt; pmem_stall; dmem_stall; pcache_miss;
       dcache_miss_clean; dcache_miss_dirty = 0 }
   in
-  let pairs =
-    [
-      ( counters 500371 168960 15020 16896 119,
-        counters 712088 138096 17251 13824 121, 246289 );
-      ( counters 545680 184176 16355 18432 125,
-        counters 141967 48560 14976 4864 143, 99620 );
-      ( counters 590838 199472 17475 19968 115,
-        counters 167639 4476 21526 448 157, 38491 );
-    ]
-  in
+  [
+    ( counters 500371 168960 15020 16896 119,
+      counters 712088 138096 17251 13824 121, 246289 );
+    ( counters 545680 184176 16355 18432 125,
+      counters 141967 48560 14976 4864 143, 99620 );
+    ( counters 590838 199472 17475 19968 115,
+      counters 167639 4476 21526 448 157, 38491 );
+  ]
+
+(* Exact ([mip_slack = 0]) ILP-PTAC on the family: each search runs to
+   the 2,000-node limit, so the bound falls back to the LP relaxation;
+   the counts cover the searches and the relaxation solves. *)
+let test_contention_models_work () =
   let options =
     { Contention.Ilp_ptac.default_options with Contention.Ilp_ptac.mip_slack = 0 }
   in
@@ -509,7 +511,77 @@ let test_contention_models_work () =
             Alcotest.(check int) "delta" delta r.Contention.Ilp_ptac.delta;
             Alcotest.(check bool) "node limit: LP bound" false
               r.Contention.Ilp_ptac.exact)
-         pairs)
+         scenario2_pairs)
+
+(* The certified search on the same family, where up children re-solve
+   their parents' states in place: every tree must replay in the
+   independent checker. At the default slack each tree has five nodes;
+   exact, the first two pairs finish in 9,417 and 8,175 nodes (the
+   certified search does not presolve) and the third passes 10,000. *)
+let test_contention_models_certified () =
+  let latency = Tcsim.Machine.default_config.Tcsim.Machine.latency in
+  List.iter2
+    (fun (a, b, lp_bound) exact_nodes ->
+       let m, _ =
+         Contention.Ilp_ptac.build_model ~latency
+           ~scenario:Platform.Scenario.scenario2 ~a ~b ()
+       in
+       let certify ~slack ~nodes =
+         let s, c =
+           Ilp.Branch_bound.solve_certified ~node_limit:10_000 ~slack m
+         in
+         (match c with
+          | Ilp.Cert.Ilp { tree; _ } ->
+            Alcotest.(check int) "tree nodes" nodes (Ilp.Cert.tree_nodes tree)
+          | _ -> Alcotest.fail "expected a search-tree certificate");
+         Alcotest.(check bool) "within the LP bound" true
+           (Q.compare (Ilp.Solution.objective_exn s) (q lp_bound) <= 0);
+         Alcotest.(check bool) "verified" true
+           (Audit.Checker.check ~slack m s c = Audit.Checker.Verified)
+       in
+       certify
+         ~slack:(q Contention.Ilp_ptac.default_options.Contention.Ilp_ptac.mip_slack)
+         ~nodes:5;
+       Option.iter (fun nodes -> certify ~slack:Q.zero ~nodes) exact_nodes)
+    scenario2_pairs [ Some 9417; Some 8175; None ]
+
+(* Tier ladder below the root. On this model the fast tier's search
+   takes over its parents' states at six up children (depths 1 to 4),
+   then overflows at its 14th node: the warm re-solve of a depth-3 down
+   child, on its copy of a state that an up child had taken over. The
+   whole search restarts on the exact tier (17 nodes), so the answer is
+   the exact one: 14 + 17 nodes, 13 + 16 warm starts. *)
+let test_warm_overflow_after_takeover () =
+  let m =
+    Ilp.Lp_format.of_string
+      "max\n obj: 4.5 x0 + 6 x1 + 4.5 x2\nst\n c0: x0 + 3 x1 + 5 x2 <= 25\n\
+      \ c1: -3 x0 + 4 x1 - 3 x2 <= 34\n\
+      \ c2: 114303 x0 + 115003 x1 + 67373 x2 <= 871409\n\
+       Bounds\n 0 <= x0 <= 4\n 0 <= x1 <= 8\n 0 <= x2 <= 6\n\
+       Generals\n x0 x1 x2\nEnd\n"
+  in
+  (* exhaustive optimum over the box *)
+  let best = ref None in
+  for x0 = 0 to 4 do
+    for x1 = 0 to 8 do
+      for x2 = 0 to 6 do
+        if x0 + (3 * x1) + (5 * x2) <= 25
+        && (-3 * x0) + (4 * x1) - (3 * x2) <= 34
+        && (114303 * x0) + (115003 * x1) + (67373 * x2) <= 871409
+        then begin
+          let obj = Q.div (q ((9 * x0) + (12 * x1) + (9 * x2))) (q 2) in
+          match !best with
+          | Some b when Q.compare b obj >= 0 -> ()
+          | _ -> best := Some obj
+        end
+      done
+    done
+  done;
+  check_work
+    [ ("ilp.bb.engine_restarts", 1); ("ilp.bb.nodes", 31);
+      ("ilp.bb.warm_starts", 29) ]
+    (fun () ->
+       check_opt "exact optimum" (Option.get !best) (Ilp.Branch_bound.solve m))
 
 (* The rounding heuristic floors x = 1/2 to 0, which satisfies every
    row (there are none) but not the declared bound x >= 1/2: it must not
@@ -718,7 +790,10 @@ let prop_presolve_matches_oracle =
        agrees exact (t1 - t0)
        &&
        let fast_box = Array.map (Option.map Fastq.of_q) in
-       match F.tighten (F.compile m) ~lb:(fast_box lb) ~ub:(fast_box ub) with
+       match
+         let rows = F.compile m in
+         fst (F.tighten rows (F.every_row rows) ~lb:(fast_box lb) ~ub:(fast_box ub))
+       with
        | Ilp.Presolve.Tightened (lb', ub') ->
          agrees
            (Ilp.Presolve.Tightened
@@ -726,6 +801,77 @@ let prop_presolve_matches_oracle =
                Array.map (Option.map Fastq.to_q) ub'))
            (tightened () - t1)
        | Ilp.Presolve.Infeasible -> agrees Ilp.Presolve.Infeasible (tightened () - t1)
+       | exception Fastq.Overflow -> true)
+
+(* A branch & bound child's presolve: fully presolve a box, move one of
+   its bounds inward (to an integral value on an integer variable), then
+   re-propagate only the rows left dirty plus the readers of the moved
+   bound. That must equal a full presolve of the moved box: same boxes
+   (or infeasibility), same number of tightenings. [rounds] goes down to
+   1, so leftover rows are really inherited. *)
+let incremental_presolve_agrees (module S : Numeric.Scalar.S)
+    ((m, lb, ub), rounds, var, side, step, anchor) =
+  let module P = Ilp.Presolve.Make (S) in
+  let tightened () =
+    Obs.Metrics.value (Obs.Metrics.counter "ilp.presolve.bounds_tightened")
+  in
+  let same a b =
+    Array.for_all2 (Option.equal (fun x y -> S.compare x y = 0)) a b
+  in
+  let box = Array.map (Option.map S.of_q) in
+  let rows = P.compile m in
+  match P.tighten ~rounds rows (P.every_row rows) ~lb:(box lb) ~ub:(box ub) with
+  | Ilp.Presolve.Infeasible, _ -> true
+  | Ilp.Presolve.Tightened (lb, ub), left ->
+    let var = var mod Array.length lb in
+    let integer = (Ilp.Model.var_info m var).Ilp.Model.integer in
+    let step = S.of_q step and anchor = S.of_q anchor in
+    let lb = Array.copy lb and ub = Array.copy ub in
+    (match side with
+     | `Lb ->
+       let x = match lb.(var) with Some l -> S.add l step | None -> anchor in
+       lb.(var) <- Some (if integer then S.ceil x else x)
+     | `Ub ->
+       let x = match ub.(var) with Some u -> S.sub u step | None -> anchor in
+       ub.(var) <- Some (if integer then S.floor x else x));
+    let t0 = tightened () in
+    let incremental = fst (P.tighten ~rounds rows (P.moved rows left ~var side) ~lb ~ub) in
+    let t1 = tightened () in
+    let full = fst (P.tighten ~rounds rows (P.every_row rows) ~lb ~ub) in
+    t1 - t0 = tightened () - t1
+    &&
+    match (incremental, full) with
+    | Ilp.Presolve.Infeasible, Ilp.Presolve.Infeasible -> true
+    | Ilp.Presolve.Tightened (l, u), Ilp.Presolve.Tightened (l', u') ->
+      same l l' && same u u'
+    | _ -> false
+
+let gen_incremental_case =
+  let open QCheck.Gen in
+  let pos_rat = map2 Q.of_ints (int_range 1 24) (int_range 1 3) in
+  let* case = gen_presolve_case in
+  let* rounds = int_range 1 3 in
+  let* var = nat in
+  let* side = oneofl [ `Lb; `Ub ] in
+  let* step = pos_rat in
+  let* anchor = map2 Q.of_ints (int_range (-12) 12) (int_range 1 3) in
+  return (case, rounds, var, side, step, anchor)
+
+let print_incremental_case (case, rounds, var, side, step, anchor) =
+  Printf.sprintf "%s\nrounds %d, var %d, %s moved by %s (or to %s)"
+    (print_presolve_case case) rounds var
+    (match side with `Lb -> "lb" | `Ub -> "ub")
+    (Q.to_string step) (Q.to_string anchor)
+
+let prop_incremental_presolve =
+  QCheck.Test.make
+    ~name:"incremental presolve equals a full one on both scalars" ~count:500
+    (QCheck.make ~print:print_incremental_case gen_incremental_case)
+    (fun case ->
+       incremental_presolve_agrees (module Numeric.Scalar.Exact) case
+       &&
+       match incremental_presolve_agrees (module Numeric.Scalar.Fast) case with
+       | agrees -> agrees
        | exception Fastq.Overflow -> true)
 
 (* [solve] presolves every node and the certified search never does, so
@@ -1139,6 +1285,10 @@ let () =
             test_contention_models_work;
           Alcotest.test_case "presolve overflow restarts exactly" `Quick
             test_presolve_overflow_restarts;
+          Alcotest.test_case "warm overflow after a takeover restarts exactly"
+            `Quick test_warm_overflow_after_takeover;
+          Alcotest.test_case "contention-shaped certified trees" `Quick
+            test_contention_models_certified;
           Alcotest.test_case "rounding respects declared bounds" `Quick
             test_floor_respects_declared_bounds;
         ] );
@@ -1150,6 +1300,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_presolve_preserves_solutions;
           QCheck_alcotest.to_alcotest prop_presolve_same_optimum;
           QCheck_alcotest.to_alcotest prop_presolve_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_incremental_presolve;
         ] );
       ( "lp-format",
         [
