@@ -36,11 +36,21 @@ let restore_values t cvalues =
   Array.init (Array.length t.forward) (fun v -> cvalues.(t.forward.(v)))
 
 (* The unique s > 0 such that [s * coeffs] are coprime integers:
-   lcm of denominators over gcd of scaled numerators. *)
+   lcm of denominators over gcd of scaled numerators. A row of native
+   integers (nearly every row of a contention model) needs only the gcd
+   of its coefficients, taken in native arithmetic. *)
 let row_scale terms =
-  match terms with
-  | [] -> Q.one
-  | _ ->
+  let rec int_gcd a b = if b = 0 then a else int_gcd b (a mod b) in
+  let rec small g = function
+    | [] -> Some g
+    | (_, c) :: rest ->
+      (match Bigint.to_int_opt (Q.num c) with
+       | Some n when Q.is_integer c && n <> min_int -> small (int_gcd g (abs n)) rest
+       | _ -> None)
+  in
+  match small 0 terms with
+  | Some g -> Q.of_ints 1 g
+  | None ->
     let l =
       List.fold_left
         (fun acc (_, c) ->
@@ -58,10 +68,22 @@ let row_scale terms =
 
 let sense_tag = function Model.Le -> "<=" | Model.Ge -> ">=" | Model.Eq -> "="
 
+(* Fingerprints and row encodings are written into one buffer: the same
+   bytes as [Printf.sprintf "%s|%s|%s|%d"] and ["%d:%s"] gave, so
+   structures, permutations and every key built on them are unchanged.
+   (A per-call table of rendered rationals measured no faster: most are
+   one-digit integers, which {!Q.to_string} renders directly.) *)
 let of_model m =
   let nv = Model.num_vars m in
   let constrs = Model.constraints m in
   let _, obj = Model.objective m in
+  let qstr = Q.to_string in
+  let buf = Buffer.create 256 in
+  let take () =
+    let s = Buffer.contents buf in
+    Buffer.clear buf;
+    s
+  in
   (* scale rows first: scaling is renaming-independent. A row with no
      terms (every coefficient zero; constants are folded into rhs at
      construction) is vacuous or infeasible depending only on the rhs
@@ -74,31 +96,32 @@ let of_model m =
            | [] -> if Q.is_zero c.rhs then Q.one else Q.inv (Q.abs c.rhs)
            | terms -> row_scale terms
          in
-         (Linexpr.scale s c.expr, c.csense, Q.mul s c.rhs))
+         if Q.equal s Q.one then (c.expr, c.csense, c.rhs)
+         else (Linexpr.scale s c.expr, c.csense, Q.mul s c.rhs))
       constrs
   in
   (* fingerprint: everything structural about a variable that survives
-     renaming and row reordering *)
+     renaming and row reordering; an occurrence is "coeff|sense|rhs|arity" *)
   let occs = Array.make nv [] in
   List.iter
     (fun (expr, sense, rhs) ->
        let ts = Linexpr.terms expr in
-       let arity = List.length ts in
-       List.iter
-         (fun (v, c) ->
-            occs.(v) <-
-              Printf.sprintf "%s|%s|%s|%d" (Q.to_string c) (sense_tag sense)
-                (Q.to_string rhs) arity
-              :: occs.(v))
-         ts)
+       Buffer.add_char buf '|';
+       Buffer.add_string buf (sense_tag sense);
+       Buffer.add_char buf '|';
+       Buffer.add_string buf (qstr rhs);
+       Buffer.add_char buf '|';
+       Buffer.add_string buf (string_of_int (List.length ts));
+       let row = take () in
+       List.iter (fun (v, c) -> occs.(v) <- (qstr c ^ row) :: occs.(v)) ts)
     scaled;
-  let bound_tag = function None -> "*" | Some q -> Q.to_string q in
+  let bound_tag = function None -> "*" | Some q -> qstr q in
   let fingerprint v =
     let info = Model.var_info m v in
     ( info.integer,
       bound_tag info.lb,
       bound_tag info.ub,
-      Q.to_string (Linexpr.coeff obj v),
+      qstr (Linexpr.coeff obj v),
       List.sort String.compare occs.(v) )
   in
   let fps = Array.init nv fingerprint in
@@ -115,9 +138,7 @@ let of_model m =
   Array.iteri
     (fun k v ->
        let info = Model.var_info m v in
-       let cv =
-         Model.add_free_var cm ~integer:info.integer (Printf.sprintf "v%d" k)
-       in
+       let cv = Model.add_free_var cm ~integer:info.integer ("v" ^ string_of_int k) in
        Model.set_var_bounds cm cv ~lb:info.lb ~ub:info.ub)
     order;
   let remap expr =
@@ -125,12 +146,20 @@ let of_model m =
       ~const:(Linexpr.constant expr)
       (List.map (fun (v, c) -> (c, forward.(v))) (Linexpr.terms expr))
   in
+  (* a row's sort key: "v:coeff,v:coeff;sense;rhs" *)
   let encode expr sense rhs =
-    String.concat ","
-      (List.map
-         (fun (v, c) -> Printf.sprintf "%d:%s" v (Q.to_string c))
-         (Linexpr.terms expr))
-    ^ ";" ^ sense_tag sense ^ ";" ^ Q.to_string rhs
+    List.iteri
+      (fun i (v, c) ->
+         if i > 0 then Buffer.add_char buf ',';
+         Buffer.add_string buf (string_of_int v);
+         Buffer.add_char buf ':';
+         Buffer.add_string buf (qstr c))
+      (Linexpr.terms expr);
+    Buffer.add_char buf ';';
+    Buffer.add_string buf (sense_tag sense);
+    Buffer.add_char buf ';';
+    Buffer.add_string buf (qstr rhs);
+    take ()
   in
   let rows =
     List.map
@@ -144,7 +173,7 @@ let of_model m =
   in
   List.iteri
     (fun i (_, expr, sense, rhs) ->
-       Model.add_constraint cm ~name:(Printf.sprintf "c%d" i) expr sense rhs)
+       Model.add_constraint cm ~name:("c" ^ string_of_int i) expr sense rhs)
     rows;
   let dir, _ = Model.objective m in
   Model.set_objective cm dir (remap obj);

@@ -6,9 +6,9 @@
    are keyed by a structural digest of everything {!Tcsim.Machine.run}'s
    outcome depends on: the resolved kernel, the latency table, per-core
    configurations, priorities, the restart/max_cycles/trace flags, and
-   the analysis + contender programs (by content, not by name) in their
-   literal order (stepping order is architecturally visible through
-   same-cycle arbitration).
+   the analysis + contender programs (by {!Tcsim.Program.digest}, not by
+   name) in their literal order (stepping order is architecturally
+   visible through same-cycle arbitration).
 
    Single-flight ({!Single_flight}): the first requester of a key
    simulates; concurrent requesters block until the outcome lands and
@@ -35,27 +35,13 @@ let m_misses = Obs.Metrics.counter "run_cache.misses"
 
 (* --- fingerprint ------------------------------------------------------- *)
 
-(* The key is rendered digit by digit straight into the buffer: through
-   [Printf.bprintf] it cost a large share of a short run's simulation.
-   [add_dec] and [add_hex] write exactly the bytes of [%d] and [%x] (a
-   negative [%x] prints its 63-bit two's complement), so keys — and the
-   disk entries stored under them — do not move. *)
-let rec add_nat buf n =
-  if n >= 10 then add_nat buf (n / 10);
-  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+(* Bumped whenever [fingerprint] changes what it hashes; hashed into
+   every key as its first field, so keys of different versions never
+   coincide. v2 keys a program by its {!Program.digest} instead of v1's
+   decimal rendering of its items. *)
+let key_format_version = 2
 
-let add_dec buf n =
-  if n >= 0 then add_nat buf n
-  else begin
-    Buffer.add_char buf '-';
-    (* [-n] overflows at [min_int]: peel the last digit off first *)
-    if n <= -10 then add_nat buf (-(n / 10));
-    Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
-  end
-
-let rec add_hex buf n =
-  if n lsr 4 <> 0 then add_hex buf (n lsr 4);
-  Buffer.add_char buf (String.unsafe_get "0123456789abcdef" (n land 15))
+let add_dec buf n = Buffer.add_string buf (string_of_int n)
 
 (* the ints as [%d/%d/...;] *)
 let add_fields buf ns =
@@ -90,48 +76,24 @@ let add_latency buf lat =
   Buffer.add_char buf '~';
   add_fields buf [ Platform.Latency.lmu_dirty_lmax lat ]
 
-(* Programs are keyed by content — two programs with the same items but
-   different names simulate identically. *)
-let add_program buf p =
-  let instr tag add x pc =
-    Buffer.add_char buf tag;
-    add buf x;
-    Buffer.add_char buf '@';
-    add_hex buf pc;
-    Buffer.add_char buf ';'
-  in
-  let rec items list =
-    List.iter
-      (function
-        | Program.I { pc; kind } ->
-          (match kind with
-           | Program.Compute n -> instr 'c' add_dec n pc
-           | Program.Load a -> instr 'l' add_hex a pc
-           | Program.Store a -> instr 's' add_hex a pc)
-        | Program.Loop { count; body } ->
-          Buffer.add_char buf 'L';
-          add_dec buf count;
-          Buffer.add_char buf '[';
-          items body;
-          Buffer.add_string buf "];")
-      list
-  in
-  items (Program.items p)
-
+(* A program is keyed by its content digest (names are irrelevant to
+   timing), taken once per program: a key costs O(tasks), not O(program
+   size). The digest is 16 bytes, so the next ['#'] cannot be misread. *)
 let add_task buf (t : Machine.task) =
   Buffer.add_char buf '#';
   add_dec buf t.Machine.core;
   Buffer.add_char buf ':';
-  add_program buf t.Machine.program
+  Buffer.add_string buf (Program.digest t.Machine.program)
 
 let fingerprint ~config ~max_cycles ~restart_contenders ~priorities ~trace
     ~kernel ~analysis ~contenders =
-  let buf = Buffer.create 512 in
+  let buf = Buffer.create 256 in
   List.iter
     (fun field ->
        Buffer.add_string buf field;
        Buffer.add_char buf '|')
     [
+      string_of_int key_format_version;
       Machine.kernel_to_string kernel;
       string_of_int max_cycles;
       string_of_bool restart_contenders;
@@ -157,13 +119,14 @@ let fingerprint ~config ~max_cycles ~restart_contenders ~priorities ~trace
 (* --- stable key/entry serialization ------------------------------------- *)
 
 (* The persistent disk tier stores settled outcomes under their
-   fingerprint. Both directions are versioned: [entry_of_string] refuses
-   anything it does not recognise (the tier then recomputes), and the
-   golden tests pin [key_format_version]/[entry_format_version] together
-   with sample digests so a refactor that would silently invalidate
-   on-disk caches fails a test instead. *)
+   fingerprint. Both directions are versioned: keys carry
+   [key_format_version], so an entry stored under another version's key
+   is never looked up again (it reads as a miss), and [entry_of_string]
+   refuses anything it does not recognise (the tier then recomputes).
+   The golden tests pin both versions together with sample digests, so a
+   refactor that would silently invalidate on-disk caches fails a test
+   instead. *)
 
-let key_format_version = 1
 let entry_format_version = 1
 
 let is_key s =

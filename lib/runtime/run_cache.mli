@@ -4,8 +4,8 @@
     the result by a structural digest of everything the outcome depends
     on: the resolved kernel, latency table, per-core cache geometries,
     priorities, restart/max_cycles/trace flags, and the analysis +
-    contender programs by content (names are irrelevant to timing) in
-    their literal order (stepping order is visible through same-cycle
+    contender programs by {!Tcsim.Program.digest} (names are irrelevant
+    to timing) in their literal order (stepping order is visible through same-cycle
     arbitration). Ablations and the portability sweep re-simulate
     identical co-runs dozens of times; those become cache hits.
 
@@ -57,7 +57,10 @@ val fingerprint :
   contenders:Tcsim.Machine.task list ->
   string
 (** The cache key (hex digest) for a fully resolved request — exposed for
-    tests asserting what does and does not share an entry. *)
+    tests asserting what does and does not share an entry. It hashes
+    {!key_format_version}, the header fields, and one core number and
+    {!Tcsim.Program.digest} per task, so it costs O(tasks), not
+    O(program size). *)
 
 val stats : unit -> stats
 (** Process-lifetime totals. [waited] counts hits that blocked on another
@@ -82,7 +85,10 @@ val clear : unit -> unit
     that would silently invalidate on-disk caches fails loudly. *)
 
 val key_format_version : int
-(** Bumped whenever {!fingerprint} changes what it hashes. *)
+(** Bumped whenever {!fingerprint} changes what it hashes, and hashed
+    into every key as its first field. Now 2: keys hash program digests.
+    Entries stored under v1 keys are never looked up again, so they read
+    as misses and are recomputed. *)
 
 val entry_format_version : int
 (** Bumped whenever {!entry_to_string} changes its rendering. *)

@@ -84,6 +84,8 @@ let prepare model =
    Rationals are rendered via {!Q.to_string} — exact, so a reloaded
    solution is bitwise the solution a fresh solve would produce. *)
 
+(* A label only: unlike the run cache's, keys do not hash it, and a
+   golden test pins their bytes. *)
 let key_format_version = 1
 
 (* v1: certificate-less entry — emitted bitwise-identically to the

@@ -110,7 +110,8 @@ type outcome = Solved of Ilp.Solution.t | Node_limit
     outcome, re-raised on replay. *)
 
 val key_format_version : int
-(** Bumped whenever {!canonical_key} changes what it hashes. *)
+(** Bumped whenever {!canonical_key} changes what it hashes. A label
+    only: it is not hashed into keys, whose bytes a golden test pins. *)
 
 val entry_format_version : int
 (** Bumped whenever {!entry_to_string} changes its rendering. *)

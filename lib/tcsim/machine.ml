@@ -59,7 +59,7 @@ let m_solo_skipped = Obs.Metrics.counter ~timing:true "tcsim.solo.skipped_events
 
 (* --- the script memo --------------------------------------------------------
    Every run checks the compiled {!Core_model.Script}s it needs out of
-   one process-wide memo keyed by (program content, core config), and
+   one process-wide memo keyed by ({!Program.digest}, core config), and
    returns them when it ends, however it ends. Check-out is exclusive: a
    script is single-threaded, so a concurrent run that wants one already
    out compiles its own. The lock covers table operations only; scripts
@@ -81,7 +81,7 @@ let script_memo_cap = 1 lsl 19
 type memo_entry = { script : Core_model.Script.t; size : int; returned : int }
 
 (* the table and both refs are guarded by [memo_lock] *)
-let memo : (Program.item list * Core_model.config, memo_entry) Hashtbl.t =
+let memo : (Digest.t * Core_model.config, memo_entry) Hashtbl.t =
   Hashtbl.create 64
 let memo_lock = Mutex.create ()
 let memo_segments = ref 0
@@ -250,7 +250,7 @@ let run ?(config = default_config) ?(max_cycles = default_max_cycles)
      the same program on the same config share one *)
   let held = Hashtbl.create 4 in
   let script_for core_config program =
-    let key = (Program.items program, core_config) in
+    let key = (Program.digest program, core_config) in
     match Hashtbl.find_opt held key with
     | Some s -> s
     | None ->

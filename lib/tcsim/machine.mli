@@ -90,7 +90,7 @@ val run_isolation :
 (** {1 The script memo}
 
     Every {!run} checks the compiled {!Core_model.Script}s it needs out
-    of one process-wide memo keyed by (program content, core config) and
+    of one process-wide memo keyed by ({!Program.digest}, core config) and
     returns them when it ends, also when it raises. Cores of one run
     that execute the same program on the same config share one script. A
     script is lent to one run at a time; a concurrent run that needs one

@@ -6,7 +6,13 @@ type item = I of instr | Loop of { count : int; body : item list }
 (* Compiled form: loops flattened to arrays for a fast cursor. *)
 type citem = CI of instr | CLoop of int * citem array
 
-type t = { name : string; items : item list; compiled : citem array }
+(* [digest] is [""] until first asked for (see {!digest}). *)
+type t = {
+  name : string;
+  items : item list;
+  compiled : citem array;
+  mutable digest : string;
+}
 
 let rec compile items =
   items
@@ -28,10 +34,49 @@ let rec validate items =
 
 let make ~name items =
   validate items;
-  { name; items; compiled = compile items }
+  { name; items; compiled = compile items; digest = "" }
 
 let name p = p.name
 let items p = p.items
+
+(* Fixed-width binary encoding: one tag byte per item, every int as 8
+   little-endian bytes, and a closing tag after each loop body. A tag
+   fixes the length of what follows it and a body ends only at its
+   closing tag, so the bytes decode back to exactly one item list. *)
+let encode items =
+  let buf = Buffer.create 4096 in
+  let tagged tag n =
+    Buffer.add_char buf tag;
+    Buffer.add_int64_le buf (Int64.of_int n)
+  in
+  let rec go items =
+    List.iter
+      (function
+        | I { pc; kind } ->
+          (match kind with
+           | Compute n -> tagged 'c' n
+           | Load a -> tagged 'l' a
+           | Store a -> tagged 's' a);
+          Buffer.add_int64_le buf (Int64.of_int pc)
+        | Loop { count; body } ->
+          tagged 'L' count;
+          go body;
+          Buffer.add_char buf ']')
+      items
+  in
+  go items;
+  Buffer.contents buf
+
+(* Taken on first use, not in [make]: most programs built to be
+   generated, linted or shown are never keyed. Two domains asking at
+   once both compute it and write the same string. *)
+let digest p =
+  match p.digest with
+  | "" ->
+    let d = Digest.string (encode p.items) in
+    p.digest <- d;
+    d
+  | d -> d
 
 let seq ~pc_base ?(pc_stride = 4) kinds =
   List.mapi (fun i k -> I { pc = pc_base + (i * pc_stride); kind = k }) kinds

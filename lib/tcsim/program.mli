@@ -25,6 +25,18 @@ val make : name:string -> item list -> t
 val name : t -> string
 val items : t -> item list
 
+val digest : t -> Digest.t
+(** The program's identity: the MD5 of a fixed-width binary encoding of
+    its items (one tag byte per item, every int as 8 bytes, a closing
+    tag after each loop body), which decodes back to exactly one item
+    list. So [digest a = digest b] iff [items a = items b], up to MD5
+    collisions; the name is not part of it. Taken on first use and kept
+    in the program.
+
+    A program's digest field is filled in lazily, so structural [=] and
+    [compare] on programs (or on records that hold one) depend on
+    whether it has been taken: compare {!items} or digests instead. *)
+
 val seq : pc_base:int -> ?pc_stride:int -> kind list -> item list
 (** Lays instruction kinds out at consecutive addresses starting at
     [pc_base] with the given stride (default 4 bytes). *)

@@ -179,7 +179,25 @@ let app_params variant =
       local_compute = 16_000;
     }
 
-let app variant = build variant (app_params variant)
+(* Bundled programs are values: each is built on its first request and
+   then shared. A cell is published with compare-and-set, not [Lazy]
+   (forcing one suspension from two domains raises [Lazy.Undefined]); a
+   domain that loses the race drops its copy, which has the same items,
+   and returns the winner's. *)
+let shared cell build =
+  match Atomic.get cell with
+  | Some p -> p
+  | None ->
+    let p = build () in
+    if Atomic.compare_and_set cell None (Some p) then p
+    else Option.get (Atomic.get cell)
+
+let apps = [| Atomic.make None; Atomic.make None |]
+
+let app variant =
+  shared
+    apps.(match variant with S1 -> 0 | S2 -> 1)
+    (fun () -> build variant (app_params variant))
 
 let app_input_variants variant ~n =
   if n < 1 then invalid_arg "Control_loop.app_input_variants: n < 1";

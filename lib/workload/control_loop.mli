@@ -34,13 +34,22 @@ val default_params : params
     (cold misses only — the paper's DMD = 0, small DMC signature). *)
 
 val build : variant -> params -> Tcsim.Program.t
-(** Generator shared by the application and the co-runners.
+(** Generator shared by the application and the co-runners; a fresh
+    program on every call (the way to build from custom parameters).
     @raise Invalid_argument if the memory windows overflow their target
     (e.g. LMU footprint beyond 32 KiB). *)
 
 val app : variant -> Tcsim.Program.t
 (** The application under analysis, [default_params], task windows at
-    offset 0. *)
+    offset 0. One shared value per variant: built on the first request
+    (from any domain) and returned physically equal ever after. *)
+
+val shared :
+  Tcsim.Program.t option Atomic.t -> (unit -> Tcsim.Program.t) -> Tcsim.Program.t
+(** [shared cell build] is the program published in [cell], building it
+    with [build] and publishing it by compare-and-set on the first
+    request. Concurrent first requests may each build; all get the one
+    that was published. How {!app} and {!Load_gen.make} share theirs. *)
 
 val app_input_variants : variant -> n:int -> Tcsim.Program.t list
 (** [n] builds of the application whose data-dependent access patterns

@@ -70,5 +70,18 @@ let params ~variant ~level ~region_slot =
       state_words = 32;
     }
 
+(* One shared program per (variant, level, slot), slots 0..2: the three
+   task windows [lmu_region_of_slot] fits in the LMU. *)
+let slots = 3
+let bundled = Array.init (2 * 3 * slots) (fun _ -> Atomic.make None)
+
 let make ~variant ~level ?(region_slot = 1) () =
-  Control_loop.build variant (params ~variant ~level ~region_slot)
+  if region_slot < 0 || region_slot >= slots then
+    invalid_arg
+      (Printf.sprintf "Load_gen.make: region slot %d outside 0..%d" region_slot
+         (slots - 1));
+  let v = match variant with Control_loop.S1 -> 0 | Control_loop.S2 -> 1 in
+  let l = match level with High -> 0 | Medium -> 1 | Low -> 2 in
+  Control_loop.shared
+    bundled.((((v * 3) + l) * slots) + region_slot)
+    (fun () -> Control_loop.build variant (params ~variant ~level ~region_slot))

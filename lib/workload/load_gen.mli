@@ -26,7 +26,13 @@ val make :
   Tcsim.Program.t
 (** A co-runner for the given deployment variant and load level.
     [region_slot] (default 1) selects disjoint LMU/pf windows so concurrent
-    tasks never share memory lines; slot 0 is the application's. *)
+    tasks never share memory lines; slot 0 is the application's. One
+    shared value per (variant, level, slot): built on the first request
+    (from any domain) and returned physically equal ever after; item for
+    item it is [Control_loop.build variant (params ~variant ~level
+    ~region_slot)].
+    @raise Invalid_argument unless [0 <= region_slot <= 2], the three task
+    windows the 32 KiB LMU holds. *)
 
 val params : variant:Control_loop.variant -> level:level -> region_slot:int -> Control_loop.params
 (** The generator parameters {!make} uses (exposed for inspection and for

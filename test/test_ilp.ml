@@ -1063,6 +1063,105 @@ let prop_canonical_idempotent =
           (Ilp.Canonical.structure c)
           (Ilp.Canonical.structure (Ilp.Canonical.of_model (Ilp.Canonical.model c))))
 
+(* Models for the oracle property below: negative and fractional
+   coefficients (fractions and one coefficient beyond a native int take
+   the bignum scaling path), free and one-sided bounds, and each model
+   paired with a twin whose variables are renamed and created in another
+   order, whose rows are reordered and whose rows are scaled. *)
+let gen_canon_pair =
+  let open QCheck.Gen in
+  (* mostly ones, so fingerprints tie often and every field of one
+     decides the variable order *)
+  let value =
+    frequency
+      [
+        (6, pure Q.one);
+        (3, map q (int_range (-3) 3));
+        (1, oneofl [ qr 1 2; qr (-3) 4; qr 5 3; qr (-7) 6 ]);
+        (1, pure (Q.of_string "1180591620717411303424"));
+      ]
+  in
+  let bound =
+    frequency
+      [ (3, pure None); (3, pure (Some Q.zero)); (1, pure (Some Q.one)); (1, pure (Some (qr (-1) 2))) ]
+  in
+  let integer = frequency [ (4, pure true); (1, pure false) ] in
+  let* nvars = int_range 1 6 in
+  let* vars = array_repeat nvars (triple integer bound bound) in
+  let row =
+    triple
+      (list_size (frequency [ (1, pure 0); (8, int_range 1 3); (1, pure 4) ])
+         (pair value (int_range 0 (nvars - 1))))
+      (oneofl [ Ilp.Model.Le; Ilp.Model.Ge; Ilp.Model.Eq ])
+      value
+  in
+  let* rows = list_size (int_range 0 7) row in
+  let* obj = list_size (int_range 0 nvars) (pair value (int_range 0 (nvars - 1))) in
+  let* perm = map Array.of_list (shuffle_l (List.init nvars Fun.id)) in
+  let* row_order = shuffle_l (List.mapi (fun i r -> (i, r)) rows) in
+  let* scales = list_repeat (List.length rows) (oneofl [ q 1; q 2; qr 1 3; q (-1) ]) in
+  let build ~perm ~prefix rows =
+    let m = Ilp.Model.create () in
+    (* creation order [perm]: original variable [v] becomes index [ix.(v)] *)
+    let ix = Array.make nvars 0 in
+    Array.iteri
+      (fun k v ->
+         let integer, lb, ub = vars.(v) in
+         let x = Ilp.Model.add_free_var m ~integer (Printf.sprintf "%s%d" prefix k) in
+         Ilp.Model.set_var_bounds m x ~lb ~ub;
+         ix.(v) <- x)
+      perm;
+    let terms ts = Ilp.Linexpr.of_terms (List.map (fun (c, v) -> (c, ix.(v))) ts) in
+    List.iter
+      (fun (s, (ts, sense, rhs)) ->
+         let sense =
+           match sense with
+           | Ilp.Model.Le when Q.sign s < 0 -> Ilp.Model.Ge
+           | Ilp.Model.Ge when Q.sign s < 0 -> Ilp.Model.Le
+           | sense -> sense
+         in
+         Ilp.Model.add_constraint m
+           (Ilp.Linexpr.scale s (terms ts))
+           sense (Q.mul s rhs))
+      rows;
+    Ilp.Model.set_objective m Ilp.Model.Maximize (terms obj);
+    m
+  in
+  return
+    ( build ~perm:(Array.init nvars Fun.id) ~prefix:"x"
+        (List.map (fun r -> (Q.one, r)) rows),
+      build ~perm ~prefix:"y"
+        (List.map2 (fun s (_, r) -> (s, r)) scales row_order) )
+
+(* everything about a model, names included *)
+let model_text m =
+  String.concat " "
+    (Ilp.Model.canonical m
+     :: List.init (Ilp.Model.num_vars m) (Ilp.Model.var_name m)
+     @ List.map (fun (c : Ilp.Model.constr) -> c.cname) (Ilp.Model.constraints m))
+
+let prop_canonical_matches_oracle =
+  QCheck.Test.make ~name:"canonical structure and permutation = Printf oracle"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (a, b) -> model_text a ^ "\n---\n" ^ model_text b)
+       gen_canon_pair)
+    (fun (a, b) ->
+       List.for_all
+         (fun m ->
+            let c = Ilp.Canonical.of_model m in
+            let ref_model, ref_forward, ref_structure = Ref_canonical.of_model m in
+            let forward =
+              Ilp.Canonical.restore_values c
+                (Array.init (Ilp.Model.num_vars m) Q.of_int)
+            in
+            String.equal (Ilp.Canonical.structure c) ref_structure
+            && Array.for_all2
+                 (fun k r -> Q.equal k (Q.of_int r))
+                 forward ref_forward
+            && String.equal (model_text (Ilp.Canonical.model c)) (model_text ref_model))
+         [ a; b ])
+
 (* --- warm-started engine ----------------------------------------------------- *)
 
 let full_box r =
@@ -1322,6 +1421,7 @@ let () =
             test_canonical_distinguishes_programs;
           QCheck_alcotest.to_alcotest prop_canonical_row_twins_collide;
           QCheck_alcotest.to_alcotest prop_canonical_idempotent;
+          QCheck_alcotest.to_alcotest prop_canonical_matches_oracle;
         ] );
       ( "warm-start",
         List.map QCheck_alcotest.to_alcotest

@@ -262,6 +262,130 @@ let test_seq_layout () =
     Alcotest.(check int) "pc1" 0x104 b.Program.pc
   | _ -> Alcotest.fail "expected two instrs"
 
+(* --- program identity ------------------------------------------------------------ *)
+
+(* Tiny value alphabets make near-collisions common: equal lists, lists
+   one field apart, and the same instructions bracketed differently. *)
+let gen_small_items =
+  let open QCheck.Gen in
+  let value = oneofl [ -8; -4; -1; 0; 1; 4 ] in
+  let kind =
+    oneof
+      [
+        map (fun n -> Program.Compute n) (oneofl [ 1; 2 ]);
+        map (fun a -> Program.Load a) value;
+        map (fun a -> Program.Store a) value;
+      ]
+  in
+  fix
+    (fun self depth ->
+       list_size (0 -- 3)
+         (frequency
+            ((3, map2 (fun pc kind -> Program.I { pc; kind }) value kind)
+             ::
+             (if depth = 0 then []
+              else
+                [
+                  ( 1,
+                    map2
+                      (fun count body -> Program.Loop { count; body })
+                      (0 -- 2) (self (depth - 1)) );
+                ]))))
+    2
+
+(* a structurally equal list that shares no block with the original *)
+let rec copy_items items =
+  List.map
+    (function
+      | Program.I { pc; kind } ->
+        Program.I
+          {
+            pc;
+            kind =
+              (match kind with
+               | Program.Compute n -> Program.Compute n
+               | Program.Load a -> Program.Load a
+               | Program.Store a -> Program.Store a);
+          }
+      | Program.Loop { count; body } -> Program.Loop { count; body = copy_items body })
+    items
+
+let prop_digest_iff_items =
+  QCheck.Test.make ~name:"digest a = digest b iff items a = items b" ~count:2000
+    QCheck.(
+      make
+        ~print:(fun (a, b, _) ->
+            Printf.sprintf "%d vs %d items" (List.length a) (List.length b))
+        Gen.(triple gen_small_items gen_small_items bool))
+    (fun (a, b, twin) ->
+       let b = if twin then copy_items a else b in
+       (* names are not part of a program's identity *)
+       let pa = prog "a" a and pb = prog "b" b in
+       Bool.equal
+         (String.equal (Program.digest pa) (Program.digest pb))
+         (Program.items pa = Program.items pb))
+
+let test_digest_perturbations () =
+  let base =
+    [
+      compute ~pc:0x10 3;
+      Program.loop 2 [ load ~pc:0x14 (-8); store ~pc:0x18 0x40 ];
+      Program.loop 0 [];
+    ]
+  in
+  let d items = Program.digest (prog "p" items) in
+  let same msg items = Alcotest.(check string) msg (d base) (d items) in
+  let differs msg items =
+    Alcotest.(check bool) msg false (String.equal (d base) (d items))
+  in
+  same "an equal program" (copy_items base);
+  Alcotest.(check string)
+    "the name is not hashed" (d base)
+    (Program.digest (prog "another name" base));
+  differs "pc"
+    [
+      compute ~pc:0x11 3;
+      Program.loop 2 [ load ~pc:0x14 (-8); store ~pc:0x18 0x40 ];
+      Program.loop 0 [];
+    ];
+  differs "operand"
+    [
+      compute ~pc:0x10 3;
+      Program.loop 2 [ load ~pc:0x14 (-4); store ~pc:0x18 0x40 ];
+      Program.loop 0 [];
+    ];
+  differs "kind tag"
+    [
+      compute ~pc:0x10 3;
+      Program.loop 2 [ store ~pc:0x14 (-8); store ~pc:0x18 0x40 ];
+      Program.loop 0 [];
+    ];
+  differs "loop count"
+    [
+      compute ~pc:0x10 3;
+      Program.loop 3 [ load ~pc:0x14 (-8); store ~pc:0x18 0x40 ];
+      Program.loop 0 [];
+    ];
+  differs "a body item moved across the loop end"
+    [
+      compute ~pc:0x10 3;
+      Program.loop 2 [ load ~pc:0x14 (-8) ];
+      store ~pc:0x18 0x40;
+      Program.loop 0 [];
+    ];
+  differs "an empty loop dropped"
+    [ compute ~pc:0x10 3; Program.loop 2 [ load ~pc:0x14 (-8); store ~pc:0x18 0x40 ] ];
+  differs "an item moved into the empty loop"
+    [
+      compute ~pc:0x10 3;
+      Program.loop 2 [ load ~pc:0x14 (-8) ];
+      Program.loop 0 [ store ~pc:0x18 0x40 ];
+    ];
+  let p = prog "p" base in
+  Alcotest.(check bool)
+    "taken once, kept" true
+    (Program.digest p == Program.digest p)
+
 (* --- single-access SRI timing (Table 2) --------------------------------------- *)
 
 (* Baseline-vs-access cycle delta: the access adds (end-to-end latency + 1
@@ -1747,6 +1871,8 @@ let () =
           Alcotest.test_case "zero loop" `Quick test_walker_zero_loop;
           Alcotest.test_case "validation" `Quick test_program_validation;
           Alcotest.test_case "seq layout" `Quick test_seq_layout;
+          Alcotest.test_case "digest perturbations" `Quick test_digest_perturbations;
+          QCheck_alcotest.to_alcotest prop_digest_iff_items;
         ] );
       ( "sri-timing",
         [

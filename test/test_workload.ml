@@ -213,6 +213,89 @@ let test_region_slots_disjoint () =
   Alcotest.(check bool) "pf windows disjoint" true
     (abs (p0.Control_loop.pf_region - p1.Control_loop.pf_region) >= 0x40000)
 
+(* --- shared programs ------------------------------------------------------------- *)
+
+let variants = [ Control_loop.S1; Control_loop.S2 ]
+
+(* every bundled program, as (label, request, fresh build) *)
+let bundled =
+  List.concat_map
+    (fun variant ->
+       let v = match variant with Control_loop.S1 -> "S1" | Control_loop.S2 -> "S2" in
+       ( "app " ^ v,
+         (fun () -> Control_loop.app variant),
+         fun () ->
+           List.hd (Control_loop.app_input_variants variant ~n:1) )
+       :: List.concat_map
+            (fun level ->
+               List.map
+                 (fun region_slot ->
+                    ( Printf.sprintf "%s %s slot %d" v (Load_gen.level_to_string level)
+                        region_slot,
+                      (fun () -> Load_gen.make ~variant ~level ~region_slot ()),
+                      fun () ->
+                        Control_loop.build variant
+                          (Load_gen.params ~variant ~level ~region_slot) ))
+                 [ 0; 1; 2 ])
+            Load_gen.all_levels)
+    variants
+
+(* Runs first, while no bundled program has been built: 4 domains ask
+   for all of them at once, each in its own order, and must all get the
+   one published value. *)
+let test_shared_concurrent_first_requests () =
+  let requests = Array.of_list (List.map (fun (_, get, _) -> get) bundled) in
+  let n = Array.length requests in
+  let domains =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            let got = Array.make n None in
+            for i = 0 to n - 1 do
+              (* a rotation, reversed in odd domains *)
+              let j = if d mod 2 = 0 then i else n - 1 - i in
+              let k = (j + (d * 5)) mod n in
+              got.(k) <- Some (requests.(k) ())
+            done;
+            Array.map Option.get got))
+  in
+  let results = List.map Domain.join domains in
+  List.iteri
+    (fun k (label, get, fresh) ->
+       let p = get () in
+       List.iteri
+         (fun d got ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: domain %d got the published value" label d)
+              true (got.(k) == p))
+         results;
+       Alcotest.(check bool)
+         (label ^ ": items of a fresh build") true
+         (Tcsim.Program.items p = Tcsim.Program.items (fresh ())))
+    bundled
+
+let test_shared_values () =
+  List.iter
+    (fun (label, get, fresh) ->
+       Alcotest.(check bool) (label ^ " is one value") true (get () == get ());
+       Alcotest.(check bool)
+         (label ^ " equals a fresh build item for item") true
+         (Tcsim.Program.items (get ()) = Tcsim.Program.items (fresh ())))
+    bundled;
+  Alcotest.(check int) "18 contenders + 2 apps" 20 (List.length bundled);
+  (* the default slot is slot 1 *)
+  Alcotest.(check bool)
+    "default slot" true
+    (Load_gen.make ~variant:Control_loop.S1 ~level:Load_gen.High ()
+     == Load_gen.make ~variant:Control_loop.S1 ~level:Load_gen.High ~region_slot:1 ())
+
+let test_shared_slot_range () =
+  List.iter
+    (fun region_slot ->
+       match Load_gen.make ~variant:Control_loop.S2 ~level:Load_gen.Low ~region_slot () with
+       | _ -> Alcotest.failf "slot %d accepted" region_slot
+       | exception Invalid_argument _ -> ())
+    [ -1; 3; 4; max_int ]
+
 (* --- engine control and DMA ----------------------------------------------------- *)
 
 let test_engine_control_profile () =
@@ -258,6 +341,14 @@ let test_dma_validation () =
 let () =
   Alcotest.run "workload"
     [
+      (* first: its concurrency case needs the bundled programs unbuilt *)
+      ( "shared-programs",
+        [
+          Alcotest.test_case "concurrent first requests" `Quick
+            test_shared_concurrent_first_requests;
+          Alcotest.test_case "one value per program" `Quick test_shared_values;
+          Alcotest.test_case "slots outside 0..2 rejected" `Quick test_shared_slot_range;
+        ] );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
