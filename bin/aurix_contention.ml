@@ -1076,21 +1076,15 @@ let stats_cmd =
         match J.member "prometheus" payload with
         | Some (J.Str s) -> print_string s
         | _ ->
-          Format.eprintf
-            "daemon sent no prometheus section (pre-v2 daemon?)@.";
+          Format.eprintf "stats payload has no prometheus section@.";
           exit 4)
       else if json then print_endline (J.to_string payload)
       else begin
         let fmt = Format.std_formatter in
-        (* v2 payload when present; always the flat v1 counters below *)
-        (match payload with
-         | J.Obj _ ->
-           pp_payload fmt ""
-             (J.Obj
-                (List.filter
-                   (fun (k, _) -> k <> "prometheus")
-                   (match payload with J.Obj kvs -> kvs | _ -> [])))
-         | _ -> ());
+        pp_payload fmt ""
+          (match payload with
+           | J.Obj kvs -> J.Obj (List.remove_assoc "prometheus" kvs)
+           | other -> other);
         Format.fprintf fmt "counters:@.";
         List.iter
           (fun (k, v) -> Format.fprintf fmt "  %s: %d@." k v)

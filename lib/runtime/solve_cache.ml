@@ -85,8 +85,9 @@ let prepare model =
    solution is bitwise the solution a fresh solve would produce. *)
 
 (* A label only: unlike the run cache's, keys do not hash it, and a
-   golden test pins their bytes. *)
-let key_format_version = 1
+   golden test pins their bytes. v2: the ILP tag lost its constant
+   [|presolve=true] token, so v1 ILP entries on disk read as misses. *)
+let key_format_version = 2
 
 (* v1: certificate-less entry — emitted bitwise-identically to the
    pre-audit format, so existing disk caches stay valid. v2: the same
@@ -361,11 +362,8 @@ let solve_lp prepared =
     prepared
 
 let solve_ilp ?(node_limit = 200_000) ?(slack = Q.zero) prepared =
-  (* "presolve=true" is a relic of a removed option; it stays so that
-     keys of existing memory and disk entries do not move *)
   let tag =
-    Printf.sprintf "ilp|nodes=%d|slack=%s|presolve=true" node_limit
-      (Q.to_string slack)
+    Printf.sprintf "ilp|nodes=%d|slack=%s" node_limit (Q.to_string slack)
   in
   solve_cached ~tag ~slack
     ~solve:(Ilp.Branch_bound.solve ~node_limit ~slack)

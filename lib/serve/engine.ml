@@ -131,6 +131,8 @@ let close t =
   end;
   Runtime.Pool.shutdown t.pool
 
+let max_request_bytes t = t.config.max_request_bytes
+
 let stats (t : t) : stats =
   {
     served = Atomic.get t.served;
@@ -150,15 +152,14 @@ let stats_alist t =
     ("disk_hits", s.disk_hits);
   ]
 
-(* The content address is pinned to the v1 wire rendering with both the
-   correlation id and the trace context blanked: identical analyses
-   share one cache entry regardless of who asked or how they were
-   traced, and every digest minted before the v2 bump still addresses
-   the same disk entry. *)
+(* The content address is the wire rendering with both the correlation
+   id and the trace context blanked: identical analyses share one cache
+   entry regardless of who asked or how they were traced. The rendering
+   carries ["v"], so a wire bump moves every key by itself. *)
 let digest (q : P.analyze) =
   Digest.to_hex
     (Digest.string
-       (P.encode_request ~version:1 (P.Analyze { q with id = ""; trace = None })))
+       (P.encode_request (P.Analyze { q with id = ""; trace = None })))
 
 (* --- admission + dispatch ----------------------------------------------- *)
 
@@ -462,7 +463,7 @@ let counter_value name = Obs.Metrics.value (Obs.Metrics.counter name)
 
 let ints kvs = J.Obj (List.map (fun (k, v) -> (k, J.Int v)) kvs)
 
-(* The rich stats payload (protocol v2). Everything except [uptime_s],
+(* The rich stats payload. Everything except [uptime_s],
    [in_flight], [stages] and [prometheus] is a pure function of the
    query multiset — jobs-invariant, like the deterministic metrics
    snapshot — and the jobs=1 vs jobs=4 suite pins that. *)
@@ -592,19 +593,17 @@ let handle_line t line =
   Fun.protect
     ~finally:(fun () -> Obs.Metrics.gauge_add g_in_flight (-1))
   @@ fun () ->
-  let reply_version = ref P.version in
   let reply =
     if String.length line > t.config.max_request_bytes then
       `Reply
         (reject P.Oversize
-           (Printf.sprintf "request is %d bytes (limit %d)"
-              (String.length line) t.config.max_request_bytes)
+           (Printf.sprintf "request is over %d bytes"
+              t.config.max_request_bytes)
            [])
     else
-      match P.decode_request_v line with
+      match P.decode_request line with
       | Error msg -> `Reply (reject P.Parse msg [])
-      | Ok (req, v) ->
-        reply_version := v;
+      | Ok req ->
         let run () =
           Obs.Tracer.with_span "serve.request"
             ~attrs:(fun () ->
@@ -642,7 +641,6 @@ let handle_line t line =
    | `Reply (P.Reject { xid; code; message; _ }) ->
      record_reject t xid code message
    | _ -> ());
-  let version = !reply_version in
   match reply with
-  | `Reply r -> `Reply (P.encode_response ~version r)
-  | `Stop r -> `Stop (P.encode_response ~version r)
+  | `Reply r -> `Reply (P.encode_response r)
+  | `Stop r -> `Stop (P.encode_response r)

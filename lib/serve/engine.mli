@@ -40,6 +40,9 @@ val close : t -> unit
 (** Uninstalls the runtime-cache backing stores and shuts down the
     engine's pool. *)
 
+val max_request_bytes : t -> int
+(** The configured line limit, for a transport that bounds its reads. *)
+
 type stats = {
   served : int;  (** analyze requests answered with a result *)
   rejected : int;
@@ -51,14 +54,15 @@ type stats = {
 val stats : t -> stats
 
 val digest : Protocol.analyze -> string
-(** The query's content address (hex): the {e v1} encoding of the
-    request with the correlation id and trace context blanked, so
+(** The query's content address (hex): the MD5 of the request's wire
+    encoding with the correlation id and trace context blanked, so
     identical analyses share one cache entry regardless of id or
-    tracing, and addresses minted before the protocol v2 bump still
-    resolve. *)
+    tracing. The encoding carries the protocol version, so a wire bump
+    moves every address; entries under older addresses read as
+    misses. *)
 
 val stats_payload : t -> Obs.Json.t
-(** The rich introspection object carried by v2 stats replies: uptime,
+(** The rich introspection object carried by stats replies: uptime,
     in-flight gauge, engine counters, per-cache occupancy and hit/miss
     splits, audit verdict totals, per-stage latency histograms, recent
     rejects and a Prometheus text exposition. All sections except
@@ -70,4 +74,7 @@ val analyze : t -> Protocol.analyze -> Protocol.response
 
 val handle_line : t -> string -> [ `Reply of string | `Stop of string ]
 (** One request line to one response line; [`Stop] carries the
-    acknowledgement for a shutdown request. Never raises. *)
+    acknowledgement for a shutdown request. A line over
+    {!max_request_bytes} is rejected as oversize unread, so a transport
+    may pass just its first [max_request_bytes + 1] bytes. Never
+    raises. *)

@@ -1,13 +1,8 @@
 module J = Obs.Json
 
-(* v2 adds the optional trace context on analyze requests and the rich
-   payload on stats replies. v1 lines still decode (the new fields
-   default), and encoders can render any message in either version —
-   the daemon answers in the version the request arrived with, and the
-   engine's content digest pins the v1 rendering so cache keys survived
-   the bump. *)
+(* The one wire version. A line carrying any other ["v"] is refused
+   with an error that names it. *)
 let version = 2
-let min_version = 1
 
 (* --- request types ------------------------------------------------------ *)
 
@@ -192,7 +187,7 @@ let json_of_diag (d : Analysis.Diag.t) =
 let json_of_span_ref { trace_id; parent_span } =
   J.Obj [ ("id", J.Str trace_id); ("parent", J.Str parent_span) ]
 
-let request_to_json ?(version = version) = function
+let request_to_json = function
   | Ping id -> J.Obj [ ("v", J.Int version); ("op", J.Str "ping"); ("id", J.Str id) ]
   | Metrics_req id ->
     J.Obj [ ("v", J.Int version); ("op", J.Str "metrics"); ("id", J.Str id) ]
@@ -214,15 +209,13 @@ let request_to_json ?(version = version) = function
         ("observed", J.Bool q.observed);
       ]
        @
-       (* the trace context is a v2 field; a v1 rendering drops it, which
-          is also what keeps the engine's content digest stable *)
        match q.trace with
-       | Some t when version >= 2 -> [ ("trace", json_of_span_ref t) ]
-       | _ -> [])
+       | Some t -> [ ("trace", json_of_span_ref t) ]
+       | None -> [])
 
-let encode_request ?version r = J.to_string (request_to_json ?version r)
+let encode_request r = J.to_string (request_to_json r)
 
-let response_to_json ?(version = version) = function
+let response_to_json = function
   | Result { rid; cache; wall_us; result } ->
     J.Obj
       [
@@ -253,16 +246,16 @@ let response_to_json ?(version = version) = function
         ("id", J.Str mid); ("metrics", metrics) ]
   | Stats_reply { sid; stats; payload } ->
     J.Obj
-      ([ ("v", J.Int version); ("op", J.Str "stats"); ("status", J.Str "ok");
-         ("id", J.Str sid);
-         ("stats", J.Obj (List.map (fun (k, v) -> (k, J.Int v)) stats)) ]
-       @ if version >= 2 then [ ("payload", payload) ] else [])
+      [ ("v", J.Int version); ("op", J.Str "stats"); ("status", J.Str "ok");
+        ("id", J.Str sid);
+        ("stats", J.Obj (List.map (fun (k, v) -> (k, J.Int v)) stats));
+        ("payload", payload) ]
   | Shutdown_ack id ->
     J.Obj
       [ ("v", J.Int version); ("op", J.Str "shutdown"); ("status", J.Str "ok");
         ("id", J.Str id) ]
 
-let encode_response ?version r = J.to_string (response_to_json ?version r)
+let encode_response r = J.to_string (response_to_json r)
 
 (* --- decoding ----------------------------------------------------------- *)
 
@@ -440,75 +433,65 @@ let span_ref_of_json j =
   let* parent_span = str_field "parent" j in
   Ok { trace_id; parent_span }
 
-let checked_version j =
-  match J.member "v" j with
-  | Some (J.Int v) when v >= min_version && v <= version -> Ok v
-  | Some (J.Int v) -> fail "unsupported protocol version %d" v
-  | _ -> fail "missing or non-integer field \"v\""
-
 let parse_line line =
   match J.parse line with
   | Error e -> fail "malformed JSON: %s" e
   | Ok j ->
-    let* v = checked_version j in
-    let* op = str_field "op" j in
-    Ok (op, j, v)
+    let* v = int_field "v" j in
+    if v <> version then fail "unsupported protocol version %d" v
+    else
+      let* op = str_field "op" j in
+      Ok (op, j)
 
-let decode_request_v line =
-  let* op, j, v = parse_line line in
-  let* req =
-    match op with
-    | "ping" ->
-      let* id = str_field "id" j in
-      Ok (Ping id)
-    | "metrics" ->
-      let* id = str_field "id" j in
-      Ok (Metrics_req id)
-    | "stats" ->
-      let* id = str_field "id" j in
-      Ok (Stats_req id)
-    | "shutdown" ->
-      let* id = str_field "id" j in
-      Ok (Shutdown id)
-    | "analyze" ->
-      let* id = str_field "id" j in
-      let* scenario = str_field "scenario" j in
-      let* app =
-        match J.member "app" j with
-        | Some a -> app_of_json a
-        | None -> fail "missing field \"app\""
-      in
-      let* contenders = list_field "contenders" j in
-      let* contenders = map_r contender_of_json contenders in
-      let* models = list_field "models" j in
-      let* models =
-        map_r
-          (function
-            | J.Str s ->
-              (match model_of_string s with
-               | Some m -> Ok m
-               | None -> fail "unknown model %S" s)
-            | _ -> fail "non-string model name")
-          models
-      in
-      let* observed = bool_field "observed" j in
-      let* trace =
-        match J.member "trace" j with
-        | None | Some J.Null -> Ok None
-        | Some tj when v >= 2 ->
-          let* t = span_ref_of_json tj in
-          Ok (Some t)
-        | Some _ -> fail "field \"trace\" requires protocol version >= 2"
-      in
-      Ok (Analyze { id; scenario; app; contenders; models; observed; trace })
-    | other -> fail "unknown request op %S" other
-  in
-  Ok (req, v)
-
-let decode_request line = Result.map fst (decode_request_v line)
+let decode_request line =
+  let* op, j = parse_line line in
+  match op with
+  | "ping" ->
+    let* id = str_field "id" j in
+    Ok (Ping id)
+  | "metrics" ->
+    let* id = str_field "id" j in
+    Ok (Metrics_req id)
+  | "stats" ->
+    let* id = str_field "id" j in
+    Ok (Stats_req id)
+  | "shutdown" ->
+    let* id = str_field "id" j in
+    Ok (Shutdown id)
+  | "analyze" ->
+    let* id = str_field "id" j in
+    let* scenario = str_field "scenario" j in
+    let* app =
+      match J.member "app" j with
+      | Some a -> app_of_json a
+      | None -> fail "missing field \"app\""
+    in
+    let* contenders = list_field "contenders" j in
+    let* contenders = map_r contender_of_json contenders in
+    let* models = list_field "models" j in
+    let* models =
+      map_r
+        (function
+          | J.Str s ->
+            (match model_of_string s with
+             | Some m -> Ok m
+             | None -> fail "unknown model %S" s)
+          | _ -> fail "non-string model name")
+        models
+    in
+    let* observed = bool_field "observed" j in
+    let* trace =
+      match J.member "trace" j with
+      | None | Some J.Null -> Ok None
+      | Some tj ->
+        let* t = span_ref_of_json tj in
+        Ok (Some t)
+    in
+    Ok (Analyze { id; scenario; app; contenders; models; observed; trace })
+  | other -> fail "unknown request op %S" other
 
 let decode_response line =
-  let* op, j, _v = parse_line line in
+  let* op, j = parse_line line in
   match op with
   | "pong" ->
     let* id = str_field "id" j in
@@ -534,8 +517,10 @@ let decode_response line =
           | (k, _) -> fail "non-integer stat %S" k)
         stats
     in
-    let payload =
-      match J.member "payload" j with Some p -> p | None -> J.Null
+    let* payload =
+      match J.member "payload" j with
+      | Some p -> Ok p
+      | None -> fail "missing field \"payload\""
     in
     Ok (Stats_reply { sid; stats; payload })
   | "result" ->

@@ -14,20 +14,16 @@
       property in [test_serve] pins this), which is what lets responses
       be byte-compared across processes and parallel degrees.
 
-    {b Versioning.} The current version is 2; lines from {!min_version}
-    up still decode, with the newer fields (the analyze trace context,
-    the stats payload) defaulting. Encoders take an optional [?version]
-    so the daemon can answer a v1 client with a v1 line — and so the
-    engine's content digest can pin the v1 rendering, keeping cache
-    addresses stable across the bump. *)
+    {b Versioning.} There is one wire version, {!version} (2). Every
+    encoder renders it, and a line carrying any other ["v"] decodes to
+    an [Error] that names the version. A future bump changes every
+    rendering, and so every content digest taken over one
+    ({!Engine.digest}). *)
 
 (** {1 Requests} *)
 
 val version : int
-(** The version new encodings carry by default (2). *)
-
-val min_version : int
-(** The oldest version {!decode_request}/{!decode_response} accept (1). *)
+(** The version every encoding carries and every decoder requires (2). *)
 
 type model = Ideal | Ftc | Ilp_ptac
 
@@ -66,7 +62,7 @@ type analyze = {
   models : model list;  (** bounds to compute, in response order *)
   observed : bool;  (** also run the actual co-run and report its cycles *)
   trace : span_ref option;
-      (** v2: propagated trace context; ignored by the content digest *)
+      (** propagated trace context; ignored by the content digest *)
 }
 
 type request =
@@ -117,27 +113,21 @@ type response =
   | Metrics_reply of { mid : string; metrics : Obs.Json.t }
   | Stats_reply of {
       sid : string;
-      stats : (string * int) list;  (** the flat v1 counters, kept as-is *)
+      stats : (string * int) list;
+          (** the flat engine counters; [payload]'s [engine] section
+              repeats them, and dropping either would change the wire *)
       payload : Obs.Json.t;
-          (** v2: rich introspection (uptime, stage histograms, cache hit
-              rates, recent rejects, Prometheus exposition); [Null] on v1
-              lines *)
+          (** rich introspection (uptime, stage histograms, cache hit
+              rates, recent rejects, Prometheus exposition); required on
+              the wire *)
     }
   | Shutdown_ack of string
 
 (** {1 Codec} *)
 
-val encode_request : ?version:int -> request -> string
-(** Renders at the given version (default {!version}); v1 drops the v2
-    fields and is byte-identical to what a v1 build emitted. *)
-
+val encode_request : request -> string
 val decode_request : string -> (request, string) result
-
-val decode_request_v : string -> (request * int, string) result
-(** Also returns the version the line carried, so the daemon can answer
-    in kind. *)
-
-val encode_response : ?version:int -> response -> string
+val encode_response : response -> string
 val decode_response : string -> (response, string) result
 
 val result_to_json : analyze_result -> Obs.Json.t

@@ -15,19 +15,89 @@ let sockaddr_of = function
   | Tcp { host; port } ->
     Unix.ADDR_INET (Unix.inet_addr_of_string host, port)
 
+(* A bounded line reader: reads the socket a chunk at a time and keeps
+   at most [limit + 1] bytes of a line. A longer line comes back cut to
+   that many, as soon as they have arrived — the engine rejects it as
+   oversize — and the rest of it, through its newline, is skipped by the
+   next read. A client that never sends a newline so costs a bounded
+   buffer, not unbounded memory. *)
+type reader = {
+  fd : Unix.file_descr;
+  chunk : Bytes.t;
+  mutable pos : int;
+  mutable stop : int;
+  mutable skipping : bool;
+  line : Buffer.t;
+}
+
+let reader fd =
+  { fd; chunk = Bytes.create 65536; pos = 0; stop = 0; skipping = false;
+    line = Buffer.create 1024 }
+
+(* false at end of input; a reset connection ends it too *)
+let rec refill r =
+  match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
+  | n ->
+    r.pos <- 0;
+    r.stop <- n;
+    n > 0
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> refill r
+  | exception Unix.Unix_error _ -> false
+
+let rec newline_from r i =
+  if i < r.stop && Bytes.unsafe_get r.chunk i <> '\n' then
+    newline_from r (i + 1)
+  else i
+
+let take_line r =
+  let s = Buffer.contents r.line in
+  Buffer.clear r.line;
+  Some s
+
+(* The next line without its newline, [None] at end of input. Like
+   [input_line], a last line without a newline is still returned. *)
+let rec read_line r ~limit =
+  if r.pos >= r.stop && not (refill r) then
+    if r.skipping || Buffer.length r.line = 0 then None else take_line r
+  else
+    let nl = newline_from r r.pos in
+    if r.skipping then begin
+      r.skipping <- nl = r.stop;
+      r.pos <- min (nl + 1) r.stop;
+      read_line r ~limit
+    end
+    else begin
+      let room = max 0 (limit + 1 - Buffer.length r.line) in
+      let take = min (nl - r.pos) room in
+      Buffer.add_subbytes r.line r.chunk r.pos take;
+      if Buffer.length r.line > limit then begin
+        r.pos <- r.pos + take;
+        r.skipping <- true;
+        take_line r
+      end
+      else if nl < r.stop then begin
+        r.pos <- nl + 1;
+        take_line r
+      end
+      else begin
+        r.pos <- r.stop;
+        read_line r ~limit
+      end
+    end
+
 (* Serve one connection: read request lines, write response lines. Any
    I/O error (client hung up mid-line, EPIPE on reply) just ends the
    connection — the daemon never dies with a client. *)
 let handle_connection engine stop fd =
-  let ic = Unix.in_channel_of_descr fd in
+  let r = reader fd in
+  let limit = Engine.max_request_bytes engine in
   let oc = Unix.out_channel_of_descr fd in
   Obs.Metrics.incr m_connections;
   Obs.Log.debug "serve.connection";
   let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | exception Sys_error _ -> ()
-    | line ->
+    match read_line r ~limit with
+    | None -> ()
+    | Some line ->
       if not (Atomic.get stop) then begin
         let reply, continue =
           match Engine.handle_line engine line with

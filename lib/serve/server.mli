@@ -4,7 +4,13 @@
     through it the single-flight caches). The accept loop polls a stop
     flag via [select] with a short tick so a shutdown request — or a
     signal handler flipping the flag — wins within a fraction of a
-    second without racing [accept] on a closed descriptor. *)
+    second without racing [accept] on a closed descriptor.
+
+    Request lines are read a chunk at a time and never buffered past
+    the engine's {!Engine.max_request_bytes}: a longer line is answered
+    with an oversize reject as soon as the limit is passed, the rest of
+    it is discarded through its newline, and the connection keeps
+    serving. *)
 
 type addr = Unix_path of string | Tcp of { host : string; port : int }
 

@@ -386,43 +386,23 @@ let test_golden_lint_reject () =
     Alcotest.(check bool) "decoder matches fixture" true (q = lint_reject_query)
   | _ -> Alcotest.fail "fixture did not decode to the lint-reject query"
 
-(* v1 compatibility: the pre-trace wire format, pinned byte-for-byte.
-   Old clients keep working across the v2 bump — their lines decode,
-   and the v1 renderings of the same messages are unchanged. *)
-let test_v1_compat () =
-  let req = read_golden "serve_request_v1.json" in
-  Alcotest.(check string)
-    "v1 request encoder unchanged" req
-    (P.encode_request ~version:1 (P.Analyze golden_query));
-  (match P.decode_request req with
-   | Ok (P.Analyze q) ->
-     Alcotest.(check bool) "v1 request still decodes" true (q = golden_query)
-   | _ -> Alcotest.fail "v1 request fixture did not decode");
-  let resp = read_golden "serve_response_v1.json" in
-  Alcotest.(check string)
-    "v1 response encoder unchanged" resp
-    (P.encode_response ~version:1 golden_response);
-  Alcotest.(check bool)
-    "v1 response still decodes" true
-    (P.decode_response resp = Ok golden_response);
-  let lint = read_golden "serve_lint_reject_v1.json" in
-  Alcotest.(check string)
-    "v1 lint-reject encoder unchanged" lint
-    (P.encode_request ~version:1 (P.Analyze lint_reject_query));
-  (* a traced request rendered at v1 drops the trace context *)
-  let traced =
-    { golden_query with
-      P.trace = Some { P.trace_id = "feed"; parent_span = "f00d" } }
+(* A stats reply must carry its payload: without it the line is an
+   error, not a reply with an empty payload. *)
+let test_stats_reply_requires_payload () =
+  let line =
+    P.encode_response
+      (P.Stats_reply
+         { sid = "s"; stats = [ ("served", 1) ]; payload = J.Obj [] })
   in
-  Alcotest.(check string)
-    "v1 rendering drops the trace"
-    (P.encode_request ~version:1 (P.Analyze golden_query))
-    (P.encode_request ~version:1 (P.Analyze traced));
-  (* while the default (v2) rendering keeps it, round-trip *)
-  match P.decode_request (P.encode_request (P.Analyze traced)) with
-  | Ok (P.Analyze q) ->
-    Alcotest.(check bool) "v2 keeps the trace" true (q = traced)
-  | _ -> Alcotest.fail "traced request did not round-trip"
+  let without =
+    match J.parse line with
+    | Ok (J.Obj kvs) -> J.to_string (J.Obj (List.remove_assoc "payload" kvs))
+    | _ -> Alcotest.fail "unparsable stats reply"
+  in
+  Alcotest.(check bool) "with payload decodes" true
+    (Result.is_ok (P.decode_response line));
+  Alcotest.(check bool) "without payload is an error" true
+    (Result.is_error (P.decode_response without))
 
 (* --- stable cache keys and entries -------------------------------------- *)
 
@@ -433,13 +413,17 @@ let test_v1_compat () =
    against an independent rendering of the v2 layout (header fields,
    then per task [#core:] and the MD5 of the program's fixed-width item
    encoding). *)
-let expected_query_digest = "04b74dd2843bbe551660bb859c60a1fa"
+let expected_query_digest = "4682c0208516fdd8152a6beea2f38539"
 let expected_run_key_version = 2
 let expected_run_fingerprint = "863375e52a10ce0b0134b08c182fb780"
 let expected_wide_run_fingerprint = "f1824af97c1eb68e66481baea4ae7477"
 
 (* the v1 key of [expected_run_fingerprint]'s request *)
 let v1_run_fingerprint = "c1fb13491754654423f7692a37bffb93"
+
+(* the golden query's address while the query digest hashed the v1
+   wire rendering *)
+let v1_query_digest = "04b74dd2843bbe551660bb859c60a1fa"
 let expected_solve_key = "a87cb24c98ba740b7b21a2df83bfdfdc"
 
 let test_query_digest_golden () =
@@ -660,15 +644,38 @@ let test_reject_parse () =
     [
       "not json at all";
       "{";
-      "{\"v\": 1}";
-      "{\"v\": 3, \"op\": \"ping\", \"id\": \"x\"}";
-      "{\"v\": 1, \"op\": \"analyze\", \"id\": \"x\", \"scenario\": \
-       \"scenario1\", \"app\": \"bundled\", \"contenders\": [], \"models\": \
-       [\"ftc\"], \"observed\": false, \"trace\": {\"id\": \"t\", \
-       \"parent\": \"p\"}}";
-      "{\"v\": 1, \"op\": \"frobnicate\", \"id\": \"x\"}";
-      "{\"v\": 1, \"op\": \"analyze\", \"id\": \"x\"}";
+      "{\"v\": 2}";
+      "{\"v\": \"2\", \"op\": \"ping\", \"id\": \"x\"}";
+      "{\"v\": 2, \"op\": \"frobnicate\", \"id\": \"x\"}";
+      "{\"v\": 2, \"op\": \"analyze\", \"id\": \"x\"}";
       "[1, 2, 3]";
+    ];
+  (* any other version is refused by a reject that names it, itself
+     rendered at the one wire version *)
+  List.iter
+    (fun (v, line) ->
+       let reply = reply_of e line in
+       (match J.parse reply with
+        | Ok j ->
+          Alcotest.(check bool) "reject rendered at v2" true
+            (J.member "v" j = Some (J.Int 2))
+        | Error _ -> Alcotest.failf "unparsable reply %S" reply);
+       match decode_reply reply with
+       | P.Reject { code = P.Parse; message; _ } ->
+         Alcotest.(check string) "message names the version"
+           (Printf.sprintf "unsupported protocol version %d" v)
+           message
+       | other ->
+         Alcotest.failf "expected a parse reject, got %s"
+           (P.encode_response other))
+    [
+      (1, "{\"v\": 1, \"op\": \"ping\", \"id\": \"old\"}");
+      (1, "{\"v\": 1, \"op\": \"stats\", \"id\": \"old\"}");
+      ( 1,
+        "{\"v\": 1, \"op\": \"analyze\", \"id\": \"x\", \"scenario\": \
+         \"scenario1\", \"app\": \"bundled\", \"contenders\": [], \"models\": \
+         [\"ftc\"], \"observed\": false}" );
+      (3, "{\"v\": 3, \"op\": \"ping\", \"id\": \"x\"}");
     ]
 
 let test_reject_invalid () =
@@ -725,6 +732,65 @@ let test_reject_oversize_line () =
       (analyze_line { golden_query with P.id = String.make 100 'x' })
   in
   Alcotest.(check (option string)) "no id on an unread request" None xid
+
+(* Over a real socket: a line that never ends is rejected as soon as it
+   passes the limit, not buffered until a newline arrives, and the
+   connection keeps serving after the newline that ends it. *)
+let test_reject_oversize_while_reading () =
+  with_tmpdir @@ fun dir ->
+  let addr = Serve.Server.Unix_path (Filename.concat dir "s.sock") in
+  let engine = mk_engine ~max_request_bytes:64 () in
+  let stop = Atomic.make false in
+  let server =
+    Thread.create (fun () -> Serve.Server.serve ~engine ~addr ~stop ()) ()
+  in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+        (try Unix.close fd with _ -> ());
+        Atomic.set stop true;
+        Thread.join server;
+        Serve.Engine.close engine)
+  @@ fun () ->
+  let rec connect n =
+    match Unix.connect fd (Unix.ADDR_UNIX (Filename.concat dir "s.sock")) with
+    | () -> ()
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when n > 0 ->
+      Thread.delay 0.05;
+      connect (n - 1)
+  in
+  connect 100;
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  let send s =
+    let n = Unix.write_substring fd s 0 (String.length s) in
+    Alcotest.(check int) "sent in one write" (String.length s) n
+  in
+  let recv_line () =
+    let line = Buffer.create 256 and b = Bytes.create 1 in
+    let rec go () =
+      match Unix.read fd b 0 1 with
+      | 0 -> Alcotest.fail "connection closed before a reply"
+      | _ when Bytes.get b 0 = '\n' -> Buffer.contents line
+      | _ ->
+        Buffer.add_char line (Bytes.get b 0);
+        go ()
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Alcotest.fail "no reply within the receive timeout"
+    in
+    go ()
+  in
+  send (String.make 100 'x');
+  (match decode_reply (recv_line ()) with
+   | P.Reject { code = P.Oversize; xid = None; _ } -> ()
+   | other ->
+     Alcotest.failf "expected an oversize reject, got %s"
+       (P.encode_response other));
+  send ("\n" ^ P.encode_request (P.Ping "after") ^ "\n");
+  match decode_reply (recv_line ()) with
+  | P.Pong id -> Alcotest.(check string) "ping answered" "after" id
+  | other ->
+    Alcotest.failf "expected a pong, got %s" (P.encode_response other)
 
 let test_reject_oversize_program () =
   let e = mk_engine ~max_program_size:3 () in
@@ -900,6 +966,35 @@ let test_corrupt_query_entry_recomputed () =
   Alcotest.(check string)
     "recomputed result identical" (result_bytes first) (result_bytes second)
 
+(* A disk tier written while the query digest hashed the v1 wire
+   rendering: the poisoned entry under the golden query's old address is
+   never served; the query is computed and saved under its current
+   address. *)
+let test_v1_query_entry_never_served () =
+  with_tmpdir @@ fun dir ->
+  let d = Serve.Disk_cache.open_ ~root:dir () in
+  let poisoned =
+    match golden_response with
+    | P.Result { result; _ } -> result
+    | _ -> assert false
+  in
+  Serve.Disk_cache.store d ~ns:"query" ~key:v1_query_digest
+    (J.to_string (P.result_to_json poisoned));
+  let e = restart_engine dir in
+  let r =
+    with_engine e @@ fun () ->
+    result_of_reply (reply_of e (analyze_line golden_query))
+  in
+  Alcotest.(check string)
+    "computed, not the v1 entry" "computed"
+    (P.provenance_to_string r.rcache);
+  Alcotest.(check bool)
+    "poisoned result not served" false (r.rresult = poisoned);
+  Alcotest.(check bool)
+    "saved under the current address" true
+    (Sys.file_exists
+       (Serve.Disk_cache.path d ~ns:"query" ~key:expected_query_digest))
+
 let test_runtime_caches_replay_from_disk () =
   with_tmpdir @@ fun dir ->
   let line = analyze_line golden_query in
@@ -1059,33 +1154,7 @@ let test_certless_entry_upgraded () =
   | Some (_, Some _) -> ()
   | _ -> Alcotest.fail "certless entry was not upgraded to a certified one"
 
-(* --- observability: introspection payload, version echo, tracing ---------- *)
-
-let test_version_echo () =
-  let e = mk_engine () in
-  with_engine e @@ fun () ->
-  (* a v1 request gets a v1 reply... *)
-  let reply = reply_of e (P.encode_request ~version:1 (P.Ping "v")) in
-  (match J.parse reply with
-   | Ok j ->
-     Alcotest.(check bool)
-       "v1 request answered in v1" true
-       (J.member "v" j = Some (J.Int 1))
-   | Error _ -> Alcotest.fail "unparsable reply");
-  (* ...so a v1 stats reply carries no payload member at all *)
-  (match J.parse (reply_of e (P.encode_request ~version:1 (P.Stats_req "s"))) with
-   | Ok j ->
-     Alcotest.(check bool)
-       "no payload on the v1 wire" true
-       (J.member "payload" j = None)
-   | Error _ -> Alcotest.fail "unparsable v1 stats reply");
-  (* while the default (v2) wire carries it *)
-  match J.parse (reply_of e (P.encode_request (P.Stats_req "s"))) with
-  | Ok j ->
-    Alcotest.(check bool)
-      "payload on the v2 wire" true
-      (J.member "payload" j <> None)
-  | Error _ -> Alcotest.fail "unparsable v2 stats reply"
+(* --- observability: introspection payload, tracing ------------------------ *)
 
 let stats_payload_of e =
   match decode_reply (reply_of e (P.encode_request (P.Stats_req "sp"))) with
@@ -1371,12 +1440,6 @@ let () =
     write "serve_response.json" (P.encode_response golden_response);
     write "serve_lint_reject.json"
       (P.encode_request (P.Analyze lint_reject_query));
-    write "serve_request_v1.json"
-      (P.encode_request ~version:1 (P.Analyze golden_query));
-    write "serve_response_v1.json"
-      (P.encode_response ~version:1 golden_response);
-    write "serve_lint_reject_v1.json"
-      (P.encode_request ~version:1 (P.Analyze lint_reject_query));
     Printf.printf "query digest:    %s\n" (Serve.Engine.digest golden_query);
     Printf.printf "run fingerprint: %s\n"
       (Runtime.Run_cache.fingerprint ~config:Tcsim.Machine.default_config
@@ -1399,7 +1462,8 @@ let () =
           Alcotest.test_case "golden response fixture" `Quick test_golden_response;
           Alcotest.test_case "golden lint-reject fixture" `Quick
             test_golden_lint_reject;
-          Alcotest.test_case "v1 wire compatibility" `Quick test_v1_compat;
+          Alcotest.test_case "stats reply requires a payload" `Quick
+            test_stats_reply_requires_payload;
         ] );
       ( "stable-keys",
         [
@@ -1408,6 +1472,8 @@ let () =
             test_run_fingerprint_golden;
           Alcotest.test_case "v1 run key never consulted" `Quick
             test_v1_run_key_never_consulted;
+          Alcotest.test_case "v1 query entry never served" `Slow
+            test_v1_query_entry_never_served;
           Alcotest.test_case "wide run fingerprint pinned" `Quick
             test_wide_run_fingerprint_golden;
           Alcotest.test_case "solve key pinned" `Quick test_solve_key_golden;
@@ -1423,6 +1489,8 @@ let () =
           Alcotest.test_case "invalid requests rejected" `Quick test_reject_invalid;
           Alcotest.test_case "oversized line rejected" `Quick
             test_reject_oversize_line;
+          Alcotest.test_case "oversized line rejected while reading" `Quick
+            test_reject_oversize_while_reading;
           Alcotest.test_case "oversized program rejected" `Quick
             test_reject_oversize_program;
           Alcotest.test_case "lint errors rejected with diagnostics" `Quick
@@ -1456,8 +1524,6 @@ let () =
         ] );
       ( "observability",
         [
-          Alcotest.test_case "replies echo the request version" `Quick
-            test_version_echo;
           Alcotest.test_case "stats payload content" `Slow
             test_stats_payload_content;
           Alcotest.test_case "daemon adopts the request trace id" `Slow
