@@ -6,6 +6,10 @@ let pp_addr fmt = function
 
 let m_connections = Obs.Metrics.counter "serve.connections"
 
+(* Connection handlers still running, in every server of the process:
+   how many connections are open is a fact of the host's timing *)
+let m_live = Obs.Metrics.gauge ~timing:true "serve.connections.live"
+
 module J = Obs.Json
 
 let addr_string addr = Format.asprintf "%a" pp_addr addr
@@ -137,16 +141,31 @@ let serve ~engine ~addr ?(backlog = 16) ?(stop = Atomic.make false)
   Obs.Log.info "serve.listening"
     ~fields:(fun () -> [ ("addr", J.Str (addr_string addr)) ]);
   (match on_ready with Some f -> f addr | None -> ());
-  let threads = ref [] in
+  (* a count, not the handlers' threads: a long-lived daemon keeps
+     nothing per finished connection *)
+  let lock = Mutex.create () and idle = Condition.create () and live = ref 0 in
+  let count d =
+    Mutex.protect lock (fun () ->
+        live := !live + d;
+        if !live = 0 then Condition.broadcast idle);
+    Obs.Metrics.gauge_add m_live d
+  in
+  let handle fd =
+    Fun.protect ~finally:(fun () -> count (-1)) (fun () -> handle_connection engine stop fd)
+  in
   let rec accept_loop () =
     if not (Atomic.get stop) then begin
       (match Unix.select [ sock ] [] [] 0.2 with
        | [], _, _ -> ()
        | _ :: _, _, _ -> (
          match Unix.accept sock with
-         | fd, _ ->
-           threads :=
-             Thread.create (handle_connection engine stop) fd :: !threads
+         | fd, _ -> (
+           count 1;
+           try ignore (Thread.create handle fd)
+           with e ->
+             count (-1);
+             (try Unix.close fd with _ -> ());
+             raise e)
          | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ())
        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       accept_loop ()
@@ -155,7 +174,10 @@ let serve ~engine ~addr ?(backlog = 16) ?(stop = Atomic.make false)
   Fun.protect
     ~finally:(fun () ->
         (try Unix.close sock with _ -> ());
-        List.iter Thread.join !threads;
+        Mutex.protect lock (fun () ->
+            while !live > 0 do
+              Condition.wait idle lock
+            done);
         Obs.Log.info "serve.stopped"
           ~fields:(fun () -> [ ("addr", J.Str (addr_string addr)) ]);
         match addr with

@@ -27,7 +27,10 @@ val serve :
 (** Binds, listens, and blocks until [stop] becomes true (a protocol
     shutdown request sets it; callers may share the atomic with a signal
     handler). [on_ready] fires once the socket is listening — tests use
-    it to release the client side. On return all connection threads have
-    been joined and a Unix-domain socket file is unlinked. SIGPIPE is
+    it to release the client side. On return every connection handler
+    has finished and a Unix-domain socket file is unlinked. The server
+    counts its running handlers instead of keeping their threads; the
+    timing-tier gauge [serve.connections.live] holds the handlers
+    running in all servers of the process. SIGPIPE is
     ignored for the whole process (writes to a vanished client surface
     as [EPIPE] and close that connection only). *)

@@ -1,5 +1,14 @@
 open Platform
 
+(* The per-event path lives in this one compilation unit: the crossbar,
+   the cores and the kernel loop. Dune's default profile compiles every
+   module with [-opaque], so a call into another module is an unknown
+   call through [caml_applyN] that nothing inlines; within one unit the
+   calls are direct. Stdlib's [min]/[max] are polymorphic and compare
+   through [caml_greaterequal]; everything here compares ints. *)
+let min (a : int) b = if a <= b then a else b
+let max (a : int) b = if a >= b then a else b
+
 type kind = P16 | E16
 
 type config = {
@@ -349,11 +358,305 @@ module Script = struct
   let miss w0 = (w0 lsr 3) land 3
 end
 
+(* --- The crossbar -----------------------------------------------------------
+   The SRI (see the interface for its arbitration and timing). State is
+   ints only. A master blocks until its transaction completes, so it has
+   at most one outstanding: an interface's queue is the set of masters
+   whose outstanding request targets it, and the request itself (line,
+   op, fold flag, issue cycle) lives in per-master slots. Targets are
+   indexed in {!Platform.Target.all} order, ops as [0] = code, [1] =
+   data. [pending] counts the queued requests of all interfaces, so an
+   event with nothing queued scans none of them. *)
+module Sri = struct
+  let targets = Array.of_list Target.all
+  let ntargets = Array.length targets
+  let ops = [| Op.Code; Op.Data |]
+
+  let tindex = function
+    | Target.Dfl -> 0
+    | Target.Pf0 -> 1
+    | Target.Pf1 -> 2
+    | Target.Lmu -> 3
+
+  let lmu = tindex Target.Lmu
+  let pair target op = (target * 2) + op
+
+  type t = {
+    ncores : int;
+    priorities : int array;
+    (* per (target, op) pair *)
+    lmin : int array;
+    lmax : int array;
+    hide : int array;
+    lmu_dirty : int;
+    (* per interface *)
+    busy_until : int array;
+    last_line : int array; (* line of the last served transaction; -1 none *)
+    last_served : int array;
+    queued : int array; (* waiting requests *)
+    mutable pending : int; (* waiting requests on all interfaces *)
+    (* per master: the outstanding transaction *)
+    p_target : int array; (* -1 unless waiting for a grant *)
+    p_op : int array;
+    p_line : int array;
+    p_folded : bool array;
+    p_issued : int array;
+    p_done : int array;
+    served : int array; (* per master and pair *)
+    (* per-target metric totals, flushed by [flush_metrics] *)
+    busy : int array;
+    wait : int array;
+    grants : int array;
+    tracing : bool;
+    mutable events : Trace.event list; (* newest first *)
+  }
+
+  (* Per-target service/wait cycle totals. Values are simulated cycles, so
+     the totals are exactly reproducible and jobs-invariant — the software
+     analogue of the DSU's per-slave occupancy counters. *)
+  let target_tag = function
+    | Target.Dfl -> "dfl"
+    | Target.Pf0 -> "pf0"
+    | Target.Pf1 -> "pf1"
+    | Target.Lmu -> "lmu"
+
+  let m_busy, m_wait, m_grants =
+    let mk f = Array.map (fun t -> f (Printf.sprintf "sri.%s.%s" (target_tag t))) targets in
+    ( mk (fun n -> Obs.Metrics.gauge (n "busy_cycles")),
+      mk (fun n -> Obs.Metrics.gauge (n "wait_cycles")),
+      mk (fun n -> Obs.Metrics.counter (n "grants")) )
+
+  let create ~latency ~priorities ~trace ~ncores =
+    let priorities =
+      match priorities with None -> Array.make ncores 0 | Some p -> Array.copy p
+    in
+    let per_pair f =
+      Array.init (2 * ntargets) (fun i ->
+          let target = targets.(i / 2) and op = ops.(i mod 2) in
+          if Op.valid target op then f target op else 0)
+    in
+    let lmin = per_pair (Latency.lmin latency) in
+    {
+      ncores;
+      priorities;
+      lmin;
+      lmax = per_pair (Latency.lmax latency);
+      hide = per_pair (fun t o -> Latency.lmin latency t o - Latency.min_stall latency t o);
+      lmu_dirty = Latency.lmu_dirty_lmax latency;
+      busy_until = Array.make ntargets 0;
+      last_line = Array.make ntargets (-1);
+      last_served = Array.make ntargets (ncores - 1);
+      queued = Array.make ntargets 0;
+      pending = 0;
+      p_target = Array.make ncores (-1);
+      p_op = Array.make ncores 0;
+      p_line = Array.make ncores 0;
+      p_folded = Array.make ncores false;
+      p_issued = Array.make ncores 0;
+      p_done = Array.make ncores max_int;
+      served = Array.make (ncores * 2 * ntargets) 0;
+      busy = Array.make ntargets 0;
+      wait = Array.make ntargets 0;
+      grants = Array.make ntargets 0;
+      tracing = trace;
+      events = [];
+    }
+
+  (* [lmin - cs] for the pair: the part of an observed transaction the
+     calibrated stall counters do not see *)
+  let hide t ~target ~op = t.hide.(pair target op)
+
+  (* completion cycle of [core]'s latest request once granted; [max_int]
+     while it waits *)
+  let done_at t ~core = t.p_done.(core)
+
+  (* Streaming (line-buffer) hits only exist on the flash interfaces; the
+     LMU SRAM has lmin = lmax anyway. The 256-bit buffer serves repeats of
+     the current line and — thanks to next-line prefetch — the immediately
+     following line of a sequential stream. *)
+  let service_time t i core =
+    let line = t.p_line.(core) and k = pair i t.p_op.(core) in
+    if t.p_folded.(core) && i = lmu then t.lmu_dirty
+    else if
+      i <> lmu (* the flash interfaces *)
+      && t.last_line.(i) >= 0
+      && (t.last_line.(i) = line || t.last_line.(i) + Memory_map.line_bytes = line)
+    then t.lmin.(k)
+    else t.lmax.(k)
+
+  let grant t i cycle core =
+    let svc = service_time t i core in
+    let op = t.p_op.(core) and issued = t.p_issued.(core) in
+    t.p_done.(core) <- cycle + svc;
+    t.p_target.(core) <- -1;
+    t.queued.(i) <- t.queued.(i) - 1;
+    t.pending <- t.pending - 1;
+    t.busy_until.(i) <- cycle + svc;
+    t.last_line.(i) <- t.p_line.(core);
+    t.last_served.(i) <- core;
+    let k = (core * 2 * ntargets) + pair i op in
+    t.served.(k) <- t.served.(k) + 1;
+    t.busy.(i) <- t.busy.(i) + svc;
+    t.wait.(i) <- t.wait.(i) + (cycle - issued);
+    t.grants.(i) <- t.grants.(i) + 1;
+    if t.tracing then
+      t.events <-
+        {
+          Trace.issue_cycle = issued;
+          grant_cycle = cycle;
+          complete_cycle = cycle + svc;
+          core;
+          target = targets.(i);
+          op = ops.(op);
+          service = svc;
+          waited = cycle - issued;
+        }
+        :: t.events
+
+  (* Arbitration: most urgent priority class first (lower value wins), then
+     round-robin within the class — smallest positive distance from the
+     last served master. Distances are distinct, so arrival order never
+     matters and the queue needs none. *)
+  let try_grant t i ~cycle =
+    if t.queued.(i) > 0 && t.busy_until.(i) <= cycle then begin
+      let best = ref (-1) and core = ref t.last_served.(i) in
+      for _ = 1 to t.ncores do
+        core := if !core = t.ncores - 1 then 0 else !core + 1;
+        if
+          t.p_target.(!core) = i
+          && (!best < 0 || t.priorities.(!core) < t.priorities.(!best))
+        then best := !core
+      done;
+      grant t i cycle !best
+    end
+
+  let record t ~core ~target ~op ~line ~folded ~cycle =
+    t.p_target.(core) <- target;
+    t.p_op.(core) <- op;
+    t.p_line.(core) <- line;
+    t.p_folded.(core) <- folded;
+    t.p_issued.(core) <- cycle;
+    t.p_done.(core) <- max_int;
+    t.queued.(target) <- t.queued.(target) + 1;
+    t.pending <- t.pending + 1
+
+  (* Enqueues [core]'s transaction, granted within the same cycle if the
+     target is idle. [folded] marks a cacheable LMU fill carrying its
+     victim's write-back. The caller guarantees an admissible pair, that
+     [core] has no other transaction waiting for a grant, and that
+     [step] has run at [cycle]. An idle target then has an empty queue
+     (requests to it are granted at once, and [step] grants queued ones
+     when it frees), so the request is the only candidate and needs no
+     arbitration. *)
+  let request t ~core ~target ~op ~line ~folded ~cycle =
+    record t ~core ~target ~op ~line ~folded ~cycle;
+    if t.busy_until.(target) <= cycle then grant t target cycle core
+
+  (* With no other request queued and no other master issuing again,
+     arbitration has one candidate: the request is granted as soon as its
+     target is free — later than [cycle] only while another master's last
+     transaction is still in service. Returns the grant cycle; a grant
+     past [limit] is not made, and the request stays queued. *)
+  let serve_alone t ~core ~target ~op ~line ~folded ~cycle ~limit =
+    record t ~core ~target ~op ~line ~folded ~cycle;
+    let at = if t.busy_until.(target) > cycle then t.busy_until.(target) else cycle in
+    if at <= limit then grant t target at core;
+    at
+
+  (* Skipping periods alone: what the solo master's future depends on is
+     each interface's [busy_until] — only as far as it lies past the
+     current cycle, since every later request issues at or after it — and
+     its line buffer. *)
+  let solo_state_words = 2 * ntargets
+  let solo_total_words = 6 * ntargets
+
+  (* Writes the state relative to [cycle] (per interface, how far its
+     [busy_until] lies past [cycle], and its line) at [state], and the
+     totals (per interface [busy_until], busy, wait and grant totals,
+     then [core]'s served counts) at [totals]. *)
+  let solo_snapshot t ~core ~cycle buf ~state ~totals =
+    for i = 0 to ntargets - 1 do
+      let b = t.busy_until.(i) in
+      buf.(state + (2 * i)) <- (if b > cycle then b - cycle else 0);
+      buf.(state + (2 * i) + 1) <- t.last_line.(i);
+      buf.(totals + i) <- b;
+      buf.(totals + ntargets + i) <- t.busy.(i);
+      buf.(totals + (2 * ntargets) + i) <- t.wait.(i);
+      buf.(totals + (3 * ntargets) + i) <- t.grants.(i)
+    done;
+    Array.blit t.served (core * 2 * ntargets) buf (totals + (4 * ntargets)) (2 * ntargets)
+
+  (* Applies [times] more periods like the one since the totals at
+     [totals] were taken: every total grows by [times] × its change, and
+     [core]'s transaction times and the [busy_until] of each interface
+     the period used shift by [times × cycles]. *)
+  let solo_advance t ~core buf ~totals ~times ~cycles =
+    let shift = times * cycles in
+    let grow a j at = a.(j) <- a.(j) + (times * (a.(j) - buf.(at))) in
+    for i = 0 to ntargets - 1 do
+      (* an interface the period used moves on with it; the others stay *)
+      if t.busy_until.(i) <> buf.(totals + i) then
+        t.busy_until.(i) <- t.busy_until.(i) + shift;
+      grow t.busy i (totals + ntargets + i);
+      grow t.wait i (totals + (2 * ntargets) + i);
+      grow t.grants i (totals + (3 * ntargets) + i)
+    done;
+    for k = 0 to (2 * ntargets) - 1 do
+      grow t.served ((core * 2 * ntargets) + k) (totals + (4 * ntargets) + k)
+    done;
+    t.p_issued.(core) <- t.p_issued.(core) + shift;
+    if t.p_done.(core) < max_int then t.p_done.(core) <- t.p_done.(core) + shift
+
+  (* Grants pending requests on every target idle at [cycle]. Grants only
+     fire at cycles [next_grant_at] reports or at request time. Most
+     events find nothing queued: most requests are granted at issue. *)
+  let step t ~cycle =
+    if t.pending > 0 then
+      for i = 0 to ntargets - 1 do
+        try_grant t i ~cycle
+      done
+
+  (* The earliest cycle a queued request can be granted — the minimum
+     [busy_until] over interfaces with a queue — or [max_int] when nothing
+     is queued. A free interface never carries a queue between cycles. *)
+  let next_grant_at t =
+    if t.pending = 0 then max_int
+    else begin
+      let at = ref max_int in
+      for i = 0 to ntargets - 1 do
+        if t.queued.(i) > 0 && t.busy_until.(i) < !at then at := t.busy_until.(i)
+      done;
+      !at
+    end
+
+  let profile t ~core =
+    Access_profile.make
+      (List.map
+         (fun (target, op) ->
+            let o = if Op.equal op Op.Code then 0 else 1 in
+            ((target, op), t.served.((core * 2 * ntargets) + pair (tindex target) o)))
+         Op.valid_pairs)
+
+  let trace t = List.rev t.events
+
+  (* adds the per-target totals to the [sri.<target>.*] metrics and
+     zeroes them *)
+  let flush_metrics t =
+    for i = 0 to ntargets - 1 do
+      Obs.Metrics.gauge_add m_busy.(i) t.busy.(i);
+      Obs.Metrics.gauge_add m_wait.(i) t.wait.(i);
+      Obs.Metrics.add m_grants.(i) t.grants.(i);
+      t.busy.(i) <- 0;
+      t.wait.(i) <- 0;
+      t.grants.(i) <- 0
+    done
+end
+
 (* --- Cores ----------------------------------------------------------------
    A core is a cursor into its script plus int registers. Its next event
    is [anchor + gap] of the next segment: the cycle it issues a request
    (or, for the analysis core, ends or fails). Between issuing and the
-   grant it waits; once [Sri.done_at] reports the grant, the completion
+   grant it waits; once the crossbar reports the grant, the completion
    cycle becomes the anchor, and the transaction's stall is committed at
    the core's next event or, if it completed by then, at the end of the
    run. Restart passes
@@ -711,3 +1014,103 @@ module Solo = struct
     if k.region >= 0 then k.watch <- k.at + period k k.region;
     !times
 end
+
+(* --- The kernel ----------------------------------------------------------- *)
+
+exception Cycle_limit_exceeded of int
+
+type sri = Sri.t
+
+let create_sri = Sri.create
+let profile = Sri.profile
+let sri_trace = Sri.trace
+
+let m_events = Obs.Metrics.counter "tcsim.events"
+let m_skipped = Obs.Metrics.counter "tcsim.skipped_cycles"
+
+(* events applied as whole periods; whether a region is known when the
+   core reaches it depends on what the script memo held *)
+let m_solo_skipped = Obs.Metrics.counter ~timing:true "tcsim.solo.skipped_events"
+
+(* Wake at the earliest of the cores' next events (issues, the analysis
+   task's end) and the SRI's next queued grant, and replay that cycle in
+   the fixed order grants, analysis core, contenders in array order —
+   the order the hardware model resolves same-cycle arbitration in.
+   [stepped] visits every cycle instead; nothing happens at the others.
+   Once nothing is queued and no contender will issue again, the event
+   kernel steps the analysis core alone (see below). See DESIGN.md §7
+   for why this is exact. *)
+let run_kernel ~stepped ~skip ~max_cycles ~sri ~analysis ~contenders ~work =
+  let events = ref 0 and last = ref (-1) and solo_skipped = ref 0 in
+  Fun.protect
+    ~finally:(fun () ->
+        Sri.flush_metrics sri;
+        Obs.Metrics.add m_events !events;
+        Obs.Metrics.add m_skipped (!last + 1 - !events);
+        Obs.Metrics.add m_solo_skipped !solo_skipped;
+        work.(0) <- !events;
+        work.(1) <- !solo_skipped)
+    (fun () ->
+       let n = Array.length contenders in
+       let alone = ref false in
+       while not (!alone || finished analysis) do
+         (* the earliest event of anyone but the analysis core; a loop,
+            not a closure: this runs at every event *)
+         let others =
+           if stepped then 0
+           else begin
+             let t = ref (Sri.next_grant_at sri) in
+             for i = 0 to n - 1 do
+               t := min !t (wake contenders.(i))
+             done;
+             !t
+           end
+         in
+         if others = max_int then alone := true
+         else begin
+           let t = if stepped then !last + 1 else min (wake analysis) others in
+           if t > max_cycles then raise (Cycle_limit_exceeded (max_cycles + 1));
+           incr events;
+           last := t;
+           Sri.step sri ~cycle:t;
+           if wake analysis = t then fire analysis ~cycle:t;
+           for i = 0 to n - 1 do
+             let c = contenders.(i) in
+             if wake c = t then fire c ~cycle:t
+           done
+         end
+       done;
+       (* Alone on the crossbar: every event is the analysis core's — an
+          issue, granted at once or, behind a contender's last
+          transaction still in service, at a later cycle that is an
+          event of its own — or its end. Untraced, whole periods of a
+          replayed region are skipped at once (DESIGN.md §7). *)
+       let solo = if skip then Some (Solo.create analysis) else None in
+       while not (finished analysis) do
+         let t = wake analysis in
+         let t =
+           match solo with
+           | Some k when Solo.due k ->
+             let m = Solo.check k ~events:!events ~limit:max_cycles in
+             if m = 0 then t
+             else begin
+               let e = m * Solo.period_events k in
+               events := !events + e;
+               solo_skipped := !solo_skipped + e;
+               last := !last + (m * Solo.period_cycles k);
+               wake analysis
+             end
+           | _ -> t
+         in
+         if t > max_cycles then raise (Cycle_limit_exceeded (max_cycles + 1));
+         incr events;
+         last := t;
+         let g = fire_alone analysis ~cycle:t ~limit:max_cycles in
+         if g > t then begin
+           if g > max_cycles then raise (Cycle_limit_exceeded (max_cycles + 1));
+           incr events;
+           last := g
+         end
+       done;
+       let finish = finish_cycle analysis in
+       Array.iter (fun c -> settle c ~cycle:finish) contenders)

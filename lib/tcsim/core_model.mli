@@ -60,6 +60,43 @@ module Script : sig
       to whole chunks, and at least one chunk. *)
 end
 
+(** {1 The crossbar}
+
+    The Shared Resource Interconnect (SRI). Each slave interface (dfl,
+    pf0, pf1, lmu) arbitrates independently: transactions to distinct
+    targets proceed in parallel; same-target requests are serialised by
+    priority class and, within a class, by round-robin over the masters
+    — so in the paper's same-class setting a request waits for at most
+    one in-flight request per contending master (Section 2). Arbitration
+    is non-preemptive: a higher-priority request still waits for the
+    transaction in service.
+
+    Service time: a transaction occupies its target for [lmax(t,o)]
+    cycles, or [lmin(t,o)] when it streams from the flash interface's
+    256-bit prefetch line buffer (same or sequential-next line), or the
+    LMU dirty-miss latency when a cacheable LMU fill carries a folded
+    dirty write-back. The constants come from the {!Platform.Latency}
+    table, so the simulator and the analytical models share one timing
+    source. Per-run totals go to the [sri.<target>.busy_cycles] and
+    [.wait_cycles] gauges and the [.grants] counter. *)
+
+type sri
+
+val create_sri :
+  latency:Platform.Latency.t -> priorities:int array option -> trace:bool -> ncores:int -> sri
+(** [priorities] maps each master to its SRI priority class — {e lower is
+    more urgent}; [None] puts all masters in one class (the paper's
+    configuration). The caller checks the array's length. [trace]
+    records every transaction. *)
+
+val profile : sri -> core:int -> Platform.Access_profile.t
+(** Ground-truth per-target access counts served so far for a master. *)
+
+val sri_trace : sri -> Trace.t
+(** Recorded transactions in completion order; empty unless tracing. *)
+
+(** {1 Cores} *)
+
 type role =
   | Analysis  (** the run ends when its program does *)
   | Restarting  (** a periodic co-runner: restarts when it finishes *)
@@ -67,71 +104,42 @@ type role =
 
 type t
 
-val create : Script.t -> sri:Sri.t -> core_id:int -> role -> t
+val create : Script.t -> sri:sri -> core_id:int -> role -> t
 
-val wake : t -> int
-(** Cycle of the core's next event — issuing its next SRI request, or
-    its program's end or failure for the analysis core — or [max_int]
-    while it waits for a grant or has nothing left to do. *)
+(** {1 The kernel} *)
 
-val fire : t -> cycle:int -> unit
-(** Performs the event due at [cycle = wake t].
-    @raise Invalid_argument when the program reaches an unmapped address,
+exception Cycle_limit_exceeded of int
+
+val run_kernel :
+  stepped:bool ->
+  skip:bool ->
+  max_cycles:int ->
+  sri:sri ->
+  analysis:t ->
+  contenders:t array ->
+  work:int array ->
+  unit
+(** Runs the cores on [sri] until the analysis core's program ends, then
+    settles the contenders at that cycle. The event kernel wakes only at
+    the cycles where something shared happens — an SRI request issues,
+    a queued request is granted, the analysis task ends — and, once
+    nothing is queued and no contender will issue again, steps the
+    analysis core alone; with [skip] (untraced runs) it applies whole
+    periods of a replayed loop region at once there (DESIGN.md §7).
+    [stepped] visits every cycle instead; both give identical results.
+    The [sri.*], [tcsim.events] and [tcsim.skipped_cycles] totals are
+    flushed, and the event and skipped-event counts written to
+    [work.(0)] and [work.(1)], also when the run raises.
+    @raise Cycle_limit_exceeded at the first event past [max_cycles].
+    @raise Invalid_argument when a program reaches an unmapped address,
     a store to program flash or a data-flash fetch. *)
-
-val fire_alone : t -> cycle:int -> limit:int -> int
-(** {!fire} for the analysis core once it is alone on the SRI — nothing
-    queued, and no contender will issue again: its request is served by
-    {!Sri.serve_alone} without arbitration. Returns the grant cycle
-    ([cycle] itself when the event was no issue); a grant past [limit] is
-    not made.
-    @raise Invalid_argument as {!fire} does. *)
-
-(** Skipping whole loop periods while the analysis core is alone on the
-    SRI (DESIGN.md §7). At a boundary of a replayed region of its script
-    the core snapshots its registers and the crossbar's interface state,
-    relative to the cycle of the event it is about to fire; when the
-    state is equal at the next boundary, the period in between repeats
-    until the region ends, and whole periods are applied at once. Every
-    result, counter and total is the one stepping gives. *)
-module Solo : sig
-  type core := t
-  type t
-
-  val create : core -> t
-  (** Preallocated buffers for the analysis core; use only while it is
-      alone ({!fire_alone}) and the crossbar is not tracing. *)
-
-  val due : t -> bool
-  (** The core's cursor has reached a segment worth a {!check}, or its
-      script has detected new regions. Cheap: call before every event. *)
-
-  val check : t -> events:int -> limit:int -> int
-  (** Call with the core awake ({!wake}) before its next event, given the
-      kernel's event count so far. Returns the number [m] of whole
-      periods skipped — the core and the crossbar are then [m] periods
-      on, and the kernel adds [m × period_events] events and
-      [m × period_cycles] to its clock. [m] is capped so that the first
-      event after the skip is at or before [limit]. *)
-
-  val period_events : t -> int
-  val period_cycles : t -> int
-  (** Of the period the latest skip applied. *)
-end
-
-val finished : t -> bool
-(** The analysis core's program has ended. *)
 
 val finish_cycle : t -> int
 (** Cycle at which the analysis program completed.
     @raise Failure if not yet finished. *)
 
-val settle : t -> cycle:int -> unit
-(** Accounts a co-runner up to and including [cycle], the cycle the
-    analysis task finished, after every event up to it has fired. *)
-
 val counters : t -> Platform.Counters.t
-(** Final once the core has finished or been settled. *)
+(** Final once {!run_kernel} has returned. *)
 
 val restarts : t -> int
 val core_id : t -> int

@@ -24,7 +24,7 @@ type run_result = {
   trace : Trace.t;
 }
 
-exception Cycle_limit_exceeded of int
+exception Cycle_limit_exceeded = Core_model.Cycle_limit_exceeded
 
 type kernel = [ `Stepped | `Event ]
 
@@ -50,12 +50,6 @@ let default_max_cycles = 200_000_000
 
 let m_runs = Obs.Metrics.counter "tcsim.runs"
 let m_cycles = Obs.Metrics.counter "tcsim.cycles"
-let m_events = Obs.Metrics.counter "tcsim.events"
-let m_skipped = Obs.Metrics.counter "tcsim.skipped_cycles"
-
-(* events applied as whole periods; whether a region is known when the
-   core reaches it depends on what the script memo held *)
-let m_solo_skipped = Obs.Metrics.counter ~timing:true "tcsim.solo.skipped_events"
 
 (* --- the script memo --------------------------------------------------------
    Every run checks the compiled {!Core_model.Script}s it needs out of
@@ -136,91 +130,6 @@ let clear_scripts () =
       memo_segments := 0;
       Obs.Metrics.set m_memo_segments 0)
 
-let imin (a : int) b = if a <= b then a else b
-
-(* The kernel: wake at the earliest of the cores' next events (issues,
-   the analysis task's end) and the SRI's next queued grant, and replay
-   that cycle in the fixed order grants, analysis core, contenders in
-   list order — the order the hardware model resolves same-cycle
-   arbitration in. [`Stepped] visits every cycle instead; nothing
-   happens at the others. Once nothing is queued and no contender will
-   issue again, the event kernel steps the analysis core alone (see
-   below). See DESIGN.md §7 for why this is exact. *)
-let run_kernel ~stepped ~skip ~max_cycles ~sri ~analysis ~contenders ~work =
-  let events = ref 0 and last = ref (-1) and solo_skipped = ref 0 in
-  Fun.protect
-    ~finally:(fun () ->
-        Sri.flush_metrics sri;
-        Obs.Metrics.add m_events !events;
-        Obs.Metrics.add m_skipped (!last + 1 - !events);
-        Obs.Metrics.add m_solo_skipped !solo_skipped;
-        work.(0) <- !events;
-        work.(1) <- !solo_skipped)
-    (fun () ->
-       let n = Array.length contenders in
-       let alone = ref false in
-       while not (!alone || Core_model.finished analysis) do
-         (* the earliest event of anyone but the analysis core; a loop,
-            not a closure: this runs at every event *)
-         let others =
-           if stepped then 0
-           else begin
-             let t = ref (Sri.next_grant_at sri) in
-             for i = 0 to n - 1 do
-               t := imin !t (Core_model.wake contenders.(i))
-             done;
-             !t
-           end
-         in
-         if others = max_int then alone := true
-         else begin
-           let t = if stepped then !last + 1 else imin (Core_model.wake analysis) others in
-           if t > max_cycles then raise (Cycle_limit_exceeded (max_cycles + 1));
-           incr events;
-           last := t;
-           Sri.step sri ~cycle:t;
-           if Core_model.wake analysis = t then Core_model.fire analysis ~cycle:t;
-           for i = 0 to n - 1 do
-             let c = contenders.(i) in
-             if Core_model.wake c = t then Core_model.fire c ~cycle:t
-           done
-         end
-       done;
-       (* Alone on the crossbar: every event is the analysis core's — an
-          issue, granted at once or, behind a contender's last
-          transaction still in service, at a later cycle that is an
-          event of its own — or its end. Untraced, whole periods of a
-          replayed region are skipped at once (DESIGN.md §7). *)
-       let solo = if skip then Some (Core_model.Solo.create analysis) else None in
-       while not (Core_model.finished analysis) do
-         let t = Core_model.wake analysis in
-         let t =
-           match solo with
-           | Some k when Core_model.Solo.due k ->
-             let m = Core_model.Solo.check k ~events:!events ~limit:max_cycles in
-             if m = 0 then t
-             else begin
-               let e = m * Core_model.Solo.period_events k in
-               events := !events + e;
-               solo_skipped := !solo_skipped + e;
-               last := !last + (m * Core_model.Solo.period_cycles k);
-               Core_model.wake analysis
-             end
-           | _ -> t
-         in
-         if t > max_cycles then raise (Cycle_limit_exceeded (max_cycles + 1));
-         incr events;
-         last := t;
-         let g = Core_model.fire_alone analysis ~cycle:t ~limit:max_cycles in
-         if g > t then begin
-           if g > max_cycles then raise (Cycle_limit_exceeded (max_cycles + 1));
-           incr events;
-           last := g
-         end
-       done;
-       let finish = Core_model.finish_cycle analysis in
-       Array.iter (fun c -> Core_model.settle c ~cycle:finish) contenders)
-
 let run ?(config = default_config) ?(max_cycles = default_max_cycles)
     ?(restart_contenders = true) ?priorities ?(trace = false) ?kernel
     ~analysis ?(contenders = []) () =
@@ -245,7 +154,12 @@ let run ?(config = default_config) ?(max_cycles = default_max_cycles)
          invalid_arg (Printf.sprintf "Machine.run: core %d assigned twice" t.core);
        Hashtbl.add seen t.core ())
     (analysis :: contenders);
-  let sri = Sri.create ~latency:config.latency ?priorities ~trace ~ncores () in
+  Option.iter
+    (fun p ->
+       if Array.length p <> ncores then
+         invalid_arg "Machine.run: priority array length mismatch")
+    priorities;
+  let sri = Core_model.create_sri ~latency:config.latency ~priorities ~trace ~ncores in
   (* the run's scripts, one per (program, core config): cores running
      the same program on the same config share one *)
   let held = Hashtbl.create 4 in
@@ -272,14 +186,14 @@ let run ?(config = default_config) ?(max_cycles = default_max_cycles)
             (if restart_contenders then Core_model.Restarting else Core_model.Once))
          contenders)
   in
-  run_kernel
+  Core_model.run_kernel
     ~stepped:((match kernel with Some k -> k | None -> default_kernel ()) = `Stepped)
     ~skip:(not trace) ~max_cycles ~sri ~analysis:analysis_core ~contenders:contender_cores
     ~work;
   let result_of core =
     {
       counters = Core_model.counters core;
-      profile = Sri.profile sri ~core:(Core_model.core_id core);
+      profile = Core_model.profile sri ~core:(Core_model.core_id core);
       restarts = Core_model.restarts core;
     }
   in
@@ -290,7 +204,7 @@ let run ?(config = default_config) ?(max_cycles = default_max_cycles)
       contenders =
         Array.to_list
           (Array.map (fun c -> (Core_model.core_id c, result_of c)) contender_cores);
-      trace = Sri.trace sri;
+      trace = Core_model.sri_trace sri;
     }
   in
   finish_cycle := result.cycles;

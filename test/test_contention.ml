@@ -450,6 +450,14 @@ let gen_task_spec =
   let* reps = int_range 2 6 in
   return (code_lines, lmu_loads, dfl_loads, lmu_stores, compute, reps)
 
+(* a failing seed prints its tasks, not just the property's name *)
+let arb_task_spec =
+  QCheck.make
+    ~print:(fun (code, lmu_ld, dfl_ld, lmu_st, compute, reps) ->
+        Printf.sprintf "(code=%d, lmu_ld=%d, dfl_ld=%d, lmu_st=%d, compute=%d, reps=%d)"
+          code lmu_ld dfl_ld lmu_st compute reps)
+    gen_task_spec
+
 let build_task slot (code_lines, lmu_loads, dfl_loads, lmu_stores, compute, reps) =
   let open Tcsim in
   let pspr = Memory_map.pspr_base in
@@ -472,7 +480,7 @@ let build_task slot (code_lines, lmu_loads, dfl_loads, lmu_stores, compute, reps
 
 let prop_models_upper_bound_random_coruns =
   QCheck.Test.make ~name:"fTC and ILP bounds dominate random co-runs" ~count:25
-    (QCheck.pair (QCheck.make gen_task_spec) (QCheck.make gen_task_spec))
+    (QCheck.pair arb_task_spec arb_task_spec)
     (fun (spec_a, spec_b) ->
        let pa = build_task 0 spec_a and pb = build_task 1 spec_b in
        let iso_a = Mbta.Measurement.isolation ~core:0 pa in
@@ -486,7 +494,8 @@ let prop_models_upper_bound_random_coruns =
             ~scenario:Scenario.unrestricted ~a ~b ())
            .Contention.Ilp_ptac.delta
        in
-       slowdown >= 0 && ftc >= slowdown && ilp >= slowdown)
+       (slowdown >= 0 && ftc >= slowdown && ilp >= slowdown)
+       || QCheck.Test.fail_reportf "slowdown %d, fTC %d, ILP %d" slowdown ftc ilp)
 
 let prop_ilp_at_most_ftc =
   (* The exact ILP optimum never exceeds the fTC bound (every interference
@@ -497,7 +506,7 @@ let prop_ilp_at_most_ftc =
   let tolerance = 16 + 60 in
   QCheck.Test.make ~name:"ILP bound never exceeds fTC (mod documented slack)"
     ~count:30
-    (QCheck.pair (QCheck.make gen_task_spec) (QCheck.make gen_task_spec))
+    (QCheck.pair arb_task_spec arb_task_spec)
     (fun (spec_a, spec_b) ->
        let pa = build_task 0 spec_a and pb = build_task 1 spec_b in
        let a = (Mbta.Measurement.isolation ~core:0 pa).Mbta.Measurement.counters in
@@ -508,12 +517,13 @@ let prop_ilp_at_most_ftc =
             ~scenario:Scenario.unrestricted ~a ~b ())
            .Contention.Ilp_ptac.delta
        in
-       ilp <= ftc + tolerance)
+       ilp <= ftc + tolerance
+       || QCheck.Test.fail_reportf "fTC %d, ILP %d, tolerance %d" ftc ilp tolerance)
 
 let prop_ilp_at_least_ideal =
   QCheck.Test.make ~name:"ILP bound dominates the ideal model at ground truth"
     ~count:30
-    (QCheck.pair (QCheck.make gen_task_spec) (QCheck.make gen_task_spec))
+    (QCheck.pair arb_task_spec arb_task_spec)
     (fun (spec_a, spec_b) ->
        let pa = build_task 0 spec_a and pb = build_task 1 spec_b in
        let iso_a = Mbta.Measurement.isolation ~core:0 pa in
@@ -529,7 +539,7 @@ let prop_ilp_at_least_ideal =
             ~b:iso_b.Mbta.Measurement.counters ())
            .Contention.Ilp_ptac.delta
        in
-       ilp >= ideal)
+       ilp >= ideal || QCheck.Test.fail_reportf "ideal %d, ILP %d" ideal ilp)
 
 let () =
   Alcotest.run "contention"

@@ -1335,6 +1335,52 @@ let test_stats_payload_jobs_invariance () =
   in
   Alcotest.(check string) "cache deltas invariant" (pp c1) (pp c4)
 
+(* The server counts its live connection handlers instead of keeping
+   every handler's thread: a few hundred sequential connections, one
+   open at a time, leave the count at 0 after each one and after stop. *)
+let test_live_handlers_return_to_zero () =
+  with_tmpdir @@ fun dir ->
+  let addr = Serve.Server.Unix_path (Filename.concat dir "s.sock") in
+  let engine = mk_engine () in
+  let live = Obs.Metrics.gauge ~timing:true "serve.connections.live" in
+  let base = Obs.Metrics.gauge_value live in
+  let stop = Atomic.make false in
+  let server =
+    Thread.create (fun () -> Serve.Server.serve ~engine ~addr ~stop ()) ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+        if not (Atomic.get stop) then begin
+          Atomic.set stop true;
+          Thread.join server
+        end;
+        Serve.Engine.close engine)
+  @@ fun () ->
+  (* a handler ends once it has read its client's end of input *)
+  let settled () =
+    let rec wait n =
+      Obs.Metrics.gauge_value live = base
+      || (n > 0 && (Thread.delay 0.002; wait (n - 1)))
+    in
+    wait 2500
+  in
+  for i = 1 to 300 do
+    let c = Serve.Client.connect addr in
+    let id = string_of_int i in
+    (match Serve.Client.rpc c (P.Ping id) with
+     | Ok (P.Pong got) -> Alcotest.(check string) "ping answered" id got
+     | Ok other -> Alcotest.failf "expected a pong, got %s" (P.encode_response other)
+     | Error e -> Alcotest.failf "connection %d: %s" i e);
+    Alcotest.(check int) "one live handler while connected" (base + 1)
+      (Obs.Metrics.gauge_value live);
+    Serve.Client.close c;
+    if not (settled ()) then Alcotest.failf "connection %d: handler still live" i
+  done;
+  Atomic.set stop true;
+  Thread.join server;
+  Alcotest.(check int) "none live after stop" base (Obs.Metrics.gauge_value live);
+  Alcotest.(check int) "serve.connections.live is 0" 0 base
+
 let hammer ~jobs =
   with_tmpdir @@ fun dir ->
   let addr = Serve.Server.Unix_path (Filename.concat dir "s.sock") in
@@ -1535,5 +1581,10 @@ let () =
         [
           Alcotest.test_case "socket hammer + jobs invariance" `Slow
             test_hammer_and_jobs_invariance;
+        ] );
+      ( "connections",
+        [
+          Alcotest.test_case "live handlers return to zero" `Slow
+            test_live_handlers_return_to_zero;
         ] );
     ]

@@ -648,7 +648,10 @@ let test_priority_limits_waits () =
 
 let test_priority_validation () =
   (try
-     ignore (Sri.create ~priorities:[| 0; 1 |] ~ncores:3 ());
+     ignore
+       (Machine.run ~priorities:[| 0; 1 |]
+          ~analysis:{ Machine.program = prog "p" [ compute 1 ]; core = 0 }
+          ());
      Alcotest.fail "length mismatch must be rejected"
    with Invalid_argument _ -> ())
 
@@ -1219,6 +1222,28 @@ let test_events_are_issues_and_grants () =
            ("co-run", { Machine.program = app; core = 0 }, [ { Machine.program = con; core = 1 } ]);
          ])
     (figure4_cells ())
+
+(* The per-event path allocates nothing: a second co-run of Figure 4's
+   Scenario 2 H-Load cell, its scripts warm in the memo, allocates only
+   the run's fixed set-up and results, far below one word per event. *)
+let test_warm_corun_allocation () =
+  let variant = Workload.Control_loop.variant_of_scenario Scenario.scenario2 in
+  let analysis = { Machine.program = Workload.Control_loop.app variant; core = 0 }
+  and contenders =
+    [ { Machine.program = Workload.Load_gen.make ~variant ~level:Workload.Load_gen.High ();
+        core = 1 } ]
+  in
+  let corun () =
+    Machine.run ~kernel:`Event ~restart_contenders:false ~analysis ~contenders ()
+  in
+  ignore (corun ());
+  let before = Gc.minor_words () in
+  let _, events = events_of corun in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%d events" events) true (events > 100_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for %d events (under 2,000)" words events)
+    true (words < 2000.)
 
 (* --- loop replay -------------------------------------------------------------- *)
 
@@ -1922,6 +1947,8 @@ let () =
             test_silent_program_costs_one_event;
           Alcotest.test_case "events are issues, grants and the end" `Quick
             test_events_are_issues_and_grants;
+          Alcotest.test_case "a warm co-run allocates nothing per event" `Quick
+            test_warm_corun_allocation;
         ] );
       ( "loop-replay",
         [
