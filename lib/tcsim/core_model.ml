@@ -50,9 +50,11 @@ let e16_config = { kind = E16; icache = Some Cache.tc16e_icache; dcache = None }
    equals the snapshot taken at the previous boundary of the same
    instance and segments were emitted in between, the iteration left
    the state where it found it, so every remaining iteration emits
-   those segments again: the walker skips the loop, and the remaining
-   [iterations × period] segments are emitted lazily, each a copy of
-   the one [period] slots earlier, while the caches stay as they are. *)
+   those segments again: the walker skips the loop and the script
+   records the region, while the caches stay as they are. A replayed
+   segment is never stored: segment indices stay what they would be
+   with every segment written out, and a read maps its index to the
+   slot of the stored segment it repeats. *)
 module Script = struct
   let tag_code = 0
   let tag_data = 1
@@ -70,7 +72,8 @@ module Script = struct
 
   type t = {
     mutable chunks : int array array;
-    mutable len : int;  (* segments compiled *)
+    mutable len : int;  (* segments compiled, replayed ones included *)
+    mutable stored : int;  (* segments emitted: the slots in [chunks] *)
     mutable complete : bool;  (* a silent end or a failure was compiled *)
     mutable failed : exn option;  (* what the failure segment raises *)
     icache : Cache.t option;
@@ -88,11 +91,14 @@ module Script = struct
     lines : int;  (* cache lines: the shortest iteration worth a snapshot *)
     mutable scratch : int array;  (* the state at this boundary *)
     mutable snaps : snap array;  (* per frame depth *)
-    mutable period : int;
-    mutable replay_left : int;  (* segments still to copy *)
-    mutable regions : int array;  (* (first, period, stop) per detected replay *)
+    mutable regions : int array;  (* (first, period, stop, slot of stop) per replay *)
     mutable nregions : int;
   }
+
+  (* A reader's window: segments [lo, hi) are stored at slots [+ delta]. *)
+  type window = { mutable lo : int; mutable hi : int; mutable delta : int }
+
+  let window () = { lo = 0; hi = 0; delta = 0 }
 
   let m_replayed = Obs.Metrics.counter ~timing:true "tcsim.script.replayed_segments"
 
@@ -108,6 +114,7 @@ module Script = struct
     {
       chunks = [||];
       len = 0;
+      stored = 0;
       complete = false;
       failed = None;
       icache;
@@ -123,28 +130,24 @@ module Script = struct
       lines;
       scratch = [||];
       snaps = [||];
-      period = 0;
-      replay_left = 0;
       regions = [||];
       nregions = 0;
     }
 
   let no_chunk = [||]
 
-  (* The chunk segment [t.len] goes into, allocated on first use; the
-     chunk table doubles, so growing a long script stays linear. *)
-  let open_chunk t =
-    let ci = t.len lsr seg_bits in
+  (* Stores a segment in slot [t.stored]. Its chunk is allocated on
+     first use; the chunk table doubles, so growing a long script stays
+     linear. *)
+  let emit t w0 w1 =
+    let ci = t.stored lsr seg_bits in
     if ci = Array.length t.chunks then
       t.chunks <- Array.append t.chunks (Array.make (max 1 ci) no_chunk);
     if t.chunks.(ci) == no_chunk then t.chunks.(ci) <- Array.make (2 lsl seg_bits) 0;
-    t.chunks.(ci)
-
-  let emit t w0 w1 =
-    let c = open_chunk t in
-    let o = (t.len land ((1 lsl seg_bits) - 1)) lsl 1 in
-    c.(o) <- w0;
-    c.(o + 1) <- w1;
+    let o = (t.stored land ((1 lsl seg_bits) - 1)) lsl 1 in
+    t.chunks.(ci).(o) <- w0;
+    t.chunks.(ci).(o + 1) <- w1;
+    t.stored <- t.stored + 1;
     t.len <- t.len + 1
 
   (* A transaction issued [t.acc] cycles after the anchor; its completion
@@ -220,7 +223,7 @@ module Script = struct
     if fetch >= 0 then begin
       if fetch lsr 1 = 0 then
         invalid_arg
-          (Printf.sprintf "Sri.request: inadmissible (%s, %s)"
+          (Printf.sprintf "Core_model: inadmissible (%s, %s)"
              (Target.to_string Target.Dfl) (Op.to_string Op.Code));
       txn t ~tag:tag_code
         ~miss:(if fetch land 1 = 1 then miss_pcache else 0)
@@ -247,15 +250,19 @@ module Script = struct
      | None -> ());
     buf.(t.lines) <- t.acc
 
-  (* Segments [first + period, stop) are copies of the segment [period]
-     slots earlier: the kernel skips whole periods of them. *)
+  (* Segments [first + period, stop) repeat the segment [period]
+     earlier: the kernel skips whole periods of them. Each region's
+     replayed part starts where the script ended, so the parts are
+     disjoint and in order; the segment at [stop] is stored at the slot
+     the next emit fills. *)
   let add_region t ~first ~period ~stop =
-    let k = 3 * t.nregions in
+    let k = 4 * t.nregions in
     if k = Array.length t.regions then
-      t.regions <- Array.append t.regions (Array.make (max 6 k) 0);
+      t.regions <- Array.append t.regions (Array.make (max 8 k) 0);
     t.regions.(k) <- first;
     t.regions.(k + 1) <- period;
     t.regions.(k + 2) <- stop;
+    t.regions.(k + 3) <- t.stored;
     t.nregions <- t.nregions + 1
 
   (* At the boundary that began a new iteration of frame [d]'s loop:
@@ -278,9 +285,8 @@ module Script = struct
       if snap.id = id && t.len > snap.at && t.scratch = snap.state then begin
         let period = t.len - snap.at in
         let n = Program.Walker.iterations_left w d * period in
-        t.period <- period;
-        t.replay_left <- n;
         if n > 0 then add_region t ~first:snap.at ~period ~stop:(t.len + n);
+        t.len <- t.len + n;
         (* every segment of a period is a transaction *)
         t.pass_txns <- t.pass_txns + n;
         Program.Walker.skip_loop w d;
@@ -297,62 +303,94 @@ module Script = struct
       end
     end
 
-  (* Copies replayed segments up to segment [upto], at least one, in
-     runs that stay within one source chunk, one destination chunk and
-     one period (whose source segments are all compiled). A plain int
-     loop: [Array.blit] into a major-heap array goes through the write
-     barrier word by word. *)
-  let replay t upto =
-    let chunk = 1 lsl seg_bits in
-    let stop = t.len + min t.replay_left (max 1 (upto + 1 - t.len)) in
-    t.replay_left <- t.replay_left - (stop - t.len);
-    while t.len < stop do
-      let src = t.len - t.period in
-      let so = src land (chunk - 1) and d = t.len land (chunk - 1) in
-      let k = min (min (stop - t.len) t.period) (chunk - max so d) in
-      let from = t.chunks.(src lsr seg_bits) and into = open_chunk t in
-      for j = 0 to (2 * k) - 1 do
-        into.((d lsl 1) + j) <- from.((so lsl 1) + j)
-      done;
-      t.len <- t.len + k
-    done
-
-  (* Compiles up to the next segment, or replays up to segment [upto].
-     The walker rewinds at a pass end while the caches stay warm: restart
+  (* Compiles the next instruction or pass end, or replays a loop. The
+     walker rewinds at a pass end while the caches stay warm: restart
      semantics. *)
-  let compile_next t upto =
-    if t.replay_left > 0 then replay t upto
+  let compile_next t =
+    let i = Program.Walker.next_or t.walker ~default:eop in
+    if i == eop then begin
+      Program.Walker.reset t.walker;
+      let silent = t.pass_txns = 0 in
+      emit t ((t.acc lsl 5) lor if silent then tag_silent_end else tag_pass_end) 0;
+      t.complete <- silent;
+      t.acc <- 1;
+      t.pass_txns <- 0
+    end
     else begin
-      let i = Program.Walker.next_or t.walker ~default:eop in
-      if i == eop then begin
-        Program.Walker.reset t.walker;
-        let silent = t.pass_txns = 0 in
-        emit t ((t.acc lsl 5) lor if silent then tag_silent_end else tag_pass_end) 0;
-        t.complete <- silent;
-        t.acc <- 1;
-        t.pass_txns <- 0
-      end
-      else begin
-        let d = Program.Walker.restarted t.walker in
-        if d >= 0 && boundary t d then replay t upto
-        else
-          try compile_instr t i
-          with e ->
-            emit t ((t.acc lsl 5) lor tag_fail) 0;
-            t.failed <- Some e;
-            t.complete <- true
-      end
+      let d = Program.Walker.restarted t.walker in
+      if not (d >= 0 && boundary t d) then
+        try compile_instr t i
+        with e ->
+          emit t ((t.acc lsl 5) lor tag_fail) 0;
+          t.failed <- Some e;
+          t.complete <- true
     end
 
-  (* Readers never read past a silent end or a failure. *)
-  let w0 t i =
-    while t.len <= i && not t.complete do
-      compile_next t i
-    done;
-    t.chunks.(i lsr seg_bits).((i land ((1 lsl seg_bits) - 1)) lsl 1)
+  (* where region [r]'s replayed part starts *)
+  let starts t r = t.regions.(4 * r) + t.regions.((4 * r) + 1)
 
-  let w1 t i = t.chunks.(i lsr seg_bits).(((i land ((1 lsl seg_bits) - 1)) lsl 1) + 1)
-  let footprint t = max 1 ((t.len + (1 lsl seg_bits) - 1) lsr seg_bits) lsl seg_bits
+  (* Compiles up to segment [i], points [c] at the window around it and
+     returns its slot. Readers never read past a silent end or a
+     failure. A segment in a region's replayed part repeats the one
+     [k × period] earlier, inside the region's first period: map it
+     there and look again, since that period may hold an inner region.
+     A segment in no replayed part is stored, shifted back by the
+     replayed segments before it. The window is every segment the same
+     steps map by the same shift; it lies within the compiled segments.
+     One that reaches the end of the script ends there, since a region
+     may start there; a reader at the end finds the last region without
+     a search. *)
+  let locate t c i =
+    while t.len <= i && not t.complete do
+      compile_next t
+    done;
+    let n = t.nregions in
+    let y = ref i and lo = ref 0 and hi = ref max_int and slot = ref (-1) in
+    while !slot < 0 do
+      (* [a]: the regions whose replayed part starts at or before [y] *)
+      let a = ref (if n > 0 && starts t (n - 1) <= !y then n else 0) and b = ref n in
+      while !a < !b do
+        let m = (!a + !b) lsr 1 in
+        if starts t m <= !y then a := m + 1 else b := m
+      done;
+      let r = !a - 1 in
+      let shift = i - !y in
+      if r >= 0 && !y < t.regions.((4 * r) + 2) then begin
+        let first = t.regions.(4 * r) and period = t.regions.((4 * r) + 1) in
+        let from = first + ((!y - first) / period * period) in
+        lo := max !lo (from + shift);
+        hi := min !hi (min (from + period) t.regions.((4 * r) + 2) + shift);
+        y := !y - (from - first)
+      end
+      else begin
+        let stop = if r >= 0 then t.regions.((4 * r) + 2) else 0 in
+        let at = if r >= 0 then t.regions.((4 * r) + 3) else 0 in
+        let next = if !a < n then starts t !a else t.len in
+        lo := max !lo (stop + shift);
+        hi := min !hi (next + shift);
+        slot := at + (!y - stop)
+      end
+    done;
+    c.lo <- !lo;
+    c.hi <- !hi;
+    c.delta <- !slot - i;
+    !slot
+
+  let w0 t c i =
+    let s = if i >= c.lo && i < c.hi then i + c.delta else locate t c i in
+    t.chunks.(s lsr seg_bits).((s land ((1 lsl seg_bits) - 1)) lsl 1)
+
+  (* [i]'s [w0] was read through [c] just before *)
+  let w1 t c i =
+    let s = i + c.delta in
+    t.chunks.(s lsr seg_bits).(((s land ((1 lsl seg_bits) - 1)) lsl 1) + 1)
+
+  let footprint t = max 1 ((t.stored + (1 lsl seg_bits) - 1) lsr seg_bits) lsl seg_bits
+
+  let regions t =
+    List.init t.nregions (fun r ->
+        (t.regions.(4 * r), t.regions.((4 * r) + 1), t.regions.((4 * r) + 2)))
+
   let gap w0 = w0 asr 5
   let tag w0 = w0 land 7
   let miss w0 = (w0 lsr 3) land 3
@@ -667,6 +705,7 @@ type role = Analysis | Restarting | Once
 
 type t = {
   script : Script.t;
+  win : Script.window;
   sri : Sri.t;
   core_id : int;
   role : role;
@@ -690,7 +729,7 @@ type t = {
 (* Cycle of the first event at or after segment [seg], skipping the pass
    ends a restarting core runs through silently. *)
 let rec peek t seg anchor =
-  let w0 = Script.w0 t.script seg in
+  let w0 = Script.w0 t.script t.win seg in
   let at = anchor + Script.gap w0 in
   let tag = Script.tag w0 in
   if tag = Script.tag_pass_end && t.role = Restarting then peek t (seg + 1) at
@@ -703,6 +742,7 @@ let create script ~sri ~core_id role =
   let t =
     {
       script;
+      win = Script.window ();
       sri;
       core_id;
       role;
@@ -749,7 +789,7 @@ let commit_stall t =
 (* The issue step of [fire] and [fire_alone]: bumps the miss counter,
    advances past the segment and waits for the grant. Returns [w1]. *)
 let issue t w0 ~cycle =
-  let w1 = Script.w1 t.script t.seg in
+  let w1 = Script.w1 t.script t.win t.seg in
   (match Script.miss w0 with
    | 1 -> t.pcache_miss <- t.pcache_miss + 1
    | 2 -> t.dcache_miss_clean <- t.dcache_miss_clean + 1
@@ -773,12 +813,12 @@ let stop t w0 ~cycle =
 
 let fire t ~cycle =
   commit_stall t;
-  let w0 = ref (Script.w0 t.script t.seg) in
+  let w0 = ref (Script.w0 t.script t.win t.seg) in
   while Script.tag !w0 = Script.tag_pass_end && t.role = Restarting do
     t.anchor <- t.anchor + Script.gap !w0;
     t.seg <- t.seg + 1;
     t.restart_count <- t.restart_count + 1;
-    w0 := Script.w0 t.script t.seg
+    w0 := Script.w0 t.script t.win t.seg
   done;
   let w0 = !w0 in
   if Script.tag w0 <= Script.tag_folded then begin
@@ -790,7 +830,7 @@ let fire t ~cycle =
 
 let fire_alone t ~cycle ~limit =
   commit_stall t;
-  let w0 = Script.w0 t.script t.seg in
+  let w0 = Script.w0 t.script t.win t.seg in
   if Script.tag w0 <= Script.tag_folded then begin
     let w1 = issue t w0 ~cycle in
     Sri.serve_alone t.sri ~core:t.core_id ~target:(w1 land 3) ~op:t.op
@@ -813,7 +853,7 @@ let settle t ~cycle =
   if t.done_at <= cycle then commit_stall t;
   let walking = ref (not t.waiting) in
   while !walking do
-    let w0 = Script.w0 t.script t.seg in
+    let w0 = Script.w0 t.script t.win t.seg in
     let tag = Script.tag w0 and e = t.anchor + Script.gap w0 in
     walking := false;
     if (tag = Script.tag_pass_end || tag = Script.tag_silent_end) && e <= cycle then
@@ -920,9 +960,9 @@ module Solo = struct
     let rec go i = i = state_words || (a.(i) = b.(i) && go (i + 1)) in
     go 0
 
-  let first k r = k.core.script.Script.regions.(3 * r)
-  let period k r = k.core.script.Script.regions.((3 * r) + 1)
-  let stop k r = k.core.script.Script.regions.((3 * r) + 2)
+  let first k r = k.core.script.Script.regions.(4 * r)
+  let period k r = k.core.script.Script.regions.((4 * r) + 1)
+  let stop k r = k.core.script.Script.regions.((4 * r) + 2)
 
   (* Sets [watch] to the first boundary at or after [from] with two whole
      periods left in its region — one to compare, at least one to skip —
@@ -959,7 +999,7 @@ module Solo = struct
     if c.done_at < max_int then c.done_at <- c.done_at + shift;
     c.stall_base <- c.stall_base + shift;
     c.seg <- c.seg + segs;
-    (* the segment after the region need not be a copy *)
+    (* the segment after the region need not be replayed *)
     c.next <- peek c c.seg c.anchor;
     Sri.solo_advance c.sri ~core:c.core_id b ~totals:sri_totals ~times ~cycles
 
@@ -977,7 +1017,7 @@ module Solo = struct
         k.period_events <- events - k.snap.(clock);
         k.period_cycles <- cycle - k.snap.(clock + 1);
         (* the first event after the skip must come at or before [limit]:
-           a boundary copy's comes [period_cycles] after the previous
+           a replayed boundary's comes [period_cycles] after the previous
            one, the segment at the region's stop after its gap *)
         let left = (stop k r - c.seg) / p in
         let m = if cycle > limit then 0 else min left ((limit - cycle) / k.period_cycles) in
@@ -985,7 +1025,7 @@ module Solo = struct
           if
             m = left
             && c.anchor + (m * k.period_cycles)
-               + Script.gap (Script.w0 c.script (stop k r))
+               + Script.gap (Script.w0 c.script c.win (stop k r))
                > limit
           then m - 1
           else m

@@ -45,8 +45,10 @@ val e16_config : config
 
     A loop iteration that leaves the canonical cache state and the cycle
     offset as it found them is compiled once: the remaining iterations
-    are emitted as copies of its segments (loop replay, DESIGN.md §7),
-    counted by the timing-tier counter [tcsim.script.replayed_segments]. *)
+    repeat its segments (loop replay, DESIGN.md §7). They keep their
+    segment indices but are never stored; a read maps a replayed index
+    to the stored segment it repeats. The timing-tier counter
+    [tcsim.script.replayed_segments] counts them. *)
 module Script : sig
   type t
 
@@ -56,8 +58,15 @@ module Script : sig
       @raise Invalid_argument on an invalid cache geometry. *)
 
   val footprint : t -> int
-  (** Segment slots the script holds: its compiled segments rounded up
-      to whole chunks, and at least one chunk. *)
+  (** Segment slots the script holds: its stored (compiled, not
+      replayed) segments rounded up to whole chunks, and at least one
+      chunk. *)
+
+  val regions : t -> (int * int * int) list
+  (** The replayed regions detected so far, in order, as
+      [(first, period, stop)]: segments [[first + period, stop)] repeat
+      the segment [period] earlier. A region may lie inside an outer
+      one's first period. *)
 end
 
 (** {1 The crossbar}

@@ -101,9 +101,10 @@ val run_isolation :
 
 val script_memo_cap : int
 (** [2^19]: the most segment slots ({!Core_model.Script.footprint}) the
-    memo retains in total. Returning a script evicts the least recently
-    returned ones until it fits; a script larger than the cap is not
-    kept. *)
+    memo retains in total. Replayed segments take no slot, so a script's
+    size follows what it compiled, not how many loop iterations it
+    covers. Returning a script evicts the least recently returned ones
+    until it fits; a script larger than the cap is not kept. *)
 
 val clear_scripts : unit -> unit
 (** Drops every retained script; scripts lent out are returned as

@@ -229,7 +229,7 @@ module Sri = struct
   let request t ~core ~target ~op ~addr ~folded_dirty_writeback ~cycle =
     if not (Op.valid target op) then
       invalid_arg
-        (Printf.sprintf "Sri.request: inadmissible (%s, %s)"
+        (Printf.sprintf "Core_model: inadmissible (%s, %s)"
            (Target.to_string target) (Op.to_string op));
     if core < 0 || core >= t.ncores then invalid_arg "Sri.request: bad core id";
     let ticket = { done_at = max_int; granted = false; issued_at = cycle; target; op } in

@@ -1257,9 +1257,8 @@ let test_warm_corun_allocation () =
    instruction that raises, inside the loop or after it. *)
 let raising_instr = { Program.pc = pspr; kind = Program.Store pf0_c }
 
-let gen_replay_program =
+let gen_replay_kind =
   let open QCheck.Gen in
-  let code_lines = 640 (* the P16 I$ holds 512 *) in
   let load_addr =
     frequency
       [
@@ -1277,21 +1276,27 @@ let gen_replay_program =
         (1, map (fun k -> dfl + (32 * k)) (int_range 0 15));
       ]
   in
-  let kind =
-    frequency
-      [
-        (3, map (fun n -> Program.Compute (1 + n)) (int_range 0 3));
-        (3, map (fun a -> Program.Load a) load_addr);
-        (2, map (fun a -> Program.Store a) store_addr);
-      ]
-  in
+  frequency
+    [
+      (3, map (fun n -> Program.Compute (1 + n)) (int_range 0 3));
+      (3, map (fun a -> Program.Load a) load_addr);
+      (2, map (fun a -> Program.Store a) store_addr);
+    ]
+
+(* one to three scratchpad instructions *)
+let gen_small =
+  QCheck.Gen.(
+    list_size (int_range 1 3)
+      (map (fun kind -> Program.I { Program.pc = pspr; kind }) gen_replay_kind))
+
+(* A loop body of 800 to 1000 instructions and small inner loops *)
+let gen_replay_body =
+  let open QCheck.Gen in
+  let code_lines = 640 (* the P16 I$ holds 512 *) in
+  let kind = gen_replay_kind and small = gen_small in
   let pc_of line =
     if line < code_lines / 2 then pf0_c + (32 * line)
     else pf1_c + (32 * (line - (code_lines / 2)))
-  in
-  let raising = Program.I raising_instr in
-  let small =
-    list_size (int_range 1 3) (map (fun kind -> Program.I { Program.pc = pspr; kind }) kind)
   in
   shuffle_l (List.init code_lines Fun.id) >>= fun lines ->
   int_range 800 1000 >>= fun n ->
@@ -1306,17 +1311,21 @@ let gen_replay_program =
   >>= fun slots ->
   (* flash-fetched instructions take the shuffled lines in turn *)
   let next = ref 0 in
-  let body =
-    List.map
-      (function
-        | `Local kind -> Program.I { Program.pc = pspr; kind }
-        | `Flash kind ->
-          let pc = pc_of lines.(!next mod code_lines) in
-          incr next;
-          Program.I { Program.pc; kind }
-        | `Inner item -> item)
-      slots
-  in
+  return
+    (List.map
+       (function
+         | `Local kind -> Program.I { Program.pc = pspr; kind }
+         | `Flash kind ->
+           let pc = pc_of lines.(!next mod code_lines) in
+           incr next;
+           Program.I { Program.pc; kind }
+         | `Inner item -> item)
+       slots)
+
+let gen_replay_program =
+  let open QCheck.Gen in
+  let raising = Program.I raising_instr and small = gen_small in
+  gen_replay_body >>= fun body ->
   int_range 3 6 >>= fun count ->
   small >>= fun prefix ->
   small >>= fun suffix ->
@@ -1405,7 +1414,7 @@ let test_replay_fires () =
 
 (* The scale target: Table 6's application at ten times its iterations
    compiles no more segments than at one time; the extra periods are
-   all replayed. *)
+   all replayed, and the script stores no more segments either. *)
 let test_replay_scale () =
   List.iter
     (fun variant ->
@@ -1418,16 +1427,151 @@ let test_replay_scale () =
            replayed_by (fun () ->
                Machine.run ~trace:true ~analysis:{ Machine.program = p; core = 0 } ())
          in
-         (* one segment per transaction, plus the pass end *)
-         (List.length r.Machine.trace + 1 - n, n)
+         (* one segment per transaction, plus the pass end; the memo
+            holds the one script the run returned *)
+         (List.length r.Machine.trace + 1 - n, n, memo_segments ())
        in
        let base = Workload.Control_loop.default_params.Workload.Control_loop.iterations in
-       let c1, r1 = compiled base and c10, r10 = compiled (10 * base) in
+       let c1, r1, s1 = compiled base and c10, r10, s10 = compiled (10 * base) in
        let name = match variant with Workload.Control_loop.S1 -> "S1" | S2 -> "S2" in
        Alcotest.(check bool) (name ^ ": replay fires at 1x") true (r1 > 0);
        Alcotest.(check bool) (name ^ ": and replays more at 10x") true (r10 > r1);
-       Alcotest.(check int) (name ^ ": non-replayed segments, 10x = 1x") c1 c10)
+       Alcotest.(check int) (name ^ ": non-replayed segments, 10x = 1x") c1 c10;
+       Alcotest.(check bool) (name ^ ": the script is retained") true (s1 > 0);
+       Alcotest.(check int) (name ^ ": stored segment slots, 10x = 1x") s1 s10)
     [ Workload.Control_loop.S1; Workload.Control_loop.S2 ]
+
+(* Two cores running one program on one core config read one script
+   from two positions: the contender restarts over the analysis core's
+   replayed regions, which it reaches at other times, or the two cores
+   run it once side by side. *)
+let test_replay_shared_script () =
+  let programs =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 11 |]) ~n:4 gen_replay_program
+  in
+  List.iteri
+    (fun k items ->
+       let p = prog "shared" items in
+       let analysis = { Machine.program = p; core = 0 }
+       and contenders = [ { Machine.program = p; core = 1 } ] in
+       List.iter
+         (fun restart ->
+            let reference =
+              verdict (fun () ->
+                  Ref_sim.run ~max_cycles:replay_budget ~restart_contenders:restart ~trace:true
+                    ~analysis ~contenders ())
+            in
+            List.iter
+              (fun (kernel, trace) ->
+                 let expected =
+                   if trace then reference
+                   else Result.map (fun r -> { r with Machine.trace = [] }) reference
+                 in
+                 Machine.clear_scripts ();
+                 let go () =
+                   verdict (fun () ->
+                       Machine.run ~kernel ~max_cycles:replay_budget ~restart_contenders:restart
+                         ~trace ~analysis ~contenders ())
+                 in
+                 let cold = go () in
+                 let warm = go () in
+                 Alcotest.(check bool)
+                   (Printf.sprintf "program %d, restart %b, %s%s: cold and warm scripts" k restart
+                      (Machine.kernel_to_string kernel)
+                      (if trace then ", traced" else ""))
+                   true
+                   (cold = expected && warm = expected))
+              [ (`Event, true); (`Event, false); (`Stepped, true) ])
+         [ true; false ])
+    programs
+
+(* --- nested replay -------------------------------------------------------- *)
+
+(* An outer loop whose iterations run a replayed inner loop between a
+   few instructions of their own: once both settle, the outer region's
+   first period holds an inner region, so a read in the outer region
+   maps its index through both. *)
+let gen_nested_program =
+  let open QCheck.Gen in
+  gen_replay_body >>= fun body ->
+  int_range 3 4 >>= fun inner ->
+  int_range 3 4 >>= fun outer ->
+  gen_small >>= fun before ->
+  gen_small >>= fun after ->
+  gen_small >|= fun prefix ->
+  prefix @ [ Program.loop outer (before @ [ Program.loop inner body ] @ after) ]
+
+(* The nested program on a P16 (core 0) or the E16 (core 2), alone or
+   beside a contender that runs one replay loop body once. *)
+let gen_nested_case =
+  let open QCheck.Gen in
+  oneofl [ (0, 1); (2, 0) ] >>= fun (a, other) ->
+  gen_nested_program >>= fun items ->
+  opt gen_replay_body >|= fun contender ->
+  ( { Machine.program = prog "nested" items; core = a },
+    match contender with
+    | None -> []
+    | Some body -> [ { Machine.program = prog "once" body; core = other } ] )
+
+let nested_budget = 1_000_000
+
+(* Nested regions reproduce the reference: traced on the event kernel
+   (which then never skips) and the stepped one, untraced on the event
+   kernel, which skips whole periods of the outer region. Untraced runs
+   read a cold script, then the warm one with every region known. *)
+let prop_nested_replay_matches_reference =
+  QCheck.Test.make ~name:"nested replayed regions reproduce Ref_sim, skipping or not"
+    ~count:15 (QCheck.make gen_nested_case)
+    (fun (analysis, contenders) ->
+       let reference =
+         verdict (fun () ->
+             Ref_sim.run ~max_cycles:nested_budget ~restart_contenders:false ~trace:true
+               ~analysis ~contenders ())
+       in
+       let go ?(clear = true) ~trace kernel =
+         if clear then Machine.clear_scripts ();
+         verdict (fun () ->
+             Machine.run ~kernel ~max_cycles:nested_budget ~restart_contenders:false ~trace
+               ~analysis ~contenders ())
+       in
+       let untraced = Result.map (fun r -> { r with Machine.trace = [] }) reference in
+       go ~trace:true `Event = reference
+       && go ~trace:true `Stepped = reference
+       && go ~trace:false `Event = untraced
+       && go ~clear:false ~trace:false `Event = untraced)
+
+(* The script of [items] on core 0, compiled as far as its isolation
+   reads it. *)
+let isolation_script items =
+  let script = Core_model.Script.create Machine.default_config.Machine.cores.(0) (prog "s" items) in
+  let sri = Core_model.create_sri ~latency:lat ~priorities:None ~trace:false ~ncores:3 in
+  let core = Core_model.create script ~sri ~core_id:0 Core_model.Analysis in
+  (try
+     Core_model.run_kernel ~stepped:false ~skip:true ~max_cycles:nested_budget ~sri
+       ~analysis:core ~contenders:[||] ~work:[| 0; 0 |]
+   with Core_model.Cycle_limit_exceeded _ | Invalid_argument _ -> ());
+  script
+
+(* Guards the property above against passing vacuously: on most of the
+   programs it generates, a region lies inside an outer region's first
+   period. *)
+let test_nested_replay_fires () =
+  let programs =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:12 gen_nested_program
+  in
+  let nested items =
+    let regions = Core_model.Script.regions (isolation_script items) in
+    (* an inner region's replayed part inside an outer one's first period *)
+    List.exists
+      (fun (f, p, _) -> List.exists (fun (f', p', s') -> f <= f' + p' && s' <= f + p) regions)
+      regions
+  in
+  let fired = List.filter nested programs in
+  Alcotest.(check bool)
+    (Printf.sprintf "nested regions on %d of %d programs" (List.length fired)
+       (List.length programs))
+    true
+    (2 * List.length fired >= List.length programs)
 
 (* --- skipping periods alone ------------------------------------------------- *)
 
@@ -1956,7 +2100,12 @@ let () =
           Alcotest.test_case "10x iterations compile no more segments" `Quick
             test_replay_scale;
           Alcotest.test_case "10x iterations step no more events" `Quick test_skip_scale;
+          Alcotest.test_case "two cores read one replayed script" `Quick
+            test_replay_shared_script;
+          Alcotest.test_case "nested regions fire on the generated programs" `Quick
+            test_nested_replay_fires;
           QCheck_alcotest.to_alcotest prop_replay_matches_reference;
+          QCheck_alcotest.to_alcotest prop_nested_replay_matches_reference;
         ] );
       ( "skip-periods",
         [
