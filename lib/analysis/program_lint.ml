@@ -2,151 +2,77 @@ open Platform
 
 type task = { label : string; core : int; program : Tcsim.Program.t }
 
-let targets = Array.of_list Target.all
-
-(* Shared 32-byte lines as ints, [4 * line index within the target window
-   + target rank]: cached and uncached views of the same target alias
-   onto the same physical line. [-1] for an address with no SRI line. *)
-let line_key addr =
-  let code = Tcsim.Memory_map.region_code addr in
-  if code < 2 then -1
-  else
-    let rank = (code - 2) lsr 1 in
-    let base =
-      Tcsim.Memory_map.base_of targets.(rank) ~cacheable:(code land 1 = 1)
-    in
-    ((Tcsim.Memory_map.line_of addr - base) / Tcsim.Memory_map.line_bytes * 4)
-    + rank
-
-let target_of_key key = targets.(key land 3)
-
-(* keys are small non-negative ints already spread over their low bits *)
-module Lines = Hashtbl.Make (struct
-    type t = int
-
-    let equal = Int.equal
-    let hash key = key
-  end)
-
-(* One table of lines serves every task: [mask] says how task number
-   [task] — the last to touch the line — fetches ([fetched]) and/or
-   loads/stores ([accessed]) it; [owners] are all tasks that touched it,
-   most recent first. *)
-type line = {
-  mutable task : int;
-  mutable mask : int;
-  mutable owners : (string * int) list;
-}
-
-let fetched = 1
-let accessed = 2
-
 (* the order [code-data-overlap] has always reported targets in *)
 let overlap_order = Target.[ Pf1; Lmu; Dfl; Pf0 ]
 
 (* (target, op) pairs as [2 * target rank + op rank] *)
 let pair_index t o = (2 * Target.rank t) + Op.rank o
 
+let targets = Array.of_list Target.all
+let ntargets = Array.length targets
+
+(* Per target: how many of the increasing keys [a] and [b] share. *)
+let shared a b =
+  let n = Array.make ntargets 0 and i = ref 0 and j = ref 0 in
+  while !i < Array.length a && !j < Array.length b do
+    let x = a.(!i) and y = b.(!j) in
+    if x < y then incr i
+    else if x > y then incr j
+    else begin
+      n.(x land 3) <- n.(x land 3) + 1;
+      incr i;
+      incr j
+    end
+  done;
+  n
+
+(* The per-program part is each program's {!Tcsim.Program.layout},
+   taken once per program value; a cell only renders it under its
+   tasks' labels and compares line sets across cores. *)
 let check ?scenario tasks =
   let diags = ref [] in
   let emit ?equation severity rule path message =
     diags := Diag.make ?equation severity ~rule ~path message :: !diags
   in
-  let zero = Array.make 8 false in
+  let zero = Array.make (2 * ntargets) false in
   Option.iter
     (fun s ->
        List.iter (fun (t, o) -> zero.(pair_index t o) <- true) (Scenario.zero_pairs s))
     scenario;
-  let lines =
-    Lines.create
-      (List.fold_left
-         (fun n t -> n + Tcsim.Program.static_size t.program)
-         0 tasks)
-  in
-  List.iteri
-    (fun index task ->
-       let owner = (task.label, task.core) in
-       let overlaps = Array.make (Array.length targets) 0 in
-       let seen_pairs = Array.make 8 false in
-       (* [loops]: indices of the enclosing loops, innermost first *)
-       let path loops =
-         task.label :: List.rev_map (Printf.sprintf "loop%d") loops
-       in
-       let note loops op bit key =
-         if key >= 0 then begin
-           let line =
-             match Lines.find_opt lines key with
-             | Some line ->
-               if line.task <> index then begin
-                 line.task <- index;
-                 line.mask <- 0;
-                 if not (List.mem owner line.owners) then
-                   line.owners <- owner :: line.owners
-               end;
-               line
-             | None ->
-               let line = { task = index; mask = 0; owners = [ owner ] } in
-               Lines.add lines key line;
-               line
-           in
-           if line.mask land bit = 0 then begin
-             line.mask <- line.mask lor bit;
-             (* one task fetching and loading/storing the same line *)
-             if line.mask = fetched lor accessed then
-               overlaps.(key land 3) <- overlaps.(key land 3) + 1
-           end;
-           let t = target_of_key key in
-           let p = pair_index t op in
-           if zero.(p) && not seen_pairs.(p) then begin
-             seen_pairs.(p) <- true;
-             emit ~equation:"Table 5" Diag.Warning "zero-traffic-mismatch"
-               (path loops)
-               (Printf.sprintf
-                  "accesses (%s, %s), which the scenario's tailoring declares \
-                   zero"
-                  (Target.to_string t) (Op.to_string op))
-           end
-         end
-       in
-       let check_mapped loops ~what addr =
-         if Tcsim.Memory_map.region_code addr < 0 then
-           emit Diag.Error "address-unmapped" (path loops)
-             (Printf.sprintf "%s address 0x%08X is outside the TC27x map" what
-                addr)
-       in
-       let on_instr loops { Tcsim.Program.pc; kind } =
-         check_mapped loops ~what:"fetch" pc;
-         let key = line_key pc in
-         if key >= 0 && target_of_key key = Target.Dfl then
-           emit ~equation:"Figure 2" Diag.Error "code-from-dfl" (path loops)
-             (Printf.sprintf
-                "instruction at 0x%08X fetched from the data flash; code \
-                 never targets the DFL"
-                pc);
-         note loops Op.Code fetched key;
-         match kind with
-         | Tcsim.Program.Compute _ -> ()
-         | Tcsim.Program.Load addr | Tcsim.Program.Store addr ->
-           check_mapped loops ~what:"data" addr;
-           note loops Op.Data accessed (line_key addr)
-       in
-       let rec walk loops items =
-         List.iteri
-           (fun i -> function
-              | Tcsim.Program.I instr -> on_instr loops instr
-              | Tcsim.Program.Loop { count = 0; body } ->
-                emit Diag.Warning "loop-unreachable" (path (i :: loops))
+  List.iter
+    (fun task ->
+       let layout = Tcsim.Program.layout task.program in
+       Array.iter
+         (fun (loops, finding) ->
+            let path = task.label :: loops in
+            match finding with
+            | Tcsim.Program.Unmapped { fetch; addr } ->
+              emit Diag.Error "address-unmapped" path
+                (Printf.sprintf "%s address 0x%08X is outside the TC27x map"
+                   (if fetch then "fetch" else "data") addr)
+            | Tcsim.Program.Dfl_fetch pc ->
+              emit ~equation:"Figure 2" Diag.Error "code-from-dfl" path
+                (Printf.sprintf
+                   "instruction at 0x%08X fetched from the data flash; code \
+                    never targets the DFL"
+                   pc)
+            | Tcsim.Program.Unreachable n ->
+              emit Diag.Warning "loop-unreachable" path
+                (Printf.sprintf
+                   "loop count is 0: its %d-item body never executes and \
+                    its accesses vanish from every profile"
+                   n)
+            | Tcsim.Program.First_access (t, o) ->
+              if zero.(pair_index t o) then
+                emit ~equation:"Table 5" Diag.Warning "zero-traffic-mismatch" path
                   (Printf.sprintf
-                     "loop count is 0: its %d-item body never executes and \
-                      its accesses vanish from every profile"
-                     (List.length body))
-              | Tcsim.Program.Loop { body; _ } -> walk (i :: loops) body)
-           items
-       in
-       walk [] (Tcsim.Program.items task.program);
+                     "accesses (%s, %s), which the scenario's tailoring declares \
+                      zero"
+                     (Target.to_string t) (Op.to_string o)))
+         layout.Tcsim.Program.findings;
        List.iter
          (fun t ->
-            let n = overlaps.(Target.rank t) in
+            let n = layout.Tcsim.Program.overlaps.(Target.rank t) in
             if n > 0 then
               emit Diag.Warning "code-data-overlap" [ task.label ]
                 (Printf.sprintf
@@ -154,27 +80,41 @@ let check ?scenario tasks =
                    (Target.to_string t)))
          overlap_order)
     tasks;
-  (* cross-core sharing of SRI lines *)
+  (* cross-core sharing of SRI lines, between the line sets of distinct
+     (label, core) owners: tasks of one owner pool their lines *)
+  let owners =
+    List.fold_left
+      (fun acc task ->
+         let owner = (task.label, task.core) in
+         let lines = (Tcsim.Program.layout task.program).Tcsim.Program.lines in
+         match List.assoc_opt owner acc with
+         | None -> (owner, lines) :: acc
+         | Some l ->
+           let union = List.sort_uniq Int.compare (Array.to_list l @ Array.to_list lines) in
+           (owner, Array.of_list union) :: List.remove_assoc owner acc)
+      [] tasks
+  in
   let conflicts = Hashtbl.create 16 in
-  let rec pairs t = function
+  let rec pairs = function
     | [] -> ()
-    | (la, ca) :: rest ->
+    | ((la, ca), a) :: rest ->
       List.iter
-        (fun (lb, cb) ->
+        (fun ((lb, cb), b) ->
            if ca <> cb then begin
-             let a, b = if la < lb then (la, lb) else (lb, la) in
-             Hashtbl.replace conflicts (a, b, t)
-               (1 + try Hashtbl.find conflicts (a, b, t) with Not_found -> 0)
+             let x, y = if la < lb then (la, lb) else (lb, la) in
+             Array.iteri
+               (fun rank n ->
+                  if n > 0 then begin
+                    let key = (x, y, targets.(rank)) in
+                    Hashtbl.replace conflicts key
+                      (n + Option.value (Hashtbl.find_opt conflicts key) ~default:0)
+                  end)
+               (shared a b)
            end)
         rest;
-      pairs t rest
+      pairs rest
   in
-  Lines.iter
-    (fun key line ->
-       match line.owners with
-       | _ :: _ :: _ as l -> pairs (target_of_key key) l
-       | _ -> ())
-    lines;
+  pairs owners;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) conflicts []
   |> List.sort compare
   |> List.iter (fun ((a, b, t), n) ->

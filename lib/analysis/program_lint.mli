@@ -31,4 +31,11 @@ type task = {
 
 val check : ?scenario:Platform.Scenario.t -> task list -> Diag.t list
 (** Per-program address and reachability checks plus the cross-core
-    overlap analysis. Diagnostic paths are rooted at each task's label. *)
+    overlap analysis. Diagnostic paths are rooted at each task's label.
+
+    The per-program part is each program's {!Tcsim.Program.layout},
+    taken once per program value and kept in it; a call renders its
+    findings under the tasks' labels, keeps the [zero-traffic-mismatch]
+    findings of the pairs [scenario] declares zero, and intersects the
+    sorted line sets of tasks on different cores. The diagnostics and
+    their order do not depend on which calls came before. *)

@@ -43,18 +43,20 @@ let e16_config = { kind = E16; icache = Some Cache.tc16e_icache; dcache = None }
    [silent_end]: caches only change on misses, so every later pass
    repeats it exactly and the script is complete.
 
-   Loop replay: at each loop boundary — the start of a new iteration of
-   a loop instance — whose iterations run at least as many instructions
-   as the caches have lines, the compiler snapshots its state: the
-   canonical cache contents ({!Cache.snapshot}) and [acc]. If the state
-   equals the snapshot taken at the previous boundary of the same
-   instance and segments were emitted in between, the iteration left
-   the state where it found it, so every remaining iteration emits
-   those segments again: the walker skips the loop and the script
-   records the region, while the caches stay as they are. A replayed
-   segment is never stored: segment indices stay what they would be
-   with every segment written out, and a read maps its index to the
-   slot of the stored segment it repeats. *)
+   Loop replay: at a loop boundary — the start of a new iteration of a
+   loop instance — once at least as many instructions as the caches
+   have lines have run since the instance began or since its last
+   snapshot, the compiler snapshots its state: the canonical cache
+   contents ({!Cache.snapshot}) and [acc]. If the state equals the
+   instance's last snapshot and segments were emitted in between, the
+   [k] iterations since then left the state where they found it, so
+   every later block of [k] iterations emits those segments again: the
+   walker skips the whole blocks and the script records the region,
+   while the caches stay as they are; the fewer than [k] iterations
+   left over compile as usual. A replayed segment is never stored:
+   segment indices stay what they would be with every segment written
+   out, and a read maps its index to the slot of the stored segment it
+   repeats. *)
 module Script = struct
   let tag_code = 0
   let tag_data = 1
@@ -67,8 +69,17 @@ module Script = struct
   let miss_ddirty = 3
   let seg_bits = 10
 
-  (* The state at a loop instance's latest boundary, and [len] then. *)
-  type snap = { mutable state : int array; mutable id : int; mutable at : int }
+  (* Per frame depth: the state at loop instance [id]'s latest snapshot,
+     with [len] and the iterations left then; and the walker count at
+     which instance [seen]'s next snapshot falls due. *)
+  type snap = {
+    mutable state : int array;
+    mutable id : int;
+    mutable at : int;
+    mutable left : int;
+    mutable seen : int;
+    mutable due : int;
+  }
 
   type t = {
     mutable chunks : int array array;
@@ -88,7 +99,7 @@ module Script = struct
     mutable x_addr : int;
     mutable x_victim : int;  (* a dirty victim's address, or -1 *)
     (* loop replay *)
-    lines : int;  (* cache lines: the shortest iteration worth a snapshot *)
+    lines : int;  (* cache lines: the instructions that pay for a snapshot *)
     mutable scratch : int array;  (* the state at this boundary *)
     mutable snaps : snap array;  (* per frame depth *)
     mutable regions : int array;  (* (first, period, stop, slot of stop) per replay *)
@@ -265,32 +276,50 @@ module Script = struct
     t.regions.(k + 3) <- t.stored;
     t.nregions <- t.nregions + 1
 
-  (* At the boundary that began a new iteration of frame [d]'s loop:
-     starts replaying when the previous iteration left the state where
-     it found it, and otherwise keeps the state for the next boundary. *)
+  (* At the boundary that began a new iteration of frame [d]'s loop.
+     A snapshot falls due once [lines] instructions have run since the
+     loop instance began or since its last snapshot, so it costs about
+     as much as compiling them: the first after [k] = ⌈lines / iteration
+     length⌉ iterations, then every [k]. When the state equals the last
+     snapshot's, the [k] iterations in between left it where they found
+     it, and their segments are the period: whole blocks of [k] of the
+     iterations left are replayed, and the fewer than [k] after them
+     compile as usual from the same state. Otherwise the state is kept
+     for the next snapshot. *)
   let boundary t d =
     let w = t.walker in
-    Program.Walker.iteration_length w d >= t.lines
+    let n = Array.length t.snaps in
+    if d >= n then
+      t.snaps <-
+        Array.init (d + 1) (fun i ->
+            if i < n then t.snaps.(i)
+            else { state = [||]; id = 0; at = 0; left = 0; seen = 0; due = 0 });
+    let snap = t.snaps.(d) and id = Program.Walker.instance w d in
+    let count = Program.Walker.executed w in
+    if snap.seen <> id then begin
+      (* the instance's first boundary: one iteration has run *)
+      snap.seen <- id;
+      snap.due <- count - Program.Walker.iteration_length w d + t.lines
+    end;
+    count >= snap.due
     && begin
-      let n = Array.length t.snaps in
-      if d >= n then
-        t.snaps <-
-          Array.init (d + 1) (fun i ->
-              if i < n then t.snaps.(i) else { state = [||]; id = 0; at = 0 });
       (* buffers come with the loops long enough to need them; an empty
          state never equals one *)
       if Array.length t.scratch = 0 then t.scratch <- Array.make (t.lines + 1) 0;
-      let snap = t.snaps.(d) and id = Program.Walker.instance w d in
+      let left = Program.Walker.iterations_left w d in
+      let k = snap.left - left in
       state_into t t.scratch;
-      if snap.id = id && t.len > snap.at && t.scratch = snap.state then begin
-        let period = t.len - snap.at in
-        let n = Program.Walker.iterations_left w d * period in
-        if n > 0 then add_region t ~first:snap.at ~period ~stop:(t.len + n);
+      if snap.id = id && t.len > snap.at && k <= left && t.scratch = snap.state then begin
+        let period = t.len - snap.at and blocks = left / k in
+        let n = blocks * period in
+        add_region t ~first:snap.at ~period ~stop:(t.len + n);
         t.len <- t.len + n;
         (* every segment of a period is a transaction *)
         t.pass_txns <- t.pass_txns + n;
-        Program.Walker.skip_loop w d;
+        Program.Walker.skip_iterations w d (blocks * k);
         Obs.Metrics.add m_replayed n;
+        (* the iterations left over fit in no period *)
+        snap.due <- max_int;
         true
       end
       else begin
@@ -299,6 +328,8 @@ module Script = struct
         t.scratch <- prev;
         snap.id <- id;
         snap.at <- t.len;
+        snap.left <- left;
+        snap.due <- count + t.lines;
         false
       end
     end

@@ -43,12 +43,16 @@ val e16_config : config
     compiles it, so only one domain or systhread may hold it at a time.
     {!Machine.run} lends scripts out of a memo on exactly these terms.
 
-    A loop iteration that leaves the canonical cache state and the cycle
-    offset as it found them is compiled once: the remaining iterations
-    repeat its segments (loop replay, DESIGN.md §7). They keep their
-    segment indices but are never stored; a read maps a replayed index
-    to the stored segment it repeats. The timing-tier counter
-    [tcsim.script.replayed_segments] counts them. *)
+    A loop instance is snapshotted (canonical cache state and cycle
+    offset) once at least as many instructions as the caches have
+    lines have run since it began or since its last snapshot: every
+    k = ⌈lines / iteration length⌉ iterations. When k iterations leave
+    the state as they found it, they are compiled once: every later
+    whole block of k iterations repeats their segments, and the fewer
+    than k left over compile as usual (loop replay, DESIGN.md §7).
+    Replayed segments keep their segment indices but are never stored;
+    a read maps a replayed index to the stored segment it repeats. The
+    timing-tier counter [tcsim.script.replayed_segments] counts them. *)
 module Script : sig
   type t
 
@@ -65,8 +69,8 @@ module Script : sig
   val regions : t -> (int * int * int) list
   (** The replayed regions detected so far, in order, as
       [(first, period, stop)]: segments [[first + period, stop)] repeat
-      the segment [period] earlier. A region may lie inside an outer
-      one's first period. *)
+      the segment [period] earlier, and a period spans k iterations of
+      its loop. A region may lie inside an outer one's first period. *)
 end
 
 (** {1 The crossbar}

@@ -68,6 +68,16 @@ let size_of = function
   | Target.Lmu -> lmu_size
   | Target.Dfl -> dfl_size
 
+(* [4 * line index within the target window + target index]: cached
+   and uncached views of one target alias onto the same line *)
+let line_key addr =
+  let code = region_code addr in
+  if code < 2 then -1
+  else
+    let rank = (code - 2) lsr 1 in
+    let base = base_of targets.(rank) ~cacheable:(code land 1 = 1) in
+    ((line_of addr - base) / line_bytes * 4) + rank
+
 let pp_region fmt = function
   | Dspr -> Format.pp_print_string fmt "dspr"
   | Pspr -> Format.pp_print_string fmt "pspr"

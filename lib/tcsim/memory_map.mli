@@ -56,4 +56,11 @@ val line_bytes : int
 val line_of : int -> int
 (** Line-aligned address. *)
 
+val line_key : int -> int
+(** The shared 32-byte line an address falls in, as an int: [4 ×] the
+    line's index within its target's window [+] the target's index in
+    {!Platform.Target.all} (so [key land 3] names the target). The
+    cached and uncached views of a target alias onto the same keys.
+    [-1] for a scratchpad or unmapped address. *)
+
 val pp_region : Format.formatter -> region -> unit

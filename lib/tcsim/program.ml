@@ -6,12 +6,26 @@ type item = I of instr | Loop of { count : int; body : item list }
 (* Compiled form: loops flattened to arrays for a fast cursor. *)
 type citem = CI of instr | CLoop of int * citem array
 
-(* [digest] is [""] until first asked for (see {!digest}). *)
+type finding =
+  | Unmapped of { fetch : bool; addr : int }
+  | Dfl_fetch of int
+  | Unreachable of int
+  | First_access of Platform.Target.t * Platform.Op.t
+
+type layout = {
+  lines : int array;
+  findings : (string list * finding) array;
+  overlaps : int array;
+}
+
+(* [digest] is [""] and [layout] [None] until first asked for (see
+   {!digest} and {!layout}). *)
 type t = {
   name : string;
   items : item list;
   compiled : citem array;
   mutable digest : string;
+  layout : layout option Atomic.t;
 }
 
 let rec compile items =
@@ -34,7 +48,7 @@ let rec validate items =
 
 let make ~name items =
   validate items;
-  { name; items; compiled = compile items; digest = "" }
+  { name; items; compiled = compile items; digest = ""; layout = Atomic.make None }
 
 let name p = p.name
 let items p = p.items
@@ -77,6 +91,98 @@ let digest p =
     p.digest <- d;
     d
   | d -> d
+
+let targets = Array.of_list Platform.Target.all
+let fetched = 1
+let accessed = 2
+
+(* Line indices lie below [line_slots]: no target's window holds more
+   lines than a program flash bank. *)
+let line_slots =
+  List.fold_left (fun m t -> max m (Memory_map.size_of t)) 0 Platform.Target.all
+  / Memory_map.line_bytes
+
+(* layouts built; a domain that loses the race to publish one built it
+   too, so the count depends on scheduling *)
+let m_layouts = Obs.Metrics.counter ~timing:true "tcsim.program.layouts"
+
+(* One walk over the program text, visiting each loop body once and a
+   zero-count loop's not at all. *)
+let build_layout p =
+  Obs.Metrics.incr m_layouts;
+  (* per line index, one byte: two bits (fetched, accessed) for each of
+     the four targets, at [2 * rank] — the line's four keys *)
+  let masks = Bytes.make line_slots '\000' in
+  let nlines = ref 0 and last = ref (-1) in
+  let overlaps = Array.make (Array.length targets) 0 in
+  let seen = Array.make (2 * Array.length targets) false (* (target, op) pairs *) in
+  let findings = ref [] in
+  (* [loops]: indices of the enclosing loops, innermost first *)
+  let found loops f = findings := (List.rev_map (Printf.sprintf "loop%d") loops, f) :: !findings in
+  let note loops op bit key =
+    if key >= 0 then begin
+      let i = key lsr 2 and shift = 2 * (key land 3) in
+      let b = Char.code (Bytes.get masks i) in
+      let m = (b lsr shift) land 3 in
+      if m land bit = 0 then begin
+        if m = 0 then begin
+          incr nlines;
+          if i > !last then last := i
+        end
+        else
+          (* the other bit was set: fetched and accessed *)
+          overlaps.(key land 3) <- overlaps.(key land 3) + 1;
+        Bytes.set masks i (Char.chr (b lor (bit lsl shift)))
+      end;
+      let pair = (2 * (key land 3)) + Platform.Op.rank op in
+      if not seen.(pair) then begin
+        seen.(pair) <- true;
+        found loops (First_access (targets.(key land 3), op))
+      end
+    end
+  in
+  let on_instr loops { pc; kind } =
+    if Memory_map.region_code pc < 0 then found loops (Unmapped { fetch = true; addr = pc });
+    let key = Memory_map.line_key pc in
+    if key >= 0 && targets.(key land 3) = Platform.Target.Dfl then found loops (Dfl_fetch pc);
+    note loops Platform.Op.Code fetched key;
+    match kind with
+    | Compute _ -> ()
+    | Load addr | Store addr ->
+      if Memory_map.region_code addr < 0 then found loops (Unmapped { fetch = false; addr });
+      note loops Platform.Op.Data accessed (Memory_map.line_key addr)
+  in
+  let rec walk loops items =
+    List.iteri
+      (fun i -> function
+         | I instr -> on_instr loops instr
+         | Loop { count = 0; body } -> found (i :: loops) (Unreachable (List.length body))
+         | Loop { body; _ } -> walk (i :: loops) body)
+      items
+  in
+  walk [] p.items;
+  let lines = Array.make !nlines 0 and n = ref 0 in
+  for i = 0 to !last do
+    let b = Char.code (Bytes.get masks i) in
+    if b <> 0 then
+      for rank = 0 to 3 do
+        if (b lsr (2 * rank)) land 3 <> 0 then begin
+          lines.(!n) <- (4 * i) + rank;
+          incr n
+        end
+      done
+  done;
+  { lines; findings = Array.of_list (List.rev !findings); overlaps }
+
+(* Taken on first use, like [digest]; a domain that loses the race to
+   publish drops its copy, which is equal, and returns the winner's. *)
+let layout p =
+  match Atomic.get p.layout with
+  | Some l -> l
+  | None ->
+    let l = build_layout p in
+    if Atomic.compare_and_set p.layout None (Some l) then l
+    else Option.get (Atomic.get p.layout)
 
 let seq ~pc_base ?(pc_stride = 4) kinds =
   List.mapi (fun i k -> I { pc = pc_base + (i * pc_stride); kind = k }) kinds
@@ -221,9 +327,17 @@ module Walker = struct
   let iteration_length w d = w.frames.(d).iter_len
   let iterations_left w d = w.frames.(d).remaining
 
-  let skip_loop w d =
+  let skip_iterations w d m =
     let f = w.frames.(d) in
-    w.count <- f.mark + (f.remaining * f.iter_len);
-    w.depth <- d;
-    w.restarted <- -1
+    w.count <- f.mark + (m * f.iter_len);
+    w.restarted <- -1;
+    if m < f.remaining then begin
+      f.remaining <- f.remaining - m;
+      f.idx <- 0;
+      f.mark <- w.count;
+      w.depth <- d + 1
+    end
+    else w.depth <- d
+
+  let skip_loop w d = skip_iterations w d w.frames.(d).remaining
 end

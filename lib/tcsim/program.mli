@@ -33,9 +33,10 @@ val digest : t -> Digest.t
     collisions; the name is not part of it. Taken on first use and kept
     in the program.
 
-    A program's digest field is filled in lazily, so structural [=] and
-    [compare] on programs (or on records that hold one) depend on
-    whether it has been taken: compare {!items} or digests instead. *)
+    A program's digest and {!layout} are filled in lazily, so
+    structural [=] and [compare] on programs (or on records that hold
+    one) depend on whether they have been taken: compare {!items} or
+    digests instead. *)
 
 val seq : pc_base:int -> ?pc_stride:int -> kind list -> item list
 (** Lays instruction kinds out at consecutive addresses starting at
@@ -51,6 +52,41 @@ val dynamic_length : t -> int
 val code_footprint : t -> (int * int) list
 (** Minimal and maximal pc per contiguous usage; as [(min_pc, max_pc)]
     over all instructions — a single pair list for simple programs. *)
+
+(** {1 Memory layout}
+
+    What a program touches of the memory map, as the static checks
+    before a simulation need it ([Analysis.Program_lint]): a walk over
+    the program text that visits each loop body once and a zero-count
+    loop's not at all. *)
+
+type finding =
+  | Unmapped of { fetch : bool; addr : int }
+      (** an instruction's fetch address ([fetch]) or data address lies
+          outside the TC27x map *)
+  | Dfl_fetch of int  (** an instruction at this pc is fetched from the data flash *)
+  | Unreachable of int  (** a loop with count 0, with its body's item count *)
+  | First_access of Platform.Target.t * Platform.Op.t
+      (** the first access to a (target, op) pair *)
+
+type layout = {
+  lines : int array;
+      (** the shared lines fetched or loaded/stored, as distinct
+          {!Memory_map.line_key}s in increasing order *)
+  findings : (string list * finding) array;
+      (** in program order; each at its path, ["loop<i>"] for the
+          [i]-th item of each enclosing loop body (or of the program),
+          outermost first — a zero-count loop's path ends in itself *)
+  overlaps : int array;
+      (** per target, indexed as in {!Platform.Target.all}: the shared
+          lines both fetched and loaded/stored *)
+}
+
+val layout : t -> layout
+(** Taken on first use and kept in the program, like {!digest}: two
+    domains asking at once both build it, and both get the one
+    published first. The timing-tier counter [tcsim.program.layouts]
+    counts the layouts built. *)
 
 (** {1 Execution cursor} *)
 
@@ -95,8 +131,15 @@ module Walker : sig
   (** Iterations the frame's loop has left, the one under way
       included. *)
 
+  val skip_iterations : t -> int -> int -> unit
+  (** [skip_iterations w d m], for [1 <= m <= iterations_left w d]: as
+      if the iteration under way and the [m - 1] after it had run,
+      dropping the instruction already returned from it (and any inner
+      loop it entered); {!executed} counts them all. The next
+      instruction is the first of the iteration after them, whose start
+      is no boundary, or, once [m] reaches {!iterations_left}, whatever
+      follows the loop. The frame keeps its {!instance}. *)
+
   val skip_loop : t -> int -> unit
-  (** Leaves the frame's loop as if the iteration under way and every
-      later one had run, dropping the instruction already returned from
-      it; {!executed} counts them all. *)
+  (** {!skip_iterations} over every iteration left: leaves the loop. *)
 end

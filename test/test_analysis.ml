@@ -482,6 +482,85 @@ let test_lint_oracle_hits_every_rule () =
       "loop-unreachable";
     ]
 
+(* --- Program lint: one layout per program value ------------------------------- *)
+
+(* A program's layout is kept in the program value, so nothing in it
+   may depend on the cell that first linted it: each generated value,
+   linted under two labels, on two cores and under both scenarios and
+   none in turn, and beside itself on another core, reports what the
+   reference lint reports, in the same order. *)
+let prop_layout_reused_across_cells =
+  QCheck.Test.make ~name:"one program value linted cell after cell = reference lint"
+    ~count:300 (QCheck.make ~print:print_lint_case gen_lint_case)
+    (fun (_, tasks) ->
+       List.for_all
+         (fun { Analysis.Program_lint.program = p; _ } ->
+            List.for_all
+              (fun (scenario, tasks) ->
+                 Analysis.Program_lint.check ?scenario tasks
+                 = Ref_program_lint.check ?scenario tasks)
+              [
+                (Some Scenario.scenario1, [ task "x" 0 p ]);
+                (Some Scenario.scenario2, [ task "y" 1 p ]);
+                (None, [ task "y" 0 p ]);
+                (Some Scenario.scenario2, [ task "x" 2 p ]);
+                (Some Scenario.scenario1, [ task "a" 0 p; task "b" 1 p ]);
+                (None, [ task "b" 2 p; task "a" 0 p; task "b" 2 p ]);
+              ])
+         tasks)
+
+(* One value on two cores shares every one of its lines with itself. *)
+let test_layout_overlaps_itself () =
+  let module M = Tcsim.Memory_map in
+  let p =
+    prog "p"
+      [
+        Tcsim.Program.I { pc = M.pf0_cached_base; kind = Tcsim.Program.Load M.lmu_uncached_base };
+        Tcsim.Program.loop 3
+          [ Tcsim.Program.I { pc = M.pf1_cached_base + 64; kind = Tcsim.Program.Store M.lmu_cached_base } ];
+      ]
+  in
+  let tasks = [ task "a" 0 p; task "b" 1 p ] in
+  let diags = Analysis.Program_lint.check ~scenario:Scenario.scenario2 tasks in
+  Alcotest.(check bool) "equals the reference lint" true
+    (diags = Ref_program_lint.check ~scenario:Scenario.scenario2 tasks);
+  Alcotest.(check (list string)) "map-overlap per shared target"
+    [
+      "shares 1 pf0 line(s) with task b on another core; concurrent tasks must use \
+       disjoint 32-byte SRI lines";
+      "shares 1 pf1 line(s) with task b on another core; concurrent tasks must use \
+       disjoint 32-byte SRI lines";
+      "shares 1 lmu line(s) with task b on another core; concurrent tasks must use \
+       disjoint 32-byte SRI lines";
+    ]
+    (List.map (fun d -> d.Analysis.Diag.message) (Analysis.Diag.by_rule diags "map-overlap"))
+
+(* A paper-grid pass (Figure 4, Table 6 and ablations A1-A4 from cold
+   run and solve caches) lints its ten bundled programs - two
+   applications, three load levels per scenario and A3's second
+   contender per scenario - cell after cell, and builds each one's
+   layout at most once: a second pass builds none. *)
+let test_layout_once_per_pass () =
+  let built = Obs.Metrics.counter ~timing:true "tcsim.program.layouts" in
+  let pass () =
+    Runtime.Run_cache.clear ();
+    Runtime.Solve_cache.clear ();
+    let before = Obs.Metrics.value built in
+    let open Experiments in
+    ignore (Figure4.run_all ~jobs:1 ());
+    ignore (Table6.run ~jobs:1 ());
+    ignore (Ablations.a1_contender_info ~jobs:1 ());
+    ignore (Ablations.a2_equality_modes ~jobs:1 ());
+    List.iter
+      (fun s -> ignore (Ablations.a3_multi_contender ~jobs:1 s))
+      [ Scenario.scenario1; Scenario.scenario2 ];
+    ignore (Ablations.a4_fsb ~jobs:1 ());
+    Obs.Metrics.value built - before
+  in
+  let first = pass () in
+  Alcotest.(check bool) (Printf.sprintf "first pass: %d layouts, at most 10" first) true (first <= 10);
+  Alcotest.(check int) "second pass: none" 0 (pass ())
+
 (* --- fixtures & preflight -------------------------------------------------------- *)
 
 let test_fixtures_all_detected () =
@@ -714,6 +793,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_program_lint_matches_oracle;
           Alcotest.test_case "oracle cases hit every rule" `Quick
             test_lint_oracle_hits_every_rule;
+          QCheck_alcotest.to_alcotest prop_layout_reused_across_cells;
+          Alcotest.test_case "one value on two cores overlaps itself" `Quick
+            test_layout_overlaps_itself;
+          Alcotest.test_case "a paper-grid pass builds each layout once" `Quick
+            test_layout_once_per_pass;
         ] );
       ( "fixtures",
         [

@@ -238,6 +238,63 @@ let test_walker_boundaries () =
     (Program.dynamic_length p) (Program.Walker.executed w);
   Alcotest.(check bool) "then ends" true (Program.Walker.next w = None)
 
+(* Skipping some of a loop's iterations: the walker resumes at the
+   start of the iteration after them, counting every skipped
+   instruction, with the loop instance unchanged and the enclosing
+   frames' iteration lengths whole. The skip comes at a boundary whose
+   first instruction an inner loop returned, so that inner loop is left
+   too and re-entered as a new instance. Instructions are told apart by
+   their compute cycles. *)
+let test_walker_partial_skip () =
+  let p =
+    prog "s"
+      [
+        compute 1;
+        Program.loop 2
+          [ compute 2; Program.loop 5 [ Program.loop 2 [ compute 3 ]; compute 4 ] ];
+      ]
+  in
+  let w = Program.Walker.create p in
+  let next () =
+    match Program.Walker.next w with
+    | Some { Program.kind = Program.Compute n; _ } -> n
+    | _ -> 0
+  in
+  (* 1 2 3 3 4, then the middle loop's first boundary *)
+  for _ = 1 to 5 do ignore (next ()) done;
+  Alcotest.(check int) "a boundary's first instruction" 3 (next ());
+  Alcotest.(check int) "of the middle loop" 2 (Program.Walker.restarted w);
+  let middle = Program.Walker.instance w 2 and inner = Program.Walker.instance w 3 in
+  Alcotest.(check int) "iterations left" 4 (Program.Walker.iterations_left w 2);
+  Alcotest.(check int) "iteration length" 3 (Program.Walker.iteration_length w 2);
+  Program.Walker.skip_iterations w 2 2;
+  Alcotest.(check int) "executed counts the two skipped iterations" 11
+    (Program.Walker.executed w);
+  Alcotest.(check int) "two iterations left" 2 (Program.Walker.iterations_left w 2);
+  Alcotest.(check int) "the same loop instance" middle (Program.Walker.instance w 2);
+  Alcotest.(check int) "resumes at the next iteration's start" 3 (next ());
+  Alcotest.(check int) "which is no boundary" (-1) (Program.Walker.restarted w);
+  Alcotest.(check bool) "in a new inner instance" true (Program.Walker.instance w 3 <> inner);
+  Alcotest.(check (list int)) "and runs on" [ 3; 4 ] (List.init 2 (fun _ -> next ()));
+  Alcotest.(check int) "the next boundary" 3 (next ());
+  Alcotest.(check int) "is the middle loop's" 2 (Program.Walker.restarted w);
+  Alcotest.(check int) "with a whole iteration length" 3 (Program.Walker.iteration_length w 2);
+  Alcotest.(check int) "and one iteration left" 1 (Program.Walker.iterations_left w 2);
+  Alcotest.(check (list int)) "the outer loop restarts" [ 3; 4; 2 ]
+    (List.init 3 (fun _ -> next ()));
+  Alcotest.(check int) "at its own boundary" 1 (Program.Walker.restarted w);
+  Alcotest.(check int) "whose iteration counted the skipped ones" 16
+    (Program.Walker.iteration_length w 1);
+  (* all iterations left: the loop is left *)
+  ignore (next ());
+  Alcotest.(check int) "a fresh middle instance" 5 (Program.Walker.iterations_left w 2);
+  for _ = 1 to 3 do ignore (next ()) done;
+  Alcotest.(check int) "at its first boundary" 2 (Program.Walker.restarted w);
+  Program.Walker.skip_iterations w 2 4;
+  Alcotest.(check int) "executed counts the whole program" (Program.dynamic_length p)
+    (Program.Walker.executed w);
+  Alcotest.(check bool) "which ends" true (Program.Walker.next w = None)
+
 let test_walker_zero_loop () =
   let p = prog "z" [ Program.loop 0 [ compute 1 ]; compute 1 ] in
   Alcotest.(check int) "zero loop skipped" 1 (Program.dynamic_length p);
@@ -1289,8 +1346,8 @@ let gen_small =
     list_size (int_range 1 3)
       (map (fun kind -> Program.I { Program.pc = pspr; kind }) gen_replay_kind))
 
-(* A loop body of 800 to 1000 instructions and small inner loops *)
-let gen_replay_body =
+(* A loop body of [size] instructions and small inner loops *)
+let gen_loop_body size =
   let open QCheck.Gen in
   let code_lines = 640 (* the P16 I$ holds 512 *) in
   let kind = gen_replay_kind and small = gen_small in
@@ -1299,7 +1356,7 @@ let gen_replay_body =
     else pf1_c + (32 * (line - (code_lines / 2)))
   in
   shuffle_l (List.init code_lines Fun.id) >>= fun lines ->
-  int_range 800 1000 >>= fun n ->
+  size >>= fun n ->
   let lines = Array.of_list lines in
   list_repeat n
     (frequency
@@ -1321,6 +1378,9 @@ let gen_replay_body =
            Program.I { Program.pc; kind }
          | `Inner item -> item)
        slots)
+
+(* 800 to 1000 instructions: longer than the P16's caches have lines *)
+let gen_replay_body = gen_loop_body (QCheck.Gen.int_range 800 1000)
 
 let gen_replay_program =
   let open QCheck.Gen in
@@ -1540,12 +1600,14 @@ let prop_nested_replay_matches_reference =
        && go ~trace:false `Event = untraced
        && go ~clear:false ~trace:false `Event = untraced)
 
-(* The script of [items] on core 0, compiled as far as its isolation
-   reads it. *)
-let isolation_script items =
-  let script = Core_model.Script.create Machine.default_config.Machine.cores.(0) (prog "s" items) in
+(* The script of [items] on [core] (default 0), compiled as far as its
+   isolation reads it. *)
+let isolation_script ?(core = 0) items =
+  let script =
+    Core_model.Script.create Machine.default_config.Machine.cores.(core) (prog "s" items)
+  in
   let sri = Core_model.create_sri ~latency:lat ~priorities:None ~trace:false ~ncores:3 in
-  let core = Core_model.create script ~sri ~core_id:0 Core_model.Analysis in
+  let core = Core_model.create script ~sri ~core_id:core Core_model.Analysis in
   (try
      Core_model.run_kernel ~stepped:false ~skip:true ~max_cycles:nested_budget ~sri
        ~analysis:core ~contenders:[||] ~work:[| 0; 0 |]
@@ -1572,6 +1634,122 @@ let test_nested_replay_fires () =
        (List.length programs))
     true
     (2 * List.length fired >= List.length programs)
+
+(* --- short-iteration replay --------------------------------------------------- *)
+
+(* Loops whose iterations are shorter than the caches have lines replay
+   in periods of k = ⌈lines / iteration length⌉ iterations, and the
+   fewer than k iterations left over compile as usual. The loop body
+   runs 50 to 760 instructions (the P16's caches have 768 lines, the
+   E16's 256), its count is 3 to 5 whole periods plus a part of one
+   (never a multiple of k when k > 1), and it sits inside an outer
+   loop between a few instructions of the outer body. *)
+let short_program ~outer (prefix, before, count, body, after) =
+  prefix @ [ Program.loop outer (before @ [ Program.loop count body ] @ after) ]
+
+let gen_short_case =
+  let open QCheck.Gen in
+  oneofl [ (0, 1); (2, 0) ] >>= fun (a, other) ->
+  gen_loop_body (int_range 50 760) >>= fun body ->
+  let lines =
+    match Machine.default_config.Machine.cores.(a).Core_model.kind with
+    | Core_model.P16 -> 768
+    | Core_model.E16 -> 256
+  in
+  let len = Program.dynamic_length (prog "body" body) in
+  let k = (lines + len - 1) / len in
+  int_range 3 5 >>= fun periods ->
+  int_range (min 1 (k - 1)) (k - 1) >>= fun part ->
+  gen_small >>= fun prefix ->
+  gen_small >>= fun before ->
+  gen_small >>= fun after ->
+  int_range 2 3 >>= fun outer ->
+  opt (gen_loop_body (int_range 50 200)) >|= fun contender ->
+  let parts = (prefix, before, (periods * k) + part, body, after) in
+  ( a,
+    parts,
+    { Machine.program = prog "short" (short_program ~outer parts); core = a },
+    match contender with
+    | None -> []
+    | Some body -> [ { Machine.program = prog "once" body; core = other } ] )
+
+(* Traced on both kernels, untraced on the event kernel from a cold
+   script and then from the warm one. *)
+let prop_short_replay_matches_reference =
+  QCheck.Test.make ~name:"short-iteration loops reproduce Ref_sim, skipping or not"
+    ~count:20 (QCheck.make gen_short_case)
+    (fun (_, _, analysis, contenders) ->
+       let reference =
+         verdict (fun () ->
+             Ref_sim.run ~max_cycles:nested_budget ~restart_contenders:false ~trace:true
+               ~analysis ~contenders ())
+       in
+       let go ?(clear = true) ~trace kernel =
+         if clear then Machine.clear_scripts ();
+         verdict (fun () ->
+             Machine.run ~kernel ~max_cycles:nested_budget ~restart_contenders:false ~trace
+               ~analysis ~contenders ())
+       in
+       let untraced = Result.map (fun r -> { r with Machine.trace = [] }) reference in
+       go ~trace:true `Event = reference
+       && go ~trace:true `Stepped = reference
+       && go ~trace:false `Event = untraced
+       && go ~clear:false ~trace:false `Event = untraced)
+
+(* Guards the property above against passing vacuously: with one outer
+   iteration, which has no boundary, any region is the short loop's. *)
+let test_short_replay_fires () =
+  let cases = QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:12 gen_short_case in
+  let fired =
+    List.filter
+      (fun (core, parts, _, _) ->
+         Core_model.Script.regions (isolation_script ~core (short_program ~outer:1 parts)) <> [])
+      cases
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "short loops replayed in %d of %d programs" (List.length fired)
+       (List.length cases))
+    true
+    (2 * List.length fired >= List.length cases)
+
+(* The scale pin: a contender whose loop body runs 747 instructions,
+   fewer than the P16's caches have lines (random-coruns' ×8.147 L-Load
+   cell), stores no more segments at 362 iterations than at 36; and the
+   bundled L-Load contenders, with 756- and 708-instruction bodies,
+   replay too. *)
+let test_short_replay_scale () =
+  let contender iterations =
+    let variant = Workload.Control_loop.S1 in
+    Workload.Control_loop.build variant
+      {
+        (Workload.Load_gen.params ~variant ~level:Workload.Load_gen.Low ~region_slot:1) with
+        Workload.Control_loop.table_walk = 151;
+        iterations;
+      }
+  in
+  let body p =
+    match Program.items p with [ Program.Loop { body; _ } ] -> List.length body | _ -> 0
+  in
+  Alcotest.(check int) "a 747-instruction body" 747 (body (contender 36));
+  let stored iterations =
+    let s = isolation_script ~core:1 (Program.items (contender iterations)) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%d iterations: a replay region" iterations)
+      true
+      (Core_model.Script.regions s <> []);
+    Core_model.Script.footprint s
+  in
+  let s36 = stored 36 and s362 = stored 362 in
+  Alcotest.(check bool)
+    (Printf.sprintf "stored segment slots at 362 iterations (%d) <= at 36 (%d)" s362 s36)
+    true (s362 <= s36);
+  List.iter
+    (fun (name, variant, len) ->
+       let p = Workload.Load_gen.make ~variant ~level:Workload.Load_gen.Low () in
+       Alcotest.(check int) (name ^ " L-Load body") len (body p);
+       Alcotest.(check bool) (name ^ " L-Load has a replay region") true
+         (Core_model.Script.regions (isolation_script ~core:1 (Program.items p)) <> []))
+    [ ("S1", Workload.Control_loop.S1, 756); ("S2", Workload.Control_loop.S2, 708) ]
 
 (* --- skipping periods alone ------------------------------------------------- *)
 
@@ -1956,10 +2134,12 @@ let test_memo_concurrent_runs_match_reference () =
     (List.map Domain.join domains @ Array.to_list threads)
 
 let test_memo_bounded () =
-  (* each program compiles 100k LMU transactions, ~1/5 of the cap *)
-  let mid i =
-    prog (Printf.sprintf "mid%d" i) [ compute (1 + i); Program.loop 100_000 [ load lmu_nc ] ]
-  in
+  (* Straight-line programs: with no loop to replay, every transaction
+     is a stored segment. Each compiles 100k LMU transactions, ~1/5 of
+     the cap; the programs share one list of loads. *)
+  let loads n = List.init n (fun _ -> load lmu_nc) in
+  let body = loads 100_000 in
+  let mid i = prog (Printf.sprintf "mid%d" i) (compute (1 + i) :: body) in
   let hit p =
     let h0 = Obs.Metrics.value memo_hits in
     ignore (Machine.run_isolation p);
@@ -1978,7 +2158,7 @@ let test_memo_bounded () =
   Alcotest.(check bool) "the least recently returned one was evicted" false
     (hit (List.nth programs 0));
   (* 600k transactions: more segments than the cap *)
-  let huge = prog "huge" [ Program.loop 600_000 [ load lmu_nc ] ] in
+  let huge = prog "huge" (loads 600_000) in
   let before = memo_segments () in
   let r = Machine.run_isolation huge in
   Alcotest.(check int) "an oversize script is not retained" before
@@ -2037,6 +2217,7 @@ let () =
           Alcotest.test_case "flat walker" `Quick test_walker_flat;
           Alcotest.test_case "nested loops" `Quick test_walker_loops;
           Alcotest.test_case "loop boundaries" `Quick test_walker_boundaries;
+          Alcotest.test_case "partial skip" `Quick test_walker_partial_skip;
           Alcotest.test_case "zero loop" `Quick test_walker_zero_loop;
           Alcotest.test_case "validation" `Quick test_program_validation;
           Alcotest.test_case "seq layout" `Quick test_seq_layout;
@@ -2106,6 +2287,11 @@ let () =
             test_nested_replay_fires;
           QCheck_alcotest.to_alcotest prop_replay_matches_reference;
           QCheck_alcotest.to_alcotest prop_nested_replay_matches_reference;
+          Alcotest.test_case "short loops replay on the generated programs" `Quick
+            test_short_replay_fires;
+          Alcotest.test_case "a short-body contender stores no more at 10x" `Quick
+            test_short_replay_scale;
+          QCheck_alcotest.to_alcotest prop_short_replay_matches_reference;
         ] );
       ( "skip-periods",
         [
