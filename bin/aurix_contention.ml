@@ -582,88 +582,6 @@ let sweep_cmd =
     (Cmd.info "sweep" ~doc:"Sweep the ILP bound over contender load levels.")
     Term.(const run $ scenario_arg $ kernel_arg $ trace_arg $ metrics_arg)
 
-(* --- profile ------------------------------------------------------------------ *)
-
-let profile_cmd =
-  let experiments : (string * (?jobs:int -> unit -> unit)) list =
-    [
-      ("figure4", fun ?jobs () -> ignore (Experiments.Figure4.run_all ?jobs ()));
-      ("table6", fun ?jobs () -> ignore (Experiments.Table6.run ?jobs ()));
-      ( "ablations",
-        fun ?jobs () ->
-          ignore (Experiments.Ablations.a1_contender_info ?jobs ());
-          ignore (Experiments.Ablations.a2_equality_modes ?jobs ());
-          ignore
-            (Experiments.Ablations.a3_multi_contender ?jobs
-               Platform.Scenario.scenario1);
-          ignore (Experiments.Ablations.a4_fsb ?jobs ()) );
-      ("portability", fun ?jobs () -> ignore (Experiments.Portability.run ?jobs ()));
-      ( "priority",
-        fun ?jobs () ->
-          ignore
-            (Experiments.Priority_study.run ~scenario:Platform.Scenario.scenario1
-               ?jobs ()) );
-      ("realistic", fun ?jobs () -> ignore (Experiments.Realistic.run ?jobs ()));
-      ( "integrate",
-        fun ?jobs () -> ignore (Experiments.Integration_study.run ?jobs ()) );
-      ("dma", fun ?jobs () -> ignore (Experiments.Dma_study.run ?jobs ()));
-    ]
-  in
-  let m_events = Obs.Metrics.counter "tcsim.events"
-  and m_skipped = Obs.Metrics.counter ~timing:true "tcsim.solo.skipped_events" in
-  let run name runs jobs kernel trace metrics =
-    match List.assoc_opt name experiments with
-    | None ->
-      Format.eprintf "unknown experiment %S (expected one of: %s)@." name
-        (String.concat ", " (List.map fst experiments));
-      exit 2
-    | Some f ->
-      apply_kernel kernel;
-      (* profiling always wants the span aggregates, so the tracer is on
-         even when no --trace file was requested *)
-      Obs.Tracer.enable ();
-      Fun.protect ~finally:(fun () -> dump_obs trace metrics) @@ fun () ->
-      let recorded_jobs =
-        match jobs with Some j -> j | None -> Runtime.Pool.default_jobs ()
-      in
-      for i = 1 to runs do
-        (* cold caches each round, so every run solves and simulates the
-           same work *)
-        Runtime.Solve_cache.clear ();
-        Runtime.Run_cache.clear ();
-        let events = Obs.Metrics.value m_events
-        and skipped = Obs.Metrics.value m_skipped in
-        let (), t =
-          Runtime.Telemetry.measure ~jobs:recorded_jobs (fun () -> f ?jobs ())
-        in
-        Format.printf "run %d/%d: %a@." i runs Runtime.Telemetry.pp t;
-        Format.printf "  sim: tcsim.events=%d tcsim.solo.skipped_events=%d@."
-          (Obs.Metrics.value m_events - events)
-          (Obs.Metrics.value m_skipped - skipped)
-      done;
-      Format.printf "@.%a@." Obs.Tracer.pp_hot_paths ()
-  in
-  let name_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"EXPERIMENT"
-          ~doc:
-            "Experiment to profile: figure4, table6, ablations, portability, \
-             priority, realistic, integrate or dma.")
-  in
-  let runs_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "runs" ] ~docv:"N" ~doc:"Number of repetitions (default 3).")
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Run one named experiment repeatedly under the span tracer and print \
-          per-run telemetry plus the aggregated hot-path table.")
-    Term.(const run $ name_arg $ runs_arg $ jobs_arg $ kernel_arg $ trace_arg $ metrics_arg)
-
 (* --- audit -------------------------------------------------------------------- *)
 
 let audit_cmd =
@@ -1212,7 +1130,6 @@ let () =
             signatures_cmd;
             report_cmd;
             sweep_cmd;
-            profile_cmd;
             serve_cmd;
             query_cmd;
             stats_cmd;

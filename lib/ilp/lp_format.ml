@@ -1,13 +1,5 @@
 open Numeric
 
-exception Parse_error of { line : int; message : string }
-
-let fail line message = raise (Parse_error { line; message })
-
-(* ------------------------------------------------------------------ *)
-(* Printing                                                            *)
-(* ------------------------------------------------------------------ *)
-
 (* Exact decimal rendering: only denominators of the form 2^a * 5^b have
    one. *)
 let decimal_of_q q =
@@ -147,225 +139,3 @@ let to_string model =
    That is what makes the output diffable across sweep points and
    suitable for golden files. *)
 let to_canonical_string model = to_string (Canonical.model (Canonical.of_model model))
-
-(* ------------------------------------------------------------------ *)
-(* Parsing                                                             *)
-(* ------------------------------------------------------------------ *)
-
-type token = Word of string | Num of string | Le | Ge | Eq | Plus | Minus | Colon
-
-let tokenize_line lineno s =
-  (* strip LP comments *)
-  let s = match String.index_opt s '\\' with Some i -> String.sub s 0 i | None -> s in
-  let n = String.length s in
-  let tokens = ref [] in
-  let i = ref 0 in
-  let push t = tokens := t :: !tokens in
-  while !i < n do
-    let c = s.[!i] in
-    if c = ' ' || c = '\t' || c = '\r' then incr i
-    else if c = '+' then (push Plus; incr i)
-    else if c = '-' then (push Minus; incr i)
-    else if c = ':' then (push Colon; incr i)
-    else if c = '<' || c = '>' then begin
-      let op = if c = '<' then Le else Ge in
-      incr i;
-      if !i < n && s.[!i] = '=' then incr i;
-      push op
-    end
-    else if c = '=' then begin
-      incr i;
-      (* tolerate '=<' / '=>' *)
-      if !i < n && s.[!i] = '<' then (push Le; incr i)
-      else if !i < n && s.[!i] = '>' then (push Ge; incr i)
-      else push Eq
-    end
-    else if (c >= '0' && c <= '9') || c = '.' then begin
-      let start = !i in
-      while !i < n && ((s.[!i] >= '0' && s.[!i] <= '9') || s.[!i] = '.') do incr i done;
-      push (Num (String.sub s start (!i - start)))
-    end
-    else if is_name_char c then begin
-      let start = !i in
-      while !i < n && is_name_char s.[!i] do incr i done;
-      push (Word (String.sub s start (!i - start)))
-    end
-    else fail lineno (Printf.sprintf "unexpected character %C" c)
-  done;
-  List.rev !tokens
-
-type section = Objective of Model.direction | Constraints | Bounds | Generals | Done
-
-let section_of_tokens tokens =
-  match tokens with
-  | [ Word w ] when String.lowercase_ascii w = "maximize" || String.lowercase_ascii w = "max"
-    -> Some (Objective Model.Maximize)
-  | [ Word w ] when String.lowercase_ascii w = "minimize" || String.lowercase_ascii w = "min"
-    -> Some (Objective Model.Minimize)
-  | [ Word a; Word b ]
-    when String.lowercase_ascii a = "subject" && String.lowercase_ascii b = "to" ->
-    Some Constraints
-  | [ Word w ] when String.lowercase_ascii w = "st" -> Some Constraints
-  | [ Word w ] when String.lowercase_ascii w = "bounds" -> Some Bounds
-  | [ Word w ]
-    when String.lowercase_ascii w = "generals" || String.lowercase_ascii w = "general"
-         || String.lowercase_ascii w = "integers" ->
-    Some Generals
-  | [ Word w ] when String.lowercase_ascii w = "end" -> Some Done
-  | _ -> None
-
-let q_of_num lineno s =
-  match Q.of_string s with
-  | q -> q
-  | exception _ -> fail lineno (Printf.sprintf "malformed number %S" s)
-
-(* Parses [(optional sign) (optional coeff) name | (optional sign) number]*
-   into a Linexpr, resolving/creating variables through [var_of]. *)
-let parse_expr lineno var_of tokens =
-  let rec go acc sign = function
-    | [] -> (acc, [])
-    | Plus :: rest -> go acc sign rest
-    | Minus :: rest -> go acc (Q.neg sign) rest
-    | Num n :: Word w :: rest ->
-      let c = Q.mul sign (q_of_num lineno n) in
-      go (Linexpr.add_term acc c (var_of w)) Q.one rest
-    | Num n :: rest ->
-      go (Linexpr.add_const acc (Q.mul sign (q_of_num lineno n))) Q.one rest
-    | Word w :: rest -> go (Linexpr.add_term acc sign (var_of w)) Q.one rest
-    | (Le | Ge | Eq | Colon) :: _ as rest -> (acc, rest)
-  in
-  go Linexpr.zero Q.one tokens
-
-let of_string text =
-  let model = Model.create () in
-  let vars = Hashtbl.create 16 in
-  let var_of name =
-    match Hashtbl.find_opt vars name with
-    | Some v -> v
-    | None ->
-      let v = Model.add_var model name in
-      Hashtbl.add vars name v;
-      v
-  in
-  let lines =
-    String.split_on_char '\n' text
-    |> List.mapi (fun i l -> (i + 1, tokenize_line (i + 1) l))
-    |> List.filter (fun (_, toks) -> toks <> [])
-  in
-  let section = ref Done in
-  let seen_objective = ref false in
-  let pending_obj : (Model.direction * Linexpr.t) option ref = ref None in
-  let handle_objective lineno dir tokens =
-    let tokens =
-      match tokens with
-      | Word _ :: Colon :: rest -> rest (* strip the objective row name *)
-      | _ -> tokens
-    in
-    let expr, leftover = parse_expr lineno var_of tokens in
-    if leftover <> [] then fail lineno "trailing tokens in objective";
-    (match !pending_obj with
-     | Some (d, acc) when d = dir -> pending_obj := Some (d, Linexpr.add acc expr)
-     | _ -> pending_obj := Some (dir, expr));
-    seen_objective := true
-  in
-  let handle_constraint lineno tokens =
-    let name, tokens =
-      match tokens with
-      | Word w :: Colon :: rest -> (Some w, rest)
-      | _ -> (None, tokens)
-    in
-    let lhs, rest = parse_expr lineno var_of tokens in
-    let sense, rest =
-      match rest with
-      | Le :: r -> (Model.Le, r)
-      | Ge :: r -> (Model.Ge, r)
-      | Eq :: r -> (Model.Eq, r)
-      | _ -> fail lineno "expected <=, >= or = in constraint"
-    in
-    let rhs, leftover = parse_expr lineno var_of rest in
-    if leftover <> [] then fail lineno "trailing tokens in constraint";
-    if not (Linexpr.is_constant rhs) then
-      (* move rhs variables to the left *)
-      Model.add_constraint model ?name (Linexpr.sub lhs rhs) sense Q.zero
-    else
-      Model.add_constraint model ?name
-        (Linexpr.add_const lhs (Q.neg (Linexpr.constant lhs)))
-        sense
-        (Q.sub (Linexpr.constant rhs) (Linexpr.constant lhs))
-  in
-  let lookup_bound_var lineno name =
-    match Hashtbl.find_opt vars name with
-    | Some v -> v
-    | None ->
-      (* bounds may mention variables absent from all rows *)
-      ignore (var_of name);
-      (match Hashtbl.find_opt vars name with
-       | Some v -> v
-       | None -> fail lineno "internal: variable creation failed")
-  in
-  let signed_value lineno tokens =
-    match tokens with
-    | Minus :: Num n :: rest -> (Some (Q.neg (q_of_num lineno n)), rest)
-    | Num n :: rest -> (Some (q_of_num lineno n), rest)
-    | Minus :: Word w :: rest when String.lowercase_ascii w = "inf" || String.lowercase_ascii w = "infinity"
-      -> (None, rest)
-    | Plus :: Word w :: rest when String.lowercase_ascii w = "inf" || String.lowercase_ascii w = "infinity"
-      -> (None, rest)
-    | _ -> fail lineno "expected a number or infinity in bounds"
-  in
-  let handle_bound lineno tokens =
-    match tokens with
-    | [ Word w; Word f ] when String.lowercase_ascii f = "free" ->
-      Model.set_var_bounds model (lookup_bound_var lineno w) ~lb:None ~ub:None
-    | Word w :: Eq :: rest ->
-      let v, leftover = signed_value lineno rest in
-      if leftover <> [] then fail lineno "trailing tokens in bound";
-      (match v with
-       | Some x -> Model.set_var_bounds model (lookup_bound_var lineno w) ~lb:(Some x) ~ub:(Some x)
-       | None -> fail lineno "fixed bound cannot be infinite")
-    | Word w :: Le :: rest ->
-      let v, leftover = signed_value lineno rest in
-      if leftover <> [] then fail lineno "trailing tokens in bound";
-      let var = lookup_bound_var lineno w in
-      let info = Model.var_info model var in
-      Model.set_var_bounds model var ~lb:info.Model.lb ~ub:v
-    | Word w :: Ge :: rest ->
-      let v, leftover = signed_value lineno rest in
-      if leftover <> [] then fail lineno "trailing tokens in bound";
-      let var = lookup_bound_var lineno w in
-      let info = Model.var_info model var in
-      Model.set_var_bounds model var ~lb:v ~ub:info.Model.ub
-    | _ ->
-      (* lb <= x <= ub *)
-      let lb, rest = signed_value lineno tokens in
-      (match rest with
-       | Le :: Word w :: Le :: rest2 ->
-         let ub, leftover = signed_value lineno rest2 in
-         if leftover <> [] then fail lineno "trailing tokens in bound";
-         Model.set_var_bounds model (lookup_bound_var lineno w) ~lb ~ub
-       | _ -> fail lineno "malformed bounds line")
-  in
-  let handle_generals lineno tokens =
-    List.iter
-      (function
-        | Word w -> Model.set_var_integer model (lookup_bound_var lineno w) true
-        | _ -> fail lineno "expected variable names in Generals")
-      tokens
-  in
-  List.iter
-    (fun (lineno, tokens) ->
-       match section_of_tokens tokens with
-       | Some s -> section := s
-       | None ->
-         (match !section with
-          | Objective dir -> handle_objective lineno dir tokens
-          | Constraints -> handle_constraint lineno tokens
-          | Bounds -> handle_bound lineno tokens
-          | Generals -> handle_generals lineno tokens
-          | Done -> fail lineno "content outside any section"))
-    lines;
-  if not !seen_objective then fail 0 "missing objective section";
-  (match !pending_obj with
-   | Some (dir, expr) -> Model.set_objective model dir expr
-   | None -> ());
-  model

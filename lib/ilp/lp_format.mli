@@ -1,12 +1,11 @@
-(** CPLEX-LP text format: export a {!Model.t} for external solvers and
-    parse the same dialect back.
+(** CPLEX-LP text format: export a {!Model.t} for external solvers.
 
     The paper's authors solved their ILPs with an off-the-shelf solver;
     this module is the interoperability path a deployment would use: dump
     the tailored contention model, solve it with CPLEX/Gurobi/GLPK, or
     archive it for audits.
 
-    Supported dialect (exactly what {!to_string} emits):
+    Emitted dialect:
     - [Maximize]/[Minimize] with a single named objective row;
     - [Subject To] rows [name: Σ coeff var {<=,>=,=} rhs];
     - [Bounds] rows [lb <= var <= ub], [var <= ub], [var >= lb],
@@ -29,9 +28,3 @@ val to_canonical_string : Model.t -> string
     is stable under variable/row build order and suitable for golden
     files and audit diffs.
     @raise Invalid_argument as {!to_string}. *)
-
-exception Parse_error of { line : int; message : string }
-
-val of_string : string -> Model.t
-(** Parses the dialect above.
-    @raise Parse_error on malformed input. *)

@@ -55,7 +55,6 @@ let update_var_info m v f =
   m.vars_cache <- None
 
 let set_var_bounds m v ~lb ~ub = update_var_info m v (fun info -> { info with lb; ub })
-let set_var_integer m v integer = update_var_info m v (fun info -> { info with integer })
 
 let add_constraint m ?name expr csense rhs =
   let cname =
@@ -88,15 +87,6 @@ let var_info m v =
   a.(v)
 
 let var_name m v = (var_info m v).name
-
-let find_var m name =
-  let a = vars_array m in
-  let rec go v =
-    if v >= Array.length a then None
-    else if a.(v).name = name then Some v
-    else go (v + 1)
-  in
-  go 0
 let constraints m = List.rev m.constrs
 let objective m = (m.obj_dir, m.obj)
 

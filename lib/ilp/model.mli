@@ -36,15 +36,8 @@ val add_free_var : t -> ?integer:bool -> string -> var
 (** Variable unbounded in both directions. *)
 
 val set_var_bounds : t -> var -> lb:Q.t option -> ub:Q.t option -> unit
-(** Replaces a variable's bounds (used by the LP-format parser).
+(** Replaces a variable's bounds (used by {!Canonical}).
     @raise Invalid_argument on an unknown variable. *)
-
-val set_var_integer : t -> var -> bool -> unit
-(** Marks or unmarks a variable as integer.
-    @raise Invalid_argument on an unknown variable. *)
-
-val find_var : t -> string -> var option
-(** First variable with the given name, if any. *)
 
 val add_constraint : t -> ?name:string -> Linexpr.t -> sense -> Q.t -> unit
 (** [add_constraint m e s b] adds the constraint [e s b]. A non-zero
@@ -77,7 +70,8 @@ val canonical : t -> string
     insertion order: exact rational coefficients, sense, right-hand
     side) and the objective. Variable and constraint {e names} are
     excluded — two models differing only in naming denote the same
-    program and encode identically. Content-addressed caches
-    ({!Runtime.Solve_cache}) hash this string. *)
+    program and encode identically. {!Canonical.structure} is this
+    string of the canonical representative, which
+    {!Runtime.Solve_cache} hashes. *)
 
 val pp : Format.formatter -> t -> unit

@@ -161,9 +161,13 @@ let of_string ?(label = "trace") content = of_strings [ (label, content) ]
 (* --- stage classification ------------------------------------------------ *)
 
 (* First matching prefix wins; the span-name inventory lives in the
-   instrumented modules (engine stages, ilp, tcsim, measurement). *)
+   instrumented modules (experiment drivers, engine stages, ilp, tcsim,
+   measurement, pool). *)
 let stage_prefixes =
   [
+    ("figure4", "experiments");
+    ("ablations", "experiments");
+    ("integration", "experiments");
     ("serve.stage.lint", "lint");
     ("lint", "lint");
     ("serve.stage.bounds", "solve");
@@ -178,6 +182,7 @@ let stage_prefixes =
     ("cache", "cache");
     ("serve", "serve");
     ("client", "client");
+    ("pool", "pool");
   ]
 
 let stage_of_name name =
@@ -194,22 +199,51 @@ let self_us n =
   let covered = List.fold_left (fun acc c -> acc +. c.dur) 0. child_spans in
   Float.max 0. (n.dur -. covered)
 
+(* --- per-span-name table and stages --------------------------------------- *)
+
+type span_stat = {
+  span_name : string;
+  calls : int;
+  total_us : float;
+  span_self_us : float;
+}
+
+let span_table t =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun n ->
+       let calls, total, self =
+         Option.value (Hashtbl.find_opt tbl n.name) ~default:(0, 0., 0.)
+       in
+       Hashtbl.replace tbl n.name (calls + 1, total +. n.dur, self +. self_us n))
+    t.spans;
+  Hashtbl.fold
+    (fun span_name (calls, total_us, span_self_us) acc ->
+       { span_name; calls; total_us; span_self_us } :: acc)
+    tbl []
+  |> List.sort (fun a b ->
+      match Float.compare b.span_self_us a.span_self_us with
+      | 0 -> String.compare a.span_name b.span_name
+      | c -> c)
+
 type stage_stat = {
   stage : string;
   stage_spans : int;
   stage_self_us : float; (* span time net of child spans: sums to wall *)
 }
 
+(* A stage is a function of the span name, so its totals are sums of
+   span-table rows. *)
 let stages t =
   let tbl = Hashtbl.create 8 in
   List.iter
-    (fun n ->
-       let stage = stage_of_name n.name in
+    (fun s ->
+       let stage = stage_of_name s.span_name in
        let spans, self =
          Option.value (Hashtbl.find_opt tbl stage) ~default:(0, 0.)
        in
-       Hashtbl.replace tbl stage (spans + 1, self +. self_us n))
-    t.spans;
+       Hashtbl.replace tbl stage (spans + s.calls, self +. s.span_self_us))
+    (span_table t);
   Hashtbl.fold
     (fun stage (stage_spans, stage_self_us) acc ->
        { stage; stage_spans; stage_self_us } :: acc)
@@ -395,13 +429,22 @@ let report ?(top = 5) fmt t =
     (List.length t.spans) (List.length t.instants) (ms total_self);
   (* stage breakdown *)
   Format.fprintf fmt "stage breakdown (self time):@,";
-  Format.fprintf fmt "  %-10s %8s %12s %7s@," "stage" "spans" "total" "share";
+  Format.fprintf fmt "  %-12s %8s %12s %7s@," "stage" "spans" "total" "share";
   List.iter
     (fun s ->
-       Format.fprintf fmt "  %-10s %8d %10.3fms %6.1f%%@," s.stage s.stage_spans
+       Format.fprintf fmt "  %-12s %8d %10.3fms %6.1f%%@," s.stage s.stage_spans
          (ms s.stage_self_us)
          (if total_self > 0. then 100. *. s.stage_self_us /. total_self else 0.))
     (stages t);
+  Format.fprintf fmt "@,spans by name (self time):@,";
+  Format.fprintf fmt "  %-24s %8s %12s %12s %7s@," "span" "calls" "total" "self"
+    "share";
+  List.iter
+    (fun s ->
+       Format.fprintf fmt "  %-24s %8d %10.3fms %10.3fms %6.1f%%@," s.span_name
+         s.calls (ms s.total_us) (ms s.span_self_us)
+         (if total_self > 0. then 100. *. s.span_self_us /. total_self else 0.))
+    (span_table t);
   (* critical path *)
   (match critical_path t with
    | [] -> Format.fprintf fmt "@,critical path: (no spans)@,"
@@ -485,6 +528,18 @@ let to_json ?(top = 5) t =
                       ("self_us", Json.Float s.stage_self_us);
                     ] ))
              (stages t)) );
+      ( "span_table",
+        Json.List
+          (List.map
+             (fun s ->
+                Json.Obj
+                  [
+                    ("name", Json.Str s.span_name);
+                    ("calls", Json.Int s.calls);
+                    ("total_us", Json.Float s.total_us);
+                    ("self_us", Json.Float s.span_self_us);
+                  ])
+             (span_table t)) );
       ( "critical_path",
         Json.List
           (List.map

@@ -5,9 +5,10 @@
     (client and daemon traces of the same request merge into one
     analysis, one process per file), rebuilds the span forest per
     (process, thread) lane from interval containment, and reports:
-    critical path, per-stage latency breakdown (lint / solve / sim /
-    disk / …), top-N slowest requests, cache effectiveness from hit/miss
-    instants, and trace-id connectivity across processes. *)
+    per-stage latency breakdown (experiments / lint / solve / sim /
+    disk / …), a per-span-name table (calls, total and self time),
+    critical path, top-N slowest requests, cache effectiveness from
+    hit/miss instants, and trace-id connectivity across processes. *)
 
 type node = {
   name : string;
@@ -35,8 +36,10 @@ val of_strings : (string * string) list -> (t, string) result
     is [Error _]. *)
 
 val stage_of_name : string -> string
-(** The stage bucket a span name classifies into ([lint], [solve],
-    [sim], [disk], [audit], [cache], [serve], [client] or [other]). *)
+(** The stage bucket a span name classifies into ([experiments] for the
+    experiment drivers' [figure4.*], [ablations.*] and [integration.*]
+    spans, [lint], [solve], [sim], [disk], [audit], [cache], [serve],
+    [client], [pool] or [other]). *)
 
 type stage_stat = {
   stage : string;
@@ -47,6 +50,17 @@ type stage_stat = {
 
 val stages : t -> stage_stat list
 (** Sorted by self time descending. *)
+
+type span_stat = {
+  span_name : string;
+  calls : int;  (** spans recorded under this name *)
+  total_us : float;  (** summed durations, children included *)
+  span_self_us : float;  (** summed self time: net of child spans *)
+}
+
+val span_table : t -> span_stat list
+(** One row per span name, sorted by self time descending (ties by
+    name). Self times over all rows sum to the report's span time. *)
 
 val critical_path : t -> node list
 (** Root-to-leaf chain through the slowest child at every level of the

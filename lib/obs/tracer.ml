@@ -213,108 +213,3 @@ let to_chrome_json_value () =
     ]
 
 let to_chrome_json () = Json.to_string (to_chrome_json_value ())
-
-(* --- text tree ----------------------------------------------------------- *)
-
-let pp_attrs fmt attrs =
-  List.iter (fun (k, v) -> Format.fprintf fmt " %s=%s" k v) attrs
-
-let pp_tree fmt () =
-  let evs = events () in
-  let tids = List.sort_uniq compare (List.map (fun e -> e.tid) evs) in
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun tid ->
-       Format.fprintf fmt "domain %d:@," tid;
-       let mine =
-         List.filter (fun e -> e.tid = tid) evs
-         (* start order; a parent shares its start microsecond with its
-            first child, so break ties by depth *)
-         |> List.sort (fun a b ->
-             match compare a.ts_us b.ts_us with
-             | 0 -> (match compare a.depth b.depth with 0 -> compare a.seq b.seq | c -> c)
-             | c -> c)
-       in
-       List.iter
-         (fun e ->
-            match e.kind with
-            | Span ->
-              Format.fprintf fmt "%s%s%a (%.3f ms)@,"
-                (String.make (2 * (e.depth + 1)) ' ')
-                e.name pp_attrs e.attrs (e.dur_us /. 1e3)
-            | Instant ->
-              Format.fprintf fmt "%s@%s%a@,"
-                (String.make (2 * (e.depth + 1)) ' ')
-                e.name pp_attrs e.attrs)
-         mine)
-    tids;
-  let d = dropped () in
-  if d > 0 then Format.fprintf fmt "(%d older events dropped)@," d;
-  Format.fprintf fmt "@]"
-
-(* --- aggregation --------------------------------------------------------- *)
-
-type stat = {
-  span : string;
-  calls : int;
-  total_us : float;
-  mean_us : float;
-  max_us : float;
-}
-
-let aggregate () =
-  let tbl : (string, int ref * float ref * float ref) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  List.iter
-    (fun e ->
-       if e.kind = Span then begin
-         let calls, total, mx =
-           match Hashtbl.find_opt tbl e.name with
-           | Some cell -> cell
-           | None ->
-             let cell = (ref 0, ref 0., ref 0.) in
-             Hashtbl.add tbl e.name cell;
-             cell
-         in
-         Stdlib.incr calls;
-         total := !total +. e.dur_us;
-         if e.dur_us > !mx then mx := e.dur_us
-       end)
-    (events ());
-  Hashtbl.fold
-    (fun span (calls, total, mx) acc ->
-       {
-         span;
-         calls = !calls;
-         total_us = !total;
-         mean_us = !total /. float_of_int !calls;
-         max_us = !mx;
-       }
-       :: acc)
-    tbl []
-  |> List.sort (fun a b -> compare b.total_us a.total_us)
-
-let pp_hot_paths fmt () =
-  let stats = aggregate () in
-  (* share of the traced wall time = sum of top-level span durations *)
-  let wall_us =
-    List.fold_left
-      (fun acc e ->
-         if e.depth = 0 && e.kind = Span then acc +. e.dur_us else acc)
-      0. (events ())
-  in
-  Format.fprintf fmt "@[<v>%-28s %8s %12s %12s %12s %7s@," "span" "calls"
-    "total" "mean" "max" "share";
-  let ms us = us /. 1e3 in
-  List.iter
-    (fun s ->
-       Format.fprintf fmt "%-28s %8d %10.3fms %10.3fms %10.3fms %6.1f%%@,"
-         s.span s.calls (ms s.total_us) (ms s.mean_us) (ms s.max_us)
-         (if wall_us > 0. then 100. *. s.total_us /. wall_us else 0.))
-    stats;
-  let d = dropped () in
-  if d > 0 then
-    Format.fprintf fmt "(ring full: %d older events dropped from the stats)@,"
-      d;
-  Format.fprintf fmt "@]"

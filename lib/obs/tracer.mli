@@ -81,22 +81,3 @@ val to_chrome_json_value : unit -> Json.t
 val to_chrome_json : unit -> string
 (** Chrome [trace_event] JSON (complete events, µs timestamps): load the
     file in [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}. *)
-
-val pp_tree : Format.formatter -> unit -> unit
-(** Compact per-domain text tree, indented by span depth. *)
-
-type stat = {
-  span : string;
-  calls : int;
-  total_us : float;
-  mean_us : float;
-  max_us : float;
-}
-
-val aggregate : unit -> stat list
-(** Per-span-name aggregates over the retained events (instants are
-    excluded), sorted by total duration descending. *)
-
-val pp_hot_paths : Format.formatter -> unit -> unit
-(** {!aggregate} as a table; the share column is relative to the summed
-    duration of top-level (depth 0) spans. *)

@@ -70,4 +70,4 @@ val map : ?label:string -> ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
 val tasks_run : unit -> int
 (** Process-wide count of pool tasks executed (inline or on a worker);
-    monotonic, read by {!Telemetry}. *)
+    monotonic. The tests read it to check that every task runs once. *)

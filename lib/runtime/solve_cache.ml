@@ -5,8 +5,6 @@ type outcome = Solved of Ilp.Solution.t | Node_limit
 type stats = {
   hits : int;
   misses : int;
-  raw_hits : int;
-  canonical_hits : int;
   waited : int;
 }
 
@@ -25,56 +23,29 @@ type stats = {
    split a function of the request sequence alone — every unique key is
    exactly one miss, every other request a hit — so cache counters are
    identical at any parallel degree, which the metrics determinism
-   guarantee relies on.
-
-   Every hit is classified (exactly once — waiters are not a third hit
-   class, so the breakdown never double-counts them) as
-   - [raw_hits]: some earlier request had this exact model (same raw
-     digest), or
-   - [canonical_hits]: only a structural twin had been seen — the dedup
-     that exists purely thanks to canonicalization.
-   Classification is by raw-digest membership in the entry, which
-   depends on the multiset of requests, not their arrival order, so
-   both totals are identical at any parallel degree. [waited] counts
-   how many of those hits also blocked on an in-flight solve; that is a
-   timing fact of the parallel schedule (always 0 at jobs=1), so it is
-   kept out of the jobs-invariant Obs counter set and reported only in
-   [stats]. *)
-type entry = {
-  outcome : outcome;
-  raw_seen : (string, unit) Hashtbl.t;
-      (* raw digests already served, under [lock]; the solver's own raw
-         is in it before the entry settles *)
-}
-
-let table : entry Single_flight.t =
+   guarantee relies on. [waited] counts how many of those hits also
+   blocked on an in-flight solve; that is a timing fact of the parallel
+   schedule (always 0 at jobs=1), so it is kept out of the jobs-invariant
+   Obs counter set and reported only in [stats]. *)
+let table : outcome Single_flight.t =
   Single_flight.create ~entries:(Obs.Metrics.gauge "solve_cache.entries") ()
 
-(* guards every entry's [raw_seen] and [audit_failures_tbl] *)
+(* guards [audit_failures_tbl] *)
 let lock = Mutex.create ()
 let hit_count = Atomic.make 0
 let miss_count = Atomic.make 0
-let raw_hit_count = Atomic.make 0
-let canonical_hit_count = Atomic.make 0
 let waited_count = Atomic.make 0
 let m_hits = Obs.Metrics.counter "solve_cache.hits"
 let m_misses = Obs.Metrics.counter "solve_cache.misses"
-let m_raw_hits = Obs.Metrics.counter "solve_cache.raw_hits"
-let m_canonical_hits = Obs.Metrics.counter "ilp.cache.canonical_hits"
 
-let digest ~tag text = Digest.to_hex (Digest.string (tag ^ "\n" ^ text))
-let key ~tag model = digest ~tag (Ilp.Model.canonical model)
-let canonical_key ~tag canon = digest ~tag (Ilp.Canonical.structure canon)
+let canonical_key ~tag canon =
+  Digest.to_hex (Digest.string (tag ^ "\n" ^ Ilp.Canonical.structure canon))
 
-(* A model's two renderings, made once however many solvers are asked:
-   the contention bound asks the LP and the ILP of one model. *)
-type prepared = {
-  canon : Ilp.Canonical.t;
-  raw_text : string;  (* {!Ilp.Model.canonical} of the model as built *)
-}
+(* A model canonicalized once however many solvers are asked: the
+   contention bound asks the LP and the ILP of one model. *)
+type prepared = Ilp.Canonical.t
 
-let prepare model =
-  { canon = Ilp.Canonical.of_model model; raw_text = Ilp.Model.canonical model }
+let prepare = Ilp.Canonical.of_model
 
 (* --- stable key/entry serialization ------------------------------------- *)
 
@@ -222,29 +193,11 @@ let store_reject k =
 
 let size () = Single_flight.size table
 
-let count_hit ~key ~waited kind =
+let count_hit ~key ~waited =
   Atomic.incr hit_count;
   Obs.Metrics.incr m_hits;
-  Obs.Tracer.instant "cache.solve.hit"
-    ~attrs:(fun () ->
-        [ ("key", key);
-          ("kind", match kind with `Raw -> "raw" | `Canonical -> "canonical") ]);
-  if waited then Atomic.incr waited_count;
-  match kind with
-  | `Raw ->
-    Atomic.incr raw_hit_count;
-    Obs.Metrics.incr m_raw_hits
-  | `Canonical ->
-    Atomic.incr canonical_hit_count;
-    Obs.Metrics.incr m_canonical_hits
-
-(* Raw if some earlier request had this exact model, else canonical;
-   either way [raw] has now been served. *)
-let classify e raw =
-  Mutex.protect lock (fun () ->
-      let kind = if Hashtbl.mem e.raw_seen raw then `Raw else `Canonical in
-      Hashtbl.replace e.raw_seen raw ();
-      kind)
+  Obs.Tracer.instant "cache.solve.hit" ~attrs:(fun () -> [ ("key", key) ]);
+  if waited then Atomic.incr waited_count
 
 (* Map a canonical-frame outcome back into the requester's frame. *)
 let replay canon outcome =
@@ -288,13 +241,12 @@ let audit_failures () =
   Mutex.unlock lock;
   List.sort compare l
 
-let solve_cached ~tag ?slack ~solve ~solve_certified { canon; raw_text } =
-  let raw = digest ~tag raw_text in
+let solve_cached ~tag ?slack ~solve ~solve_certified canon =
   let k = canonical_key ~tag canon in
   match Single_flight.acquire table k with
-  | `Hit (e, waited) ->
-    count_hit ~key:k ~waited (classify e raw);
-    replay canon e.outcome
+  | `Hit (outcome, waited) ->
+    count_hit ~key:k ~waited;
+    replay canon outcome
   | `Reserved ->
     Atomic.incr miss_count;
     Obs.Metrics.incr m_misses;
@@ -346,9 +298,7 @@ let solve_cached ~tag ?slack ~solve ~solve_certified { canon; raw_text } =
         Single_flight.fail table k;
         raise e
     in
-    let raw_seen = Hashtbl.create 4 in
-    Hashtbl.replace raw_seen raw ();
-    Single_flight.settle table k { outcome; raw_seen };
+    Single_flight.settle table k outcome;
     Option.iter (fun cert -> store_save ?cert k outcome) save;
     replay canon outcome
 
@@ -378,16 +328,12 @@ let stats () =
   {
     hits = Atomic.get hit_count;
     misses = Atomic.get miss_count;
-    raw_hits = Atomic.get raw_hit_count;
-    canonical_hits = Atomic.get canonical_hit_count;
     waited = Atomic.get waited_count;
   }
 
 let reset_stats () =
   Atomic.set hit_count 0;
   Atomic.set miss_count 0;
-  Atomic.set raw_hit_count 0;
-  Atomic.set canonical_hit_count 0;
   Atomic.set waited_count 0
 
 let clear () =

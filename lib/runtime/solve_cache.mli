@@ -37,13 +37,12 @@
 open Numeric
 
 type prepared
-(** A model with its raw and canonical renderings, computed once. The
-    same [prepared] value serves any number of solver calls. *)
+(** A model canonicalized once. The same [prepared] value serves any
+    number of solver calls. *)
 
 val prepare : Ilp.Model.t -> prepared
-(** Canonicalizes the model ({!Ilp.Canonical.of_model}) and renders it
-    ({!Ilp.Model.canonical}); both are pure, so a [prepared] value can be
-    shared between domains. *)
+(** Canonicalizes the model ({!Ilp.Canonical.of_model}); that is pure,
+    so a [prepared] value can be shared between domains. *)
 
 val solve_lp : prepared -> Ilp.Solution.t
 (** Cached {!Ilp.Simplex.solve} (the model's continuous relaxation). *)
@@ -56,25 +55,18 @@ val solve_ilp :
     would, including on a cache hit of such an outcome. *)
 
 type stats = {
-  hits : int;  (** total: [raw_hits + canonical_hits] *)
+  hits : int;  (** every request after the first of its key *)
   misses : int;  (** one per unique (tag, structure) key *)
-  raw_hits : int;
-      (** hits where some earlier request had this exact model *)
-  canonical_hits : int;
-      (** hits where only a structural twin had been seen — dedup that
-          exists purely thanks to canonicalization *)
   waited : int;
       (** how many of the hits blocked on an in-flight solve; a timing
-          fact of the parallel schedule (0 at jobs=1), not a third hit
-          class *)
+          fact of the parallel schedule (0 at jobs=1) *)
 }
 
 val stats : unit -> stats
-(** Process-wide counters since start or the last {!reset_stats}. Every
-    hit is classified exactly once as raw or canonical, by raw-digest
-    membership — a function of the request multiset, not arrival order,
-    so [raw_hits] and [canonical_hits] are jobs-invariant; [waited] is
-    not (and is deliberately absent from the {!Obs.Metrics} counters). *)
+(** Process-wide counters since start or the last {!reset_stats}.
+    [hits] and [misses] are a function of the request multiset, not
+    arrival order, so they are jobs-invariant; [waited] is not (and is
+    deliberately absent from the {!Obs.Metrics} counters). *)
 
 val reset_stats : unit -> unit
 (** Zeroes the hit/miss counters; cached solutions are kept. *)
@@ -85,11 +77,6 @@ val clear : unit -> unit
 
 val size : unit -> int
 (** Number of distinct cached solves. *)
-
-val key : tag:string -> Ilp.Model.t -> string
-(** The {e raw} content address (exposed for tests): MD5 of [tag] +
-    {!Ilp.Model.canonical}. Raw keys classify hits as raw vs canonical;
-    storage is keyed by {!canonical_key}. *)
 
 val canonical_key : tag:string -> Ilp.Canonical.t -> string
 (** The storage key (exposed for tests): MD5 of [tag] +

@@ -522,8 +522,6 @@ let stats_payload t =
                 [
                   ("hits", sc.Runtime.Solve_cache.hits);
                   ("misses", sc.Runtime.Solve_cache.misses);
-                  ("raw_hits", sc.Runtime.Solve_cache.raw_hits);
-                  ("canonical_hits", sc.Runtime.Solve_cache.canonical_hits);
                   ("size", Runtime.Solve_cache.size ());
                 ] );
             ( "disk",

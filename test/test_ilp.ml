@@ -552,14 +552,19 @@ let test_contention_models_certified () =
    whole search restarts on the exact tier (17 nodes), so the answer is
    the exact one: 14 + 17 nodes, 13 + 16 warm starts. *)
 let test_warm_overflow_after_takeover () =
-  let m =
-    Ilp.Lp_format.of_string
-      "max\n obj: 4.5 x0 + 6 x1 + 4.5 x2\nst\n c0: x0 + 3 x1 + 5 x2 <= 25\n\
-      \ c1: -3 x0 + 4 x1 - 3 x2 <= 34\n\
-      \ c2: 114303 x0 + 115003 x1 + 67373 x2 <= 871409\n\
-       Bounds\n 0 <= x0 <= 4\n 0 <= x1 <= 8\n 0 <= x2 <= 6\n\
-       Generals\n x0 x1 x2\nEnd\n"
+  let m = Ilp.Model.create () in
+  let x0 = Ilp.Model.add_var m ~integer:true ~ub:(q 4) "x0" in
+  let x1 = Ilp.Model.add_var m ~integer:true ~ub:(q 8) "x1" in
+  let x2 = Ilp.Model.add_var m ~integer:true ~ub:(q 6) "x2" in
+  let row name terms rhs =
+    Ilp.Model.add_constraint m ~name (Ilp.Linexpr.of_terms terms) Ilp.Model.Le
+      (q rhs)
   in
+  row "c0" [ (q 1, x0); (q 3, x1); (q 5, x2) ] 25;
+  row "c1" [ (q (-3), x0); (q 4, x1); (q (-3), x2) ] 34;
+  row "c2" [ (q 114303, x0); (q 115003, x1); (q 67373, x2) ] 871409;
+  Ilp.Model.set_objective m Ilp.Model.Maximize
+    (Ilp.Linexpr.of_terms [ (qr 9 2, x0); (q 6, x1); (qr 9 2, x2) ]);
   (* exhaustive optimum over the box *)
   let best = ref None in
   for x0 = 0 to 4 do
@@ -903,27 +908,6 @@ let sample_model () =
     (Ilp.Linexpr.of_terms [ (q 2, x); (Q.one, y); (qr 1 2, z) ]);
   m
 
-let solve_both m =
-  (Ilp.Simplex.solve m, Ilp.Branch_bound.solve m)
-
-let test_lp_format_roundtrip () =
-  let m = sample_model () in
-  let text = Ilp.Lp_format.to_string m in
-  let m' = Ilp.Lp_format.of_string text in
-  Alcotest.(check int) "same variable count" (Ilp.Model.num_vars m) (Ilp.Model.num_vars m');
-  Alcotest.(check int) "same constraint count"
-    (List.length (Ilp.Model.constraints m))
-    (List.length (Ilp.Model.constraints m'));
-  let check_same msg s s' =
-    match (s, s') with
-    | Ilp.Solution.Optimal { objective = a; _ }, Ilp.Solution.Optimal { objective = b; _ } ->
-      Alcotest.(check string) msg (Q.to_string a) (Q.to_string b)
-    | _ -> Alcotest.fail (msg ^ ": statuses differ")
-  in
-  let lp, ilp = solve_both m and lp', ilp' = solve_both m' in
-  check_same "LP optimum preserved" lp lp';
-  check_same "ILP optimum preserved" ilp ilp'
-
 let test_lp_format_emits_sections () =
   let text = Ilp.Lp_format.to_string (sample_model ()) in
   List.iter
@@ -945,18 +929,6 @@ let test_lp_format_rejects_nondecimal () =
      ignore (Ilp.Lp_format.to_string m);
      Alcotest.fail "1/3 must be rejected"
    with Invalid_argument _ -> ())
-
-let test_lp_format_parse_errors () =
-  let expect_error text =
-    try
-      ignore (Ilp.Lp_format.of_string text);
-      Alcotest.failf "expected Parse_error on %S" text
-    with Ilp.Lp_format.Parse_error _ -> ()
-  in
-  expect_error "Subject To\n c1: x <= 1\nEnd\n";
-  (* missing objective *)
-  expect_error "Maximize\n obj: x\nSubject To\n c1: x ? 1\nEnd\n";
-  expect_error "Maximize\n obj: x\nSubject To\n c1: x 1\nEnd\n"
 
 let test_lp_format_canonical_emit_stable () =
   (* twin builds of the sample model — variables created in the opposite
@@ -1340,17 +1312,6 @@ let test_bounds_length_mismatch () =
       ("long ub", [| None; None |], [| None; None; None |]);
     ]
 
-let test_lp_format_parse_variants () =
-  (* alternative spellings we tolerate *)
-  let m =
-    Ilp.Lp_format.of_string
-      "min\n obj: x + y\nst\n c: x + y >= 3\nBounds\n x >= 1\nIntegers\n y\nEnd\n"
-  in
-  match Ilp.Branch_bound.solve m with
-  | Ilp.Solution.Optimal { objective; _ } ->
-    Alcotest.(check string) "min x+y st x+y>=3" "3" (Q.to_string objective)
-  | _ -> Alcotest.fail "expected optimal"
-
 let () =
   Alcotest.run "ilp"
     [
@@ -1403,11 +1364,8 @@ let () =
         ] );
       ( "lp-format",
         [
-          Alcotest.test_case "roundtrip" `Quick test_lp_format_roundtrip;
           Alcotest.test_case "sections" `Quick test_lp_format_emits_sections;
           Alcotest.test_case "rejects 1/3" `Quick test_lp_format_rejects_nondecimal;
-          Alcotest.test_case "parse errors" `Quick test_lp_format_parse_errors;
-          Alcotest.test_case "spelling variants" `Quick test_lp_format_parse_variants;
           Alcotest.test_case "canonical emit stable across twins" `Quick
             test_lp_format_canonical_emit_stable;
           Alcotest.test_case "canonical emit golden file" `Quick

@@ -179,19 +179,6 @@ let test_chrome_trace_roundtrip () =
     in
     Alcotest.(check (list string)) "record order" [ "beta"; "alpha" ] names
 
-let test_aggregate () =
-  Obs.Tracer.enable ();
-  Fun.protect ~finally:Obs.Tracer.disable @@ fun () ->
-  for _ = 1 to 3 do
-    Obs.Tracer.with_span "hot" (fun () -> ())
-  done;
-  Obs.Tracer.with_span "cold" (fun () -> ());
-  let stats = Obs.Tracer.aggregate () in
-  let hot = List.find (fun s -> s.Obs.Tracer.span = "hot") stats in
-  Alcotest.(check int) "three calls aggregated" 3 hot.Obs.Tracer.calls;
-  Alcotest.(check bool) "mean <= max" true
-    (hot.Obs.Tracer.mean_us <= hot.Obs.Tracer.max_us +. 1e-9)
-
 (* --- golden helpers -------------------------------------------------------- *)
 
 (* [AURIX_GEN_GOLDEN=<dir> ./test_obs.exe] rewrites the observability
@@ -521,6 +508,86 @@ let test_analyzer_stages () =
             (s.stage, s.stage_spans, s.stage_self_us))
        (Obs.Trace_analyzer.stages t))
 
+let test_stage_of_name () =
+  Alcotest.(check (list (pair string string)))
+    "span names map to their stages"
+    [
+      ("figure4.row", "experiments");
+      ("ablations.a3", "experiments");
+      ("integration.run", "experiments");
+      ("measure.corun", "sim");
+      ("tcsim.run", "sim");
+      ("ilp.branch_bound", "solve");
+      ("serve.stage.lint", "lint");
+      ("serve.stage.bounds", "solve");
+      ("serve.request", "serve");
+      ("pool.task", "pool");
+      ("unnamed.span", "other");
+    ]
+    (List.map
+       (fun name -> (name, Obs.Trace_analyzer.stage_of_name name))
+       [
+         "figure4.row"; "ablations.a3"; "integration.run"; "measure.corun";
+         "tcsim.run"; "ilp.branch_bound"; "serve.stage.lint";
+         "serve.stage.bounds"; "serve.request"; "pool.task"; "unnamed.span";
+       ])
+
+let test_analyzer_span_table () =
+  (* a nested trace recorded by the tracer itself: two outer spans, each
+     with inner spans, one of them with leaves *)
+  Obs.Tracer.enable ();
+  Fun.protect ~finally:Obs.Tracer.disable @@ fun () ->
+  let busy () = ignore (Sys.opaque_identity (List.init 200 Fun.id)) in
+  for _ = 1 to 2 do
+    Obs.Tracer.with_span "outer" (fun () ->
+        busy ();
+        Obs.Tracer.with_span "inner" (fun () ->
+            busy ();
+            for _ = 1 to 3 do
+              Obs.Tracer.with_span "leaf" busy
+            done);
+        Obs.Tracer.with_span "inner" busy)
+  done;
+  let recorded name =
+    List.length
+      (List.filter (fun e -> e.Obs.Tracer.name = name) (Obs.Tracer.events ()))
+  in
+  match Obs.Trace_analyzer.of_string (Obs.Tracer.to_chrome_json ()) with
+  | Error e -> Alcotest.failf "trace does not analyze: %s" e
+  | Ok t ->
+    let table = Obs.Trace_analyzer.span_table t in
+    Alcotest.(check (list (pair string int))) "calls per name = spans recorded"
+      (List.map (fun n -> (n, recorded n)) [ "inner"; "leaf"; "outer" ])
+      (List.sort compare
+         (List.map
+            (fun s -> Obs.Trace_analyzer.(s.span_name, s.calls))
+            table));
+    let self_sum =
+      List.fold_left
+        (fun acc s -> acc +. s.Obs.Trace_analyzer.span_self_us)
+        0. table
+    in
+    let stage_sum =
+      List.fold_left
+        (fun acc s -> acc +. s.Obs.Trace_analyzer.stage_self_us)
+        0. (Obs.Trace_analyzer.stages t)
+    in
+    Alcotest.(check (float 1e-6)) "self times sum to the span time" stage_sum
+      self_sum;
+    let root_sum =
+      List.fold_left (fun acc n -> acc +. n.Obs.Trace_analyzer.dur) 0.
+        t.Obs.Trace_analyzer.roots
+    in
+    Alcotest.(check (float 1e-6)) "span time is the roots' time" root_sum
+      self_sum;
+    let report = Obs.Trace_analyzer.report_string t in
+    let needle = Printf.sprintf "span time: %.3f ms" (self_sum /. 1e3) in
+    let rec has i =
+      i + String.length needle <= String.length report
+      && (String.sub report i (String.length needle) = needle || has (i + 1))
+    in
+    Alcotest.(check bool) "the report prints that span time" true (has 0)
+
 let test_analyzer_sim_work () =
   let trace =
     {|{"traceEvents": [
@@ -605,6 +672,7 @@ let test_analyzer_golden () =
    in
    has "critical path:";
    has "stage breakdown";
+   has "spans by name";
    has "cache effectiveness:");
   golden_check ~name:"obs_trace_report.txt" (report ^ "\n")
 
@@ -612,7 +680,7 @@ let test_analyzer_golden () =
 
 let knapsack ~capacity ~flipped () =
   (* [flipped] builds the same program with the variables created in the
-     opposite order — a structural twin with a distinct raw digest *)
+     opposite order — a structural twin of the unflipped build *)
   let m = Ilp.Model.create () in
   let add v w name =
     let x = Ilp.Model.add_var m ~integer:true ~ub:Q.one name in
@@ -675,8 +743,7 @@ let jobs_invariant_snapshot =
        (* duplicate capacities are the interesting case: concurrent
           requests for one key must still count as one miss. Each
           capacity is also requested as a flipped structural twin, so
-          the raw/canonical hit classification — not just the hit/miss
-          totals — is pinned jobs-invariant. *)
+          canonical keying is pinned jobs-invariant too. *)
        let requests =
          List.concat_map (fun c -> [ (c, false); (c, true) ]) capacities
        in
@@ -720,7 +787,6 @@ let () =
           Alcotest.test_case "ring evicts oldest events" `Quick test_ring_eviction;
           Alcotest.test_case "chrome trace round-trips" `Quick
             test_chrome_trace_roundtrip;
-          Alcotest.test_case "per-span aggregation" `Quick test_aggregate;
         ] );
       ( "trace context",
         [
@@ -756,6 +822,9 @@ let () =
           Alcotest.test_case "span forest and critical path" `Quick
             test_analyzer_forest;
           Alcotest.test_case "stage breakdown" `Quick test_analyzer_stages;
+          Alcotest.test_case "stage names" `Quick test_stage_of_name;
+          Alcotest.test_case "span table of a nested trace" `Quick
+            test_analyzer_span_table;
           Alcotest.test_case "cache effectiveness" `Quick test_analyzer_caches;
           Alcotest.test_case "simulator work" `Quick test_analyzer_sim_work;
           Alcotest.test_case "trace ids connect processes" `Quick

@@ -219,13 +219,11 @@ let test_cache_hit_on_identical_model () =
     (Q.to_string (objective_exn s1));
   Alcotest.(check string) "cached result identical" "220"
     (Q.to_string (objective_exn s2));
-  let { Runtime.Solve_cache.hits; misses; raw_hits; canonical_hits; waited } =
+  let { Runtime.Solve_cache.hits; misses; waited } =
     Runtime.Solve_cache.stats ()
   in
   Alcotest.(check int) "one miss" 1 misses;
   Alcotest.(check int) "one hit" 1 hits;
-  Alcotest.(check int) "identical model is a raw hit" 1 raw_hits;
-  Alcotest.(check int) "not a canonical hit" 0 canonical_hits;
   Alcotest.(check int) "nobody waited" 0 waited;
   Alcotest.(check int) "one entry" 1 (Runtime.Solve_cache.size ())
 
@@ -241,9 +239,10 @@ let test_cache_miss_on_perturbed_model () =
 
 let test_cache_distinguishes_solvers_and_params () =
   let m = knapsack_model () in
-  let k = Runtime.Solve_cache.key ~tag:"x" m in
+  let canon = Ilp.Canonical.of_model m in
+  let k = Runtime.Solve_cache.canonical_key ~tag:"x" canon in
   Alcotest.(check bool) "tag enters the key" false
-    (String.equal k (Runtime.Solve_cache.key ~tag:"y" m));
+    (String.equal k (Runtime.Solve_cache.canonical_key ~tag:"y" canon));
   Runtime.Solve_cache.clear ();
   Runtime.Solve_cache.reset_stats ();
   ignore (Runtime.Solve_cache.(solve_lp (prepare m)));
@@ -261,15 +260,16 @@ let test_cache_key_ignores_names () =
     Ilp.Model.set_objective m Ilp.Model.Maximize (Ilp.Linexpr.var x);
     m
   in
-  Alcotest.(check string) "renamed model, same key"
-    (Runtime.Solve_cache.key ~tag:"t" (build "x"))
-    (Runtime.Solve_cache.key ~tag:"t" (build "renamed"))
+  let key name =
+    Runtime.Solve_cache.canonical_key ~tag:"t" (Ilp.Canonical.of_model (build name))
+  in
+  Alcotest.(check string) "renamed model, same key" (key "x") (key "renamed")
 
 let test_cache_canonical_twin_hits () =
   (* structural twins — the same program built with variables created in
      the opposite order and one row scaled by 3 — share one canonical
-     entry; the second request is a canonical (not raw) hit and its
-     values come back in its own variable frame *)
+     entry; the second request is a hit and its values come back in its
+     own variable frame *)
   let build flipped =
     let m = Ilp.Model.create () in
     let mk name = Ilp.Model.add_var m ~integer:true ~ub:Q.one name in
@@ -295,10 +295,8 @@ let test_cache_canonical_twin_hits () =
   Runtime.Solve_cache.reset_stats ();
   let m1, a1, b1 = build false in
   let m2, a2, b2 = build true in
-  Alcotest.(check bool) "raw keys differ" false
-    (String.equal
-       (Runtime.Solve_cache.key ~tag:"t" m1)
-       (Runtime.Solve_cache.key ~tag:"t" m2));
+  Alcotest.(check bool) "the models differ as built" false
+    (String.equal (Ilp.Model.canonical m1) (Ilp.Model.canonical m2));
   Alcotest.(check string) "canonical keys agree"
     (Runtime.Solve_cache.canonical_key ~tag:"t" (Ilp.Canonical.of_model m1))
     (Runtime.Solve_cache.canonical_key ~tag:"t" (Ilp.Canonical.of_model m2));
@@ -313,13 +311,9 @@ let test_cache_canonical_twin_hits () =
        Alcotest.(check string) "b = 1" "1"
          (Q.to_string (Ilp.Solution.value_exn s b)))
     [ (s1, a1, b1); (s2, a2, b2) ];
-  let { Runtime.Solve_cache.hits; misses; raw_hits; canonical_hits; _ } =
-    Runtime.Solve_cache.stats ()
-  in
+  let { Runtime.Solve_cache.hits; misses; _ } = Runtime.Solve_cache.stats () in
   Alcotest.(check int) "one miss" 1 misses;
   Alcotest.(check int) "one hit" 1 hits;
-  Alcotest.(check int) "no raw hit" 0 raw_hits;
-  Alcotest.(check int) "the hit is canonical" 1 canonical_hits;
   Alcotest.(check int) "one entry" 1 (Runtime.Solve_cache.size ())
 
 let test_cache_replays_node_limit () =
@@ -373,16 +367,12 @@ let test_cache_single_flight () =
        Alcotest.(check string) "every requester sees the optimum" "220"
          (Q.to_string (objective_exn s)))
     results;
-  let { Runtime.Solve_cache.hits; misses; raw_hits; canonical_hits; waited } =
+  let { Runtime.Solve_cache.hits; misses; waited } =
     Runtime.Solve_cache.stats ()
   in
   Alcotest.(check int) "solved exactly once" 1 misses;
   Alcotest.(check int) "everyone else hits" 7 hits;
-  (* the raw/canonical split never double-counts waiters: identical
-     requests are raw hits whether or not they blocked, and how many
-     blocked is a timing fact bounded by the hit count *)
-  Alcotest.(check int) "all hits are raw (same model)" 7 raw_hits;
-  Alcotest.(check int) "no canonical hits" 0 canonical_hits;
+  (* how many blocked is a timing fact bounded by the hit count *)
   Alcotest.(check bool) "waited within hits" true (waited >= 0 && waited <= 7);
   Alcotest.(check int) "one entry" 1 (Runtime.Solve_cache.size ())
 
@@ -672,54 +662,6 @@ let test_clear_drops_memo () =
   Alcotest.(check int) "no hit after clear" 0 (Obs.Metrics.value memo_hits - h0);
   Alcotest.(check int) "the script compiles afresh" 1 (Obs.Metrics.value memo_misses - m0)
 
-(* --- telemetry ---------------------------------------------------------------- *)
-
-let test_telemetry_measure () =
-  Runtime.Solve_cache.clear ();
-  Runtime.Solve_cache.reset_stats ();
-  let v, t =
-    Runtime.Telemetry.measure ~jobs:2 (fun () ->
-        ignore (Runtime.Solve_cache.(solve_ilp (prepare (knapsack_model ()))));
-        Runtime.Pool.map ~jobs:2 Fun.id [ 1; 2; 3 ])
-  in
-  Alcotest.(check (list int)) "value passed through" [ 1; 2; 3 ] v;
-  Alcotest.(check int) "jobs recorded" 2 t.Runtime.Telemetry.jobs;
-  Alcotest.(check int) "tasks recorded" 3 t.Runtime.Telemetry.tasks;
-  Alcotest.(check int) "cache misses recorded" 1 t.Runtime.Telemetry.cache_misses;
-  Alcotest.(check bool) "wall time non-negative" true
-    (t.Runtime.Telemetry.wall_s >= 0.)
-
-let test_telemetry_hit_rate () =
-  let record ?(raw = 0) ?(canonical = 0) ?(waited = 0) hits misses =
-    {
-      Runtime.Telemetry.jobs = 1;
-      tasks = 0;
-      wall_s = 0.;
-      cpu_s = 0.;
-      cache_hits = hits;
-      cache_misses = misses;
-      cache_raw_hits = raw;
-      cache_canonical_hits = canonical;
-      cache_waited = waited;
-      run_cache_hits = 0;
-      run_cache_misses = 0;
-    }
-  in
-  Alcotest.(check (float 1e-9)) "no activity is 0" 0.
-    (Runtime.Telemetry.cache_hit_rate (record 0 0));
-  Alcotest.(check (float 1e-9)) "3 of 4" 0.75
-    (Runtime.Telemetry.cache_hit_rate (record 3 1));
-  (* breakdown: raw + canonical = hits; waiters change neither rate, so
-     the split cannot double-count them *)
-  let t = record ~raw:2 ~canonical:1 ~waited:2 3 1 in
-  Alcotest.(check (float 1e-9)) "raw rate over all lookups" 0.5
-    (Runtime.Telemetry.raw_hit_rate t);
-  Alcotest.(check (float 1e-9)) "canonical rate over all lookups" 0.25
-    (Runtime.Telemetry.canonical_hit_rate t);
-  Alcotest.(check (float 1e-9)) "waiters do not perturb the breakdown"
-    (Runtime.Telemetry.raw_hit_rate t)
-    (Runtime.Telemetry.raw_hit_rate { t with cache_waited = 0 })
-
 let () =
   Alcotest.run "runtime"
     [
@@ -780,10 +722,5 @@ let () =
           Alcotest.test_case "solo runs around a cycle limit" `Quick
             test_solo_runs_around_cycle_limit;
           Alcotest.test_case "clear drops the script memo" `Quick test_clear_drops_memo;
-        ] );
-      ( "telemetry",
-        [
-          Alcotest.test_case "measure" `Quick test_telemetry_measure;
-          Alcotest.test_case "cache hit rate" `Quick test_telemetry_hit_rate;
         ] );
     ]

@@ -564,7 +564,10 @@ let tiny_model () =
   m
 
 let test_solve_key_golden () =
-  let k = Runtime.Solve_cache.key ~tag:"test" (tiny_model ()) in
+  let k =
+    Runtime.Solve_cache.canonical_key ~tag:"test"
+      (Ilp.Canonical.of_model (tiny_model ()))
+  in
   Alcotest.(check string) "solve key" expected_solve_key k;
   Alcotest.(check (option string))
     "key is valid" (Some k)
@@ -1494,7 +1497,8 @@ let () =
          ~analysis:{ Tcsim.Machine.program = tiny_program; core = 0 }
          ~contenders:[]);
     Printf.printf "solve key:       %s\n"
-      (Runtime.Solve_cache.key ~tag:"test" (tiny_model ()));
+      (Runtime.Solve_cache.canonical_key ~tag:"test"
+         (Ilp.Canonical.of_model (tiny_model ())));
     exit 0
 
 let () =
