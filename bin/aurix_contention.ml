@@ -207,47 +207,38 @@ let figure4_cmd =
 let estimate_cmd =
   let run scenario level no_contender_info dump_lp kernel trace metrics =
     with_obs kernel trace metrics @@ fun () ->
-    let variant = Workload.Control_loop.variant_of_scenario scenario in
-    let app = Workload.Control_loop.app variant in
-    let con = Workload.Load_gen.make ~variant ~level ()
-    in
-    let iso_a = Mbta.Measurement.isolation ~core:0 app in
-    let iso_b = Mbta.Measurement.isolation ~core:1 con in
-    let latency = Platform.Latency.default in
-    let a = iso_a.Mbta.Measurement.counters and b = iso_b.Mbta.Measurement.counters in
-    Format.printf "application counters:@.%a@.@." Platform.Counters.pp a;
-    Format.printf "contender (%s) counters:@.%a@.@."
-      (Workload.Load_gen.level_to_string level)
-      Platform.Counters.pp b;
-    let is_s2 = scenario.Platform.Scenario.name = "scenario2" in
-    let ftc = Contention.Ftc.contention_bound ~dirty:is_s2 ~latency ~a () in
-    Format.printf "%a@." Contention.Ftc.pp ftc;
     let options =
       {
         Contention.Ilp_ptac.default_options with
         Contention.Ilp_ptac.use_contender_info = not no_contender_info;
       }
     in
+    let r =
+      Experiments.Cell.(run ~options (bundled ~scenario ~load:level ()))
+    in
+    let a = r.readings.iso_app in
+    Format.printf "application counters:@.%a@.@." Platform.Counters.pp a.counters;
+    Format.printf "contender (%s) counters:@.%a@.@."
+      (Workload.Load_gen.level_to_string level)
+      Platform.Counters.pp (List.hd r.readings.iso_contenders).counters;
+    Format.printf "%a@." Contention.Ftc.pp r.bounds.ftc;
     (match dump_lp with
      | None -> ()
      | Some path ->
-       let model, _ =
-         Contention.Ilp_ptac.build_model ~options ~latency ~scenario ~a ~b ()
-       in
        let oc = open_out path in
-       output_string oc (Ilp.Lp_format.to_string model);
+       output_string oc (Ilp.Lp_format.to_string (fst (List.hd r.built.per_contender)));
        close_out oc;
        Format.printf "ILP written to %s (CPLEX LP format)@.@." path);
-    (match Contention.Ilp_ptac.contention_bound ~options ~latency ~scenario ~a ~b () with
-     | Some r ->
-       Format.printf "%a@." Contention.Ilp_ptac.pp_result r;
-       let iso = iso_a.Mbta.Measurement.cycles in
+    (match r.bounds.ilp with
+     | Some { per_contender = [ ilp ]; _ } ->
+       Format.printf "%a@." Contention.Ilp_ptac.pp_result ilp;
+       let iso = a.cycles in
        Format.printf "@.WCET estimates over isolation = %d cycles:@." iso;
        Format.printf "  fTC      %a@." Mbta.Wcet.pp
-         (Mbta.Wcet.make ~isolation_cycles:iso ~contention_cycles:ftc.Contention.Ftc.delta);
+         (Mbta.Wcet.make ~isolation_cycles:iso ~contention_cycles:r.bounds.ftc.delta);
        Format.printf "  ILP-PTAC %a@." Mbta.Wcet.pp
-         (Mbta.Wcet.make ~isolation_cycles:iso ~contention_cycles:r.Contention.Ilp_ptac.delta)
-     | None -> Format.printf "ILP-PTAC: infeasible@.")
+         (Mbta.Wcet.make ~isolation_cycles:iso ~contention_cycles:ilp.delta)
+     | _ -> Format.printf "ILP-PTAC: infeasible@.")
   in
   let no_info_arg =
     Arg.(
@@ -399,19 +390,18 @@ let dma_cmd =
 let report_cmd =
   let run scenario level kernel output =
     apply_kernel kernel;
-    let variant = Workload.Control_loop.variant_of_scenario scenario in
-    let app = Workload.Control_loop.app variant in
-    let con = Workload.Load_gen.make ~variant ~level () in
-    let iso = Mbta.Measurement.isolation ~core:0 app in
-    let b = (Mbta.Measurement.isolation ~core:1 con).Mbta.Measurement.counters in
-    let observed =
-      (Mbta.Measurement.corun ~analysis:(app, 0) ~contenders:[ (con, 1) ] ())
-        .Mbta.Measurement.cycles
+    let r =
+      Experiments.Cell.(run ~corun:true (bundled ~scenario ~load:level ()))
+    in
+    let a = r.readings.iso_app and b = List.hd r.readings.iso_contenders in
+    let ilp =
+      match r.bounds.ilp with Some { per_contender = [ i ]; _ } -> Some i | _ -> None
     in
     let text =
-      Contention.Report.markdown ~latency:Platform.Latency.default ~scenario
-        ~a:iso.Mbta.Measurement.counters ~b
-        ~isolation_cycles:iso.Mbta.Measurement.cycles ~observed_cycles:observed ()
+      Contention.Report.render ~latency:Platform.Latency.default ~scenario
+        ~a:a.counters ~b:b.counters ~isolation_cycles:a.cycles
+        ~observed_cycles:(Option.get r.observed).cycles ~ftc:r.bounds.ftc
+        ~model:(fst (List.hd r.built.per_contender)) ~ilp ()
     in
     match output with
     | None -> print_string text
@@ -459,61 +449,40 @@ let lint_cmd =
         if fixtures then
         List.concat_map (fun f -> f.Analysis.Fixtures.diags ()) Analysis.Fixtures.all
       else begin
-        let latency = Platform.Latency.default in
-        (* scenario/deployment consistency of every bundled scenario *)
-        let scenario_diags =
-          List.concat_map (Analysis.Scenario_lint.check ~latency) Platform.Scenario.all
-        in
-        (* per (scenario, load) cell: program layout, isolation counters and
-           the tailored ILP itself — each cell is independent, so the sweep
+        (* per (scenario, load) cell: the cell pipeline's lint stages —
+           scenario and program layout, isolation counters and the
+           tailored ILP itself; each cell is independent, so the sweep
            parallelises like the experiments do *)
-        let cells =
-          List.concat_map
-            (fun scenario ->
-               List.map (fun load -> (scenario, load)) Workload.Load_gen.all_levels)
-            [ Platform.Scenario.scenario1; Platform.Scenario.scenario2 ]
-        in
         let cell_diags =
           Runtime.Pool.map ?jobs
             (fun (scenario, load) ->
-               let cell =
-                 Printf.sprintf "%s/%s" scenario.Platform.Scenario.name
-                   (Workload.Load_gen.level_to_string load)
+               let cell = Experiments.Cell.bundled ~scenario ~load () in
+               let preflight = Experiments.Cell.preflight cell in
+               let iso =
+                 match (Experiments.Cell.measure cell).isolation with
+                 | Ok iso -> iso
+                 | Error (_, e) -> raise e
                in
-               let variant = Workload.Control_loop.variant_of_scenario scenario in
-               let app = Workload.Control_loop.app variant in
-               let con = Workload.Load_gen.make ~variant ~level:load () in
-               let program_diags =
-                 Analysis.Program_lint.check ~scenario
-                   [
-                     { Analysis.Program_lint.label = "app"; core = 0; program = app };
-                     { Analysis.Program_lint.label = "contender"; core = 1; program = con };
-                   ]
+               let counters = Experiments.Cell.counter_lint cell iso in
+               let _, models =
+                 Experiments.Cell.models ~path:[ "ilp-ptac" ] cell iso
                in
-               let a =
-                 (Mbta.Measurement.isolation ~core:0 app).Mbta.Measurement.counters
-               in
-               let b =
-                 (Mbta.Measurement.isolation ~core:1 con).Mbta.Measurement.counters
-               in
-               let counter_diags =
-                 Analysis.Counter_lint.check ~latency ~scenario ~path:[ "app" ] a
-                 @ Analysis.Counter_lint.check ~latency ~scenario
-                     ~path:[ "contender" ] b
-               in
-               let model, _ =
-                 Contention.Ilp_ptac.build_model ~latency ~scenario ~a ~b ()
-               in
-               let model_diags =
-                 Analysis.Model_lint.check ~path:[ "ilp-ptac" ] model
-               in
-               Analysis.Diag.record_metrics ~pass:"program" program_diags;
-               Analysis.Diag.record_metrics ~pass:"counter" counter_diags;
-               Analysis.Diag.record_metrics ~pass:"model" model_diags;
-               Analysis.Diag.prefix [ cell ]
-                 (program_diags @ counter_diags @ model_diags))
-            cells
+               Analysis.Diag.prefix
+                 [
+                   Printf.sprintf "%s/%s" scenario.Platform.Scenario.name
+                     (Workload.Load_gen.level_to_string load);
+                 ]
+                 (preflight @ counters @ models))
+            Experiments.Figure4.paper_cells
           |> List.concat
+        in
+        (* the bundled scenarios no cell validates *)
+        let scenario_diags =
+          List.concat_map
+            (Analysis.Scenario_lint.check ~latency:Platform.Latency.default)
+            (List.filter
+               (fun s -> not (List.mem_assq s Experiments.Figure4.paper_cells))
+               Platform.Scenario.all)
         in
         Analysis.Diag.record_metrics ~pass:"scenario" scenario_diags;
         scenario_diags @ cell_diags
@@ -553,29 +522,21 @@ let lint_cmd =
 let sweep_cmd =
   let run scenario kernel trace metrics =
     with_obs kernel trace metrics @@ fun () ->
-    let variant = Workload.Control_loop.variant_of_scenario scenario in
-    let app = Workload.Control_loop.app variant in
-    let iso = Mbta.Measurement.isolation ~core:0 app in
-    let a = iso.Mbta.Measurement.counters in
-    let latency = Platform.Latency.default in
     Format.printf "ILP-PTAC bound vs contender intensity (%s)@."
       scenario.Platform.Scenario.name;
     Format.printf "%-24s %12s %8s@." "contender" "delta" "ratio";
     List.iter
       (fun level ->
-         let con = Workload.Load_gen.make ~variant ~level () in
-         let b = (Mbta.Measurement.isolation ~core:1 con).Mbta.Measurement.counters in
-         match Contention.Ilp_ptac.contention_bound ~latency ~scenario ~a ~b () with
-         | Some r ->
+         let r = Experiments.Cell.(run (bundled ~scenario ~load:level ())) in
+         let level = Workload.Load_gen.level_to_string level in
+         match r.bounds.ilp with
+         | Some { delta; _ } ->
            let w =
-             Mbta.Wcet.make ~isolation_cycles:iso.Mbta.Measurement.cycles
-               ~contention_cycles:r.Contention.Ilp_ptac.delta
+             Mbta.Wcet.make ~isolation_cycles:r.readings.iso_app.cycles
+               ~contention_cycles:delta
            in
-           Format.printf "%-24s %12d %8.2f@."
-             (Workload.Load_gen.level_to_string level)
-             r.Contention.Ilp_ptac.delta w.Mbta.Wcet.ratio
-         | None ->
-           Format.printf "%-24s %12s@." (Workload.Load_gen.level_to_string level) "infeasible")
+           Format.printf "%-24s %12d %8.2f@." level delta w.Mbta.Wcet.ratio
+         | None -> Format.printf "%-24s %12s@." level "infeasible")
       Workload.Load_gen.all_levels
   in
   Cmd.v

@@ -8,6 +8,8 @@ type result = {
   l_da_max : int;
 }
 
+let dirty_misses (scenario : Scenario.t) = scenario.Scenario.name = "scenario2"
+
 let contention_bound ?(dirty = false) ?exact_code_count ~latency ~a () =
   let bounds = Mbta.Access_bounds.of_counters latency a in
   let n_co =

@@ -20,6 +20,10 @@ type result = {
   l_da_max : int;  (** Eq. 7 *)
 }
 
+val dirty_misses : Scenario.t -> bool
+(** The [dirty] every analysis passes: [true] for Scenario 2, whose data
+    is cacheable everywhere (paper Section 4.1). *)
+
 val contention_bound :
   ?dirty:bool ->
   ?exact_code_count:int ->

@@ -170,9 +170,11 @@ let build_model ?(options = default_options) ~latency ~scenario ~a ~b () =
   Ilp.Model.set_objective m Ilp.Model.Maximize objective;
   (m, fun name -> Hashtbl.find vars name)
 
-let contention_bound ?(options = default_options) ~latency ~scenario ~a ~b () =
+let charges_dirty_lmu contenders =
+  List.exists (fun (b : Counters.t) -> b.Counters.dcache_miss_dirty > 0) contenders
+
+let solve ?(options = default_options) (model, lookup) =
   if options.mip_slack < 0 then invalid_arg "Ilp_ptac: negative mip_slack";
-  let model, lookup = build_model ~options ~latency ~scenario ~a ~b () in
   let extract values =
     let count role t o = Q.to_int_floor values.(lookup (vname role t o)) in
     let profile role =
@@ -221,6 +223,9 @@ let contention_bound ?(options = default_options) ~latency ~scenario ~a ~b () =
        Some { delta = lp_cap; interference; a_counts; b_counts; exact = false }
      | Ilp.Solution.Infeasible -> None
      | Ilp.Solution.Unbounded -> assert false)
+
+let contention_bound ?options ~latency ~scenario ~a ~b () =
+  solve ?options (build_model ?options ~latency ~scenario ~a ~b ())
 
 let contention_bound_exn ?options ~latency ~scenario ~a ~b () =
   match contention_bound ?options ~latency ~scenario ~a ~b () with

@@ -84,6 +84,15 @@ val build_model :
     component resolves variable names: ["na_pf0_co"], ["nb_lmu_da"],
     ["nba_dfl_da"], … *)
 
+val charges_dirty_lmu : Counters.t list -> bool
+(** The [dirty_lmu] every analysis sets: does some contender's isolation
+    reading show dirty misses (the only source of dirty write-backs)? *)
+
+val solve :
+  ?options:options -> Ilp.Model.t * (string -> Ilp.Model.var) -> result option
+(** Solves a model {!build_model} built with the same [options] (only
+    [node_limit] and [mip_slack] are read here). *)
+
 val contention_bound :
   ?options:options ->
   latency:Latency.t ->
@@ -92,8 +101,9 @@ val contention_bound :
   b:Counters.t ->
   unit ->
   result option
-(** [None] when the ILP is infeasible (possible under {!Exact}; never under
-    {!Upper} with valid counters). Never raises on pathological inputs:
+(** {!solve} of {!build_model}. [None] when the ILP is infeasible
+    (possible under {!Exact}; never under {!Upper} with valid counters).
+    Never raises on pathological inputs:
     if branch & bound exhausts [node_limit], the LP-relaxation optimum is
     returned instead (sound, marked [exact = false]). *)
 

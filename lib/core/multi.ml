@@ -1,21 +1,19 @@
 type result = { delta : int; per_contender : Ilp_ptac.result list }
 
-let contention_bound ?options ~latency ~scenario ~a ~contenders () =
+let solve ?options models =
   let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | b :: rest ->
-      (match Ilp_ptac.contention_bound ?options ~latency ~scenario ~a ~b () with
-       | Some r -> go (r :: acc) rest
-       | None -> None)
+    | [] ->
+      let delta = List.fold_left (fun d r -> d + r.Ilp_ptac.delta) 0 acc in
+      Some { delta; per_contender = List.rev acc }
+    | m :: rest -> Option.bind (Ilp_ptac.solve ?options m) (fun r -> go (r :: acc) rest)
   in
-  match go [] contenders with
-  | None -> None
-  | Some per_contender ->
-    Some
-      {
-        delta = List.fold_left (fun acc r -> acc + r.Ilp_ptac.delta) 0 per_contender;
-        per_contender;
-      }
+  go [] models
+
+let contention_bound ?options ~latency ~scenario ~a ~contenders () =
+  solve ?options
+    (List.map
+       (fun b -> Ilp_ptac.build_model ?options ~latency ~scenario ~a ~b ())
+       contenders)
 
 let pp fmt r =
   Format.fprintf fmt "@[<v>multi-contender: delta=%d@," r.delta;

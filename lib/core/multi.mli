@@ -13,6 +13,13 @@ type result = {
   per_contender : Ilp_ptac.result list;  (** in input order *)
 }
 
+val solve :
+  ?options:Ilp_ptac.options ->
+  (Ilp.Model.t * (string -> Ilp.Model.var)) list ->
+  result option
+(** {!Ilp_ptac.solve} of each contender's model, in order; [None] as soon
+    as one is infeasible. *)
+
 val contention_bound :
   ?options:Ilp_ptac.options ->
   latency:Latency.t ->
@@ -21,6 +28,6 @@ val contention_bound :
   contenders:Counters.t list ->
   unit ->
   result option
-(** [None] if any per-contender instance is infeasible. *)
+(** {!solve} of one {!Ilp_ptac.build_model} per contender. *)
 
 val pp : Format.formatter -> result -> unit

@@ -21,8 +21,7 @@ let value_of_result (r : Ilp_ptac.result) model =
     | Some q -> q
     | None -> Q.zero
 
-let binding_constraints ?options ~latency ~scenario ~a ~b result =
-  let model, _ = Ilp_ptac.build_model ?options ~latency ~scenario ~a ~b () in
+let binding_of_model model result =
   let value = value_of_result result model in
   List.filter_map
     (fun (c : Ilp.Model.constr) ->
@@ -52,7 +51,13 @@ let binding_constraints ?options ~latency ~scenario ~a ~b result =
        else None)
     (Ilp.Model.constraints model)
 
-let markdown ?options ~latency ~scenario ~a ~b ~isolation_cycles ?observed_cycles () =
+let binding_constraints ?options ~latency ~scenario ~a ~b result =
+  binding_of_model
+    (fst (Ilp_ptac.build_model ?options ~latency ~scenario ~a ~b ()))
+    result
+
+let render ~latency ~scenario ~a ~b ~isolation_cycles ?observed_cycles ~ftc
+    ~model ~ilp () =
   let buf = Buffer.create 2048 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   line "# Contention-aware WCET report";
@@ -84,8 +89,6 @@ let markdown ?options ~latency ~scenario ~a ~b ~isolation_cycles ?observed_cycle
   line "";
   line "## Bounds";
   line "";
-  let is_s2 = scenario.Scenario.name = "scenario2" in
-  let ftc = Ftc.contention_bound ~dirty:is_s2 ~latency ~a () in
   let wcet delta = isolation_cycles + delta in
   line "### fTC (fully time-composable, Eq. 8)";
   line "";
@@ -96,7 +99,7 @@ let markdown ?options ~latency ~scenario ~a ~b ~isolation_cycles ?observed_cycle
   line "";
   line "### ILP-PTAC (Eqs. 9-23, Table 5 tailoring)";
   line "";
-  (match Ilp_ptac.contention_bound ?options ~latency ~scenario ~a ~b () with
+  (match ilp with
    | None -> line "- infeasible under the selected stall-equality encoding"
    | Some r ->
      line "- delta = %d cycles%s" r.Ilp_ptac.delta
@@ -119,7 +122,7 @@ let markdown ?options ~latency ~scenario ~a ~b ~isolation_cycles ?observed_cycle
      line "";
      List.iter
        (fun (name, eqn) -> line "- `%s`: %s" name eqn)
-       (binding_constraints ?options ~latency ~scenario ~a ~b r));
+       (binding_of_model model r));
   (match observed_cycles with
    | None -> ()
    | Some obs ->
@@ -129,3 +132,9 @@ let markdown ?options ~latency ~scenario ~a ~b ~isolation_cycles ?observed_cycle
      line "- observed multicore execution: %d cycles (x%.2f)" obs
        (float_of_int obs /. float_of_int isolation_cycles));
   Buffer.contents buf
+
+let markdown ?options ~latency ~scenario ~a ~b ~isolation_cycles ?observed_cycles () =
+  let model = Ilp_ptac.build_model ?options ~latency ~scenario ~a ~b () in
+  render ~latency ~scenario ~a ~b ~isolation_cycles ?observed_cycles
+    ~ftc:(Ftc.contention_bound ~dirty:(Ftc.dirty_misses scenario) ~latency ~a ())
+    ~model:(fst model) ~ilp:(Ilp_ptac.solve ?options model) ()

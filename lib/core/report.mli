@@ -20,6 +20,22 @@ val binding_constraints :
 (** Constraints of the (rebuilt) ILP that hold with equality at the
     result's variable assignment, as [(name, "lhs sense rhs")] pairs. *)
 
+val render :
+  latency:Latency.t ->
+  scenario:Scenario.t ->
+  a:Counters.t ->
+  b:Counters.t ->
+  isolation_cycles:int ->
+  ?observed_cycles:int ->
+  ftc:Ftc.result ->
+  model:Ilp.Model.t ->
+  ilp:Ilp_ptac.result option ->
+  unit ->
+  string
+(** A complete markdown report of computed bounds ([ilp] solved from
+    [model]): inputs, derived access bounds, the fTC and ILP-PTAC
+    estimates, the interference breakdown and the binding constraints. *)
+
 val markdown :
   ?options:Ilp_ptac.options ->
   latency:Latency.t ->
@@ -30,6 +46,5 @@ val markdown :
   ?observed_cycles:int ->
   unit ->
   string
-(** A complete markdown report: inputs (counters, scenario, tailoring),
-    derived access bounds, the fTC and ILP-PTAC estimates, the worst-case
-    interference breakdown and the binding constraints. *)
+(** {!render} of the fTC bound and one ILP-PTAC model built and solved
+    here. *)

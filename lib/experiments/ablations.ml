@@ -1,14 +1,12 @@
 open Platform
 
-let latency_of = Figure4.latency_of
+let latency_of config =
+  (Option.value config ~default:Tcsim.Machine.default_config).Tcsim.Machine.latency
 
-(* One cell's isolation counters: the Figure 4 cell's readings. An
-   isolation an earlier cell already measured (the app repeats across
-   load levels) replays from the run cache. *)
-let readings ?config ~scenario ~load () =
-  let r = Figure4.readings ?config ~scenario ~load () in
-  ( r.Figure4.iso_app.Mbta.Measurement.counters,
-    r.Figure4.iso_contender.Mbta.Measurement.counters )
+(* One Figure 4 cell through every stage, and its isolation counters *)
+let cell ?config ~scenario ~load () =
+  let r = Cell.run (Cell.bundled ?config ~scenario ~load ()) in
+  (r, r.readings.iso_app.counters, (List.hd r.readings.iso_contenders).counters)
 
 (* --- A1: value of contender information ---------------------------------- *)
 
@@ -20,42 +18,28 @@ type a1_row = {
   ftc_delta : int;
 }
 
-let scenario_load_cells =
-  List.concat_map
-    (fun scenario ->
-       List.map (fun load -> (scenario, load)) Workload.Load_gen.all_levels)
-    [ Scenario.scenario1; Scenario.scenario2 ]
-
 let a1_contender_info ?config ?jobs () =
   let latency = latency_of config in
   Runtime.Pool.map ~label:"ablations/a1" ?jobs
     (fun (scenario, load) ->
-       let a, b = readings ?config ~scenario ~load () in
-       let bound options =
-         (Contention.Ilp_ptac.contention_bound_exn ~options ~latency ~scenario
-            ~a ~b ())
-           .Contention.Ilp_ptac.delta
-       in
-       let with_info = bound Contention.Ilp_ptac.default_options in
+       let r, a, b = cell ?config ~scenario ~load () in
        let without_info =
-         bound
-           {
-             Contention.Ilp_ptac.default_options with
-             Contention.Ilp_ptac.use_contender_info = false;
-           }
+         Contention.Ilp_ptac.contention_bound_exn ~latency ~scenario
+           ~options:
+             {
+               Contention.Ilp_ptac.default_options with
+               Contention.Ilp_ptac.use_contender_info = false;
+             }
+           ~a ~b ()
        in
        {
          a1_scenario = scenario.Scenario.name;
          a1_load = load;
-         with_info;
-         without_info;
-         ftc_delta =
-           (Contention.Ftc.contention_bound
-              ~dirty:(scenario.Scenario.name = "scenario2")
-              ~latency ~a ())
-             .Contention.Ftc.delta;
+         with_info = (Option.get r.bounds.ilp).delta;
+         without_info = without_info.Contention.Ilp_ptac.delta;
+         ftc_delta = r.bounds.ftc.delta;
        })
-    scenario_load_cells
+    Figure4.paper_cells
 
 (* --- A2: stall-equality encodings ----------------------------------------- *)
 
@@ -75,7 +59,7 @@ let a2_equality_modes ?config ?jobs () =
   (* one cell per scenario: the three modes share its readings *)
   Runtime.Pool.map ~label:"ablations/a2" ?jobs
     (fun scenario ->
-       let a, b = readings ?config ~scenario ~load:Workload.Load_gen.High () in
+       let _, a, b = cell ?config ~scenario ~load:Workload.Load_gen.High () in
        List.map
          (fun mode ->
             let options =
@@ -109,63 +93,32 @@ type a3_result = {
   per_contender : int list;
 }
 
-let a3_multi_contender ?config ?jobs scenario =
+let a3_multi_contender ?config ?jobs:_ scenario =
   Obs.Tracer.with_span "ablations.a3"
     ~attrs:(fun () -> [ ("scenario", scenario.Scenario.name) ])
   @@ fun () ->
-  let latency = latency_of config in
-  let variant = Workload.Control_loop.variant_of_scenario scenario in
-  let app = Workload.Control_loop.app variant in
-  let c1 =
-    Workload.Load_gen.make ~variant ~level:Workload.Load_gen.Medium
-      ~region_slot:1 ()
+  (* Figure 4's M-Load cell, plus an L-Load contender on core 2 *)
+  let cell = Cell.bundled ?config ~scenario ~load:Workload.Load_gen.Medium () in
+  let low =
+    Workload.Load_gen.make
+      ~variant:(Workload.Control_loop.variant_of_scenario scenario)
+      ~level:Workload.Load_gen.Low ~region_slot:2 ()
   in
-  let c2 =
-    Workload.Load_gen.make ~variant ~level:Workload.Load_gen.Low
-      ~region_slot:2 ()
+  let r =
+    Cell.run ~corun:true
+      { cell with contenders = cell.contenders @ [ Cell.task "contender2" 2 low ] }
   in
-  Analysis.Preflight.run ~latency ~scenario
-    ~tasks:
-      [
-        { Analysis.Program_lint.label = "app"; core = 0; program = app };
-        { Analysis.Program_lint.label = "contender1"; core = 1; program = c1 };
-        { Analysis.Program_lint.label = "contender2"; core = 2; program = c2 };
-      ]
-    ();
-  (* the three isolation runs and the co-run are independent simulations *)
-  match
-    Runtime.Pool.run_all ~label:"ablations/a3" ?jobs
-      [
-        (fun () -> Mbta.Measurement.isolation ?config ~core:0 app);
-        (fun () -> Mbta.Measurement.isolation ?config ~core:1 c1);
-        (fun () -> Mbta.Measurement.isolation ?config ~core:2 c2);
-        (fun () ->
-          Mbta.Measurement.corun ?config ~analysis:(app, 0)
-            ~contenders:[ (c1, 1); (c2, 2) ] ());
-      ]
-  with
-  | [ iso; iso_c1; iso_c2; corun ] ->
-    let bound =
-      Contention.Multi.contention_bound ~latency ~scenario
-        ~a:iso.Mbta.Measurement.counters
-        ~contenders:
-          [ iso_c1.Mbta.Measurement.counters; iso_c2.Mbta.Measurement.counters ]
-        ()
-    in
-    {
-      a3_scenario = scenario.Scenario.name;
-      isolation_cycles = iso.Mbta.Measurement.cycles;
-      observed_two_contenders = corun.Mbta.Measurement.cycles;
-      bound = Option.map (fun r -> r.Contention.Multi.delta) bound;
-      per_contender =
-        (match bound with
-         | Some r ->
-           List.map
-             (fun c -> c.Contention.Ilp_ptac.delta)
-             r.Contention.Multi.per_contender
-         | None -> []);
-    }
-  | _ -> assert false
+  {
+    a3_scenario = scenario.Scenario.name;
+    isolation_cycles = r.readings.iso_app.cycles;
+    observed_two_contenders = (Option.get r.observed).cycles;
+    bound = Option.map (fun (m : Contention.Multi.result) -> m.delta) r.bounds.ilp;
+    per_contender =
+      (match r.bounds.ilp with
+       | Some { per_contender; _ } ->
+         List.map (fun (c : Contention.Ilp_ptac.result) -> c.delta) per_contender
+       | None -> []);
+  }
 
 (* --- A4: FSB reduction ------------------------------------------------------ *)
 
@@ -180,18 +133,14 @@ let a4_fsb ?config ?jobs () =
   let latency = latency_of config in
   Runtime.Pool.map ~label:"ablations/a4" ?jobs
     (fun (scenario, load) ->
-       let a, b = readings ?config ~scenario ~load () in
-       let crossbar =
-         Contention.Ilp_ptac.contention_bound_exn ~latency ~scenario ~a ~b ()
-       in
-       let fsb = Contention.Fsb.contention_bound ~latency ~a ~b () in
+       let r, a, b = cell ?config ~scenario ~load () in
        {
          a4_scenario = scenario.Scenario.name;
          a4_load = load;
-         crossbar_delta = crossbar.Contention.Ilp_ptac.delta;
-         fsb_delta = fsb.Contention.Fsb.delta;
+         crossbar_delta = (Option.get r.bounds.ilp).delta;
+         fsb_delta = (Contention.Fsb.contention_bound ~latency ~a ~b ()).delta;
        })
-    scenario_load_cells
+    Figure4.paper_cells
 
 (* --- printers ---------------------------------------------------------------- *)
 

@@ -28,8 +28,9 @@ type a1_row = {
 val a1_contender_info :
   ?config:Tcsim.Machine.config -> ?jobs:int -> unit -> a1_row list
 (** One row function mapped over the (scenario, load) cells on a
-    [jobs]-wide pool (default {!Runtime.Pool.default_jobs}): isolation
-    readings, then the two ILP solves and the fTC bound. Row order (and
+    [jobs]-wide pool (default {!Runtime.Pool.default_jobs}): the Figure 4
+    cell's {!Cell.run} (its ILP-PTAC and fTC bounds), then the ILP without
+    Eqs. 22–23. Row order (and
     every row byte) is independent of [jobs], as for every study below. *)
 
 type a2_row = {
@@ -54,8 +55,8 @@ type a3_result = {
 val a3_multi_contender :
   ?config:Tcsim.Machine.config -> ?jobs:int -> Scenario.t -> a3_result
 (** Application on core 0, M-Load on core 1, L-Load on core 2 (the 1.6E
-    efficiency core). The three isolation runs and the co-run are one
-    [jobs]-wide pool batch. *)
+    efficiency core): one {!Cell.run} with the co-run. Like every cell,
+    it runs its simulations in order, so [jobs] has no effect. *)
 
 type a4_row = {
   a4_scenario : string;

@@ -1,6 +1,7 @@
 (** Figure 4 reproduction: model predictions w.r.t. execution in isolation.
 
-    For each deployment scenario and contender load level:
+    For each deployment scenario and contender load level, one
+    {!Cell.run}:
     + run the application and the contender in isolation, collecting debug
       counters (the only model inputs a real DSU provides);
     + compute the fTC bound (Eq. 8) and the ILP-PTAC bound (Eq. 9 optimum)
@@ -21,35 +22,16 @@ type row = {
       (** Eq. 1 on ground-truth profiles (simulator-only reference) *)
 }
 
-type readings = {
-  app : Tcsim.Program.t;
-  contender : Tcsim.Program.t;
-  iso_app : Mbta.Measurement.observation;
-  iso_contender : Mbta.Measurement.observation;
-}
-
-val latency_of : Tcsim.Machine.config option -> Platform.Latency.t
-(** The latency table of a configuration; [None] is the default one. *)
-
-val readings :
-  ?config:Tcsim.Machine.config ->
-  scenario:Platform.Scenario.t ->
-  load:Workload.Load_gen.level ->
-  unit ->
-  readings
-(** One cell's inputs, shared with the ablations: the application and
-    contender programs, the pre-flight lint, both isolation measurements
-    (cores 0 and 1) and the counter lint.
-    @raise Analysis.Preflight.Preflight_failed on a lint error. *)
-
 val run_row :
   ?config:Tcsim.Machine.config ->
   scenario:Platform.Scenario.t ->
   load:Workload.Load_gen.level ->
   unit ->
   row
-(** One cell: the {!readings}, the fTC, ILP-PTAC and ideal bounds, then
-    the observed co-run. *)
+(** One {!Cell.bundled} cell: {!Cell.run} with the co-run. *)
+
+val paper_cells : (Platform.Scenario.t * Workload.Load_gen.level) list
+(** Both paper scenarios, H-, M- then L-Load each. *)
 
 val run_scenario :
   ?config:Tcsim.Machine.config -> ?jobs:int -> Platform.Scenario.t -> row list

@@ -9,52 +9,35 @@ type result = {
 }
 
 let run ?config ?jobs () =
-  let latency =
-    match config with
-    | Some c -> c.Tcsim.Machine.latency
-    | None -> Tcsim.Machine.default_config.Tcsim.Machine.latency
-  in
   let scenario = Scenario.scenario1 in
-  let task = Workload.Engine_control.task () in
-  let contender =
-    Workload.Load_gen.make ~variant:Workload.Control_loop.S1
-      ~level:Workload.Load_gen.High ()
+  (* Figure 4's Scenario 1 H-Load cell with the engine-control task *)
+  let cell =
+    {
+      (Cell.bundled ?config ~scenario ~load:Workload.Load_gen.High ()) with
+      app = Cell.task "app" 0 (Workload.Engine_control.task ());
+    }
   in
-  (* the two isolation runs, the co-run and the stress reference row are
-     four independent simulate-then-solve jobs *)
-  let iso, b, corun, stress =
-    match
-      Runtime.Pool.run_all ?jobs
-        [
-          (fun () -> `Obs (Mbta.Measurement.isolation ?config ~core:0 task));
-          (fun () -> `Obs (Mbta.Measurement.isolation ?config ~core:1 contender));
-          (fun () ->
-             `Obs
-               (Mbta.Measurement.corun ?config ~analysis:(task, 0)
-                  ~contenders:[ (contender, 1) ] ()));
-          (fun () ->
-             `Row
-               (Figure4.run_row ?config ~scenario ~load:Workload.Load_gen.High ()));
-        ]
-    with
-    | [ `Obs iso; `Obs b_obs; `Obs corun; `Row stress ] ->
-      (iso, b_obs.Mbta.Measurement.counters, corun, stress)
-    | _ -> assert false
-  in
-  let a = iso.Mbta.Measurement.counters in
-  let ftc_delta = (Contention.Ftc.contention_bound ~latency ~a ()).Contention.Ftc.delta in
-  let ilp_delta =
-    (Contention.Ilp_ptac.contention_bound_exn ~latency ~scenario ~a ~b ())
-      .Contention.Ilp_ptac.delta
-  in
-  let isolation_cycles = iso.Mbta.Measurement.cycles in
-  {
-    isolation_cycles;
-    observed_cycles = corun.Mbta.Measurement.cycles;
-    ftc = Mbta.Wcet.make ~isolation_cycles ~contention_cycles:ftc_delta;
-    ilp = Mbta.Wcet.make ~isolation_cycles ~contention_cycles:ilp_delta;
-    stress_ilp_ratio = stress.Figure4.ilp.Mbta.Wcet.ratio;
-  }
+  (* the engine-control cell and the stress reference row are
+     independent simulate-then-solve jobs *)
+  match
+    Runtime.Pool.run_all ?jobs
+      [
+        (fun () -> `Cell (Cell.run ~corun:true cell));
+        (fun () ->
+           `Row (Figure4.run_row ?config ~scenario ~load:Workload.Load_gen.High ()));
+      ]
+  with
+  | [ `Cell r; `Row stress ] ->
+    let isolation_cycles = r.readings.iso_app.cycles in
+    let wcet delta = Mbta.Wcet.make ~isolation_cycles ~contention_cycles:delta in
+    {
+      isolation_cycles;
+      observed_cycles = (Option.get r.observed).cycles;
+      ftc = wcet r.bounds.ftc.delta;
+      ilp = wcet (Option.get r.bounds.ilp).delta;
+      stress_ilp_ratio = stress.Figure4.ilp.Mbta.Wcet.ratio;
+    }
+  | _ -> assert false
 
 let sound r =
   Mbta.Wcet.upper_bounds r.ftc ~observed_cycles:r.observed_cycles

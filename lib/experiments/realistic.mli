@@ -18,8 +18,8 @@ type result = {
 }
 
 val run : ?config:Tcsim.Machine.config -> ?jobs:int -> unit -> result
-(** The two isolation runs, the co-run and the stress reference row are
-    independent pool cells ([jobs] defaults to
+(** The engine-control cell ({!Cell.run} with the co-run) and the stress
+    reference row are independent pool cells ([jobs] defaults to
     {!Runtime.Pool.default_jobs}). *)
 
 val sound : result -> bool

@@ -1,34 +1,22 @@
 type entry = { scenario : string; core : int; counters : Platform.Counters.t }
 
-(* one (scenario, role) entry: program + preflight, isolation
-   simulation, counter lint *)
+(* one (scenario, role) entry: a cell of the program alone — preflight,
+   isolation simulation, counter lint *)
 let entry ?config (scenario, role) =
   let sim_core, report_core = match role with `App -> (0, 1) | `HLoad -> (1, 2) in
   let variant = Workload.Control_loop.variant_of_scenario scenario in
-  let p =
+  let program =
     match role with
     | `App -> Workload.Control_loop.app variant
     | `HLoad -> Workload.Load_gen.make ~variant ~level:Workload.Load_gen.High ()
   in
-  Analysis.Preflight.run ~scenario
-    ~tasks:
-      [
-        {
-          Analysis.Program_lint.label = Tcsim.Program.name p;
-          core = sim_core;
-          program = p;
-        };
-      ]
-    ();
-  let c =
-    (Mbta.Measurement.isolation ?config ~core:sim_core p)
-      .Mbta.Measurement.counters
-  in
-  Analysis.Preflight.guard
-    (Analysis.Counter_lint.check ~scenario
-       ~path:[ scenario.Platform.Scenario.name; Tcsim.Program.name p ]
-       c);
-  { scenario = scenario.Platform.Scenario.name; core = report_core; counters = c }
+  let app = Cell.task (Tcsim.Program.name program) sim_core program in
+  let r = Cell.run { Cell.scenario; config; app; contenders = [] } in
+  {
+    scenario = scenario.Platform.Scenario.name;
+    core = report_core;
+    counters = r.readings.iso_app.counters;
+  }
 
 let run ?config ?jobs () =
   Runtime.Pool.map ~label:"table6" ?jobs (entry ?config)

@@ -10,8 +10,8 @@
 type entry = { scenario : string; core : int; counters : Platform.Counters.t }
 
 val run : ?config:Tcsim.Machine.config -> ?jobs:int -> unit -> entry list
-(** Four rows: (scenario1, scenario2) x (application, H-Load). Each row's
-    isolation simulation is an independent cell on a [jobs]-wide pool
+(** Four rows: (scenario1, scenario2) x (application, H-Load). Each row is
+    a {!Cell.run} of the program alone on a [jobs]-wide pool
     (default {!Runtime.Pool.default_jobs}); row order is fixed. *)
 
 val pp : Format.formatter -> entry list -> unit

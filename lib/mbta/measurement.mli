@@ -16,11 +16,6 @@ type observation = {
       (** for validation only — not available from a real DSU *)
 }
 
-val of_result : Tcsim.Machine.run_result -> observation
-(** The analysis-core view of a raw run result — what the DSU-style
-    protocol reads out. For callers (the serve engine) that dispatch
-    runs through {!Runtime.Run_cache} themselves. *)
-
 val isolation :
   ?config:Tcsim.Machine.config -> ?core:int -> Tcsim.Program.t -> observation
 (** Run the task alone and read its counters (core defaults to 0). *)

@@ -161,13 +161,17 @@ let of_string ?(label = "trace") content = of_strings [ (label, content) ]
 (* --- stage classification ------------------------------------------------ *)
 
 (* First matching prefix wins; the span-name inventory lives in the
-   instrumented modules (experiment drivers, engine stages, ilp, tcsim,
-   measurement, pool). *)
+   instrumented modules (experiment drivers, cell stages, engine stages,
+   ilp, tcsim, measurement, pool). *)
 let stage_prefixes =
   [
     ("figure4", "experiments");
     ("ablations", "experiments");
     ("integration", "experiments");
+    ("cell.programs", "workload");
+    ("cell.measure", "sim");
+    ("cell.bounds", "solve");
+    ("cell", "lint");
     ("serve.stage.lint", "lint");
     ("lint", "lint");
     ("serve.stage.bounds", "solve");

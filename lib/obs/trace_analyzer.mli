@@ -38,8 +38,9 @@ val of_strings : (string * string) list -> (t, string) result
 val stage_of_name : string -> string
 (** The stage bucket a span name classifies into ([experiments] for the
     experiment drivers' [figure4.*], [ablations.*] and [integration.*]
-    spans, [lint], [solve], [sim], [disk], [audit], [cache], [serve],
-    [client], [pool] or [other]). *)
+    spans, [workload], [lint], [solve], [sim], [disk], [audit], [cache],
+    [serve], [client], [pool] or [other]; the cell stages' [cell.*] spans
+    go to the stage of their work). *)
 
 type stage_stat = {
   stage : string;

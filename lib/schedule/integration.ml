@@ -73,7 +73,7 @@ let integrate ?config ?options ?jobs ~scenario apps =
             if a.core = core then Some o.Mbta.Measurement.counters else None)
          measured)
   in
-  let is_s2 = scenario.Scenario.name = "scenario2" in
+  let dirty = Contention.Ftc.dirty_misses scenario in
   let inflations =
     List.map
       (fun (a, (o : Mbta.Measurement.observation)) ->
@@ -87,7 +87,7 @@ let integrate ?config ?options ?jobs ~scenario apps =
            if other_envelopes = [] then 0
            else
              (List.length other_envelopes)
-             * (Contention.Ftc.contention_bound ~dirty:is_s2 ~latency ~a:counters ())
+             * (Contention.Ftc.contention_bound ~dirty ~latency ~a:counters ())
                  .Contention.Ftc.delta
          in
          let ilp_delta =

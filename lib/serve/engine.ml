@@ -1,5 +1,6 @@
 open Platform
 module P = Protocol
+module Cell = Experiments.Cell
 
 type config = {
   jobs : int option;
@@ -185,17 +186,17 @@ let build_program ~id ~max_size (spec : P.program_spec) =
     rejectf ~id P.Invalid "invalid program %S: %s" spec.pname msg
 
 let guard_lint ~id ~pass diags =
-  Analysis.Diag.record_metrics ~pass diags;
   if Analysis.Diag.has_errors diags then
     rejectf ~id ~diagnostics:diags P.Lint
       "%d lint error(s) in pass %s"
       (List.length (Analysis.Diag.errors diags))
       pass
 
-(* The per-query pipeline, mirroring the Figure-4 experiment row:
-   preflight lint -> isolation measurements -> counter lint -> model
-   lint -> bounds -> (optional) observed co-run. Raises [Rejected] on
-   every admission failure. *)
+(* The per-query pipeline: the {!Experiments.Cell} stages under the
+   engine's stage timers, each stage's diagnostics and cycle-limit
+   outcomes mapped to a reject. Raises [Rejected] on every admission
+   failure; precedence is preflight lint, isolation cycle limits,
+   counter lint, model lint, then the co-run's cycle limit. *)
 let compute t (q : P.analyze) : P.analyze_result =
   let id = q.id in
   let scenario =
@@ -204,196 +205,106 @@ let compute t (q : P.analyze) : P.analyze_result =
     | None -> rejectf ~id P.Invalid "unknown scenario %S" q.scenario
   in
   if q.models = [] then rejectf ~id P.Invalid "no models requested";
-  let latency = Tcsim.Machine.default_config.Tcsim.Machine.latency in
   let max_core =
     Array.length Tcsim.Machine.default_config.Tcsim.Machine.cores - 1
   in
   let variant = Workload.Control_loop.variant_of_scenario scenario in
+  let program_of = build_program ~id ~max_size:t.config.max_program_size in
   let app =
     match q.app with
     | P.App_bundled -> Workload.Control_loop.app variant
-    | P.App_inline spec ->
-      build_program ~id ~max_size:t.config.max_program_size spec
+    | P.App_inline spec -> program_of spec
   in
   let contenders =
     List.map
       (fun spec ->
          let core =
            match spec with
-           | P.Con_level { core; _ } -> core
-           | P.Con_inline { ccore; _ } -> ccore
+           | P.Con_level { core; _ } | P.Con_inline { ccore = core; _ } -> core
          in
          if core < 1 || core > max_core then
            rejectf ~id P.Invalid
              "contender core %d out of range 1..%d (core 0 runs the task \
               under analysis)"
              core max_core;
-         let program =
-           match spec with
-           | P.Con_level { level; core } ->
-             Workload.Load_gen.make ~variant ~level ~region_slot:core ()
-           | P.Con_inline { cprogram; _ } ->
-             build_program ~id ~max_size:t.config.max_program_size cprogram
-         in
-         (core, program))
+         Cell.task (Printf.sprintf "contender%d" core) core
+           (match spec with
+            | P.Con_level { level; core } ->
+              Workload.Load_gen.make ~variant ~level ~region_slot:core ()
+            | P.Con_inline { cprogram; _ } -> program_of cprogram))
       q.contenders
   in
-  let cores = List.map fst contenders in
+  let cores = List.map (fun (c : Analysis.Program_lint.task) -> c.core) contenders in
   if List.length (List.sort_uniq compare cores) <> List.length cores then
     rejectf ~id P.Invalid "duplicate contender cores";
-  let tasks =
-    { Analysis.Program_lint.label = "app"; core = 0; program = app }
-    :: List.map
-      (fun (core, program) ->
-         {
-           Analysis.Program_lint.label = Printf.sprintf "contender%d" core;
-           core;
-           program;
-         })
-      contenders
-  in
+  let cell = { Cell.scenario; config = None; app = Cell.task "app" 0 app; contenders } in
   stage "serve.stage.lint" h_stage_lint (fun () ->
-      guard_lint ~id ~pass:"serve.preflight"
-        (Analysis.Preflight.check_run ~latency ~scenario
-           ~tasks ()));
-  (* All the request's simulations — every task alone on its core, plus
+      guard_lint ~id ~pass:"serve.preflight" (Cell.preflight cell));
+  (* All the request's simulations — every task alone on its core, then
      (when observed) the co-run — run in order in one pool task, so the
      co-run reads the scripts the isolations compiled from the script
-     memo, and each stays individually content-addressed in the run
-     cache. Failures are captured per simulation, not raised, so reject
-     precedence is unchanged: isolation cycle limits first, then counter
-     lint, then bounds; the co-run's outcome is deferred to its own
-     stage below. *)
-  let iso_outcomes, corun_outcome =
+     memo. The co-run's outcome is deferred to its own stage below. *)
+  let measured =
     stage "serve.stage.isolation" h_stage_isolation (fun () ->
-        let sim f = match f () with r -> Ok r | exception e -> Error e in
-        let sims () =
-          let iso =
-            List.map
-              (fun { Analysis.Program_lint.core; program; _ } ->
-                 sim (fun () ->
-                     Runtime.Run_cache.run ~analysis:{ Tcsim.Machine.program; core } ()))
-              tasks
-          in
-          let corun () =
-            Runtime.Run_cache.run ~restart_contenders:false
-              ~analysis:{ Tcsim.Machine.program = app; core = 0 }
-              ~contenders:
-                (List.map
-                   (fun (core, program) -> { Tcsim.Machine.program; core })
-                   contenders)
-              ()
-          in
-          (iso, if q.observed then Some (sim corun) else None)
-        in
-        match Runtime.Pool.run_all_in ~label:"serve.sims" t.pool [ sims ] with
-        | [ outcomes ] -> outcomes
+        match
+          Runtime.Pool.run_all_in ~label:"serve.sims" t.pool
+            [ (fun () -> Cell.measure ~corun:q.observed cell) ]
+        with
+        | [ m ] -> m
         | _ -> assert false)
   in
-  let iso_app, iso_contenders =
-    let observations =
-      List.map2
-        (fun { Analysis.Program_lint.label; _ } -> function
-           | Ok r -> Mbta.Measurement.of_result r
-           | Error (Tcsim.Machine.Cycle_limit_exceeded c) ->
-             rejectf ~id P.Cycle_limit
-               "task %S exceeded the cycle limit in isolation (at cycle %d)"
-               label c
-           | Error e -> raise e)
-        tasks iso_outcomes
-    in
-    let iso_app, iso_contenders =
-      match observations with
-      | a :: rest -> (a, List.combine (List.map fst contenders) rest)
-      | [] -> assert false
-    in
-    guard_lint ~id ~pass:"serve.counters"
-      (List.concat
-         (List.map2
-            (fun { Analysis.Program_lint.label; _ }
-              (o : Mbta.Measurement.observation) ->
-              Analysis.Counter_lint.check ~latency ~scenario
-                ~path:[ "isolation"; label ] o.counters)
-            tasks observations));
-    (iso_app, iso_contenders)
+  let iso =
+    match measured.Cell.isolation with
+    | Ok iso -> iso
+    | Error (label, Tcsim.Machine.Cycle_limit_exceeded c) ->
+      rejectf ~id P.Cycle_limit
+        "task %S exceeded the cycle limit in isolation (at cycle %d)" label c
+    | Error (_, e) -> raise e
   in
-  let a = iso_app.Mbta.Measurement.counters in
-  let contender_counters =
-    List.map
-      (fun (core, (o : Mbta.Measurement.observation)) -> (core, o.counters))
-      iso_contenders
-  in
-  let is_s2 = scenario.Scenario.name = "scenario2" in
-  let ilp_options =
-    {
-      Contention.Ilp_ptac.default_options with
-      Contention.Ilp_ptac.dirty_lmu =
-        List.exists
-          (fun (_, (b : Counters.t)) -> b.dcache_miss_dirty > 0)
-          contender_counters;
-    }
-  in
-  let bound = function
-    | P.Ftc ->
-      let r = Contention.Ftc.contention_bound ~dirty:is_s2 ~latency ~a () in
-      Some r.Contention.Ftc.delta
-    | P.Ideal ->
-      Some
-        (List.fold_left
-           (fun acc (_, (o : Mbta.Measurement.observation)) ->
-              acc
-              + Contention.Ideal.contention_bound ~latency
-                ~a:iso_app.Mbta.Measurement.ground_truth ~b:o.ground_truth ())
-           0 iso_contenders)
-    | P.Ilp_ptac -> (
-      match contender_counters with
-      | [] -> Some 0
-      | _ ->
-        Contention.Multi.contention_bound ~options:ilp_options ~latency
-          ~scenario ~a
-          ~contenders:(List.map snd contender_counters)
-          ()
-        |> Option.map (fun (r : Contention.Multi.result) -> r.delta))
-  in
+  guard_lint ~id ~pass:"serve.counters" (Cell.counter_lint cell iso);
   let bounds =
     stage "serve.stage.bounds" h_stage_bounds (fun () ->
-        if List.mem P.Ilp_ptac q.models then
-          List.iter
-            (fun (core, b) ->
-               let model, _ =
-                 Contention.Ilp_ptac.build_model ~options:ilp_options ~latency
-                   ~scenario ~a ~b ()
-               in
-               guard_lint ~id ~pass:"serve.model"
-                 (Analysis.Model_lint.check
-                    ~path:
-                      [ "ilp-ptac"; scenario.Scenario.name;
-                        Printf.sprintf "contender%d" core ]
-                    model))
-            contender_counters;
-        List.map (fun m -> (m, bound m)) q.models)
+        let models =
+          if List.mem P.Ilp_ptac q.models then begin
+            let models, diags = Cell.models cell iso in
+            guard_lint ~id ~pass:"serve.model" diags;
+            Some models
+          end
+          else None
+        in
+        let b = Cell.bounds ?models cell iso in
+        List.map
+          (fun m ->
+             ( m,
+               match m with
+               | P.Ftc -> Some b.Cell.ftc.Contention.Ftc.delta
+               | P.Ideal -> Some b.Cell.ideal_delta
+               | P.Ilp_ptac ->
+                 Option.map (fun (r : Contention.Multi.result) -> r.delta) b.ilp ))
+          q.models)
   in
-  (* the co-run already simulated with the isolations above; its deferred
-     outcome surfaces here, at the stage where it used to run, so reject
-     precedence and response shape are unchanged *)
   let observed_cycles =
-    match corun_outcome with
-    | None -> None
-    | Some outcome ->
-      stage "serve.stage.corun" h_stage_corun (fun () ->
-          match outcome with
-          | Ok r -> Some (Mbta.Measurement.of_result r).Mbta.Measurement.cycles
-          | Error (Tcsim.Machine.Cycle_limit_exceeded c) ->
-            rejectf ~id P.Cycle_limit
-              "co-run exceeded the cycle limit (at cycle %d)" c
-          | Error e -> raise e)
+    Option.map
+      (fun outcome ->
+         stage "serve.stage.corun" h_stage_corun (fun () ->
+             match outcome with
+             | Ok (o : Mbta.Measurement.observation) -> o.cycles
+             | Error (Tcsim.Machine.Cycle_limit_exceeded c) ->
+               rejectf ~id P.Cycle_limit
+                 "co-run exceeded the cycle limit (at cycle %d)" c
+             | Error e -> raise e))
+      measured.Cell.corun
   in
   {
-    P.isolation_cycles = iso_app.Mbta.Measurement.cycles;
+    P.isolation_cycles = iso.Cell.iso_app.Mbta.Measurement.cycles;
     observed_cycles;
     bounds;
-    app_counters = a;
-    contender_counters;
+    app_counters = iso.Cell.iso_app.Mbta.Measurement.counters;
+    contender_counters =
+      List.map2
+        (fun (c : Analysis.Program_lint.task) (o : Mbta.Measurement.observation) ->
+           (c.core, o.counters))
+        contenders iso.Cell.iso_contenders;
   }
 
 (* --- query-level single-flight + disk tier ------------------------------ *)

@@ -70,7 +70,9 @@ val stats_payload : t -> Obs.Json.t
     jobs-invariant. *)
 
 val analyze : t -> Protocol.analyze -> Protocol.response
-(** The full admission → dispatch → cache pipeline for one query. *)
+(** Admission, then the cache tiers; a computed query runs the
+    {!Experiments.Cell} stages, as Figure 4's row does, each under its
+    [serve.stage.*] timer, and maps their failures to rejects. *)
 
 val handle_line : t -> string -> [ `Reply of string | `Stop of string ]
 (** One request line to one response line; [`Stop] carries the

@@ -515,6 +515,12 @@ let test_stage_of_name () =
       ("figure4.row", "experiments");
       ("ablations.a3", "experiments");
       ("integration.run", "experiments");
+      ("cell.programs", "workload");
+      ("cell.preflight", "lint");
+      ("cell.measure", "sim");
+      ("cell.counters", "lint");
+      ("cell.models", "lint");
+      ("cell.bounds", "solve");
       ("measure.corun", "sim");
       ("tcsim.run", "sim");
       ("ilp.branch_bound", "solve");
@@ -527,7 +533,9 @@ let test_stage_of_name () =
     (List.map
        (fun name -> (name, Obs.Trace_analyzer.stage_of_name name))
        [
-         "figure4.row"; "ablations.a3"; "integration.run"; "measure.corun";
+         "figure4.row"; "ablations.a3"; "integration.run"; "cell.programs";
+         "cell.preflight"; "cell.measure"; "cell.counters"; "cell.models";
+         "cell.bounds"; "measure.corun";
          "tcsim.run"; "ilp.branch_bound"; "serve.stage.lint";
          "serve.stage.bounds"; "serve.request"; "pool.task"; "unnamed.span";
        ])

@@ -1476,6 +1476,205 @@ let test_hammer_and_jobs_invariance () =
 (* Regeneration mode: [AURIX_GEN_GOLDEN=<dir> ./test_serve.exe] rewrites
    the wire fixtures and prints the pinned digests, for use after a
    deliberate, version-bumped format change. *)
+(* --- the cell pipeline: daemon vs Figure 4, degraded paths -------------- *)
+
+(* The daemon and Figure 4 run one cell pipeline: for each bundled
+   (scenario, load) query the daemon answers exactly Figure 4's row. *)
+let test_daemon_matches_figure4 () =
+  let e = mk_engine () in
+  with_engine e @@ fun () ->
+  List.iter
+    (fun (row : Experiments.Figure4.row) ->
+       let q =
+         {
+           golden_query with
+           P.id = "fig4";
+           scenario = row.scenario;
+           contenders = [ P.Con_level { level = row.load; core = 1 } ];
+         }
+       in
+       let r = (result_of_reply (reply_of e (analyze_line q))).rresult in
+       let cell =
+         Printf.sprintf "%s/%s" row.scenario
+           (Workload.Load_gen.level_to_string row.load)
+       in
+       let check what want got =
+         Alcotest.(check int) (Printf.sprintf "%s %s" cell what) want got
+       in
+       check "isolation_cycles" row.isolation_cycles r.P.isolation_cycles;
+       check "observed_cycles" row.observed_cycles
+         (Option.get r.P.observed_cycles);
+       let delta m = Option.get (List.assoc m r.P.bounds) in
+       check "fTC delta" row.ftc.Mbta.Wcet.contention_cycles (delta P.Ftc);
+       check "ILP-PTAC delta" row.ilp.Mbta.Wcet.contention_cycles
+         (delta P.Ilp_ptac);
+       check "ideal delta" row.ideal_delta (delta P.Ideal))
+    (Experiments.Figure4.run_all ~jobs:1 ())
+
+(* 300 x 1M cycles of scratchpad compute: past the 200M-cycle limit in
+   300 events *)
+let runaway =
+  {
+    P.pname = "runaway";
+    pitems =
+      [
+        Tcsim.Program.Loop
+          {
+            count = 300;
+            body =
+              [ Tcsim.Program.I { pc = M.pspr_base; kind = Tcsim.Program.Compute 1_000_000 } ];
+          };
+      ];
+  }
+
+let expect_message e ~id code q fmt check =
+  match decode_reply (reply_of e (analyze_line q)) with
+  | P.Reject { xid; code = got; message; _ } when got = code ->
+    Alcotest.(check (option string)) "reject id" (Some id) xid;
+    (match Scanf.sscanf message fmt check with
+     | () -> ()
+     | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
+       Alcotest.failf "unexpected %s message %S" (P.reject_code_to_string code)
+         message)
+  | other ->
+    Alcotest.failf "expected a %s reject, got %s" (P.reject_code_to_string code)
+      (P.encode_response other)
+
+let past_limit c =
+  Alcotest.(check bool)
+    (Printf.sprintf "cycle %d past the limit" c)
+    true
+    (c >= Tcsim.Machine.default_max_cycles)
+
+let test_reject_cycle_limit_isolation () =
+  let e = mk_engine () in
+  with_engine e @@ fun () ->
+  let q = { lint_reject_query with P.id = "limit"; observed = true } in
+  let in_isolation label q =
+    expect_message e ~id:"limit" P.Cycle_limit q
+      "task %S exceeded the cycle limit in isolation (at cycle %d)%!"
+      (fun l c ->
+         Alcotest.(check string) "the task named" label l;
+         past_limit c)
+  in
+  in_isolation "app" { q with P.app = P.App_inline runaway; contenders = [] };
+  in_isolation "contender2"
+    {
+      q with
+      P.contenders =
+        [
+          P.Con_level { level = Workload.Load_gen.Low; core = 1 };
+          P.Con_inline { ccore = 2; cprogram = runaway };
+        ];
+    };
+  (* outranks the counter lint: with the app's isolation read-out
+     corrupted (stalls past its cycle count, an error in Table 4 terms),
+     the query is a counter-lint reject on its own, and a cycle-limit
+     reject once a contender runs away *)
+  let poisoned = ref false in
+  Runtime.Run_cache.clear ();
+  Runtime.Run_cache.set_store
+    (Some
+       {
+         Runtime.Run_cache.load =
+           (fun _ ->
+              if !poisoned then None
+              else begin
+                poisoned := true;
+                let r =
+                  Tcsim.Machine.run
+                    ~analysis:
+                      {
+                        Tcsim.Machine.program =
+                          Workload.Control_loop.app Workload.Control_loop.S1;
+                        core = 0;
+                      }
+                    ()
+                in
+                let c = r.analysis.counters in
+                Some
+                  (Runtime.Run_cache.entry_to_string
+                     (Runtime.Run_cache.Finished
+                        {
+                          r with
+                          analysis =
+                            {
+                              r.analysis with
+                              counters = { c with pmem_stall = c.ccnt + 1 };
+                            };
+                        }))
+              end);
+         save = (fun _ _ -> ());
+       });
+  Fun.protect
+    ~finally:(fun () ->
+        Runtime.Run_cache.set_store None;
+        Runtime.Run_cache.clear ())
+  @@ fun () ->
+  let bundled = { q with P.contenders = [ P.Con_level { level = Workload.Load_gen.High; core = 1 } ] } in
+  let _, diagnostics = expect_reject e ~id:"limit" P.Lint (analyze_line bundled) in
+  Alcotest.(check (list string))
+    "the corrupted read-out is diagnosed" [ "stall-exceeds-ccnt" ]
+    (List.map (fun (d : Analysis.Diag.t) -> d.rule) diagnostics);
+  in_isolation "contender1"
+    { q with P.contenders = [ P.Con_inline { ccore = 1; cprogram = runaway } ] }
+
+(* An app 1,000 cycles short of the limit alone: 10,000 LMU loads, then
+   scratchpad compute up to the limit. A contender storing to the LMU
+   delays the loads by more than that, so only the co-run runs away. *)
+let test_reject_cycle_limit_corun () =
+  let e = mk_engine () in
+  with_engine e @@ fun () ->
+  let pspr kind = Tcsim.Program.I { pc = M.pspr_base; kind } in
+  let loads =
+    Tcsim.Program.Loop
+      { count = 10_000; body = [ pspr (Tcsim.Program.Load M.lmu_uncached_base) ] }
+  in
+  let alone items =
+    (Tcsim.Machine.run
+       ~analysis:{ Tcsim.Machine.program = Tcsim.Program.make ~name:"app" items; core = 0 }
+       ())
+      .cycles
+  in
+  let pad = Tcsim.Machine.default_max_cycles - 1_000 - alone [ loads ] in
+  let items =
+    [
+      loads;
+      Tcsim.Program.Loop
+        { count = pad / 1_000_000; body = [ pspr (Tcsim.Program.Compute 1_000_000) ] };
+      pspr (Tcsim.Program.Compute (pad mod 1_000_000));
+    ]
+  in
+  Alcotest.(check bool) "the app alone stays under the limit" true
+    (alone items < Tcsim.Machine.default_max_cycles);
+  let store =
+    {
+      P.pname = "lmu-stores";
+      pitems =
+        [
+          Tcsim.Program.Loop
+            {
+              count = 20_000;
+              body = [ pspr (Tcsim.Program.Store (M.lmu_uncached_base + 4096)) ];
+            };
+        ];
+    }
+  in
+  let q =
+    {
+      lint_reject_query with
+      P.id = "corun-limit";
+      app = P.App_inline { P.pname = "near-limit"; pitems = items };
+      contenders = [ P.Con_inline { ccore = 1; cprogram = store } ];
+      models = [ P.Ftc; P.Ilp_ptac; P.Ideal ];
+    }
+  in
+  (* unobserved, the query is answered: isolations, lints and bounds pass *)
+  ignore (result_of_reply (reply_of e (analyze_line q)));
+  expect_message e ~id:"corun-limit" P.Cycle_limit
+    { q with P.observed = true }
+    "co-run exceeded the cycle limit (at cycle %d)%!" past_limit
+
 let () =
   match Sys.getenv_opt "AURIX_GEN_GOLDEN" with
   | None -> ()
@@ -1571,6 +1770,15 @@ let () =
             test_tampered_cert_quarantined;
           Alcotest.test_case "certless entry upgraded" `Quick
             test_certless_entry_upgraded;
+        ] );
+      ( "cell-pipeline",
+        [
+          Alcotest.test_case "daemon answers Figure 4's rows" `Quick
+            test_daemon_matches_figure4;
+          Alcotest.test_case "isolation cycle limit rejected" `Quick
+            test_reject_cycle_limit_isolation;
+          Alcotest.test_case "co-run cycle limit rejected" `Quick
+            test_reject_cycle_limit_corun;
         ] );
       ( "observability",
         [
